@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -132,7 +133,6 @@ def _cmd_train(args) -> int:
         decoder_hidden=cfg.model.decoder_hidden or None,
         cell=cfg.model.cell,
         pooling=cfg.model.pooling,
-        literal_decoder=cfg.model.literal_decoder,
         freeze_embeddings=cfg.model.freeze_embeddings,
         flow_width=cfg.model.flow_width,
         rgb_width=cfg.model.rgb_width,
@@ -172,13 +172,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    start = time.perf_counter()
     checks = [("primitive/" + name, err) for name, err in primitive_checks(args.eps)]
     checks += [("model/" + name, err) for name, err in composed_checks(args.eps)]
+    elapsed = time.perf_counter() - start
     worst_name, worst = max(checks, key=lambda pair: pair[1])
     for name, err in checks:
         status = "ok" if err < TOLERANCE else "FAIL"
         print(f"{status}\t{err:.3e}\t{name}")
     print(f"worst\t{worst:.3e}\t{worst_name}")
+    print(f"elapsed\t{elapsed:.1f}")
     if worst >= TOLERANCE:
         raise NumericalError(
             f"gradient check failed: {worst_name} error {worst:.3e} >= {TOLERANCE}"

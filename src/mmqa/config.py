@@ -40,7 +40,6 @@ class ModelConfig:
     decoder_hidden: int = 0  # 0 means "match the encoder output width"
     cell: str = "gru"
     pooling: str = "max"
-    literal_decoder: bool = False
     freeze_embeddings: bool = False
     flow_width: int = 0
     rgb_width: int = 0

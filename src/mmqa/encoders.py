@@ -4,6 +4,13 @@ Every modality (question, summary, dialog history, flow, rgb, audio) runs a
 bidirectional recurrent layer and is reduced to a single 1*D vector: the
 question by a two-layer position-wise self-attention mask, everything else
 by question-guided bilinear attention followed by pooling over positions.
+
+The recurrence is fused: `gru_sequence` and `lstm_sequence` compute the
+input projections of a whole sequence with one GEMM per gate, run the time
+steps on plain numpy arrays, and record a single tape node whose backward is
+hand-written backpropagation through time (the precomputed-input scheme of
+Appleyard, Kocisky and Blunsom, 2016). `gru_step` and `lstm_step` are their
+one-row case.
 """
 
 from __future__ import annotations
@@ -16,20 +23,18 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .tensor import (
     Tensor,
-    add,
+    _emit,
     add_row,
     concat_cols,
     concat_rows,
+    logistic,
     matmul,
     max_pool_rows,
     mean_rows,
     mul,
-    one_minus,
     relu,
-    sigmoid,
+    slice_cols,
     softmax_rows,
-    take_rows,
-    tanh,
     transpose,
 )
 
@@ -39,6 +44,8 @@ __all__ = [
     "RecurrentLayer",
     "AttentionParams",
     "SelfAttentionParams",
+    "gru_sequence",
+    "lstm_sequence",
     "gru_step",
     "lstm_step",
     "rnn_forward",
@@ -57,12 +64,7 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 
 @dataclass
 class GruCell:
-    """Update/reset/candidate gate weights for one GRU direction.
-
-    With `literal_update` set, the hidden state follows the abbreviated
-    update h_t = sigmoid(x W + (r * h_prev) U + b) with no interpolation,
-    kept only for comparison against the standard cell.
-    """
+    """Update/reset/candidate gate weights for one GRU direction."""
 
     w_z: Tensor
     w_r: Tensor
@@ -73,7 +75,6 @@ class GruCell:
     b_z: Tensor
     b_r: Tensor
     b_h: Tensor
-    literal_update: bool = False
 
     @property
     def input_width(self) -> int:
@@ -84,11 +85,11 @@ class GruCell:
         return self.w_z.cols
 
     @classmethod
-    def create(cls, rng, input_width: int, hidden_width: int, literal_update=False):
+    def create(cls, rng, input_width: int, hidden_width: int):
         w = lambda: _uniform(rng, input_width, (input_width, hidden_width))
         u = lambda: _uniform(rng, hidden_width, (hidden_width, hidden_width))
         b = lambda: Tensor(np.zeros((1, hidden_width)), check=False)
-        return cls(w(), w(), w(), u(), u(), u(), b(), b(), b(), literal_update)
+        return cls(w(), w(), w(), u(), u(), u(), b(), b(), b())
 
     def parameters(self) -> dict:
         return {
@@ -165,9 +166,9 @@ class RecurrentLayer:
 
     @classmethod
     def create(cls, rng, kind: str, input_width: int, hidden_width: int,
-               bidirectional: bool = True, literal_update: bool = False):
+               bidirectional: bool = True):
         if kind == "gru":
-            make = lambda: GruCell.create(rng, input_width, hidden_width, literal_update)
+            make = lambda: GruCell.create(rng, input_width, hidden_width)
         elif kind == "lstm":
             make = lambda: LstmCell.create(rng, input_width, hidden_width)
         else:
@@ -223,42 +224,193 @@ class SelfAttentionParams:
         }
 
 
+def _check_sequence(cell, seq: Tensor, *states: Optional[Tensor]) -> None:
+    if seq.ndim != 2 or seq.rows < 1:
+        raise ShapeError(f"recurrent input must be a non-empty n*in matrix, got {seq.shape}")
+    if seq.cols != cell.input_width:
+        raise ShapeError(
+            f"sequence width {seq.cols} does not match cell input width {cell.input_width}"
+        )
+    for state in states:
+        if state is not None and state.shape != (1, cell.hidden_width):
+            raise ShapeError(
+                f"initial state {state.shape} does not match hidden width {cell.hidden_width}"
+            )
+
+
+def _initial(state: Optional[Tensor], hidden: int) -> np.ndarray:
+    return np.zeros(hidden) if state is None else state.data[0]
+
+
+# The input weights stay separate per gate: one GEMM each, so that a step of
+# the decoder's wide first layer never copies its weights into one matrix.
+def _input_terms(x: np.ndarray, ws) -> np.ndarray:
+    """n*(gates*h) input terms, gate by gate."""
+    return np.concatenate([x @ w for w in ws], axis=1)
+
+
+def _input_grads(x: np.ndarray, ws, da: np.ndarray):
+    """Gradients of the input terms' input and of each gate's weight."""
+    h = ws[0].shape[1]
+    parts = [da[:, k * h:(k + 1) * h] for k in range(len(ws))]
+    dx = parts[0] @ ws[0].T
+    for part, w in zip(parts[1:], ws[1:]):
+        dx = dx + part @ w.T
+    return dx, [x.T @ part for part in parts]
+
+
+def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
+                 reverse: bool = False) -> Tensor:
+    """Run a GRU over an n*in sequence; returns the n*h states as one tape node.
+
+    Row t is the state after consuming input row t; with `reverse` the rows
+    are consumed last to first. `h0` is the 1*h initial state (zero when
+    omitted) and receives a gradient like every weight. Per step:
+        z = sigmoid(x Wz + h Uz + bz),  r = sigmoid(x Wr + h Ur + br)
+        cand = tanh(x Wh + (r * h) Uh + bh),  h' = (1 - z) * h + z * cand
+    The input terms of all steps take one GEMM per gate, the recurrence runs
+    on plain arrays and the backward is hand-written BPTT.
+    """
+    _check_sequence(cell, seq, h0)
+    n, h = seq.rows, cell.hidden_width
+    x = seq.data[::-1] if reverse else seq.data
+    ws = (cell.w_z.data, cell.w_r.data, cell.w_h.data)
+    b = np.concatenate([cell.b_z.data, cell.b_r.data, cell.b_h.data], axis=1)[0]
+    u_zr = np.concatenate([cell.u_z.data, cell.u_r.data], axis=1)
+    u_h = cell.u_h.data
+    xw = _input_terms(x, ws) + b  # n x 3h: update, reset and candidate input terms
+    xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
+    gates = np.empty((n, 2 * h))  # z | r
+    cand = np.empty((n, h))
+    out = np.empty((n, h))
+    state = initial = _initial(h0, h)
+    for t in range(n):
+        zr = gates[t] = logistic(xw_zr[t] + state @ u_zr)
+        z = zr[:h]
+        c = cand[t] = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
+        state = out[t] = (1.0 - z) * state + z * c
+    prev = np.concatenate([initial[None, :], out[:-1]])
+    rh = gates[:, h:] * prev
+
+    def back(g):
+        if reverse:
+            g = g[::-1]
+        z, r = gates[:, :h], gates[:, h:]
+        keep = 1.0 - z
+        to_cand = z * (1.0 - cand * cand)
+        to_z = (cand - prev) * z * keep
+        to_r = prev * r * (1.0 - r)
+        da = np.empty((n, 3 * h))  # pre-activation gradients, z | r | cand
+        dh = np.zeros(h)
+        for t in range(n - 1, -1, -1):
+            dh = dh + g[t]
+            np.multiply(dh, to_z[t], out=da[t, :h])
+            dac = np.multiply(dh, to_cand[t], out=da[t, 2 * h:])
+            drh = dac @ u_h.T
+            np.multiply(drh, to_r[t], out=da[t, h:2 * h])
+            dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr.T
+        dx, dws = _input_grads(x, ws, da)
+        db = da.sum(axis=0, keepdims=True)
+        du_zr = prev.T @ da[:, :2 * h]
+        du_h = rh.T @ da[:, 2 * h:]
+        grads = (
+            dx[::-1] if reverse else dx, *dws,
+            du_zr[:, :h], du_zr[:, h:], du_h,
+            db[:, :h], db[:, h:2 * h], db[:, 2 * h:],
+        )
+        return grads if h0 is None else grads + (dh[None, :],)
+
+    parents = (seq, cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
+               cell.b_z, cell.b_r, cell.b_h)
+    return _emit(out[::-1].copy() if reverse else out,
+                 parents if h0 is None else parents + (h0,), back)
+
+
+def lstm_sequence(cell: LstmCell, seq: Tensor, h0: Optional[Tensor] = None,
+                  c0: Optional[Tensor] = None, reverse: bool = False,
+                  with_cell: bool = False) -> Tensor:
+    """Run an LSTM over an n*in sequence as one tape node.
+
+    Returns the n*h hidden states, or the n*2h matrix [hidden | cell state]
+    when `with_cell` is set; rows, `reverse` and the optional differentiable
+    initial states `h0` and `c0` are as in `gru_sequence`. Per step:
+        i, f, o = sigmoid(x W + h U + b) per gate,  g = tanh(x Wc + h Uc + bc)
+        c' = f * c + i * g,  h' = o * tanh(c')
+    """
+    _check_sequence(cell, seq, h0, c0)
+    n, h = seq.rows, cell.hidden_width
+    x = seq.data[::-1] if reverse else seq.data
+    ws = (cell.w_i.data, cell.w_f.data, cell.w_o.data, cell.w_c.data)
+    u = np.concatenate([cell.u_i.data, cell.u_f.data, cell.u_o.data, cell.u_c.data], axis=1)
+    b = np.concatenate([cell.b_i.data, cell.b_f.data, cell.b_o.data, cell.b_c.data],
+                       axis=1)[0]
+    xw = _input_terms(x, ws) + b  # n x 4h: input, forget, output and candidate terms
+    prev_h = np.empty((n, h))
+    prev_c = np.empty((n, h))
+    acts = np.empty((n, 4 * h))  # i | f | o | g
+    tanh_c = np.empty((n, h))
+    out = np.empty((n, 2 * h))  # h | c
+    state, memory = _initial(h0, h), _initial(c0, h)
+    for t in range(n):
+        prev_h[t], prev_c[t] = state, memory
+        a = xw[t] + state @ u
+        ifo = acts[t, :3 * h] = logistic(a[:3 * h])
+        g = acts[t, 3 * h:] = np.tanh(a[3 * h:])
+        memory = out[t, h:] = ifo[h:2 * h] * memory + ifo[:h] * g
+        tc = tanh_c[t] = np.tanh(memory)
+        state = out[t, :h] = ifo[2 * h:] * tc
+
+    def back(grad):
+        if reverse:
+            grad = grad[::-1]
+        i, f, o, g = (acts[:, k * h:(k + 1) * h] for k in range(4))
+        to_c = o * (1.0 - tanh_c * tanh_c)
+        to_i = g * i * (1.0 - i)
+        to_f = prev_c * f * (1.0 - f)
+        to_o = tanh_c * o * (1.0 - o)
+        to_g = i * (1.0 - g * g)
+        da = np.empty((n, 4 * h))
+        dh, dc = np.zeros(h), np.zeros(h)
+        for t in range(n - 1, -1, -1):
+            dh = dh + grad[t, :h]
+            dc = dc + dh * to_c[t]
+            if with_cell:
+                dc = dc + grad[t, h:]
+            np.multiply(dc, to_i[t], out=da[t, :h])
+            np.multiply(dc, to_f[t], out=da[t, h:2 * h])
+            np.multiply(dh, to_o[t], out=da[t, 2 * h:3 * h])
+            np.multiply(dc, to_g[t], out=da[t, 3 * h:])
+            dh = da[t] @ u.T
+            dc = dc * f[t]
+        dx, dws = _input_grads(x, ws, da)
+        du = prev_h.T @ da
+        db = da.sum(axis=0, keepdims=True)
+        blocks = lambda m: tuple(m[:, k * h:(k + 1) * h] for k in range(4))
+        grads = (dx[::-1] if reverse else dx, *dws) + blocks(du) + blocks(db)
+        if h0 is not None:
+            grads += (dh[None, :],)
+        if c0 is not None:
+            grads += (dc[None, :],)
+        return grads
+
+    parents = (seq, cell.w_i, cell.w_f, cell.w_o, cell.w_c,
+               cell.u_i, cell.u_f, cell.u_o, cell.u_c,
+               cell.b_i, cell.b_f, cell.b_o, cell.b_c)
+    parents += tuple(s for s in (h0, c0) if s is not None)
+    value = out if with_cell else out[:, :h]
+    return _emit((value[::-1] if reverse else value).copy(), parents, back)
+
+
 def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
     """One GRU update on a 1*in input and 1*h previous state."""
-    # z = sigmoid(x Wz + h Uz + bz); r likewise
-    z = sigmoid(add(add(matmul(x, cell.w_z), matmul(h_prev, cell.u_z)), cell.b_z))
-    r = sigmoid(add(add(matmul(x, cell.w_r), matmul(h_prev, cell.u_r)), cell.b_r))
-    if cell.literal_update:
-        return sigmoid(add(add(matmul(x, cell.w_h), matmul(mul(r, h_prev), cell.u_h)), cell.b_h))
-    cand = tanh(add(add(matmul(x, cell.w_h), matmul(mul(r, h_prev), cell.u_h)), cell.b_h))
-    # h = (1 - z) * h_prev + z * cand
-    return add(mul(one_minus(z), h_prev), mul(z, cand))
+    return gru_sequence(cell, x, h_prev)
 
 
 def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM update; returns (hidden, cell-state)."""
-    i = sigmoid(add(add(matmul(x, cell.w_i), matmul(h_prev, cell.u_i)), cell.b_i))
-    f = sigmoid(add(add(matmul(x, cell.w_f), matmul(h_prev, cell.u_f)), cell.b_f))
-    o = sigmoid(add(add(matmul(x, cell.w_o), matmul(h_prev, cell.u_o)), cell.b_o))
-    g = tanh(add(add(matmul(x, cell.w_c), matmul(h_prev, cell.u_c)), cell.b_c))
-    c = add(mul(f, c_prev), mul(i, g))
-    return mul(o, tanh(c)), c
-
-
-def _run_direction(kind: str, cell, xs: list[Tensor]) -> list[Tensor]:
-    h = Tensor(np.zeros((1, cell.hidden_width)), check=False)
-    if kind == "lstm":
-        c = Tensor(np.zeros((1, cell.hidden_width)), check=False)
-        out = []
-        for x in xs:
-            h, c = lstm_step(cell, x, h, c)
-            out.append(h)
-        return out
-    out = []
-    for x in xs:
-        h = gru_step(cell, x, h)
-        out.append(h)
-    return out
+    hc = lstm_sequence(cell, x, h_prev, c_prev, with_cell=True)
+    h = cell.hidden_width
+    return slice_cols(hc, 0, h), slice_cols(hc, h, 2 * h)
 
 
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
@@ -266,21 +418,13 @@ def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
 
     Row t concatenates the forward state after step t with the backward
     state produced at t (the backward pass consumes the reversed input).
-    Initial states are zero.
+    Initial states are zero. Each direction is one fused tape node.
     """
-    if seq.ndim != 2 or seq.rows < 1:
-        raise ShapeError(f"rnn_forward needs a non-empty rank-2 sequence, got {seq.shape}")
-    if seq.cols != layer.input_width:
-        raise ShapeError(
-            f"sequence width {seq.cols} does not match layer input width {layer.input_width}"
-        )
-    n = seq.rows
-    xs = [take_rows(seq, [t]) for t in range(n)]
-    fwd = _run_direction(layer.kind, layer.forward_cell, xs)
+    run = gru_sequence if layer.kind == "gru" else lstm_sequence
+    fwd = run(layer.forward_cell, seq)
     if not layer.bidirectional:
-        return concat_rows(*fwd)
-    bwd = _run_direction(layer.kind, layer.backward_cell, xs[::-1])[::-1]
-    return concat_rows(*[concat_cols(f, b) for f, b in zip(fwd, bwd)])
+        return fwd
+    return concat_cols(fwd, run(layer.backward_cell, seq, reverse=True))
 
 
 def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:

@@ -260,9 +260,6 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
     out[CFG_PREFIX + "decoder_hidden"] = _cfg_scalar(model.decoder.hidden_width)
     out[CFG_PREFIX + "cell"] = _cfg_scalar(_CELLS.index(model.question_rnn.kind))
     out[CFG_PREFIX + "pooling"] = _cfg_scalar(_POOLINGS.index(model.pooling))
-    out[CFG_PREFIX + "literal_decoder"] = _cfg_scalar(
-        1.0 if model.decoder.layer1.literal_update else 0.0
-    )
     out[CFG_PREFIX + "freeze_embeddings"] = _cfg_scalar(
         1.0 if model.freeze_embeddings else 0.0
     )
@@ -284,18 +281,46 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
     return out
 
 
-def _cfg_int(tensors: dict, key: str, path: str) -> int:
+# Architecture fields as Model.create takes them: the smallest valid value
+# and, for a field that indexes a list of choices, the choices.
+_CFG_FIELDS = (
+    ("embed_width", 1, None),
+    ("hidden_width", 1, None),
+    ("decoder_hidden", 1, None),
+    ("cell", 0, _CELLS),
+    ("pooling", 0, _POOLINGS),
+    ("freeze_embeddings", 0, (False, True)),
+    ("flow_width", 0, None),
+    ("rgb_width", 0, None),
+    ("audio_width", 0, None),
+)
+# Written by older versions for an off-paper decoder variant; only its
+# off value (0) is still accepted.
+_RETIRED_CFG_FIELD = "literal_decoder"
+_VOCABULARY_SIZED = ("embedding.matrix", "decoder.proj.w", "decoder.proj.b")
+
+
+def _cfg_int(tensors: dict, key: str, path: str, low: int, high: int) -> int:
     full = CFG_PREFIX + key
     if full not in tensors:
         raise FormatError(f"{path}: checkpoint lacks architecture field {key!r}")
-    return int(tensors[full][0])
+    raw = tensors[full].reshape(-1)
+    value = float(raw[0]) if raw.size == 1 else float("nan")
+    if not (np.isfinite(value) and value == np.floor(value) and low <= value <= high):
+        shown = repr(value) if raw.size == 1 else f"{raw.size} values"
+        raise ValidationError(
+            f"{path}: architecture field {key!r} is {shown}; "
+            f"expected a whole number in [{low}, {high}]"
+        )
+    return int(value)
 
 
 def model_from_checkpoint(path: str):
     """Rebuild a model from a checkpoint and its '<path>.vocab' sidecar.
 
     Returns (model, tensors, config_hash); `tensors` still holds the raw
-    optimizer and architecture entries for callers that need them.
+    optimizer and architecture entries for callers that need them. Every
+    architecture field is range-checked before anything is allocated.
     """
     from .model import Model
     from .text import Vocabulary
@@ -305,20 +330,23 @@ def model_from_checkpoint(path: str):
     if not os.path.exists(vocab_path):
         raise FormatError(f"missing vocabulary sidecar {vocab_path}")
     vocab = Vocabulary.load(vocab_path)
-    model = Model.create(
-        np.random.default_rng(0),
-        vocab,
-        embed_width=_cfg_int(tensors, "embed_width", path),
-        hidden_width=_cfg_int(tensors, "hidden_width", path),
-        decoder_hidden=_cfg_int(tensors, "decoder_hidden", path),
-        cell=_CELLS[_cfg_int(tensors, "cell", path)],
-        pooling=_POOLINGS[_cfg_int(tensors, "pooling", path)],
-        literal_decoder=bool(_cfg_int(tensors, "literal_decoder", path)),
-        freeze_embeddings=bool(_cfg_int(tensors, "freeze_embeddings", path)),
-        flow_width=_cfg_int(tensors, "flow_width", path),
-        rgb_width=_cfg_int(tensors, "rgb_width", path),
-        audio_width=_cfg_int(tensors, "audio_width", path),
-    )
+    # Every width is an extent of some stored tensor that is not
+    # vocabulary-sized, so a corrupt width can reach neither the vocabulary
+    # size nor beyond and make Model.create allocate a huge model.
+    widest = max((max(a.shape) for name, a in tensors.items()
+                  if not name.endswith(_VOCABULARY_SIZED)), default=0)
+    arch = {}
+    for key, low, choices in _CFG_FIELDS:
+        high = widest if choices is None else len(choices) - 1
+        value = _cfg_int(tensors, key, path, low, high)
+        arch[key] = value if choices is None else choices[value]
+    retired = tensors.get(CFG_PREFIX + _RETIRED_CFG_FIELD)
+    if retired is not None and not (retired.size == 1 and retired.reshape(-1)[0] == 0.0):
+        raise ValidationError(
+            f"{path}: architecture field {_RETIRED_CFG_FIELD!r} selects a decoder "
+            f"variant that no longer exists; only 0 is accepted"
+        )
+    model = Model.create(np.random.default_rng(0), vocab, **arch)
     params = model.parameters()
     for name, tensor in params.items():
         if name not in tensors:

@@ -8,9 +8,12 @@ parameter tensor by parameter tensor.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .augment import DialogExample
+from .encoders import GruCell, LstmCell, gru_sequence, lstm_sequence
 from .model import Model
 from .tensor import (
     Tensor,
@@ -28,6 +31,7 @@ from .tensor import (
     relu,
     scale,
     sigmoid,
+    slice_cols,
     softmax_rows,
     sub,
     sum_all,
@@ -94,8 +98,49 @@ def primitive_checks(eps: float = 1e-5) -> list:
         ("max_pool_rows", lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
         ("cross_entropy", lambda x: cross_entropy(x, targets), logits),
         ("sum_all", lambda x: sum_all(x), a),
+        ("slice_cols", lambda x: sum_all(mul(slice_cols(x, 1, 3), slice_cols(b, 0, 2))), a),
     ]
+    cases += _recurrence_cases(rng)
     return [(name, grad_check(f, x, eps)) for name, f, x in cases]
+
+
+def _recurrence_cases(rng) -> list:
+    """Fused GRU/LSTM sequences in both directions, with and without initial
+    states: one case per input, weight, bias and initial state."""
+    seq = _smooth(rng, 4, 3)
+    cells = {"gru": GruCell.create(rng, 3, 2), "lstm": LstmCell.create(rng, 3, 2)}
+    for cell in cells.values():
+        for p in cell.parameters().values():
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+    h0, c0 = _smooth(rng, 1, 2), _smooth(rng, 1, 2)
+    variants = [
+        # (cell kind, reverse, with initial states, LSTM cell state in the output)
+        ("gru", False, False, False),
+        ("gru", False, True, False),
+        ("gru", True, False, False),
+        ("gru", True, True, False),
+        ("lstm", False, False, False),
+        ("lstm", False, True, True),
+        ("lstm", True, False, True),
+        ("lstm", True, True, False),
+    ]
+    cases = []
+    for kind, reverse, with_states, with_cell in variants:
+        cell = cells[kind]
+        if kind == "gru":
+            states = {"h0": h0} if with_states else {}
+            run = partial(gru_sequence, cell, seq, states.get("h0"), reverse=reverse)
+        else:
+            states = {"h0": h0, "c0": c0} if with_states else {}
+            run = partial(lstm_sequence, cell, seq, states.get("h0"), states.get("c0"),
+                          reverse=reverse, with_cell=with_cell)
+        weights = _smooth(rng, *run().shape)
+        loss = lambda _x, run=run, weights=weights: sum_all(mul(run(), weights))
+        tag = (f"{kind}_sequence/{'reverse' if reverse else 'forward'}"
+               + ("+states" if with_states else "") + ("+cell" if with_cell else ""))
+        for name, x in {"seq": seq, **cell.parameters(), **states}.items():
+            cases.append((f"{tag}/{name}", loss, x))
+    return cases
 
 
 def _toy_setup():

@@ -20,13 +20,23 @@ from .encoders import (
     SelfAttentionParams,
     encode_features,
     encode_history,
+    gru_sequence,
     gru_step,
     guided_attend,
     rnn_forward,
     self_attend,
 )
 from .errors import ShapeError, ValidationError
-from .tensor import Tensor, concat_cols, concat_rows, cross_entropy, matmul, add_row
+from .tensor import (
+    Tensor,
+    add_row,
+    concat_cols,
+    cross_entropy,
+    matmul,
+    ones,
+    take_rows,
+    untaped,
+)
 from .text import (
     EOS,
     PAD,
@@ -78,12 +88,11 @@ class Decoder:
 
     @classmethod
     def create(cls, rng, context_width: int, embed_width: int, hidden_width: int,
-               vocab_size: int, literal_update: bool = False):
+               vocab_size: int):
         k = 1.0 / np.sqrt(hidden_width)
         return cls(
-            layer1=GruCell.create(rng, context_width + embed_width, hidden_width,
-                                  literal_update),
-            layer2=GruCell.create(rng, hidden_width, hidden_width, literal_update),
+            layer1=GruCell.create(rng, context_width + embed_width, hidden_width),
+            layer2=GruCell.create(rng, hidden_width, hidden_width),
             proj_w=Tensor(rng.uniform(-k, k, size=(hidden_width, vocab_size)), check=False),
             proj_b=Tensor(np.zeros((1, vocab_size)), check=False),
         )
@@ -161,17 +170,27 @@ def _normalize_gold(gold) -> list[int]:
     return gold
 
 
+def _forced_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
+                 question: Tensor, inputs: list[int], gold: list[int]) -> Tensor:
+    """Mean cross-entropy of `gold` when step t is fed token `inputs[t]`.
+
+    All inputs are known up front, so each decoder layer runs as one fused
+    sequence and the vocabulary projection is a single T*h by h*|V| product.
+    """
+    state = init_decoder(decoder, question)
+    steps = len(inputs)
+    x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
+    h1 = gru_sequence(decoder.layer1, x, state.h1)
+    h2 = gru_sequence(decoder.layer2, h1, state.h2)
+    logits = add_row(matmul(h2, decoder.proj_w), decoder.proj_b)
+    return cross_entropy(logits, gold)
+
+
 def teacher_forced_loss(decoder: Decoder, embedding: EmbeddingTable,
                         context: Tensor, question: Tensor, gold) -> Tensor:
     """Mean cross-entropy with every step fed the previous gold token."""
     gold = _normalize_gold(gold)
-    inputs = [SOS] + gold[:-1]
-    state = init_decoder(decoder, question)
-    step_logits = []
-    for token in inputs:
-        logits, state = decode_step(decoder, state, context, embedding.row(token))
-        step_logits.append(logits)
-    return cross_entropy(concat_rows(*step_logits), gold)
+    return _forced_loss(decoder, embedding, context, question, [SOS] + gold[:-1], gold)
 
 
 def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
@@ -180,24 +199,23 @@ def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
     """Cross-entropy where each step past the first may feed the model's own
     previous greedy pick instead of the gold token, with probability p_model.
 
-    p_model=0 consumes the same random draws but always picks gold, so it is
-    bit-identical to the teacher-forced loss; p_model=1 runs free.
+    The picks come from an untaped step-by-step decode (they are argmaxes,
+    so no gradient flows through them); the loss is then the teacher-forced
+    loss over the chosen inputs. p_model=0 consumes the same random draws
+    but always picks gold, so it is bit-identical to the teacher-forced
+    loss; p_model=1 runs free.
     """
     if not (0.0 <= p_model <= 1.0):
         raise ValidationError(f"p_model must lie in [0, 1], got {p_model}")
     gold = _normalize_gold(gold)
-    state = init_decoder(decoder, question)
-    step_logits = []
-    logits = None
-    for t in range(len(gold)):
-        if t == 0:
-            token = SOS
-        else:
+    inputs = [SOS]
+    with untaped():
+        state = init_decoder(decoder, question)
+        for t in range(1, len(gold)):
+            logits, state = decode_step(decoder, state, context, embedding.row(inputs[-1]))
             use_model = rng.random() < p_model
-            token = _greedy_pick(logits) if use_model else gold[t - 1]
-        logits, state = decode_step(decoder, state, context, embedding.row(token))
-        step_logits.append(logits)
-    return cross_entropy(concat_rows(*step_logits), gold)
+            inputs.append(_greedy_pick(logits) if use_model else gold[t - 1])
+    return _forced_loss(decoder, embedding, context, question, inputs, gold)
 
 
 @dataclass
@@ -234,7 +252,6 @@ class Model:
                decoder_hidden: Optional[int] = None,
                cell: str = "gru",
                pooling: str = "max",
-               literal_decoder: bool = False,
                freeze_embeddings: bool = False,
                flow_width: int = 0,
                rgb_width: int = 0,
@@ -257,8 +274,7 @@ class Model:
             summary_attn=AttentionParams.create(rng, d),
             history_rnn=make_rnn(d),
             history_attn=AttentionParams.create(rng, d),
-            decoder=Decoder.create(rng, 5 * d, embed_width, h_dec, len(vocab),
-                                   literal_decoder),
+            decoder=Decoder.create(rng, 5 * d, embed_width, h_dec, len(vocab)),
             pooling=pooling,
             freeze_embeddings=freeze_embeddings,
         )

@@ -9,6 +9,7 @@ functions work as plain forward math.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "Tape",
     "Gradients",
     "backward",
+    "untaped",
+    "logistic",
     "zeros",
     "ones",
     "matmul",
@@ -35,6 +38,7 @@ __all__ = [
     "transpose",
     "concat_cols",
     "concat_rows",
+    "slice_cols",
     "take_rows",
     "softmax_rows",
     "mean_rows",
@@ -129,12 +133,18 @@ def ones(*shape) -> Tensor:
 
 
 class _Node:
-    """One executed primitive on the tape (or a leaf input)."""
+    """One executed primitive on the tape (or a leaf input).
 
-    __slots__ = ("tape", "index", "parents", "backward_fn")
+    A node names its tape by the tape's `key`, not by the tape itself: with
+    no reference cycle between a tape and its nodes, a finished tape and
+    every array its backward functions hold are freed as soon as it is
+    dropped, instead of at the next cyclic garbage collection.
+    """
 
-    def __init__(self, tape, index, parents, backward_fn):
-        self.tape = tape
+    __slots__ = ("tape_key", "index", "parents", "backward_fn")
+
+    def __init__(self, tape_key, index, parents, backward_fn):
+        self.tape_key = tape_key
         self.index = index
         self.parents = parents
         self.backward_fn = backward_fn
@@ -150,7 +160,7 @@ class Gradients:
     def wrt(self, tensor: Tensor) -> np.ndarray:
         """Gradient of the loss with respect to `tensor` (zeros if unused)."""
         node = tensor.node
-        if node is None or node.tape is not self._tape:
+        if node is None or node.tape_key is not self._tape.key:
             raise ValidationError("tensor was not recorded on this tape")
         g = self._grads[node.index]
         if g is None:
@@ -166,6 +176,27 @@ def _active_tape():
     return stack[-1] if stack else None
 
 
+def _tape_stack() -> list:
+    stack = getattr(_ACTIVE, "stack", None)
+    if stack is None:
+        stack = _ACTIVE.stack = []
+    return stack
+
+
+@contextmanager
+def untaped():
+    """Run primitives as plain forward math even while a Tape is active.
+
+    Nothing computed inside is recorded, so no gradient flows through it.
+    """
+    stack = _tape_stack()
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 class Tape:
     """Append-only record of executed primitives, in execution order.
 
@@ -175,12 +206,10 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.key = object()
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_ACTIVE, "stack", None)
-        if stack is None:
-            stack = _ACTIVE.stack = []
-        stack.append(self)
+        _tape_stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -192,9 +221,9 @@ class Tape:
 
     def _leaf(self, tensor: Tensor) -> _Node:
         node = tensor.node
-        if node is not None and node.tape is self:
+        if node is not None and node.tape_key is self.key:
             return node
-        node = _Node(self, len(self.nodes), (), None)
+        node = _Node(self.key, len(self.nodes), (), None)
         self.nodes.append(node)
         tensor.node = node
         return node
@@ -205,14 +234,14 @@ class Tape:
 
     def _record(self, out: Tensor, parents: Sequence[Tensor], backward_fn) -> None:
         parent_nodes = tuple(self._leaf(p) for p in parents)
-        node = _Node(self, len(self.nodes), parent_nodes, backward_fn)
+        node = _Node(self.key, len(self.nodes), parent_nodes, backward_fn)
         self.nodes.append(node)
         out.node = node
 
     def backward(self, loss: Tensor) -> Gradients:
         """Reverse-accumulate gradients of a scalar `loss` over the tape."""
         node = loss.node
-        if node is None or node.tape is not self:
+        if node is None or node.tape_key is not self.key:
             raise ValidationError("loss is not recorded on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -225,9 +254,13 @@ class Tape:
             for parent, contribution in zip(n.parents, n.backward_fn(g)):
                 if contribution is None:
                     continue
+                # backward functions may return shared arrays and views, so
+                # the first contribution is stored as is and later ones are
+                # summed out of place, never into it
                 if grads[parent.index] is None:
-                    grads[parent.index] = np.zeros_like(contribution)
-                grads[parent.index] = grads[parent.index] + contribution
+                    grads[parent.index] = contribution
+                else:
+                    grads[parent.index] = grads[parent.index] + contribution
         return Gradients(self, grads)
 
 
@@ -237,6 +270,11 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
 
 
 def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
+    """Wrap `value` as a tensor and, under an active tape, record it.
+
+    `backward_fn(g)` maps the output gradient to one gradient (or None) per
+    parent, in order. Every primitive, fused ones included, goes through here.
+    """
     out = Tensor(value, check=False)
     tape = _active_tape()
     if tape is not None:
@@ -295,14 +333,19 @@ def relu(x: Tensor) -> Tensor:
     return _emit(np.maximum(xd, 0.0), (x,), lambda g: (g * (xd > 0.0),))
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Plain-array logistic function, stable on both tails.
+
+    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below, so
+    no branch ever exponentiates a large positive number.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, computed stably on both tails."""
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = logistic(x.data)
     return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -366,6 +409,20 @@ def concat_rows(*tensors: Tensor) -> Tensor:
         return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(heights)))
 
     return _emit(np.concatenate([t.data for t in tensors], axis=0), tensors, back)
+
+
+def slice_cols(m: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start..stop-1 of a matrix; the gradient pads with zeros."""
+    if m.ndim != 2 or not (0 <= start < stop <= m.shape[1]):
+        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {m.shape}")
+    shape = m.shape
+
+    def back(g):
+        acc = np.zeros(shape)
+        acc[:, start:stop] = g
+        return (acc,)
+
+    return _emit(m.data[:, start:stop].copy(), (m,), back)
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:

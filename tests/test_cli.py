@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import overfit_dialogs
+from conftest import corpus_vocab, overfit_dialogs
 from mmqa import cli
 from mmqa.augment import expand_shuffle
-from mmqa.formats import load_dataset, load_scores, save_dataset, save_features
+from mmqa.config import Config
+from mmqa.formats import (
+    checkpoint_from_model,
+    load_checkpoint,
+    load_dataset,
+    load_scores,
+    save_checkpoint,
+    save_dataset,
+    save_features,
+)
+from mmqa.model import Model
 
 
 def write_dataset(path, dialogs=None):
@@ -119,6 +129,23 @@ class TestPipeline:
                          "--features", str(features)]) == 0
 
 
+class TestGradcheckCommand:
+    def test_prints_worst_then_elapsed(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "primitive_checks", lambda eps: [("add", 1e-9)])
+        monkeypatch.setattr(cli, "composed_checks", lambda eps: [("proj.w", 3e-8)])
+        assert cli.main(["gradcheck"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == "worst\t3.000e-08\tmodel/proj.w"
+        label, seconds = lines[-1].split("\t")
+        assert label == "elapsed" and float(seconds) >= 0.0
+
+    def test_failure_is_numerical(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "primitive_checks", lambda eps: [("add", 1e-9)])
+        monkeypatch.setattr(cli, "composed_checks", lambda eps: [("proj.w", 1e-3)])
+        assert cli.main(["gradcheck"]) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+
 class TestFailureModes:
     def test_missing_dataset_is_io_failure(self, tmp_path):
         assert cli.main(["augment", "--data", str(tmp_path / "nope.json"),
@@ -173,6 +200,31 @@ class TestFailureModes:
         assert cli.main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),
                          "--data", str(data),
                          "--out", str(tmp_path / "s.tsv")]) == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("cell", 5.0),
+        ("cell", -1.0),
+        ("pooling", float("nan")),
+        ("embed_width", 0.0),
+        ("hidden_width", 2.5),
+        ("flow_width", 1e12),
+        ("literal_decoder", 1.0),
+    ])
+    def test_corrupt_architecture_field_is_validation_failure(self, tmp_path, capsys,
+                                                              field, value):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        vocab = corpus_vocab(overfit_dialogs())
+        ckpt = str(tmp_path / "m.ckpt")
+        model = Model.create(np.random.default_rng(0), vocab, embed_width=8, hidden_width=4)
+        save_checkpoint(ckpt, checkpoint_from_model(model), Config().hash())
+        vocab.save(ckpt + ".vocab")
+        tensors, digest = load_checkpoint(ckpt)
+        tensors["__cfg__/" + field] = np.array([value])
+        save_checkpoint(ckpt, tensors, digest)
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
 
     def test_usage_problems_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

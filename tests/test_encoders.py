@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle_recurrence as oracle
 from mmqa.encoders import (
     AttentionParams,
     GruCell,
@@ -11,27 +12,28 @@ from mmqa.encoders import (
     SelfAttentionParams,
     encode_features,
     encode_history,
+    gru_sequence,
     gru_step,
     guided_attend,
+    lstm_sequence,
     lstm_step,
     rnn_forward,
     self_attend,
 )
 from mmqa.errors import ShapeError, ValidationError
-from mmqa.tensor import Tensor, grad_check, sum_all
+from mmqa.tensor import Tape, Tensor, grad_check, mul, sum_all
 
 
 def T(data):
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
-def zero_gru(width, hidden, literal=False):
+def zero_gru(width, hidden):
     z = lambda shape: Tensor(np.zeros(shape), check=False)
     return GruCell(
         z((width, hidden)), z((width, hidden)), z((width, hidden)),
         z((hidden, hidden)), z((hidden, hidden)), z((hidden, hidden)),
         z((1, hidden)), z((1, hidden)), z((1, hidden)),
-        literal_update=literal,
     )
 
 
@@ -58,12 +60,6 @@ class TestGruStep:
             x = T(rng.normal(size=(1, 4)))
             h = gru_step(cell, x, T(h_prev))
             assert np.all(np.abs(h.data) <= np.maximum(np.abs(h_prev), 1.0) + 1e-12)
-
-    def test_literal_update_saturates_not_interpolates(self):
-        cell = zero_gru(2, 2, literal=True)
-        h = gru_step(cell, T([[5.0, -3.0]]), T([[100.0, -100.0]]))
-        np.testing.assert_array_equal(h.data, [[0.5, 0.5]])
-        assert np.all(h.data > 0.0)  # sigmoid output, no sign carry-over
 
     def test_create_zero_biases_and_fan_in_bounds(self):
         cell = GruCell.create(np.random.default_rng(0), 9, 4)
@@ -100,6 +96,76 @@ class TestLstmStep:
         keep = 1.0 / (1.0 + np.exp(-1.0))  # forget gate at its bias
         np.testing.assert_allclose(c.data, keep * c_prev)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(keep * c_prev))
+
+
+def taped_run(fn, cell, seq, states, weights, **kwargs):
+    """Output and the gradients of sum(output * weights) with respect to the
+    input, every cell parameter and the initial states, plus the tape size."""
+    inputs = [seq, *cell.parameters().values(), *states]
+    with Tape() as tape:
+        for x in inputs:
+            tape.watch(x)
+        out = fn(cell, seq, *states, **kwargs)
+        grads = tape.backward(sum_all(mul(out, weights)))
+    return out.data, [grads.wrt(x) for x in inputs], len(tape)
+
+
+class TestFusedSequences:
+    """The fused primitives against the per-step composition of tape ops."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("with_state", [False, True])
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_matches_per_step_oracle(self, kind, with_state, reverse):
+        rng = np.random.default_rng(31)
+        n, width, hidden = 7, 5, 4
+        if kind == "gru":
+            cell = GruCell.create(rng, width, hidden)
+            fused, reference, state_count = gru_sequence, oracle.gru_sequence, 1
+        else:
+            cell = LstmCell.create(rng, width, hidden)
+            fused, reference, state_count = lstm_sequence, oracle.lstm_sequence, 2
+        for p in cell.parameters().values():
+            p.data[...] = rng.normal(0.0, 0.6, size=p.shape)
+        seq = T(rng.normal(size=(n, width)))
+        states = [T(rng.normal(size=(1, hidden))) for _ in range(state_count)] \
+            if with_state else []
+        variants = [{}] if kind == "gru" else [{}, {"with_cell": True}]
+        for kwargs in variants:
+            out_width = 2 * hidden if kwargs else hidden
+            weights = T(rng.normal(size=(n, out_width)))
+            out, grads, nodes = taped_run(fused, cell, seq, states, weights,
+                                          reverse=reverse, **kwargs)
+            want, want_grads, _ = taped_run(reference, cell, seq, states, weights,
+                                            reverse=reverse, **kwargs)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+            for got, expected in zip(grads, want_grads):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+            # the watched leaves, one fused node, and the weights leaf, mul
+            # and sum_all of the loss
+            assert nodes == len(grads) + 4
+
+    def test_steps_are_the_one_row_case(self):
+        rng = np.random.default_rng(32)
+        gru, lstm = GruCell.create(rng, 3, 2), LstmCell.create(rng, 3, 2)
+        x, h, c = T(rng.normal(size=(1, 3))), T(rng.normal(size=(1, 2))), \
+            T(rng.normal(size=(1, 2)))
+        np.testing.assert_array_equal(gru_step(gru, x, h).data,
+                                      gru_sequence(gru, x, h).data)
+        h1, c1 = lstm_step(lstm, x, h, c)
+        both = lstm_sequence(lstm, x, h, c, with_cell=True).data
+        np.testing.assert_array_equal(h1.data, both[:, :2])
+        np.testing.assert_array_equal(c1.data, both[:, 2:])
+        want_h, want_c = oracle.lstm_step(lstm, x, h, c)
+        np.testing.assert_allclose(h1.data, want_h.data, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c1.data, want_c.data, rtol=0, atol=1e-15)
+
+    def test_initial_state_shape_checked(self):
+        cell = GruCell.create(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ShapeError):
+            gru_sequence(cell, T(np.zeros((2, 3))), T(np.zeros((1, 3))))
+        with pytest.raises(ShapeError):
+            gru_sequence(cell, T(np.zeros((2, 4))))
 
 
 class TestRnnForward:

@@ -333,6 +333,39 @@ class TestModelCheckpoint:
         with pytest.raises(ValidationError, match="mystery.weight"):
             model_from_checkpoint(path)
 
+    def test_retired_literal_decoder_field_loads_when_off(self, tmp_path, toy_examples):
+        # checkpoints written before the literal GRU variant was removed
+        # carry __cfg__/literal_decoder = 0
+        vocab, model = self.build()
+        tensors = checkpoint_from_model(model)
+        tensors["__cfg__/literal_decoder"] = np.zeros(1)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tensors, Config().hash())
+        vocab.save(path + ".vocab")
+        rebuilt, _, _ = model_from_checkpoint(path)
+        assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
+        tensors["__cfg__/literal_decoder"] = np.ones(1)
+        save_checkpoint(path, tensors, Config().hash())
+        with pytest.raises(ValidationError, match="literal_decoder"):
+            model_from_checkpoint(path)
+
+    def test_width_is_bounded_below_the_vocabulary_size(self, tmp_path):
+        # the widest non-vocabulary extent is 5 * 8 + 8 = 48 (the decoder's
+        # first-layer input); a hidden width of 60 must fail the range check
+        # before a 60-wide model is built
+        vocab, model = self.build()
+        for i in range(80):
+            vocab.add(f"extra{i}")
+        model = Model.create(np.random.default_rng(4), vocab, embed_width=8, hidden_width=4)
+        tensors = checkpoint_from_model(model)
+        tensors["__cfg__/hidden_width"] = np.array([60.0])
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tensors, Config().hash())
+        vocab.save(path + ".vocab")
+        with pytest.raises(ValidationError, match="'hidden_width' is 60.0; expected a whole "
+                                                  "number in \\[1, 48\\]"):
+            model_from_checkpoint(path)
+
     def test_missing_parameter_rejected(self, tmp_path):
         vocab, model = self.build()
         tensors = checkpoint_from_model(model)
@@ -401,6 +434,10 @@ class TestConfig:
             config_from_dict({"training": {"loss_mode": "magic"}})
         with pytest.raises(ValidationError, match="pooling"):
             config_from_dict({"model": {"pooling": "sum"}})
+
+    def test_retired_literal_decoder_key_rejected(self):
+        with pytest.raises(ValidationError, match="literal_decoder"):
+            config_from_dict({"model": {"literal_decoder": False}})
 
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "c.yaml"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import oracle_recurrence as oracle
 from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overfit_dialogs
+from mmqa import gradcheck
 from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import (
@@ -16,7 +18,7 @@ from mmqa.model import (
     scheduled_sample_loss,
     teacher_forced_loss,
 )
-from mmqa.tensor import Tensor
+from mmqa.tensor import Tape, Tensor
 from mmqa.text import EOS, PAD, SOS, EmbeddingTable
 
 
@@ -181,6 +183,31 @@ class TestTeacherForcedLoss:
         assert loss.shape == (1,)
         assert loss.item() > 0.0
 
+    @pytest.mark.parametrize("hidden", [4, 6])
+    def test_matches_per_step_decode(self, hidden):
+        # hidden 6 pads the width-4 question with zeros
+        decoder, embedding, context, _ = random_decoder(seed=21, hidden=hidden)
+        rng = np.random.default_rng(22)
+        for p in decoder.parameters().values():
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+        question = T(rng.normal(size=(1, 4)))
+        gold = [4, 6, 5, 5, 7, EOS]
+        inputs = [embedding.matrix, context, question, *decoder.parameters().values()]
+
+        def run(loss_fn):
+            with Tape() as tape:
+                for x in inputs:
+                    tape.watch(x)
+                loss = loss_fn(decoder, embedding, context, question, gold)
+                grads = tape.backward(loss)
+            return loss.item(), [grads.wrt(x) for x in inputs]
+
+        loss, grads = run(teacher_forced_loss)
+        want, want_grads = run(oracle.teacher_forced_loss)
+        assert abs(loss - want) <= 1e-12
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
 
 def self_embedding():
     return EmbeddingTable.create(8, 2, np.random.default_rng(0))
@@ -319,6 +346,14 @@ class TestModelAssembly:
         model = Model.create(np.random.default_rng(3), vocab,
                              embed_width=8, hidden_width=4, decoder_hidden=12)
         assert model.loss(toy_examples[0]).item() > 0.0
+
+    def test_toy_loss_records_few_tape_nodes(self):
+        # A guard that does not depend on host speed: the fused recurrence
+        # records 265 nodes here, a per-step one over 1,300.
+        model, example = gradcheck._toy_setup()
+        with Tape() as tape:
+            model.loss(example)
+        assert len(tape) <= 300
 
     def test_answer_ids_resolve_in_vocabulary_words(self, text_model, toy_examples):
         ids = text_model.answer_ids(toy_examples[0])

@@ -1,6 +1,8 @@
 """Autodiff core: forward values, tape semantics, gradients, grad_check."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -29,12 +31,14 @@ from mmqa.tensor import (
     relu,
     scale,
     sigmoid,
+    slice_cols,
     softmax_rows,
     sub,
     sum_all,
     take_rows,
     tanh,
     transpose,
+    untaped,
     zeros,
 )
 
@@ -158,6 +162,13 @@ class TestForwardValues:
                                       [[4, 5], [0, 1], [4, 5]])
         with pytest.raises(ValidationError):
             take_rows(m, [3])
+
+    def test_slice_cols_values_and_bounds(self):
+        m = T([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(slice_cols(m, 1, 3).data, [[2.0, 3.0], [5.0, 6.0]])
+        for start, stop in ((0, 0), (2, 4), (-1, 2)):
+            with pytest.raises(ShapeError):
+                slice_cols(m, start, stop)
 
     def test_concat_cols_slices_recover_inputs(self):
         a, b = T([[1.0, 2]]), T([[3.0, 4, 5]])
@@ -324,6 +335,46 @@ class TestTape:
     def test_no_recording_without_tape(self):
         y = relu(T([[1.0, -1.0]]))
         assert y.node is None
+
+    def test_untaped_block_records_nothing(self):
+        x = T([[1.0, 2.0]])
+        with Tape() as tape:
+            tape.watch(x)
+            before = len(tape)
+            with untaped():
+                y = mul(x, x)
+            assert len(tape) == before and y.node is None
+            g = tape.backward(sum_all(mul(x, y))).wrt(x)
+        np.testing.assert_array_equal(g, [[1.0, 4.0]])  # y is a constant here
+
+    def test_finished_tape_is_freed_without_the_cycle_collector(self):
+        # nodes name their tape by key, so tape and nodes form no cycle
+        x = T([[1.0, 2.0]])
+        gc.disable()
+        try:
+            with Tape() as tape:
+                tape.watch(x)
+                grads = tape.backward(sum_all(mul(x, x)))
+            alive = weakref.ref(tape)
+            del tape, grads
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_shared_contributions_are_not_summed_in_place(self):
+        # add hands one gradient array to both parents and the first
+        # contribution is stored as is: a's later contribution from mul must
+        # not be summed into the array b holds too
+        a, b, w = T([[1.0, 2.0]]), T([[3.0, 4.0]]), T([[5.0, 7.0]])
+        with Tape() as tape:
+            for x in (a, b, w):
+                tape.watch(x)
+            u = mul(a, w)
+            loss = sum_all(add(add(a, b), u))
+            grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads.wrt(a), [[6.0, 8.0]])
+        np.testing.assert_array_equal(grads.wrt(b), [[1.0, 1.0]])
+        np.testing.assert_array_equal(grads.wrt(w), [[1.0, 2.0]])
 
 
 class TestGradCheck:

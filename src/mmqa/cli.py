@@ -139,7 +139,7 @@ def _cmd_train(args) -> int:
         audio_width=cfg.model.audio_width,
     )
     result = train(model, train_examples, val_examples, cfg.training)
-    save_checkpoint(args.out, checkpoint_from_model(model, result.optimizer), cfg.hash())
+    save_checkpoint(args.out, checkpoint_from_model(model), cfg.hash())
     vocab.save(args.out + ".vocab")
     print(f"trained {result.epochs_run} epochs; best val F1 {result.best_f1:.4f} "
           f"at epoch {result.best_epoch}; wrote {args.out}")

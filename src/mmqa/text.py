@@ -3,10 +3,15 @@
 Unknown words are mapped to the most similar in-vocabulary word by character
 trigram overlap (Dice), so that typos such as missing or swapped letters
 still land near the intended word vector. Below a similarity floor the
-lookup falls back to the UNK row.
+lookup falls back to the UNK row. The vocabulary keeps an inverted index
+from each trigram to the ids containing it, so a lookup scores only the
+entries that share a trigram with the unknown word.
 """
 
 from __future__ import annotations
+
+from collections import Counter, defaultdict
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +28,6 @@ __all__ = [
     "Vocabulary",
     "build_vocabulary",
     "EmbeddingTable",
-    "trigram_dice",
     "resolve_token",
     "embed_token",
     "embed_sentence",
@@ -60,11 +64,18 @@ def tokenize(text: str) -> list[str]:
 
 
 class Vocabulary:
-    """Token/id bijection with fixed reserved ids PAD=0, SOS=1, EOS=2, UNK=3."""
+    """Token/id bijection with fixed reserved ids PAD=0, SOS=1, EOS=2, UNK=3.
+
+    Non-reserved entries are also indexed by character trigram for the OOV
+    fallback: `_postings` maps a trigram to the ascending ids that contain
+    it and `_gram_counts[id]` is the size of that id's trigram set.
+    """
 
     def __init__(self, tokens=()):
         self._tokens: list[str] = list(RESERVED_TOKENS)
         self._ids: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
+        self._postings: defaultdict[str, list[int]] = defaultdict(list)
+        self._gram_counts: list[int] = [0] * len(RESERVED_TOKENS)
         for token in tokens:
             self.add(token)
 
@@ -82,6 +93,10 @@ class Vocabulary:
         idx = len(self._tokens)
         self._tokens.append(token)
         self._ids[token] = idx
+        grams = _trigrams(token)
+        self._gram_counts.append(len(grams))
+        for gram in grams:
+            self._postings[gram].append(idx)
         return idx
 
     def id(self, token: str):
@@ -102,12 +117,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read a `save`d vocabulary; every line must be a new, non-reserved
+        token, since its line number fixes its id and so its embedding row."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         vocab = cls()
-        for line in lines:
+        for lineno, line in enumerate(lines, start=1):
             if not line:
-                raise ValidationError(f"empty vocabulary line in {path}")
+                raise ValidationError(f"{path}:{lineno}: empty vocabulary line")
+            if line in vocab:
+                kind = "reserved" if line in RESERVED_TOKENS else "repeated"
+                raise ValidationError(f"{path}:{lineno}: {kind} vocabulary token {line!r}")
             vocab.add(line)
         return vocab
 
@@ -125,19 +145,12 @@ def _trigrams(token: str) -> frozenset:
     return frozenset(padded[i:i + 3] for i in range(len(padded) - 2))
 
 
-def trigram_dice(a: str, b: str) -> float:
-    """Dice coefficient over boundary-padded character trigram sets."""
-    ta, tb = _trigrams(a), _trigrams(b)
-    if not ta or not tb:
-        return 0.0
-    return 2.0 * len(ta & tb) / (len(ta) + len(tb))
-
-
 def resolve_token(vocab: Vocabulary, token: str) -> int:
     """Token id by exact match, trigram-Dice fallback, or UNK.
 
-    The fallback scans non-reserved entries and keeps the best score with
-    ties broken by lower id; matches below the floor resolve to UNK.
+    The fallback scores the non-reserved entries that share a trigram with
+    `token` by Dice coefficient over boundary-padded trigram sets and keeps
+    the best, ties broken by lower id; matches below the floor resolve to UNK.
     """
     exact = vocab.id(token)
     if exact is not None:
@@ -145,13 +158,11 @@ def resolve_token(vocab: Vocabulary, token: str) -> int:
     query = _trigrams(token)
     if not query:
         return UNK
+    overlaps = Counter(chain.from_iterable(vocab._postings.get(gram, ()) for gram in query))
     best_id = UNK
     best_score = 0.0
-    for idx in range(len(RESERVED_TOKENS), len(vocab)):
-        cand = _trigrams(vocab.token(idx))
-        if not cand:
-            continue
-        score = 2.0 * len(query & cand) / (len(query) + len(cand))
+    for idx in sorted(overlaps):
+        score = 2.0 * overlaps[idx] / (len(query) + vocab._gram_counts[idx])
         if score > best_score:
             best_score = score
             best_id = idx

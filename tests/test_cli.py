@@ -87,6 +87,8 @@ class TestPipeline:
         assert code == 0
         assert "trained 2 epochs" in capsys.readouterr().out
         assert ckpt.exists() and (tmp_path / "model.ckpt.vocab").exists()
+        tensors, _hash = load_checkpoint(str(ckpt))
+        assert not [name for name in tensors if name.startswith("__opt__/")]
 
         scores_path = tmp_path / "scores.tsv"
         assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -201,6 +203,33 @@ class TestFailureModes:
                          "--data", str(data),
                          "--out", str(tmp_path / "s.tsv")]) == 3
 
+    @staticmethod
+    def write_checkpoint(tmp_path):
+        """An untrained checkpoint with its vocabulary sidecar and a dataset."""
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        vocab = corpus_vocab(overfit_dialogs())
+        ckpt = str(tmp_path / "m.ckpt")
+        model = Model.create(np.random.default_rng(0), vocab, embed_width=8, hidden_width=4)
+        save_checkpoint(ckpt, checkpoint_from_model(model), Config().hash())
+        vocab.save(ckpt + ".vocab")
+        return ckpt, data
+
+    @pytest.mark.parametrize("edit, fault", [
+        # line 11 copied to line 3: the size still matches the embedding, but
+        # every token in between would move onto the next row
+        (lambda lines: lines[:2] + [lines[10]] + lines[2:], ":12: repeated"),
+        (lambda lines: lines[:2] + ["<unk>"] + lines[3:], ":3: reserved"),
+    ], ids=["repeated", "reserved"])
+    def test_bad_vocabulary_line_is_validation_failure(self, tmp_path, capsys, edit, fault):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        sidecar = tmp_path / "m.ckpt.vocab"
+        sidecar.write_text("".join(line + "\n" for line in
+                                   edit(sidecar.read_text().splitlines())))
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")]) == 1
+        assert f"{sidecar}{fault} vocabulary token" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("cell", 5.0),
         ("cell", -1.0),
@@ -212,13 +241,7 @@ class TestFailureModes:
     ])
     def test_corrupt_architecture_field_is_validation_failure(self, tmp_path, capsys,
                                                               field, value):
-        data = tmp_path / "data.json"
-        write_dataset(data)
-        vocab = corpus_vocab(overfit_dialogs())
-        ckpt = str(tmp_path / "m.ckpt")
-        model = Model.create(np.random.default_rng(0), vocab, embed_width=8, hidden_width=4)
-        save_checkpoint(ckpt, checkpoint_from_model(model), Config().hash())
-        vocab.save(ckpt + ".vocab")
+        ckpt, data = self.write_checkpoint(tmp_path)
         tensors, digest = load_checkpoint(ckpt)
         tensors["__cfg__/" + field] = np.array([value])
         save_checkpoint(ckpt, tensors, digest)

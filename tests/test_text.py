@@ -1,10 +1,14 @@
 """Tokenizer, vocabulary, trigram OOV fallback, and embedding lookups."""
 
+from itertools import islice, product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle_text as oracle
+from mmqa import text
 from mmqa.errors import ValidationError
 from mmqa.tensor import Tape, sum_all
 from mmqa.text import (
@@ -20,12 +24,46 @@ from mmqa.text import (
     embed_token,
     resolve_token,
     tokenize,
-    trigram_dice,
 )
+from oracle_text import trigram_dice
 
 ascii_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40
 )
+
+# A four-letter alphabet makes shared trigrams and equal-score ties common.
+short_words = st.text(alphabet="abcd", min_size=1, max_size=10)
+
+
+@st.composite
+def misspelling(draw, pool):
+    """A word from `pool` with one letter inserted, deleted, replaced or two
+    neighbours swapped."""
+    word = draw(st.sampled_from(pool))
+    i = draw(st.integers(0, len(word) - 1))
+    letter = draw(st.sampled_from("abcdz"))
+    edit = draw(st.sampled_from(["insert", "delete", "replace", "swap"]))
+    if edit == "insert":
+        return word[:i] + letter + word[i:]
+    if edit == "delete":
+        return word[:i] + word[i + 1:]
+    if edit == "replace":
+        return word[:i] + letter + word[i + 1:]
+    return word[:i] + word[i + 1:i + 2] + word[i:i + 1] + word[i + 2:]
+
+
+@st.composite
+def lookup_cases(draw):
+    """(first words, words added after the first lookups, queries). Most
+    words and queries are misspellings of a few stems, so equal-score ties
+    between entries sharing different trigrams with the query are common."""
+    stems = draw(st.lists(st.text(alphabet="abcdef", min_size=3, max_size=8),
+                          min_size=1, max_size=3))
+    word = st.one_of(misspelling(stems), short_words)
+    first = draw(st.lists(word, min_size=1, max_size=12))
+    later = draw(st.lists(word, max_size=6))
+    queries = draw(st.lists(word, min_size=1, max_size=10))
+    return first, later, queries
 
 
 class TestTokenize:
@@ -87,7 +125,7 @@ class TestVocabulary:
     def test_load_rejects_blank_line(self, tmp_path):
         path = tmp_path / "bad.vocab"
         path.write_text("alpha\n\nbeta\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=":2: empty"):
             Vocabulary.load(path)
 
 
@@ -147,6 +185,44 @@ class TestResolveToken:
         assert resolve_token(vocab, "bear") == vocab.id("beard")
         vocab.add("bear")
         assert resolve_token(vocab, "bear") == vocab.id("bear")
+
+    @settings(max_examples=150, deadline=None)
+    @given(lookup_cases())
+    @example((["abcd", "abce"], [], ["abcf"]))                  # equal-score tie
+    # Ten ties between entries that share different trigrams with the query
+    # ("ab" shares "<ab" with "abz" and "ab>" with "zab"): each is missed
+    # when the candidates are not walked in id order.
+    @example(([w for p in ("ab", "cd", "ef", "gh", "ij", "kl", "mn", "op", "qr", "st")
+               for w in (p + "z", "z" + p)], [],
+              ["ab", "cd", "ef", "gh", "ij", "kl", "mn", "op", "qr", "st"]))
+    @example((["abcdefghij"], [], ["abcdqrstuv", "abcqrstuvw"]))  # at, below floor
+    @example((["beard"], ["bear", "bearded"], ["bear", "beardd"]))
+    def test_matches_brute_force_scan(self, case):
+        first, later, queries = case
+        vocab = Vocabulary(first)
+        for q in queries:
+            assert resolve_token(vocab, q) == oracle.resolve_token(vocab, q)
+        for w in later:
+            vocab.add(w)
+        for q in queries:
+            assert resolve_token(vocab, q) == oracle.resolve_token(vocab, q)
+
+    def test_lookup_does_not_scan_the_vocabulary(self, monkeypatch):
+        # A guard that does not depend on host speed: an indexed lookup
+        # computes the query's trigrams and no entry's.
+        words = ["".join(t) for t in islice(product("abcdefghijklmnopqrstuvwxyz",
+                                                    repeat=4), 0, 30_000, 3)]
+        vocab = Vocabulary(words)
+        assert len(vocab) == 10_000 + len(RESERVED_TOKENS)
+        query = "abdcx"
+        assert query not in vocab
+        calls = []
+        trigrams = text._trigrams
+        monkeypatch.setattr(text, "_trigrams",
+                            lambda token: calls.append(token) or trigrams(token))
+        found = resolve_token(vocab, query)
+        assert calls == [query]
+        assert found == oracle.resolve_token(vocab, query) != UNK
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=6),

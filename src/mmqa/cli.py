@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .augment import derive_seed, expand_basic, expand_per_turn, expand_shuffle, Dialog
-from .config import load_config
+from .config import ModelConfig, load_config
 from .errors import NumericalError, ValidationError
 from .formats import (
     checkpoint_from_model,
@@ -59,7 +60,8 @@ def _expand(dialogs, mode: str, factor: int, seed: int):
     return out
 
 
-def _attach_features(examples, features_dir: str, widths: dict) -> None:
+def _attach_features(examples, features_dir: str, arch: ModelConfig) -> None:
+    widths = {modality: getattr(arch, f"{modality}_width") for modality in MODALITIES}
     if not any(w > 0 for w in widths.values()):
         return
     if not features_dir:
@@ -81,14 +83,6 @@ def _attach_features(examples, features_dir: str, widths: dict) -> None:
                     )
                 cache[path] = arr
             setattr(example, modality, cache[path])
-
-
-def _model_widths(model: Model) -> dict:
-    return {
-        "flow": model.flow_rnn.input_width if model.flow_rnn else 0,
-        "rgb": model.rgb_rnn.input_width if model.rgb_rnn else 0,
-        "audio": model.audio_rnn.input_width if model.audio_rnn else 0,
-    }
 
 
 def _cmd_augment(args) -> int:
@@ -120,24 +114,11 @@ def _cmd_train(args) -> int:
             token_lists.append(a)
     vocab = build_vocabulary(token_lists)
 
-    widths = {"flow": cfg.model.flow_width, "rgb": cfg.model.rgb_width,
-              "audio": cfg.model.audio_width}
-    _attach_features(train_examples, cfg.data.features_dir, widths)
-    _attach_features(val_examples, cfg.data.features_dir, widths)
+    _attach_features(train_examples, cfg.data.features_dir, cfg.model)
+    _attach_features(val_examples, cfg.data.features_dir, cfg.model)
 
     init_rng = np.random.default_rng(derive_seed(cfg.training.seed, "model-init"))
-    model = Model.create(
-        init_rng, vocab,
-        embed_width=cfg.model.embed_width,
-        hidden_width=cfg.model.hidden_width,
-        decoder_hidden=cfg.model.decoder_hidden or None,
-        cell=cfg.model.cell,
-        pooling=cfg.model.pooling,
-        freeze_embeddings=cfg.model.freeze_embeddings,
-        flow_width=cfg.model.flow_width,
-        rgb_width=cfg.model.rgb_width,
-        audio_width=cfg.model.audio_width,
-    )
+    model = Model.create(init_rng, vocab, **asdict(cfg.model))
     result = train(model, train_examples, val_examples, cfg.training)
     save_checkpoint(args.out, checkpoint_from_model(model), cfg.hash())
     vocab.save(args.out + ".vocab")
@@ -150,7 +131,7 @@ def _load_eval_examples(args):
     model, _tensors, _hash = model_from_checkpoint(args.ckpt)
     dialogs = load_dataset(args.data)
     examples = [expand_basic(d)[0] for d in dialogs]
-    _attach_features(examples, args.features, _model_widths(model))
+    _attach_features(examples, args.features, model.cfg)
     return model, examples
 
 

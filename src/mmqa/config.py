@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -16,6 +17,8 @@ import yaml
 from .errors import ValidationError
 
 __all__ = [
+    "CELLS",
+    "POOLINGS",
     "DataConfig",
     "ModelConfig",
     "TrainingConfig",
@@ -24,17 +27,22 @@ __all__ = [
     "load_config",
 ]
 
+CELLS = ("gru", "lstm")
+POOLINGS = ("max", "average")
+
 
 @dataclass
 class DataConfig:
     train: str = "train.json"
     val: str = "val.json"
-    test: str = "test.json"
     features_dir: str = ""
 
 
 @dataclass
 class ModelConfig:
+    """The architecture: `Model.create` takes exactly these fields and a
+    checkpoint stores each of them under `__cfg__/`."""
+
     embed_width: int = 64
     hidden_width: int = 32
     decoder_hidden: int = 0  # 0 means "match the encoder output width"
@@ -50,9 +58,9 @@ class ModelConfig:
             raise ValidationError("embed_width and hidden_width must be positive")
         if self.decoder_hidden < 0:
             raise ValidationError("decoder_hidden must be >= 0 (0 = automatic)")
-        if self.cell not in ("gru", "lstm"):
+        if self.cell not in CELLS:
             raise ValidationError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
-        if self.pooling not in ("max", "average"):
+        if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
         for name in ("flow_width", "rgb_width", "audio_width"):
             if getattr(self, name) < 0:
@@ -135,6 +143,8 @@ def _fill(cls, section: dict, where: str):
             raise ValidationError(
                 f"{where}.{key} must be {expected.__name__}, got {type(value).__name__}"
             )
+        if expected is float and not math.isfinite(value):
+            raise ValidationError(f"{where}.{key} must be finite, got {value}")
         setattr(defaults, key, value)
     return defaults
 
@@ -157,9 +167,10 @@ def config_from_dict(raw: dict) -> Config:
 
 
 def load_config(path: str) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"cannot parse config {path}: {exc}") from exc
+    from .formats import read_text
+
+    try:
+        raw = yaml.safe_load(read_text(path))
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(raw if raw is not None else {})

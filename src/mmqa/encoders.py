@@ -9,8 +9,8 @@ The recurrence is fused: `gru_sequence` and `lstm_sequence` compute the
 input projections of a whole sequence with one GEMM per gate, run the time
 steps on plain numpy arrays, and record a single tape node whose backward is
 hand-written backpropagation through time (the precomputed-input scheme of
-Appleyard, Kocisky and Blunsom, 2016). `gru_step` and `lstm_step` are their
-one-row case.
+Appleyard, Kocisky and Blunsom, 2016). `gru_step`, the decoder's step, is
+the one-row case of `gru_sequence`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .tensor import (
     mean_rows,
     mul,
     relu,
-    slice_cols,
     softmax_rows,
     transpose,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "gru_sequence",
     "lstm_sequence",
     "gru_step",
-    "lstm_step",
     "rnn_forward",
     "self_attend",
     "guided_attend",
@@ -326,18 +324,15 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
                  parents if h0 is None else parents + (h0,), back)
 
 
-def lstm_sequence(cell: LstmCell, seq: Tensor, h0: Optional[Tensor] = None,
-                  c0: Optional[Tensor] = None, reverse: bool = False,
-                  with_cell: bool = False) -> Tensor:
-    """Run an LSTM over an n*in sequence as one tape node.
+def lstm_sequence(cell: LstmCell, seq: Tensor, reverse: bool = False) -> Tensor:
+    """Run an LSTM over an n*in sequence from zero states as one tape node.
 
-    Returns the n*h hidden states, or the n*2h matrix [hidden | cell state]
-    when `with_cell` is set; rows, `reverse` and the optional differentiable
-    initial states `h0` and `c0` are as in `gru_sequence`. Per step:
+    Returns the n*h hidden states; rows and `reverse` are as in
+    `gru_sequence`. Per step:
         i, f, o = sigmoid(x W + h U + b) per gate,  g = tanh(x Wc + h Uc + bc)
         c' = f * c + i * g,  h' = o * tanh(c')
     """
-    _check_sequence(cell, seq, h0, c0)
+    _check_sequence(cell, seq)
     n, h = seq.rows, cell.hidden_width
     x = seq.data[::-1] if reverse else seq.data
     ws = (cell.w_i.data, cell.w_f.data, cell.w_o.data, cell.w_c.data)
@@ -349,16 +344,16 @@ def lstm_sequence(cell: LstmCell, seq: Tensor, h0: Optional[Tensor] = None,
     prev_c = np.empty((n, h))
     acts = np.empty((n, 4 * h))  # i | f | o | g
     tanh_c = np.empty((n, h))
-    out = np.empty((n, 2 * h))  # h | c
-    state, memory = _initial(h0, h), _initial(c0, h)
+    out = np.empty((n, h))
+    state, memory = np.zeros(h), np.zeros(h)
     for t in range(n):
         prev_h[t], prev_c[t] = state, memory
         a = xw[t] + state @ u
         ifo = acts[t, :3 * h] = logistic(a[:3 * h])
         g = acts[t, 3 * h:] = np.tanh(a[3 * h:])
-        memory = out[t, h:] = ifo[h:2 * h] * memory + ifo[:h] * g
+        memory = ifo[h:2 * h] * memory + ifo[:h] * g
         tc = tanh_c[t] = np.tanh(memory)
-        state = out[t, :h] = ifo[2 * h:] * tc
+        state = out[t] = ifo[2 * h:] * tc
 
     def back(grad):
         if reverse:
@@ -372,10 +367,8 @@ def lstm_sequence(cell: LstmCell, seq: Tensor, h0: Optional[Tensor] = None,
         da = np.empty((n, 4 * h))
         dh, dc = np.zeros(h), np.zeros(h)
         for t in range(n - 1, -1, -1):
-            dh = dh + grad[t, :h]
+            dh = dh + grad[t]
             dc = dc + dh * to_c[t]
-            if with_cell:
-                dc = dc + grad[t, h:]
             np.multiply(dc, to_i[t], out=da[t, :h])
             np.multiply(dc, to_f[t], out=da[t, h:2 * h])
             np.multiply(dh, to_o[t], out=da[t, 2 * h:3 * h])
@@ -386,31 +379,17 @@ def lstm_sequence(cell: LstmCell, seq: Tensor, h0: Optional[Tensor] = None,
         du = prev_h.T @ da
         db = da.sum(axis=0, keepdims=True)
         blocks = lambda m: tuple(m[:, k * h:(k + 1) * h] for k in range(4))
-        grads = (dx[::-1] if reverse else dx, *dws) + blocks(du) + blocks(db)
-        if h0 is not None:
-            grads += (dh[None, :],)
-        if c0 is not None:
-            grads += (dc[None, :],)
-        return grads
+        return (dx[::-1] if reverse else dx, *dws) + blocks(du) + blocks(db)
 
     parents = (seq, cell.w_i, cell.w_f, cell.w_o, cell.w_c,
                cell.u_i, cell.u_f, cell.u_o, cell.u_c,
                cell.b_i, cell.b_f, cell.b_o, cell.b_c)
-    parents += tuple(s for s in (h0, c0) if s is not None)
-    value = out if with_cell else out[:, :h]
-    return _emit((value[::-1] if reverse else value).copy(), parents, back)
+    return _emit(out[::-1].copy() if reverse else out, parents, back)
 
 
 def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
     """One GRU update on a 1*in input and 1*h previous state."""
     return gru_sequence(cell, x, h_prev)
-
-
-def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM update; returns (hidden, cell-state)."""
-    hc = lstm_sequence(cell, x, h_prev, c_prev, with_cell=True)
-    h = cell.hidden_width
-    return slice_cols(hc, 0, h), slice_cols(hc, h, 2 * h)
 
 
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:

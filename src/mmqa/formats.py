@@ -19,14 +19,17 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .augment import Dialog
+from .config import CELLS, POOLINGS, ModelConfig
 from .errors import FormatError, ValidationError
 from .text import tokenize
 
 __all__ = [
+    "read_text",
     "atomic_write_text",
     "atomic_write_bytes",
     "save_dataset",
@@ -50,9 +53,6 @@ FORMAT_VERSION = 1
 OPT_PREFIX = "__opt__/"
 CFG_PREFIX = "__cfg__/"
 
-_CELLS = ("gru", "lstm")
-_POOLINGS = ("max", "average")
-
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename over."""
@@ -70,6 +70,22 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _decode(raw: bytes, path: str, offset: int = 0) -> str:
+    """UTF-8 text of `raw`, which starts at byte `offset` of file `path`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte {offset + exc.start} is not valid UTF-8 ({exc.reason})"
+        ) from exc
+
+
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; undecodable bytes are a FormatError."""
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), path)
 
 
 # ---------------------------------------------------------------- datasets
@@ -100,13 +116,12 @@ def _require(mapping: dict, key: str, kind, where: str):
 
 def load_dataset(path: str) -> list:
     """Parse and validate a dialog dataset; order is preserved."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("dialogs"), list):
         raise FormatError(f"{path}: expected a top-level object with a 'dialogs' list")
     dialogs = []
@@ -231,7 +246,7 @@ def load_checkpoint(path: str):
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        name = _decode(bytes(take(name_len, "name")), path, pos - name_len)
         rank = take(1, "rank")[0]
         if rank not in (1, 2):
             raise FormatError(f"{path}: tensor {name!r} has unsupported rank {rank}")
@@ -250,28 +265,24 @@ def _cfg_scalar(value: float) -> np.ndarray:
     return np.asarray([float(value)], dtype=np.float64)
 
 
+# Each ModelConfig field is stored as one scalar: a choice by its index, a
+# flag as 0 or 1 and a width as is. The stored decoder_hidden is the resolved
+# width, so like the encoder widths it is at least 1; the other fields'
+# smallest value is 0.
+_CFG_CHOICES = {"cell": CELLS, "pooling": POOLINGS, "freeze_embeddings": (False, True)}
+_CFG_POSITIVE = ("embed_width", "hidden_width", "decoder_hidden")
+_CFG_FIELDS = tuple(
+    (f.name, 1 if f.name in _CFG_POSITIVE else 0, _CFG_CHOICES.get(f.name))
+    for f in fields(ModelConfig)
+)
+
+
 def checkpoint_from_model(model, optimizer=None) -> dict:
     """Flatten a model (and optionally Adam state) into named tensors."""
     out = {name: t.data for name, t in model.parameters().items()}
-    d = model.width
-    hidden = d // 2
-    out[CFG_PREFIX + "embed_width"] = _cfg_scalar(model.embedding.width)
-    out[CFG_PREFIX + "hidden_width"] = _cfg_scalar(hidden)
-    out[CFG_PREFIX + "decoder_hidden"] = _cfg_scalar(model.decoder.hidden_width)
-    out[CFG_PREFIX + "cell"] = _cfg_scalar(_CELLS.index(model.question_rnn.kind))
-    out[CFG_PREFIX + "pooling"] = _cfg_scalar(_POOLINGS.index(model.pooling))
-    out[CFG_PREFIX + "freeze_embeddings"] = _cfg_scalar(
-        1.0 if model.freeze_embeddings else 0.0
-    )
-    out[CFG_PREFIX + "flow_width"] = _cfg_scalar(
-        model.flow_rnn.input_width if model.flow_rnn else 0
-    )
-    out[CFG_PREFIX + "rgb_width"] = _cfg_scalar(
-        model.rgb_rnn.input_width if model.rgb_rnn else 0
-    )
-    out[CFG_PREFIX + "audio_width"] = _cfg_scalar(
-        model.audio_rnn.input_width if model.audio_rnn else 0
-    )
+    for key, value in asdict(model.cfg).items():
+        choices = _CFG_CHOICES.get(key)
+        out[CFG_PREFIX + key] = _cfg_scalar(value if choices is None else choices.index(value))
     if optimizer is not None:
         out[OPT_PREFIX + "t"] = _cfg_scalar(optimizer.t)
         for name, m in optimizer.m.items():
@@ -281,19 +292,6 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
     return out
 
 
-# Architecture fields as Model.create takes them: the smallest valid value
-# and, for a field that indexes a list of choices, the choices.
-_CFG_FIELDS = (
-    ("embed_width", 1, None),
-    ("hidden_width", 1, None),
-    ("decoder_hidden", 1, None),
-    ("cell", 0, _CELLS),
-    ("pooling", 0, _POOLINGS),
-    ("freeze_embeddings", 0, (False, True)),
-    ("flow_width", 0, None),
-    ("rgb_width", 0, None),
-    ("audio_width", 0, None),
-)
 # Written by older versions for an off-paper decoder variant; only its
 # off value (0) is still accepted.
 _RETIRED_CFG_FIELD = "literal_decoder"
@@ -361,6 +359,8 @@ def model_from_checkpoint(path: str):
             raise ValidationError(
                 f"{path}: parameter {name!r} is {value.shape}, expected {tensor.data.shape}"
             )
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
         tensor.data[...] = value
     extras = [n for n in tensors
               if n not in params and not n.startswith((OPT_PREFIX, CFG_PREFIX))]

@@ -29,11 +29,8 @@ from .tensor import (
     mul,
     one_minus,
     relu,
-    scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
-    sub,
     sum_all,
     take_rows,
     tanh,
@@ -77,15 +74,12 @@ def primitive_checks(eps: float = 1e-5) -> list:
         ("add/right", lambda x: sum_all(add(a, x)), b),
         ("add_row/matrix", lambda x: sum_all(mul(add_row(x, row), b)), a),
         ("add_row/row", lambda x: sum_all(mul(add_row(a, x), b)), row),
-        ("sub/left", lambda x: sum_all(mul(sub(x, b), b)), a),
-        ("sub/right", lambda x: sum_all(mul(sub(a, x), a)), b),
         ("mul/left", lambda x: sum_all(mul(x, b)), a),
         ("mul/right", lambda x: sum_all(mul(a, x)), b),
         ("relu", lambda x: sum_all(mul(relu(x), b)), kinked),
         ("sigmoid", lambda x: sum_all(mul(sigmoid(x), b)), a),
         ("tanh", lambda x: sum_all(mul(tanh(x), b)), a),
         ("one_minus", lambda x: sum_all(mul(one_minus(x), b)), a),
-        ("scale", lambda x: sum_all(scale(x, -2.5)), a),
         ("transpose", lambda x: sum_all(matmul(transpose(x), b)), a),
         ("concat_cols", lambda x: sum_all(mul(concat_cols(x, b),
                                               concat_cols(b, a))), a),
@@ -98,46 +92,43 @@ def primitive_checks(eps: float = 1e-5) -> list:
         ("max_pool_rows", lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
         ("cross_entropy", lambda x: cross_entropy(x, targets), logits),
         ("sum_all", lambda x: sum_all(x), a),
-        ("slice_cols", lambda x: sum_all(mul(slice_cols(x, 1, 3), slice_cols(b, 0, 2))), a),
     ]
     cases += _recurrence_cases(rng)
     return [(name, grad_check(f, x, eps)) for name, f, x in cases]
 
 
 def _recurrence_cases(rng) -> list:
-    """Fused GRU/LSTM sequences in both directions, with and without initial
-    states: one case per input, weight, bias and initial state."""
+    """Fused GRU/LSTM sequences in both directions, the GRU also from a given
+    initial state: one case per input, weight, bias and initial state."""
     seq = _smooth(rng, 4, 3)
     cells = {"gru": GruCell.create(rng, 3, 2), "lstm": LstmCell.create(rng, 3, 2)}
     for cell in cells.values():
         for p in cell.parameters().values():
             p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
-    h0, c0 = _smooth(rng, 1, 2), _smooth(rng, 1, 2)
+    # the second draw was an LSTM initial cell state; it is still taken so
+    # that every remaining case keeps the inputs, and errors, it had before
+    h0, _ = _smooth(rng, 1, 2), _smooth(rng, 1, 2)
     variants = [
-        # (cell kind, reverse, with initial states, LSTM cell state in the output)
-        ("gru", False, False, False),
-        ("gru", False, True, False),
-        ("gru", True, False, False),
-        ("gru", True, True, False),
-        ("lstm", False, False, False),
-        ("lstm", False, True, True),
-        ("lstm", True, False, True),
-        ("lstm", True, True, False),
+        # (cell kind, reverse, with an initial state)
+        ("gru", False, False),
+        ("gru", False, True),
+        ("gru", True, False),
+        ("gru", True, True),
+        ("lstm", False, False),
+        ("lstm", True, False),
     ]
     cases = []
-    for kind, reverse, with_states, with_cell in variants:
+    for kind, reverse, with_states in variants:
         cell = cells[kind]
+        states = {"h0": h0} if with_states else {}
         if kind == "gru":
-            states = {"h0": h0} if with_states else {}
             run = partial(gru_sequence, cell, seq, states.get("h0"), reverse=reverse)
         else:
-            states = {"h0": h0, "c0": c0} if with_states else {}
-            run = partial(lstm_sequence, cell, seq, states.get("h0"), states.get("c0"),
-                          reverse=reverse, with_cell=with_cell)
+            run = partial(lstm_sequence, cell, seq, reverse=reverse)
         weights = _smooth(rng, *run().shape)
         loss = lambda _x, run=run, weights=weights: sum_all(mul(run(), weights))
         tag = (f"{kind}_sequence/{'reverse' if reverse else 'forward'}"
-               + ("+states" if with_states else "") + ("+cell" if with_cell else ""))
+               + ("+states" if with_states else ""))
         for name, x in {"seq": seq, **cell.parameters(), **states}.items():
             cases.append((f"{tag}/{name}", loss, x))
     return cases

@@ -7,12 +7,13 @@ question vector only initializes the decoder's first hidden layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .augment import DialogExample
+from .config import ModelConfig
 from .encoders import (
     AttentionParams,
     GruCell,
@@ -231,8 +232,7 @@ class Model:
     history_rnn: RecurrentLayer
     history_attn: AttentionParams
     decoder: Decoder
-    pooling: str = "max"
-    freeze_embeddings: bool = False
+    cfg: ModelConfig
     flow_rnn: Optional[RecurrentLayer] = None
     flow_attn: Optional[AttentionParams] = None
     rgb_rnn: Optional[RecurrentLayer] = None
@@ -246,46 +246,43 @@ class Model:
         return self.question_rnn.output_width
 
     @classmethod
-    def create(cls, rng: np.random.Generator, vocab: Vocabulary, *,
-               embed_width: int = 64,
-               hidden_width: int = 32,
-               decoder_hidden: Optional[int] = None,
-               cell: str = "gru",
-               pooling: str = "max",
-               freeze_embeddings: bool = False,
-               flow_width: int = 0,
-               rgb_width: int = 0,
-               audio_width: int = 0) -> "Model":
-        """Build a freshly initialized model; creation order is fixed so a
-        given (seed, architecture) pair always yields the same parameters.
+    def create(cls, rng: np.random.Generator, vocab: Vocabulary, **arch) -> "Model":
+        """Build a freshly initialized model from `ModelConfig` fields given
+        by keyword (omitted ones take their defaults); creation order is
+        fixed so a given (seed, architecture) pair always yields the same
+        parameters.
 
-        A feature width of 0 disables that modality: no parameters are
-        created and its fused slot is pinned to the zero vector.
+        `decoder_hidden=0` matches the decoder to the encoder output width,
+        and `cfg` holds the resolved width. A feature width of 0 disables
+        that modality: no parameters are created and its fused slot is
+        pinned to the zero vector.
         """
-        d = 2 * hidden_width
-        h_dec = d if decoder_hidden is None else decoder_hidden
-        make_rnn = lambda width: RecurrentLayer.create(rng, cell, width, hidden_width)
+        cfg = ModelConfig(**arch)
+        cfg.validate()
+        d = 2 * cfg.hidden_width
+        cfg = replace(cfg, decoder_hidden=cfg.decoder_hidden or d)
+        make_rnn = lambda width: RecurrentLayer.create(rng, cfg.cell, width, cfg.hidden_width)
         model = cls(
             vocab=vocab,
-            embedding=EmbeddingTable.create(len(vocab), embed_width, rng),
-            question_rnn=make_rnn(embed_width),
+            embedding=EmbeddingTable.create(len(vocab), cfg.embed_width, rng),
+            question_rnn=make_rnn(cfg.embed_width),
             question_attn=SelfAttentionParams.create(rng, d),
-            summary_rnn=make_rnn(embed_width),
+            summary_rnn=make_rnn(cfg.embed_width),
             summary_attn=AttentionParams.create(rng, d),
             history_rnn=make_rnn(d),
             history_attn=AttentionParams.create(rng, d),
-            decoder=Decoder.create(rng, 5 * d, embed_width, h_dec, len(vocab)),
-            pooling=pooling,
-            freeze_embeddings=freeze_embeddings,
+            decoder=Decoder.create(rng, 5 * d, cfg.embed_width, cfg.decoder_hidden,
+                                   len(vocab)),
+            cfg=cfg,
         )
-        if flow_width > 0:
-            model.flow_rnn = make_rnn(flow_width)
+        if cfg.flow_width > 0:
+            model.flow_rnn = make_rnn(cfg.flow_width)
             model.flow_attn = AttentionParams.create(rng, d)
-        if rgb_width > 0:
-            model.rgb_rnn = make_rnn(rgb_width)
+        if cfg.rgb_width > 0:
+            model.rgb_rnn = make_rnn(cfg.rgb_width)
             model.rgb_attn = AttentionParams.create(rng, d)
-        if audio_width > 0:
-            model.audio_rnn = make_rnn(audio_width)
+        if cfg.audio_width > 0:
+            model.audio_rnn = make_rnn(cfg.audio_width)
             model.audio_attn = AttentionParams.create(rng, d)
         return model
 
@@ -318,13 +315,13 @@ class Model:
         """1*D vector for one history sentence, via the summary encoder."""
         embeds = embed_sentence(self.vocab, self.embedding, tokens)
         return guided_attend(self.summary_attn, rnn_forward(self.summary_rnn, embeds),
-                             q_tilde, self.pooling)
+                             q_tilde, self.cfg.pooling)
 
     def _feature_vector(self, rnn, attn, frames, q_tilde: Tensor) -> Tensor:
         if rnn is None or frames is None:
             return Tensor(np.zeros((1, self.width)), check=False)
         return encode_features(rnn, attn, Tensor(np.asarray(frames, dtype=np.float64)),
-                               q_tilde, self.pooling)
+                               q_tilde, self.cfg.pooling)
 
     def encode(self, example: DialogExample):
         """Encode one example; returns (context 1*5D, question vector 1*D)."""
@@ -335,14 +332,14 @@ class Model:
         s_embeds = embed_sentence(self.vocab, self.embedding, example.summary)
         summary = guided_attend(self.summary_attn,
                                 rnn_forward(self.summary_rnn, s_embeds),
-                                q_tilde, self.pooling)
+                                q_tilde, self.cfg.pooling)
 
         sentences = []
         for hq, ha in example.history:
             sentences.append(self._sentence_vector(hq, q_tilde))
             sentences.append(self._sentence_vector(ha, q_tilde))
         history = encode_history(self.history_rnn, self.history_attn, sentences,
-                                 q_tilde, self.pooling)
+                                 q_tilde, self.cfg.pooling)
 
         flow = self._feature_vector(self.flow_rnn, self.flow_attn, example.flow, q_tilde)
         rgb = self._feature_vector(self.rgb_rnn, self.rgb_attn, example.rgb, q_tilde)

@@ -20,32 +20,26 @@ __all__ = [
     "Tensor",
     "Tape",
     "Gradients",
-    "backward",
     "untaped",
     "logistic",
-    "zeros",
     "ones",
     "matmul",
     "add",
     "add_row",
-    "sub",
     "mul",
     "relu",
     "sigmoid",
     "tanh",
     "one_minus",
-    "scale",
     "transpose",
     "concat_cols",
     "concat_rows",
-    "slice_cols",
     "take_rows",
     "softmax_rows",
     "mean_rows",
     "max_pool_rows",
     "cross_entropy",
     "sum_all",
-    "elementwise",
     "grad_check",
 ]
 
@@ -98,34 +92,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    # Operator sugar over the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-
-def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), check=False)
 
 
 def ones(*shape) -> Tensor:
@@ -264,11 +230,6 @@ class Tape:
         return Gradients(self, grads)
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Functional alias for Tape.backward."""
-    return tape.backward(loss)
-
-
 def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap `value` as a tensor and, under an active tape, record it.
 
@@ -312,13 +273,6 @@ def add_row(m: Tensor, r: Tensor) -> Tensor:
     return _emit(m.data + r.data, (m, r), lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two equally shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two equally shaped tensors."""
     if a.shape != b.shape:
@@ -358,12 +312,6 @@ def tanh(x: Tensor) -> Tensor:
 def one_minus(x: Tensor) -> Tensor:
     """1 - x elementwise."""
     return _emit(1.0 - x.data, (x,), lambda g: (-g,))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a Python constant (no gradient to the constant)."""
-    c = float(c)
-    return _emit(x.data * c, (x,), lambda g: (g * c,))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -409,20 +357,6 @@ def concat_rows(*tensors: Tensor) -> Tensor:
         return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(heights)))
 
     return _emit(np.concatenate([t.data for t in tensors], axis=0), tensors, back)
-
-
-def slice_cols(m: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start..stop-1 of a matrix; the gradient pads with zeros."""
-    if m.ndim != 2 or not (0 <= start < stop <= m.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {m.shape}")
-    shape = m.shape
-
-    def back(g):
-        acc = np.zeros(shape)
-        acc[:, start:stop] = g
-        return (acc,)
-
-    return _emit(m.data[:, start:stop].copy(), (m,), back)
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -525,27 +459,6 @@ def sum_all(x: Tensor) -> Tensor:
         (x,),
         lambda g: (np.full(shape, g.reshape(-1)[0]),),
     )
-
-
-_ELEMENTWISE = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "mul": mul,
-    "add": add,
-    "concat_cols": concat_cols,
-}
-
-
-def elementwise(kind: str, *args: Tensor) -> Tensor:
-    """Dispatch a pointwise/stacking primitive by name."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValidationError(
-            f"unknown elementwise kind {kind!r}; expected one of {sorted(_ELEMENTWISE)}"
-        ) from None
-    return fn(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "build_vocabulary",
     "EmbeddingTable",
     "resolve_token",
-    "embed_token",
     "embed_sentence",
 ]
 
@@ -119,10 +118,10 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read a `save`d vocabulary; every line must be a new, non-reserved
         token, since its line number fixes its id and so its embedding row."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        from .formats import read_text
+
         vocab = cls()
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             if not line:
                 raise ValidationError(f"{path}:{lineno}: empty vocabulary line")
             if line in vocab:
@@ -190,15 +189,6 @@ class EmbeddingTable:
 
     def row(self, idx: int) -> Tensor:
         return take_rows(self.matrix, [idx])
-
-
-def embed_token(vocab: Vocabulary, table: EmbeddingTable, token: str) -> Tensor:
-    """1*d_w vector for `token`; never fails thanks to the OOV fallback."""
-    if len(vocab) != table.matrix.rows:
-        raise ValidationError(
-            f"embedding rows ({table.matrix.rows}) do not match vocabulary size ({len(vocab)})"
-        )
-    return table.row(resolve_token(vocab, token))
 
 
 def embed_sentence(vocab: Vocabulary, table: EmbeddingTable, tokens) -> Tensor:

@@ -137,7 +137,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                     for name, p in params.items():
                         totals[name] += grads.wrt(p)
                 epoch_loss += value
-            if model.freeze_embeddings:
+            if model.cfg.freeze_embeddings:
                 totals["embedding.matrix"][...] = 0.0
             scale = 1.0 / len(batch)
             adam.step({name: g * scale for name, g in totals.items()})

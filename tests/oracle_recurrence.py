@@ -53,14 +53,13 @@ def gru_sequence(cell, seq, h0=None, reverse=False):
     return concat_rows(*[out[t] for t in range(seq.rows)])
 
 
-def lstm_sequence(cell, seq, h0=None, c0=None, reverse=False, with_cell=False):
+def lstm_sequence(cell, seq, reverse=False):
     order = range(seq.rows - 1, -1, -1) if reverse else range(seq.rows)
-    h = _zeros(cell) if h0 is None else h0
-    c = _zeros(cell) if c0 is None else c0
+    h = c = _zeros(cell)
     out = {}
     for t in order:
         h, c = lstm_step(cell, take_rows(seq, [t]), h, c)
-        out[t] = concat_cols(h, c) if with_cell else h
+        out[t] = h
     return concat_rows(*[out[t] for t in range(seq.rows)])
 
 

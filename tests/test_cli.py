@@ -249,6 +249,55 @@ class TestFailureModes:
                          "--out", str(tmp_path / "s.tsv")]) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    def test_nonfinite_checkpoint_parameter_is_validation_failure(self, tmp_path, capsys):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        tensors, digest = load_checkpoint(ckpt)
+        tensors["decoder.proj.b"][0, 5] = np.nan
+        save_checkpoint(ckpt, tensors, digest)
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")]) == 1
+        assert "'decoder.proj.b' contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", ".inf"),
+        ("epsilon", ".nan"),
+        ("learning_rate", ".nan"),
+        ("learning_rate", ".inf"),
+    ])
+    def test_nonfinite_config_float_is_validation_failure(self, tmp_path, capsys,
+                                                          key, value):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        config = tmp_path / "run.yaml"
+        config.write_text(f"training:\n  {key}: {value}\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 1
+        assert f"training.{key} must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("reader", ["vocabulary", "dataset", "config", "tensor name"])
+    def test_undecodable_text_is_io_failure(self, tmp_path, capsys, reader):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        config = tmp_path / "run.yaml"
+        write_config(config, data)
+        command = ["eval", "--ckpt", ckpt, "--data", str(data),
+                   "--out", str(tmp_path / "s.tsv")]
+        if reader == "vocabulary":
+            spoiled, offset = tmp_path / "m.ckpt.vocab", 7
+        elif reader == "dataset":
+            spoiled, offset = data, 30
+        elif reader == "config":
+            spoiled, offset = config, 12
+            command = ["train", "--config", str(config), "--out", str(tmp_path / "n.ckpt")]
+        else:
+            spoiled, offset = tmp_path / "m.ckpt", 4 + 1 + 32 + 4 + 2  # first name byte
+        blob = bytearray(spoiled.read_bytes())
+        blob[offset] = 0xFF  # a byte UTF-8 never uses
+        spoiled.write_bytes(bytes(blob))
+        assert cli.main(command) == 3
+        assert f"{spoiled}: byte {offset} is not valid UTF-8" in capsys.readouterr().err
+
     def test_usage_problems_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["augment"])  # required flags missing

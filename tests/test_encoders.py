@@ -16,7 +16,6 @@ from mmqa.encoders import (
     gru_step,
     guided_attend,
     lstm_sequence,
-    lstm_step,
     rnn_forward,
     self_attend,
 )
@@ -85,17 +84,20 @@ class TestLstmStep:
         np.testing.assert_array_equal(cell.b_i.data, np.zeros((1, 4)))
 
     def test_zero_weights_keep_scaled_cell_state(self):
+        # only the candidate's input weights are non-zero, so the first input
+        # row writes c1 = 0.5 * tanh(x Wc) and the zero second row adds
+        # nothing: c2 = f * c1 with the forget gate at its bias
         z = lambda shape: Tensor(np.zeros(shape), check=False)
         cell = LstmCell(
-            z((2, 2)), z((2, 2)), z((2, 2)), z((2, 2)),
+            z((2, 2)), z((2, 2)), z((2, 2)), Tensor(np.eye(2), check=False),
             z((2, 2)), z((2, 2)), z((2, 2)), z((2, 2)),
             z((1, 2)), Tensor(np.ones((1, 2)), check=False), z((1, 2)), z((1, 2)),
         )
-        c_prev = np.array([[0.6, -1.0]])
-        h, c = lstm_step(cell, T([[1.0, 2.0]]), T([[0.3, 0.3]]), T(c_prev))
+        h = lstm_sequence(cell, T([[1.2, -2.0], [0.0, 0.0]]))
+        c1 = 0.5 * np.tanh(np.array([1.2, -2.0]))
         keep = 1.0 / (1.0 + np.exp(-1.0))  # forget gate at its bias
-        np.testing.assert_allclose(c.data, keep * c_prev)
-        np.testing.assert_allclose(h.data, 0.5 * np.tanh(keep * c_prev))
+        np.testing.assert_allclose(h.data[0], 0.5 * np.tanh(c1))
+        np.testing.assert_allclose(h.data[1], 0.5 * np.tanh(keep * c1))
 
 
 def taped_run(fn, cell, seq, states, weights, **kwargs):
@@ -114,51 +116,42 @@ class TestFusedSequences:
     """The fused primitives against the per-step composition of tape ops."""
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("with_state", [False, True])
-    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("kind, with_state", [("gru", False), ("gru", True),
+                                                  ("lstm", False)])
     def test_matches_per_step_oracle(self, kind, with_state, reverse):
         rng = np.random.default_rng(31)
         n, width, hidden = 7, 5, 4
         if kind == "gru":
             cell = GruCell.create(rng, width, hidden)
-            fused, reference, state_count = gru_sequence, oracle.gru_sequence, 1
+            fused, reference = gru_sequence, oracle.gru_sequence
         else:
             cell = LstmCell.create(rng, width, hidden)
-            fused, reference, state_count = lstm_sequence, oracle.lstm_sequence, 2
+            fused, reference = lstm_sequence, oracle.lstm_sequence
         for p in cell.parameters().values():
             p.data[...] = rng.normal(0.0, 0.6, size=p.shape)
         seq = T(rng.normal(size=(n, width)))
-        states = [T(rng.normal(size=(1, hidden))) for _ in range(state_count)] \
-            if with_state else []
-        variants = [{}] if kind == "gru" else [{}, {"with_cell": True}]
-        for kwargs in variants:
-            out_width = 2 * hidden if kwargs else hidden
-            weights = T(rng.normal(size=(n, out_width)))
-            out, grads, nodes = taped_run(fused, cell, seq, states, weights,
-                                          reverse=reverse, **kwargs)
-            want, want_grads, _ = taped_run(reference, cell, seq, states, weights,
-                                            reverse=reverse, **kwargs)
-            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
-            for got, expected in zip(grads, want_grads):
-                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
-            # the watched leaves, one fused node, and the weights leaf, mul
-            # and sum_all of the loss
-            assert nodes == len(grads) + 4
+        states = [T(rng.normal(size=(1, hidden)))] if with_state else []
+        weights = T(rng.normal(size=(n, hidden)))
+        out, grads, nodes = taped_run(fused, cell, seq, states, weights, reverse=reverse)
+        want, want_grads, _ = taped_run(reference, cell, seq, states, weights,
+                                        reverse=reverse)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        # the watched leaves, one fused node, and the weights leaf, mul
+        # and sum_all of the loss
+        assert nodes == len(grads) + 4
 
     def test_steps_are_the_one_row_case(self):
         rng = np.random.default_rng(32)
         gru, lstm = GruCell.create(rng, 3, 2), LstmCell.create(rng, 3, 2)
-        x, h, c = T(rng.normal(size=(1, 3))), T(rng.normal(size=(1, 2))), \
-            T(rng.normal(size=(1, 2)))
+        x, h = T(rng.normal(size=(1, 3))), T(rng.normal(size=(1, 2)))
         np.testing.assert_array_equal(gru_step(gru, x, h).data,
                                       gru_sequence(gru, x, h).data)
-        h1, c1 = lstm_step(lstm, x, h, c)
-        both = lstm_sequence(lstm, x, h, c, with_cell=True).data
-        np.testing.assert_array_equal(h1.data, both[:, :2])
-        np.testing.assert_array_equal(c1.data, both[:, 2:])
-        want_h, want_c = oracle.lstm_step(lstm, x, h, c)
-        np.testing.assert_allclose(h1.data, want_h.data, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(c1.data, want_c.data, rtol=0, atol=1e-15)
+        zero = Tensor(np.zeros((1, 2)), check=False)
+        want_h, _ = oracle.lstm_step(lstm, x, zero, zero)
+        np.testing.assert_allclose(lstm_sequence(lstm, x).data, want_h.data,
+                                   rtol=0, atol=1e-15)
 
     def test_initial_state_shape_checked(self):
         cell = GruCell.create(np.random.default_rng(0), 3, 2)

@@ -1,13 +1,14 @@
 """Dataset JSON, binary feature/checkpoint files, score tables, configs."""
 
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from conftest import corpus_vocab, overfit_dialogs
 from mmqa.augment import Dialog, expand_basic
-from mmqa.config import Config, config_from_dict, load_config
+from mmqa.config import Config, ModelConfig, config_from_dict, load_config
 from mmqa.errors import FormatError, ValidationError
 from mmqa.formats import (
     CHECKPOINT_MAGIC,
@@ -303,9 +304,56 @@ class TestModelCheckpoint:
         path = self.save(tmp_path, model, vocab)
         rebuilt, _, _ = model_from_checkpoint(path)
         assert rebuilt.question_rnn.kind == "lstm"
-        assert rebuilt.pooling == "average"
+        assert rebuilt.cfg.pooling == "average"
         assert rebuilt.flow_rnn.input_width == 5
         assert rebuilt.rgb_rnn is None
+
+    def test_every_architecture_field_round_trips(self, tmp_path):
+        cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10, cell="lstm",
+                          pooling="average", freeze_embeddings=True, flow_width=5,
+                          rgb_width=4, audio_width=2)
+        defaults = ModelConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
+        vocab = corpus_vocab(overfit_dialogs())
+        model = Model.create(np.random.default_rng(4), vocab, **asdict(cfg))
+        assert model.cfg == cfg
+        rebuilt, _, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
+        assert rebuilt.cfg == cfg
+
+    def test_stored_architecture_is_exactly_the_model_config(self):
+        _, model = self.build()
+        stored = {name[len("__cfg__/"):] for name in checkpoint_from_model(model)
+                  if name.startswith("__cfg__/")}
+        assert stored == {f.name for f in fields(ModelConfig)}
+
+    def test_automatic_decoder_width_is_stored_resolved(self, tmp_path):
+        vocab, model = self.build()
+        assert model.cfg.decoder_hidden == 8  # 2 * hidden_width
+        assert checkpoint_from_model(model)["__cfg__/decoder_hidden"][0] == 8.0
+        rebuilt, _, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
+        assert rebuilt.cfg == model.cfg
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_parameter_rejected(self, tmp_path, value):
+        vocab, model = self.build()
+        tensors = checkpoint_from_model(model)
+        tensors["decoder.proj.b"] = tensors["decoder.proj.b"].copy()
+        tensors["decoder.proj.b"][0, 3] = value
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tensors, Config().hash())
+        vocab.save(path + ".vocab")
+        with pytest.raises(ValidationError, match="'decoder.proj.b' contains non-finite"):
+            model_from_checkpoint(path)
+
+    def test_undecodable_tensor_name_names_its_byte(self, tmp_path):
+        vocab, model = self.build()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), checkpoint_from_model(model), Config().hash())
+        blob = bytearray(path.read_bytes())
+        blob[4 + 1 + 32 + 4 + 2 + 3] = 0xFF  # fourth byte of the first name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="byte 46 is not valid UTF-8"):
+            load_checkpoint(str(path))
 
     def test_vocabulary_mismatch_detected(self, tmp_path):
         vocab, model = self.build()
@@ -443,6 +491,23 @@ class TestConfig:
         path = tmp_path / "c.yaml"
         path.write_text("model: [unclosed\n")
         with pytest.raises(ValidationError, match="cannot parse"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon",
+                                     "ss_probability"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_float_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"training.{key} must be finite"):
+            config_from_dict({"training": {key: value}})
+
+    def test_retired_data_test_key_rejected(self):
+        with pytest.raises(ValidationError, match="'test'"):
+            config_from_dict({"data": {"test": "test.json"}})
+
+    def test_undecodable_yaml_names_its_byte(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"training:\n  seed: 3  # caf\xe9\n")  # Latin-1, not UTF-8
+        with pytest.raises(FormatError, match="c.yaml: byte 26 is not valid UTF-8"):
             load_config(str(path))
 
     def test_hash_is_stable_and_sensitive(self):

@@ -347,6 +347,18 @@ class TestModelAssembly:
                              embed_width=8, hidden_width=4, decoder_hidden=12)
         assert model.loss(toy_examples[0]).item() > 0.0
 
+    @pytest.mark.parametrize("arch, fault", [
+        ({"embed_width": 0}, "embed_width"),
+        ({"decoder_hidden": -1}, "decoder_hidden"),
+        ({"cell": "rnn"}, "cell"),
+        ({"pooling": "sum"}, "pooling"),
+        ({"audio_width": -2}, "audio_width"),
+    ])
+    def test_create_validates_the_architecture(self, arch, fault):
+        vocab = corpus_vocab(overfit_dialogs())
+        with pytest.raises(ValidationError, match=fault):
+            Model.create(np.random.default_rng(3), vocab, **arch)
+
     def test_toy_loss_records_few_tape_nodes(self):
         # A guard that does not depend on host speed: the fused recurrence
         # records 265 nodes here, a per-step one over 1,300.

@@ -17,11 +17,9 @@ from mmqa.tensor import (
     Tensor,
     add,
     add_row,
-    backward,
     concat_cols,
     concat_rows,
     cross_entropy,
-    elementwise,
     grad_check,
     matmul,
     max_pool_rows,
@@ -29,17 +27,13 @@ from mmqa.tensor import (
     mul,
     one_minus,
     relu,
-    scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
-    sub,
     sum_all,
     take_rows,
     tanh,
     transpose,
     untaped,
-    zeros,
 )
 
 matrices = arrays(np.float64, (3, 4),
@@ -48,6 +42,10 @@ matrices = arrays(np.float64, (3, 4),
 
 def T(data):
     return Tensor(np.asarray(data, dtype=np.float64))
+
+
+def zeros(*shape):
+    return Tensor(np.zeros(shape), check=False)
 
 
 class TestTensorBasics:
@@ -163,13 +161,6 @@ class TestForwardValues:
         with pytest.raises(ValidationError):
             take_rows(m, [3])
 
-    def test_slice_cols_values_and_bounds(self):
-        m = T([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        np.testing.assert_array_equal(slice_cols(m, 1, 3).data, [[2.0, 3.0], [5.0, 6.0]])
-        for start, stop in ((0, 0), (2, 4), (-1, 2)):
-            with pytest.raises(ShapeError):
-                slice_cols(m, start, stop)
-
     def test_concat_cols_slices_recover_inputs(self):
         a, b = T([[1.0, 2]]), T([[3.0, 4, 5]])
         out = concat_cols(a, b)
@@ -179,11 +170,6 @@ class TestForwardValues:
     def test_transpose_roundtrip(self):
         m = T(np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(transpose(transpose(m)).data, m.data)
-
-    def test_elementwise_dispatch(self):
-        np.testing.assert_array_equal(elementwise("relu", T([-2.0, 2.0])).data, [0, 2])
-        with pytest.raises(ValidationError, match="unknown"):
-            elementwise("cosh", T([1.0]))
 
 
 class TestProperties:
@@ -253,7 +239,7 @@ class TestTape:
         x = T([1.0, -2.0])
         with Tape() as tape:
             tape.watch(x)
-            y = sum_all(add(mul(x, x), scale(x, 3.0)))
+            y = sum_all(add(mul(x, x), mul(x, T([3.0, 3.0]))))
             g = tape.backward(y).wrt(x)
         np.testing.assert_allclose(g, [5.0, -1.0])
 
@@ -286,13 +272,6 @@ class TestTape:
             y = relu(x)
             with pytest.raises(ShapeError):
                 tape.backward(y)
-
-    def test_functional_backward_alias(self):
-        x = T([2.0])
-        with Tape() as tape:
-            tape.watch(x)
-            grads = backward(tape, sum_all(mul(x, x)))
-        np.testing.assert_array_equal(grads.wrt(x), [4.0])
 
     def test_nested_tapes_record_to_innermost(self):
         x = T([1.0, 1.0])
@@ -394,9 +373,9 @@ class TestGradCheck:
 
         assert grad_check(f, T([[0.4, -0.7, 0.2], [1.1, 0.3, -0.9]])) < 1e-7
 
-    def test_one_minus_and_sub_path(self):
+    def test_one_minus_path(self):
         b = T([[0.4, -0.6]])
-        f = lambda x: sum_all(mul(one_minus(x), sub(x, b)))
+        f = lambda x: sum_all(mul(one_minus(x), add(x, b)))
         assert grad_check(f, T([[0.9, 0.1]])) < 1e-8
 
     def test_eps_range_enforced(self):

@@ -21,7 +21,6 @@ from mmqa.text import (
     Vocabulary,
     build_vocabulary,
     embed_sentence,
-    embed_token,
     resolve_token,
     tokenize,
 )
@@ -253,16 +252,14 @@ class TestEmbeddings:
     def test_embed_token_rows(self):
         vocab = Vocabulary(["cat"])
         table = EmbeddingTable.create(len(vocab), 3, np.random.default_rng(1))
-        row = embed_token(vocab, table, "cat")
+        row = table.row(resolve_token(vocab, "cat"))
         np.testing.assert_array_equal(row.data, table.matrix.data[[4]])
-        oov = embed_token(vocab, table, "zzzzqq")
+        oov = table.row(resolve_token(vocab, "zzzzqq"))
         np.testing.assert_array_equal(oov.data, table.matrix.data[[UNK]])
 
     def test_vocab_size_mismatch(self):
         vocab = Vocabulary(["cat", "dog"])
         table = EmbeddingTable.create(4, 3, np.random.default_rng(1))
-        with pytest.raises(ValidationError):
-            embed_token(vocab, table, "cat")
         with pytest.raises(ValidationError):
             embed_sentence(vocab, table, ["cat"])
 

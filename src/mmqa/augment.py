@@ -26,6 +26,7 @@ __all__ = [
     "expand_basic",
     "expand_per_turn",
     "expand_shuffle",
+    "AUGMENTATIONS",
 ]
 
 # enumerate the full permutation set only while it stays this small
@@ -151,3 +152,11 @@ def expand_shuffle(dialog: Dialog, factor: int, seed: int) -> list[DialogExample
             history = [example.history[i] for i in perm]
             out.append(_example(dialog, k, history, suffix=f"p{j}"))
     return out
+
+
+# The augmentation modes by name, each as (dialog, factor, seed) -> examples.
+AUGMENTATIONS = {
+    "basic": lambda dialog, factor, seed: expand_basic(dialog),
+    "per-turn": lambda dialog, factor, seed: expand_per_turn(dialog),
+    "shuffle": lambda dialog, factor, seed: expand_shuffle(dialog, factor, seed),
+}

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .augment import derive_seed, expand_basic, expand_per_turn, expand_shuffle, Dialog
+from .augment import AUGMENTATIONS, Dialog, derive_seed, expand_basic
 from .config import ModelConfig, load_config
 from .errors import NumericalError, ValidationError
 from .formats import (
@@ -35,8 +35,6 @@ from .training import evaluate, train
 
 __all__ = ["main"]
 
-MODALITIES = ("flow", "rgb", "audio")
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are validation failures: exit 1, not argparse's 2
@@ -47,21 +45,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _expand(dialogs, mode: str, factor: int, seed: int):
-    out = []
-    for dialog in dialogs:
-        if mode == "basic":
-            out.extend(expand_basic(dialog))
-        elif mode == "per-turn":
-            out.extend(expand_per_turn(dialog))
-        elif mode == "shuffle":
-            out.extend(expand_shuffle(dialog, factor, seed))
-        else:
-            raise ValidationError(f"unknown augmentation mode {mode!r}")
-    return out
+    expand = AUGMENTATIONS[mode]
+    return [example for dialog in dialogs for example in expand(dialog, factor, seed)]
 
 
 def _attach_features(examples, features_dir: str, arch: ModelConfig) -> None:
-    widths = {modality: getattr(arch, f"{modality}_width") for modality in MODALITIES}
+    widths = arch.feature_widths
     if not any(w > 0 for w in widths.values()):
         return
     if not features_dir:
@@ -177,7 +166,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("augment", help="expand a dialog dataset for training")
     p.add_argument("--data", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="expanded dataset to write")
-    p.add_argument("--mode", default="per-turn", choices=["basic", "per-turn", "shuffle"])
+    p.add_argument("--mode", default="per-turn", choices=list(AUGMENTATIONS))
     p.add_argument("--factor", type=int, default=2, help="shuffle copies per example")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_augment)

@@ -14,11 +14,14 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .augment import AUGMENTATIONS
 from .errors import ValidationError
 
 __all__ = [
     "CELLS",
     "POOLINGS",
+    "FEATURES",
+    "LOSS_MODES",
     "DataConfig",
     "ModelConfig",
     "TrainingConfig",
@@ -29,6 +32,8 @@ __all__ = [
 
 CELLS = ("gru", "lstm")
 POOLINGS = ("max", "average")
+FEATURES = ("flow", "rgb", "audio")  # each has a `<modality>_width` in ModelConfig
+LOSS_MODES = ("tf", "ss", "free")
 
 
 @dataclass
@@ -62,9 +67,14 @@ class ModelConfig:
             raise ValidationError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
         if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
-        for name in ("flow_width", "rgb_width", "audio_width"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for modality, width in self.feature_widths.items():
+            if width < 0:
+                raise ValidationError(f"{modality}_width must be >= 0")
+
+    @property
+    def feature_widths(self) -> dict:
+        """Width of each of the FEATURES, in order; 0 disables the modality."""
+        return {modality: getattr(self, f"{modality}_width") for modality in FEATURES}
 
 
 @dataclass
@@ -94,15 +104,17 @@ class TrainingConfig:
             raise ValidationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
-        if self.augmentation not in ("basic", "per-turn", "shuffle"):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.augmentation not in AUGMENTATIONS:
             raise ValidationError(
-                f"augmentation must be 'basic', 'per-turn' or 'shuffle', got {self.augmentation!r}"
+                f"augmentation must be one of {list(AUGMENTATIONS)}, got {self.augmentation!r}"
             )
         if self.factor < 1:
             raise ValidationError("factor must be >= 1")
-        if self.loss_mode not in ("tf", "ss", "free"):
+        if self.loss_mode not in LOSS_MODES:
             raise ValidationError(
-                f"loss_mode must be 'tf', 'ss' or 'free', got {self.loss_mode!r}"
+                f"loss_mode must be one of {list(LOSS_MODES)}, got {self.loss_mode!r}"
             )
         if not (0.0 <= self.ss_probability <= 1.0):
             raise ValidationError("ss_probability must lie in [0, 1]")
@@ -171,6 +183,6 @@ def load_config(path: str) -> Config:
 
     try:
         raw = yaml.safe_load(read_text(path))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ValidationError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(raw if raw is not None else {})

@@ -26,7 +26,6 @@ from .tensor import (
     _emit,
     add_row,
     concat_cols,
-    concat_rows,
     logistic,
     matmul,
     max_pool_rows,
@@ -49,8 +48,6 @@ __all__ = [
     "rnn_forward",
     "self_attend",
     "guided_attend",
-    "encode_history",
-    "encode_features",
 ]
 
 
@@ -143,15 +140,11 @@ class LstmCell:
 
 @dataclass
 class RecurrentLayer:
-    """A GRU or LSTM cell run in one or both directions over a sequence."""
+    """A GRU or LSTM cell run in both directions over a sequence."""
 
     kind: str  # "gru" | "lstm"
     forward_cell: object
-    backward_cell: Optional[object] = None
-
-    @property
-    def bidirectional(self) -> bool:
-        return self.backward_cell is not None
+    backward_cell: object
 
     @property
     def input_width(self) -> int:
@@ -159,24 +152,21 @@ class RecurrentLayer:
 
     @property
     def output_width(self) -> int:
-        h = self.forward_cell.hidden_width
-        return 2 * h if self.bidirectional else h
+        return 2 * self.forward_cell.hidden_width
 
     @classmethod
-    def create(cls, rng, kind: str, input_width: int, hidden_width: int,
-               bidirectional: bool = True):
+    def create(cls, rng, kind: str, input_width: int, hidden_width: int):
         if kind == "gru":
             make = lambda: GruCell.create(rng, input_width, hidden_width)
         elif kind == "lstm":
             make = lambda: LstmCell.create(rng, input_width, hidden_width)
         else:
             raise ValidationError(f"unknown cell kind {kind!r}; expected 'gru' or 'lstm'")
-        return cls(kind, make(), make() if bidirectional else None)
+        return cls(kind, make(), make())
 
     def parameters(self) -> dict:
         out = {f"fwd.{k}": v for k, v in self.forward_cell.parameters().items()}
-        if self.backward_cell is not None:
-            out.update({f"bwd.{k}": v for k, v in self.backward_cell.parameters().items()})
+        out.update({f"bwd.{k}": v for k, v in self.backward_cell.parameters().items()})
         return out
 
 
@@ -393,17 +383,15 @@ def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
 
 
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
-    """Run the layer over an n*in sequence; returns n*D with D per direction.
+    """Run the layer over an n*in sequence; returns n*2h.
 
     Row t concatenates the forward state after step t with the backward
     state produced at t (the backward pass consumes the reversed input).
     Initial states are zero. Each direction is one fused tape node.
     """
     run = gru_sequence if layer.kind == "gru" else lstm_sequence
-    fwd = run(layer.forward_cell, seq)
-    if not layer.bidirectional:
-        return fwd
-    return concat_cols(fwd, run(layer.backward_cell, seq, reverse=True))
+    return concat_cols(run(layer.forward_cell, seq),
+                       run(layer.backward_cell, seq, reverse=True))
 
 
 def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:
@@ -437,31 +425,3 @@ def guided_attend(params: AttentionParams, seq: Tensor, question: Tensor,
     scores = softmax_rows(matmul(matmul(seq, params.w_guide), transpose(question)))
     context = matmul(transpose(scores), seq)  # n_q x D
     return _pool_rows(relu(matmul(concat_cols(context, question), params.w_out)), pooling)
-
-
-def encode_history(layer: RecurrentLayer, params: AttentionParams,
-                   sentence_vectors: list[Tensor], question: Tensor,
-                   pooling: str = "max") -> Tensor:
-    """Encode the dialog history from per-sentence vectors.
-
-    Expects alternating question/answer sentence vectors (an even count).
-    An empty history encodes as the all-zero vector and touches no history
-    parameters, so they receive no gradient from such examples.
-    """
-    if len(sentence_vectors) % 2 != 0:
-        raise ValidationError(
-            f"history must hold whole question/answer pairs, got {len(sentence_vectors)} vectors"
-        )
-    if not sentence_vectors:
-        return Tensor(np.zeros((1, layer.output_width)), check=False)
-    stacked = concat_rows(*sentence_vectors)
-    return guided_attend(params, rnn_forward(layer, stacked), question, pooling)
-
-
-def encode_features(layer: RecurrentLayer, params: AttentionParams,
-                    frames: Tensor, question: Tensor,
-                    pooling: str = "max") -> Tensor:
-    """Encode an n*f frame-feature sequence to 1*D."""
-    if frames.ndim != 2 or frames.rows < 1:
-        raise ValidationError(f"feature sequence must be a non-empty matrix, got {frames.shape}")
-    return guided_attend(params, rnn_forward(layer, frames), question, pooling)

@@ -16,6 +16,7 @@ sidecar is enough to rebuild the model with no config file at hand.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -122,6 +123,8 @@ def load_dataset(path: str) -> list:
         raise FormatError(
             f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FormatError(f"cannot parse {path}: nested too deeply") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("dialogs"), list):
         raise FormatError(f"{path}: expected a top-level object with a 'dialogs' list")
     dialogs = []
@@ -251,7 +254,7 @@ def load_checkpoint(path: str):
         if rank not in (1, 2):
             raise FormatError(f"{path}: tensor {name!r} has unsupported rank {rank}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
-        size = int(np.prod(shape))
+        size = math.prod(shape)  # Python ints: huge extents cannot wrap around
         data = np.frombuffer(take(8 * size, f"payload of {name!r}"), dtype="<f8")
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")

@@ -13,14 +13,12 @@ from typing import Optional
 import numpy as np
 
 from .augment import DialogExample
-from .config import ModelConfig
+from .config import FEATURES, LOSS_MODES, ModelConfig
 from .encoders import (
     AttentionParams,
     GruCell,
     RecurrentLayer,
     SelfAttentionParams,
-    encode_features,
-    encode_history,
     gru_sequence,
     gru_step,
     guided_attend,
@@ -32,6 +30,7 @@ from .tensor import (
     Tensor,
     add_row,
     concat_cols,
+    concat_rows,
     cross_entropy,
     matmul,
     ones,
@@ -221,24 +220,20 @@ def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
 
 @dataclass
 class Model:
-    """All encoders, the embedding table, and the decoder, wired together."""
+    """All encoders, the embedding table, and the decoder, wired together.
+
+    `streams` holds the question-guided encoders, a bidirectional recurrent
+    layer and its attention per stream: "summary" (which also encodes each
+    history sentence), "history", then each enabled modality of FEATURES.
+    """
 
     vocab: Vocabulary
     embedding: EmbeddingTable
     question_rnn: RecurrentLayer
     question_attn: SelfAttentionParams
-    summary_rnn: RecurrentLayer
-    summary_attn: AttentionParams
-    history_rnn: RecurrentLayer
-    history_attn: AttentionParams
+    streams: dict  # name -> (RecurrentLayer, AttentionParams)
     decoder: Decoder
     cfg: ModelConfig
-    flow_rnn: Optional[RecurrentLayer] = None
-    flow_attn: Optional[AttentionParams] = None
-    rgb_rnn: Optional[RecurrentLayer] = None
-    rgb_attn: Optional[AttentionParams] = None
-    audio_rnn: Optional[RecurrentLayer] = None
-    audio_attn: Optional[AttentionParams] = None
 
     @property
     def width(self) -> int:
@@ -262,112 +257,81 @@ class Model:
         d = 2 * cfg.hidden_width
         cfg = replace(cfg, decoder_hidden=cfg.decoder_hidden or d)
         make_rnn = lambda width: RecurrentLayer.create(rng, cfg.cell, width, cfg.hidden_width)
+        stream = lambda width: (make_rnn(width), AttentionParams.create(rng, d))
         model = cls(
             vocab=vocab,
             embedding=EmbeddingTable.create(len(vocab), cfg.embed_width, rng),
             question_rnn=make_rnn(cfg.embed_width),
             question_attn=SelfAttentionParams.create(rng, d),
-            summary_rnn=make_rnn(cfg.embed_width),
-            summary_attn=AttentionParams.create(rng, d),
-            history_rnn=make_rnn(d),
-            history_attn=AttentionParams.create(rng, d),
+            streams={"summary": stream(cfg.embed_width), "history": stream(d)},
             decoder=Decoder.create(rng, 5 * d, cfg.embed_width, cfg.decoder_hidden,
                                    len(vocab)),
             cfg=cfg,
         )
-        if cfg.flow_width > 0:
-            model.flow_rnn = make_rnn(cfg.flow_width)
-            model.flow_attn = AttentionParams.create(rng, d)
-        if cfg.rgb_width > 0:
-            model.rgb_rnn = make_rnn(cfg.rgb_width)
-            model.rgb_attn = AttentionParams.create(rng, d)
-        if cfg.audio_width > 0:
-            model.audio_rnn = make_rnn(cfg.audio_width)
-            model.audio_attn = AttentionParams.create(rng, d)
+        # drawn after the decoder: the other parameters' initial values do
+        # not depend on which modalities are enabled
+        for modality, width in cfg.feature_widths.items():
+            if width > 0:
+                model.streams[modality] = stream(width)
         return model
 
     def parameters(self) -> dict:
         """Flat name -> Tensor map over every trainable parameter."""
+        groups = [("question_rnn", self.question_rnn), ("question_attn", self.question_attn)]
+        for name, (rnn, attn) in self.streams.items():
+            groups += [(f"{name}_rnn", rnn), (f"{name}_attn", attn)]
+        groups.append(("decoder", self.decoder))
         out = {"embedding.matrix": self.embedding.matrix}
-        groups = [
-            ("question_rnn", self.question_rnn),
-            ("question_attn", self.question_attn),
-            ("summary_rnn", self.summary_rnn),
-            ("summary_attn", self.summary_attn),
-            ("history_rnn", self.history_rnn),
-            ("history_attn", self.history_attn),
-            ("flow_rnn", self.flow_rnn),
-            ("flow_attn", self.flow_attn),
-            ("rgb_rnn", self.rgb_rnn),
-            ("rgb_attn", self.rgb_attn),
-            ("audio_rnn", self.audio_rnn),
-            ("audio_attn", self.audio_attn),
-            ("decoder", self.decoder),
-        ]
         for prefix, group in groups:
-            if group is None:
-                continue
             for name, tensor in group.parameters().items():
                 out[f"{prefix}.{name}"] = tensor
         return out
 
-    def _sentence_vector(self, tokens, q_tilde: Tensor) -> Tensor:
-        """1*D vector for one history sentence, via the summary encoder."""
-        embeds = embed_sentence(self.vocab, self.embedding, tokens)
-        return guided_attend(self.summary_attn, rnn_forward(self.summary_rnn, embeds),
-                             q_tilde, self.cfg.pooling)
-
-    def _feature_vector(self, rnn, attn, frames, q_tilde: Tensor) -> Tensor:
-        if rnn is None or frames is None:
-            return Tensor(np.zeros((1, self.width)), check=False)
-        return encode_features(rnn, attn, Tensor(np.asarray(frames, dtype=np.float64)),
-                               q_tilde, self.cfg.pooling)
+    def _attend(self, stream: str, seq: Tensor, q_tilde: Tensor) -> Tensor:
+        """1*D vector of `seq` through one stream's recurrence and attention."""
+        rnn, attn = self.streams[stream]
+        return guided_attend(attn, rnn_forward(rnn, seq), q_tilde, self.cfg.pooling)
 
     def encode(self, example: DialogExample):
-        """Encode one example; returns (context 1*5D, question vector 1*D)."""
-        q_embeds = embed_sentence(self.vocab, self.embedding, example.question)
-        q_tilde = rnn_forward(self.question_rnn, q_embeds)
+        """Encode one example; returns (context 1*5D, question vector 1*D).
+
+        An empty history and a disabled or absent modality encode as the
+        zero vector and touch no parameters of their stream, so those
+        receive no gradient from such an example.
+        """
+        embed = lambda tokens: embed_sentence(self.vocab, self.embedding, tokens)
+        zero = lambda: Tensor(np.zeros((1, self.width)), check=False)
+        q_tilde = rnn_forward(self.question_rnn, embed(example.question))
         q_vec = self_attend(self.question_attn, q_tilde)
-
-        s_embeds = embed_sentence(self.vocab, self.embedding, example.summary)
-        summary = guided_attend(self.summary_attn,
-                                rnn_forward(self.summary_rnn, s_embeds),
-                                q_tilde, self.cfg.pooling)
-
-        sentences = []
-        for hq, ha in example.history:
-            sentences.append(self._sentence_vector(hq, q_tilde))
-            sentences.append(self._sentence_vector(ha, q_tilde))
-        history = encode_history(self.history_rnn, self.history_attn, sentences,
-                                 q_tilde, self.cfg.pooling)
-
-        flow = self._feature_vector(self.flow_rnn, self.flow_attn, example.flow, q_tilde)
-        rgb = self._feature_vector(self.rgb_rnn, self.rgb_attn, example.rgb, q_tilde)
-        audio = self._feature_vector(self.audio_rnn, self.audio_attn, example.audio,
-                                     q_tilde)
-        return fuse(flow, rgb, audio, summary, history), q_vec
+        summary = self._attend("summary", embed(example.summary), q_tilde)
+        sentences = [self._attend("summary", embed(tokens), q_tilde)
+                     for pair in example.history for tokens in pair]
+        history = (self._attend("history", concat_rows(*sentences), q_tilde)
+                   if sentences else zero())
+        features = []
+        for modality in FEATURES:
+            frames = getattr(example, modality)
+            features.append(zero() if modality not in self.streams or frames is None else
+                            self._attend(modality, Tensor(frames), q_tilde))
+        return fuse(*features, summary, history), q_vec
 
     def answer_ids(self, example: DialogExample) -> list[int]:
         return [resolve_token(self.vocab, t) for t in example.answer]
 
     def loss(self, example: DialogExample, mode: str = "tf",
              p_model: float = 0.2, rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Scalar training loss for one example under the given loss mode."""
+        """Scalar training loss for one example under one of the LOSS_MODES:
+        teacher forcing, scheduled sampling with `p_model`, or free running."""
+        if mode not in LOSS_MODES:
+            raise ValidationError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
+        if mode != "tf" and rng is None:
+            raise ValidationError(f"loss mode {mode!r} requires a random generator")
         context, q_vec = self.encode(example)
         gold = self.answer_ids(example)
         if mode == "tf":
             return teacher_forced_loss(self.decoder, self.embedding, context, q_vec, gold)
-        if mode == "ss":
-            if rng is None:
-                raise ValidationError("scheduled sampling requires a random generator")
-            return scheduled_sample_loss(self.decoder, self.embedding, context, q_vec,
-                                         gold, p_model, rng)
-        if mode == "free":
-            if rng is None:
-                raise ValidationError("free-running loss requires a random generator")
-            return scheduled_sample_loss(self.decoder, self.embedding, context, q_vec,
-                                         gold, 1.0, rng)
-        raise ValidationError(f"unknown loss mode {mode!r}; expected 'tf', 'ss' or 'free'")
+        return scheduled_sample_loss(self.decoder, self.embedding, context, q_vec, gold,
+                                     p_model if mode == "ss" else 1.0, rng)
 
     def generate(self, example: DialogExample, max_len: int = 20) -> list[str]:
         """Greedy answer tokens (as strings) for one example."""

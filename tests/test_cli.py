@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline: augment, train, eval, generate."""
 
+import struct
+
 import numpy as np
 import pytest
 import yaml
@@ -175,6 +177,30 @@ class TestFailureModes:
         assert cli.main(["train", "--config", str(config),
                          "--out", str(tmp_path / "m.ckpt")]) == 1
 
+    def test_deeply_nested_dataset_is_io_failure(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert cli.main(["augment", "--data", str(deep),
+                         "--out", str(tmp_path / "out.json")]) == 3
+        assert f"cannot parse {deep}: nested too deeply" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_validation_failure(self, tmp_path, capsys):
+        config = tmp_path / "deep.yaml"
+        config.write_text("a: " + "[" * 20_000)
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 1
+        assert f"cannot parse config {config}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_negative_seed_is_validation_failure(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        config = write_config(tmp_path / "run.yaml", data, training={"seed": -1})
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_features_dir_is_validation_failure(self, tmp_path):
         data = tmp_path / "data.json"
         write_dataset(data)
@@ -214,6 +240,17 @@ class TestFailureModes:
         save_checkpoint(ckpt, checkpoint_from_model(model), Config().hash())
         vocab.save(ckpt + ".vocab")
         return ckpt, data
+
+    def test_oversized_tensor_extents_are_io_failure(self, tmp_path, capsys):
+        # 4294967295 x 4294967295 float64 values: a byte count that int64
+        # arithmetic wraps round, and far more than the file holds
+        ckpt, data = self.write_checkpoint(tmp_path)
+        header = b"MMCK" + bytes([1]) + bytes(32) + struct.pack("<I", 1)
+        tensor = struct.pack("<H", 1) + b"x" + bytes([2]) + struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+        (tmp_path / "m.ckpt").write_bytes(header + tensor)
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")]) == 3
+        assert f"{ckpt}: truncated while reading payload of 'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, fault", [
         # line 11 copied to line 3: the size still matches the embedding, but

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import oracle_recurrence as oracle
+from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overfit_dialogs
 from mmqa.encoders import (
     AttentionParams,
     GruCell,
     LstmCell,
     RecurrentLayer,
     SelfAttentionParams,
-    encode_features,
-    encode_history,
     gru_sequence,
     gru_step,
     guided_attend,
@@ -20,7 +19,9 @@ from mmqa.encoders import (
     self_attend,
 )
 from mmqa.errors import ShapeError, ValidationError
+from mmqa.model import Model
 from mmqa.tensor import Tape, Tensor, grad_check, mul, sum_all
+from mmqa.text import embed_sentence
 
 
 def T(data):
@@ -162,22 +163,23 @@ class TestFusedSequences:
 
 
 class TestRnnForward:
-    def test_single_step_unidirectional_matches_cell(self):
+    def test_single_step_forward_half_matches_cell(self):
         rng = np.random.default_rng(2)
-        layer = RecurrentLayer.create(rng, "gru", 3, 4, bidirectional=False)
+        layer = RecurrentLayer.create(rng, "gru", 3, 4)
         x = T(rng.normal(size=(1, 3)))
         out = rnn_forward(layer, x)
-        direct = gru_step(layer.forward_cell, x, Tensor(np.zeros((1, 4)), check=False))
-        np.testing.assert_array_equal(out.data, direct.data)
+        zero = Tensor(np.zeros((1, 4)), check=False)
+        np.testing.assert_array_equal(out.data[:, :4],
+                                      gru_step(layer.forward_cell, x, zero).data)
+        np.testing.assert_array_equal(out.data[:, 4:],
+                                      gru_step(layer.backward_cell, x, zero).data)
 
     def test_output_shapes(self):
         rng = np.random.default_rng(4)
-        bi = RecurrentLayer.create(rng, "gru", 3, 4)
-        uni = RecurrentLayer.create(rng, "gru", 3, 4, bidirectional=False)
+        layer = RecurrentLayer.create(rng, "gru", 3, 4)
         seq = T(rng.normal(size=(5, 3)))
-        assert rnn_forward(bi, seq).shape == (5, 8)
-        assert rnn_forward(uni, seq).shape == (5, 4)
-        assert bi.output_width == 8 and uni.output_width == 4
+        assert rnn_forward(layer, seq).shape == (5, 8)
+        assert layer.output_width == 8
 
     def test_shared_cells_make_reversal_swap_halves(self):
         # with identical forward/backward weights, reversing the input
@@ -216,9 +218,6 @@ class TestRnnForward:
         layer = RecurrentLayer.create(np.random.default_rng(0), "gru", 3, 2)
         names = set(layer.parameters())
         assert "fwd.wz" in names and "bwd.uh" in names and len(names) == 18
-        uni = RecurrentLayer.create(np.random.default_rng(0), "gru", 3, 2,
-                                    bidirectional=False)
-        assert all(n.startswith("fwd.") for n in uni.parameters())
 
 
 class TestSelfAttend:
@@ -311,55 +310,74 @@ class TestGuidedAttend:
 
 
 class TestHistoryAndFeatures:
-    def test_empty_history_is_zero_vector(self):
-        rng = np.random.default_rng(20)
-        layer = RecurrentLayer.create(rng, "gru", 4, 2)
-        params = AttentionParams.create(rng, 4)
-        out = encode_history(layer, params, [], T(np.ones((1, 4))))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+    """The history and feature streams, read from the fused context of
+    `Model.encode`: slots flow | rgb | audio | summary | history, 1*D each."""
 
-    def test_odd_sentence_count_rejected(self):
-        rng = np.random.default_rng(21)
-        layer = RecurrentLayer.create(rng, "gru", 4, 2)
-        params = AttentionParams.create(rng, 4)
+    @staticmethod
+    def model(seed=20, **widths):
+        return Model.create(np.random.default_rng(seed), corpus_vocab(overfit_dialogs()),
+                            embed_width=8, hidden_width=4, **widths)
+
+    @staticmethod
+    def slot(model, context, k):
+        d = model.width
+        return context.data[:, k * d:(k + 1) * d]
+
+    def test_empty_history_is_zero_vector(self, toy_examples):
+        model = self.model()
+        example = toy_examples[0]
+        example.history = []
+        context, _ = model.encode(example)
+        np.testing.assert_array_equal(self.slot(model, context, 4), np.zeros((1, 8)))
+
+    def test_matches_manual_composition(self, toy_examples):
+        model = self.model(22)
+        example = toy_examples[1]
+        assert len(example.history) == 1
+        embed = lambda tokens: embed_sentence(model.vocab, model.embedding, tokens)
+        q = rnn_forward(model.question_rnn, embed(example.question))
+        summary_rnn, summary_attn = model.streams["summary"]
+        history_rnn, history_attn = model.streams["history"]
+        vecs = [guided_attend(summary_attn, rnn_forward(summary_rnn, embed(s)), q)
+                for s in (example.summary, *example.history[0])]
+        stacked = Tensor(np.concatenate([v.data for v in vecs[1:]], axis=0))
+        history = guided_attend(history_attn, rnn_forward(history_rnn, stacked), q)
+        context, _ = model.encode(example)
+        np.testing.assert_array_equal(self.slot(model, context, 3), vecs[0].data)
+        np.testing.assert_array_equal(self.slot(model, context, 4), history.data)
+
+    def test_history_order_matters(self, toy_examples):
+        model = self.model(23)
+        example = toy_examples[0]
+        other = toy_examples[1].history[0]
+        example.history = [example.history[0], other]
+        ordered, _ = model.encode(example)
+        example.history = [other, example.history[0]]
+        shuffled, _ = model.encode(example)
+        assert not np.array_equal(self.slot(model, ordered, 4),
+                                  self.slot(model, shuffled, 4))
+        np.testing.assert_array_equal(ordered.data[:, :32], shuffled.data[:, :32])
+
+    def test_feature_encoders_reduce_each_modality(self, toy_examples):
+        model = self.model(24, **{f"{m}_width": w for m, w in FEATURE_WIDTHS.items()})
+        example = toy_examples[0]
+        for frames in (6, 3, 9):
+            attach_random_features([example], seed=frames, frames=frames)
+            context, _ = model.encode(example)
+            assert context.shape == (1, 5 * model.width)
+            for k in range(3):
+                assert np.any(self.slot(model, context, k) != 0.0)
+        example.rgb = None  # an absent modality takes the zero slot
+        context, _ = model.encode(example)
+        np.testing.assert_array_equal(self.slot(model, context, 1), np.zeros((1, 8)))
+        assert np.any(self.slot(model, context, 2) != 0.0)
+
+    def test_feature_validation(self, toy_examples):
+        model = self.model(25, flow_width=5)
+        example = toy_examples[0]
+        example.flow = np.array([1.0, 2.0])
         with pytest.raises(ValidationError):
-            encode_history(layer, params, [T(np.ones((1, 4)))], T(np.ones((1, 4))))
-
-    def test_matches_manual_composition(self):
-        rng = np.random.default_rng(22)
-        layer = RecurrentLayer.create(rng, "gru", 4, 2)
-        params = AttentionParams.create(rng, 4)
-        vecs = [T(rng.normal(size=(1, 4))) for _ in range(4)]
-        q = T(rng.normal(size=(1, 4)))
-        out = encode_history(layer, params, vecs, q)
-        stacked = Tensor(np.concatenate([v.data for v in vecs], axis=0))
-        manual = guided_attend(params, rnn_forward(layer, stacked), q)
-        np.testing.assert_array_equal(out.data, manual.data)
-
-    def test_history_order_matters(self):
-        rng = np.random.default_rng(23)
-        layer = RecurrentLayer.create(rng, "gru", 4, 2)
-        params = AttentionParams.create(rng, 4)
-        vecs = [T(rng.normal(size=(1, 4))) for _ in range(4)]
-        q = T(rng.normal(size=(1, 4)))
-        ordered = encode_history(layer, params, vecs, q)
-        shuffled = encode_history(layer, params, [vecs[2], vecs[3], vecs[0], vecs[1]], q)
-        assert not np.array_equal(ordered.data, shuffled.data)
-
-    def test_feature_encoders_reduce_each_modality(self):
-        rng = np.random.default_rng(24)
-        q = T(rng.normal(size=(1, 4)))
-        for frames, width in ((6, 5), (3, 7), (9, 2)):
-            layer = RecurrentLayer.create(rng, "gru", width, 2)
-            params = AttentionParams.create(rng, 4)
-            out = encode_features(layer, params, T(rng.normal(size=(frames, width))), q)
-            assert out.shape == (1, 4)
-
-    def test_feature_validation(self):
-        rng = np.random.default_rng(25)
-        layer = RecurrentLayer.create(rng, "gru", 5, 2)
-        params = AttentionParams.create(rng, 4)
-        with pytest.raises(ValidationError):
-            encode_features(layer, params, T([1.0, 2.0]), T(np.ones((1, 4))))
+            model.encode(example)
+        example.flow = np.ones((2, 4))
         with pytest.raises(ShapeError):
-            encode_features(layer, params, T(np.ones((2, 4))), T(np.ones((1, 4))))
+            model.encode(example)

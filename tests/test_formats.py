@@ -305,8 +305,8 @@ class TestModelCheckpoint:
         rebuilt, _, _ = model_from_checkpoint(path)
         assert rebuilt.question_rnn.kind == "lstm"
         assert rebuilt.cfg.pooling == "average"
-        assert rebuilt.flow_rnn.input_width == 5
-        assert rebuilt.rgb_rnn is None
+        assert list(rebuilt.streams) == ["summary", "history", "flow"]
+        assert rebuilt.streams["flow"][0].input_width == 5
 
     def test_every_architecture_field_round_trips(self, tmp_path):
         cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10, cell="lstm",

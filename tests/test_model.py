@@ -1,5 +1,7 @@
 """Fusion, decoder initialization, greedy generation, and the loss modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,30 @@ class TestModelAssembly:
         names = set(model.parameters())
         assert len(names) == 143
         assert "flow_rnn.fwd.wh" in names and "audio_attn.w_out" in names
+
+    def test_toy_parameters_keep_their_order_and_initial_values(self):
+        # Checkpoints, gradient-check names and Adam's iteration order follow
+        # this order, and every initial value follows the order of the random
+        # draws in `Model.create`; the digest was recorded before the
+        # encoders became one table, and must never move.
+        gru = ["wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh"]
+        rnn = lambda prefix: [f"{prefix}.{d}.{k}" for d in ("fwd", "bwd") for k in gru]
+        expected = ["embedding.matrix", *rnn("question_rnn")]
+        expected += [f"question_attn.{k}" for k in ("conv1_w", "conv1_b", "conv2_w", "conv2_b")]
+        for stream in ("summary", "history", "flow", "rgb", "audio"):
+            expected += [*rnn(f"{stream}_rnn"), f"{stream}_attn.w_guide", f"{stream}_attn.w_out"]
+        expected += [f"decoder.l{n}.{k}" for n in (1, 2) for k in gru]
+        expected += ["decoder.proj.w", "decoder.proj.b"]
+        model, _ = gradcheck._toy_setup()
+        params = model.parameters()
+        assert list(params) == expected and len(expected) == 143
+        digest = hashlib.sha256()
+        for name, tensor in params.items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "89b0f936c258e62d994f0c7ee092114172ffa64afe776cfdf5963cb95afd6655"
+        )
 
     def test_same_seed_same_parameters(self):
         vocab = corpus_vocab(overfit_dialogs())

@@ -59,17 +59,16 @@ class ModelConfig:
     audio_width: int = 0
 
     def validate(self):
-        if self.embed_width < 1 or self.hidden_width < 1:
-            raise ValidationError("embed_width and hidden_width must be positive")
-        if self.decoder_hidden < 0:
-            raise ValidationError("decoder_hidden must be >= 0 (0 = automatic)")
+        # a width past 2**63 - 1, numpy's largest array extent, cannot even be
+        # handed to numpy
+        for key, low in (("embed_width", 1), ("hidden_width", 1), ("decoder_hidden", 0),
+                         *((f"{modality}_width", 0) for modality in FEATURES)):
+            if not low <= getattr(self, key) < 2 ** 63:
+                raise ValidationError(f"{key} must lie in [{low}, 2**63)")
         if self.cell not in CELLS:
             raise ValidationError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
         if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
-        for modality, width in self.feature_widths.items():
-            if width < 0:
-                raise ValidationError(f"{modality}_width must be >= 0")
 
     @property
     def feature_widths(self) -> dict:
@@ -146,11 +145,14 @@ def _fill(cls, section: dict, where: str):
     defaults = cls()
     unknown = set(section) - set(vars(defaults))
     if unknown:
-        raise ValidationError(f"unknown {where} config keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown {where} config keys: {sorted(unknown, key=str)}")
     for key, value in section.items():
         expected = type(getattr(defaults, key))
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValidationError(f"{where}.{key} is beyond the float range") from None
         if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
             raise ValidationError(
                 f"{where}.{key} must be {expected.__name__}, got {type(value).__name__}"
@@ -166,7 +168,7 @@ def config_from_dict(raw: dict) -> Config:
         raise ValidationError("config root must be a mapping")
     unknown = set(raw) - {"data", "model", "training"}
     if unknown:
-        raise ValidationError(f"unknown config sections: {sorted(unknown)}")
+        raise ValidationError(f"unknown config sections: {sorted(unknown, key=str)}")
     for name in raw:
         if not isinstance(raw[name], dict):
             raise ValidationError(f"config section {name!r} must be a mapping")
@@ -183,6 +185,8 @@ def load_config(path: str) -> Config:
 
     try:
         raw = yaml.safe_load(read_text(path))
-    except (yaml.YAMLError, RecursionError) as exc:
+    # ValueError: a scalar no Python value can hold, such as an impossible
+    # date or an integer of more than 4,300 digits
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ValidationError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(raw if raw is not None else {})

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .tensor import (
+    Module,
     Tensor,
     _emit,
     add_row,
@@ -58,26 +59,26 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 
 
 @dataclass
-class GruCell:
+class GruCell(Module):
     """Update/reset/candidate gate weights for one GRU direction."""
 
-    w_z: Tensor
-    w_r: Tensor
-    w_h: Tensor
-    u_z: Tensor
-    u_r: Tensor
-    u_h: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
+    wz: Tensor
+    wr: Tensor
+    wh: Tensor
+    uz: Tensor
+    ur: Tensor
+    uh: Tensor
+    bz: Tensor
+    br: Tensor
+    bh: Tensor
 
     @property
     def input_width(self) -> int:
-        return self.w_z.rows
+        return self.wz.rows
 
     @property
     def hidden_width(self) -> int:
-        return self.w_z.cols
+        return self.wz.cols
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):
@@ -86,38 +87,31 @@ class GruCell:
         b = lambda: Tensor(np.zeros((1, hidden_width)), check=False)
         return cls(w(), w(), w(), u(), u(), u(), b(), b(), b())
 
-    def parameters(self) -> dict:
-        return {
-            "wz": self.w_z, "wr": self.w_r, "wh": self.w_h,
-            "uz": self.u_z, "ur": self.u_r, "uh": self.u_h,
-            "bz": self.b_z, "br": self.b_r, "bh": self.b_h,
-        }
-
 
 @dataclass
-class LstmCell:
+class LstmCell(Module):
     """Four-gate LSTM weights; forget bias starts at 1.0."""
 
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_c: Tensor
-    u_i: Tensor
-    u_f: Tensor
-    u_o: Tensor
-    u_c: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_c: Tensor
+    wi: Tensor
+    wf: Tensor
+    wo: Tensor
+    wc: Tensor
+    ui: Tensor
+    uf: Tensor
+    uo: Tensor
+    uc: Tensor
+    bi: Tensor
+    bf: Tensor
+    bo: Tensor
+    bc: Tensor
 
     @property
     def input_width(self) -> int:
-        return self.w_i.rows
+        return self.wi.rows
 
     @property
     def hidden_width(self) -> int:
-        return self.w_i.cols
+        return self.wi.cols
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):
@@ -130,48 +124,30 @@ class LstmCell:
             b(0.0), b(1.0), b(0.0), b(0.0),
         )
 
-    def parameters(self) -> dict:
-        return {
-            "wi": self.w_i, "wf": self.w_f, "wo": self.w_o, "wc": self.w_c,
-            "ui": self.u_i, "uf": self.u_f, "uo": self.u_o, "uc": self.u_c,
-            "bi": self.b_i, "bf": self.b_f, "bo": self.b_o, "bc": self.b_c,
-        }
-
 
 @dataclass
-class RecurrentLayer:
+class RecurrentLayer(Module):
     """A GRU or LSTM cell run in both directions over a sequence."""
 
     kind: str  # "gru" | "lstm"
-    forward_cell: object
-    backward_cell: object
-
-    @property
-    def input_width(self) -> int:
-        return self.forward_cell.input_width
+    fwd: Module
+    bwd: Module
 
     @property
     def output_width(self) -> int:
-        return 2 * self.forward_cell.hidden_width
+        return 2 * self.fwd.hidden_width
 
     @classmethod
     def create(cls, rng, kind: str, input_width: int, hidden_width: int):
-        if kind == "gru":
-            make = lambda: GruCell.create(rng, input_width, hidden_width)
-        elif kind == "lstm":
-            make = lambda: LstmCell.create(rng, input_width, hidden_width)
-        else:
+        cell = {"gru": GruCell, "lstm": LstmCell}.get(kind)
+        if cell is None:
             raise ValidationError(f"unknown cell kind {kind!r}; expected 'gru' or 'lstm'")
-        return cls(kind, make(), make())
-
-    def parameters(self) -> dict:
-        out = {f"fwd.{k}": v for k, v in self.forward_cell.parameters().items()}
-        out.update({f"bwd.{k}": v for k, v in self.backward_cell.parameters().items()})
-        return out
+        return cls(kind, cell.create(rng, input_width, hidden_width),
+                   cell.create(rng, input_width, hidden_width))
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Module):
     """Weights of question-guided attention: bilinear guide plus output map."""
 
     w_guide: Tensor  # D x D
@@ -184,12 +160,9 @@ class AttentionParams:
             _uniform(rng, 2 * width, (2 * width, width)),
         )
 
-    def parameters(self) -> dict:
-        return {"w_guide": self.w_guide, "w_out": self.w_out}
-
 
 @dataclass
-class SelfAttentionParams:
+class SelfAttentionParams(Module):
     """Two position-wise affine maps (1x1 convolutions over the feature axis)."""
 
     conv1_w: Tensor
@@ -204,12 +177,6 @@ class SelfAttentionParams:
             _uniform(rng, width, (width, width)), zero_row(),
             _uniform(rng, width, (width, width)), zero_row(),
         )
-
-    def parameters(self) -> dict:
-        return {
-            "conv1_w": self.conv1_w, "conv1_b": self.conv1_b,
-            "conv2_w": self.conv2_w, "conv2_b": self.conv2_b,
-        }
 
 
 def _check_sequence(cell, seq: Tensor, *states: Optional[Tensor]) -> None:
@@ -262,10 +229,10 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
     _check_sequence(cell, seq, h0)
     n, h = seq.rows, cell.hidden_width
     x = seq.data[::-1] if reverse else seq.data
-    ws = (cell.w_z.data, cell.w_r.data, cell.w_h.data)
-    b = np.concatenate([cell.b_z.data, cell.b_r.data, cell.b_h.data], axis=1)[0]
-    u_zr = np.concatenate([cell.u_z.data, cell.u_r.data], axis=1)
-    u_h = cell.u_h.data
+    ws = (cell.wz.data, cell.wr.data, cell.wh.data)
+    b = np.concatenate([cell.bz.data, cell.br.data, cell.bh.data], axis=1)[0]
+    u_zr = np.concatenate([cell.uz.data, cell.ur.data], axis=1)
+    u_h = cell.uh.data
     xw = _input_terms(x, ws) + b  # n x 3h: update, reset and candidate input terms
     xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
     gates = np.empty((n, 2 * h))  # z | r
@@ -308,8 +275,8 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
         )
         return grads if h0 is None else grads + (dh[None, :],)
 
-    parents = (seq, cell.w_z, cell.w_r, cell.w_h, cell.u_z, cell.u_r, cell.u_h,
-               cell.b_z, cell.b_r, cell.b_h)
+    parents = (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
+               cell.bz, cell.br, cell.bh)
     return _emit(out[::-1].copy() if reverse else out,
                  parents if h0 is None else parents + (h0,), back)
 
@@ -325,10 +292,9 @@ def lstm_sequence(cell: LstmCell, seq: Tensor, reverse: bool = False) -> Tensor:
     _check_sequence(cell, seq)
     n, h = seq.rows, cell.hidden_width
     x = seq.data[::-1] if reverse else seq.data
-    ws = (cell.w_i.data, cell.w_f.data, cell.w_o.data, cell.w_c.data)
-    u = np.concatenate([cell.u_i.data, cell.u_f.data, cell.u_o.data, cell.u_c.data], axis=1)
-    b = np.concatenate([cell.b_i.data, cell.b_f.data, cell.b_o.data, cell.b_c.data],
-                       axis=1)[0]
+    ws = (cell.wi.data, cell.wf.data, cell.wo.data, cell.wc.data)
+    u = np.concatenate([cell.ui.data, cell.uf.data, cell.uo.data, cell.uc.data], axis=1)
+    b = np.concatenate([cell.bi.data, cell.bf.data, cell.bo.data, cell.bc.data], axis=1)[0]
     xw = _input_terms(x, ws) + b  # n x 4h: input, forget, output and candidate terms
     prev_h = np.empty((n, h))
     prev_c = np.empty((n, h))
@@ -371,9 +337,9 @@ def lstm_sequence(cell: LstmCell, seq: Tensor, reverse: bool = False) -> Tensor:
         blocks = lambda m: tuple(m[:, k * h:(k + 1) * h] for k in range(4))
         return (dx[::-1] if reverse else dx, *dws) + blocks(du) + blocks(db)
 
-    parents = (seq, cell.w_i, cell.w_f, cell.w_o, cell.w_c,
-               cell.u_i, cell.u_f, cell.u_o, cell.u_c,
-               cell.b_i, cell.b_f, cell.b_o, cell.b_c)
+    parents = (seq, cell.wi, cell.wf, cell.wo, cell.wc,
+               cell.ui, cell.uf, cell.uo, cell.uc,
+               cell.bi, cell.bf, cell.bo, cell.bc)
     return _emit(out[::-1].copy() if reverse else out, parents, back)
 
 
@@ -390,8 +356,7 @@ def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
     Initial states are zero. Each direction is one fused tape node.
     """
     run = gru_sequence if layer.kind == "gru" else lstm_sequence
-    return concat_cols(run(layer.forward_cell, seq),
-                       run(layer.backward_cell, seq, reverse=True))
+    return concat_cols(run(layer.fwd, seq), run(layer.bwd, seq, reverse=True))
 
 
 def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:

@@ -27,6 +27,7 @@ from .encoders import (
 )
 from .errors import ShapeError, ValidationError
 from .tensor import (
+    Module,
     Tensor,
     add_row,
     concat_cols,
@@ -70,39 +71,37 @@ def fuse(flow: Tensor, rgb: Tensor, audio: Tensor, summary: Tensor,
 
 
 @dataclass
-class Decoder:
+class Affine(Module):
+    """A linear map plus a bias row."""
+
+    w: Tensor
+    b: Tensor
+
+
+@dataclass
+class Decoder(Module):
     """Two stacked unidirectional GRU layers plus a vocabulary projection."""
 
-    layer1: GruCell  # input width 5D + d_w
-    layer2: GruCell  # input width h_dec
-    proj_w: Tensor   # h_dec x |V|
-    proj_b: Tensor   # 1 x |V|
+    l1: GruCell     # input width 5D + d_w
+    l2: GruCell     # input width h_dec
+    proj: Affine    # h_dec x |V| weight, 1 x |V| bias
 
     @property
     def hidden_width(self) -> int:
-        return self.layer1.hidden_width
-
-    @property
-    def vocab_size(self) -> int:
-        return self.proj_w.cols
+        return self.l1.hidden_width
 
     @classmethod
     def create(cls, rng, context_width: int, embed_width: int, hidden_width: int,
                vocab_size: int):
         k = 1.0 / np.sqrt(hidden_width)
         return cls(
-            layer1=GruCell.create(rng, context_width + embed_width, hidden_width),
-            layer2=GruCell.create(rng, hidden_width, hidden_width),
-            proj_w=Tensor(rng.uniform(-k, k, size=(hidden_width, vocab_size)), check=False),
-            proj_b=Tensor(np.zeros((1, vocab_size)), check=False),
+            l1=GruCell.create(rng, context_width + embed_width, hidden_width),
+            l2=GruCell.create(rng, hidden_width, hidden_width),
+            proj=Affine(
+                w=Tensor(rng.uniform(-k, k, size=(hidden_width, vocab_size)), check=False),
+                b=Tensor(np.zeros((1, vocab_size)), check=False),
+            ),
         )
-
-    def parameters(self) -> dict:
-        out = {f"l1.{k}": v for k, v in self.layer1.parameters().items()}
-        out.update({f"l2.{k}": v for k, v in self.layer2.parameters().items()})
-        out["proj.w"] = self.proj_w
-        out["proj.b"] = self.proj_b
-        return out
 
 
 @dataclass
@@ -129,9 +128,9 @@ def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
                 w_prev: Tensor):
     """One decoding step; the context rides along in every step's input."""
     x = concat_cols(context, w_prev)
-    h1 = gru_step(decoder.layer1, x, state.h1)
-    h2 = gru_step(decoder.layer2, h1, state.h2)
-    logits = add_row(matmul(h2, decoder.proj_w), decoder.proj_b)
+    h1 = gru_step(decoder.l1, x, state.h1)
+    h2 = gru_step(decoder.l2, h1, state.h2)
+    logits = add_row(matmul(h2, decoder.proj.w), decoder.proj.b)
     return logits, DecoderState(h1=h1, h2=h2)
 
 
@@ -180,9 +179,9 @@ def _forced_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     state = init_decoder(decoder, question)
     steps = len(inputs)
     x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
-    h1 = gru_sequence(decoder.layer1, x, state.h1)
-    h2 = gru_sequence(decoder.layer2, h1, state.h2)
-    logits = add_row(matmul(h2, decoder.proj_w), decoder.proj_b)
+    h1 = gru_sequence(decoder.l1, x, state.h1)
+    h2 = gru_sequence(decoder.l2, h1, state.h2)
+    logits = add_row(matmul(h2, decoder.proj.w), decoder.proj.b)
     return cross_entropy(logits, gold)
 
 
@@ -258,34 +257,35 @@ class Model:
         cfg = replace(cfg, decoder_hidden=cfg.decoder_hidden or d)
         make_rnn = lambda width: RecurrentLayer.create(rng, cfg.cell, width, cfg.hidden_width)
         stream = lambda width: (make_rnn(width), AttentionParams.create(rng, d))
-        model = cls(
-            vocab=vocab,
-            embedding=EmbeddingTable.create(len(vocab), cfg.embed_width, rng),
-            question_rnn=make_rnn(cfg.embed_width),
-            question_attn=SelfAttentionParams.create(rng, d),
-            streams={"summary": stream(cfg.embed_width), "history": stream(d)},
-            decoder=Decoder.create(rng, 5 * d, cfg.embed_width, cfg.decoder_hidden,
-                                   len(vocab)),
-            cfg=cfg,
-        )
-        # drawn after the decoder: the other parameters' initial values do
-        # not depend on which modalities are enabled
-        for modality, width in cfg.feature_widths.items():
-            if width > 0:
-                model.streams[modality] = stream(width)
+        try:
+            model = cls(
+                vocab=vocab,
+                embedding=EmbeddingTable.create(len(vocab), cfg.embed_width, rng),
+                question_rnn=make_rnn(cfg.embed_width),
+                question_attn=SelfAttentionParams.create(rng, d),
+                streams={"summary": stream(cfg.embed_width), "history": stream(d)},
+                decoder=Decoder.create(rng, 5 * d, cfg.embed_width, cfg.decoder_hidden,
+                                       len(vocab)),
+                cfg=cfg,
+            )
+            # drawn after the decoder: the other parameters' initial values
+            # do not depend on which modalities are enabled
+            for modality, width in cfg.feature_widths.items():
+                if width > 0:
+                    model.streams[modality] = stream(width)
+        except (MemoryError, ValueError) as exc:  # numpy refuses the array sizes
+            raise ValidationError(f"cannot allocate the model of {cfg}: {exc}") from None
         return model
 
     def parameters(self) -> dict:
         """Flat name -> Tensor map over every trainable parameter."""
-        groups = [("question_rnn", self.question_rnn), ("question_attn", self.question_attn)]
+        groups = [("embedding", self.embedding), ("question_rnn", self.question_rnn),
+                  ("question_attn", self.question_attn)]
         for name, (rnn, attn) in self.streams.items():
             groups += [(f"{name}_rnn", rnn), (f"{name}_attn", attn)]
         groups.append(("decoder", self.decoder))
-        out = {"embedding.matrix": self.embedding.matrix}
-        for prefix, group in groups:
-            for name, tensor in group.parameters().items():
-                out[f"{prefix}.{name}"] = tensor
-        return out
+        return {f"{prefix}.{name}": tensor for prefix, group in groups
+                for name, tensor in group.parameters().items()}
 
     def _attend(self, stream: str, seq: Tensor, q_tilde: Tensor) -> Tensor:
         """1*D vector of `seq` through one stream's recurrence and attention."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import ShapeError, ValidationError
 
 __all__ = [
     "Tensor",
+    "Module",
     "Tape",
     "Gradients",
     "untaped",
@@ -87,11 +89,27 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), check=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+class Module:
+    """Base of a dataclass that holds trainable parameters.
+
+    `parameters()` walks the dataclass fields in order: a Tensor field is
+    named by its field name, a Module field contributes its own parameters
+    under `<field>.`, and any other field is skipped.
+    """
+
+    def parameters(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f.name] = value
+            elif isinstance(value, Module):
+                out.update((f"{f.name}.{k}", v) for k, v in value.parameters().items())
+        return out
 
 
 def ones(*shape) -> Tensor:

@@ -11,12 +11,13 @@ entries that share a trigram with the unknown word.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import Tensor, take_rows
+from .tensor import Module, Tensor, take_rows
 
 __all__ = [
     "PAD",
@@ -170,22 +171,17 @@ def resolve_token(vocab: Vocabulary, token: str) -> int:
     return best_id
 
 
-class EmbeddingTable:
+@dataclass
+class EmbeddingTable(Module):
     """Trainable word vectors, one row per vocabulary entry."""
 
-    def __init__(self, matrix: Tensor, width: int):
-        if matrix.ndim != 2 or matrix.cols != width:
-            raise ValidationError(
-                f"embedding matrix shape {matrix.shape} inconsistent with width {width}"
-            )
-        self.matrix = matrix
-        self.width = width
+    matrix: Tensor
 
     @classmethod
     def create(cls, vocab_size: int, width: int, rng: np.random.Generator) -> "EmbeddingTable":
         # uniform [-0.1, 0.1] init
         data = rng.uniform(-0.1, 0.1, size=(vocab_size, width))
-        return cls(Tensor(data, check=False), width)
+        return cls(Tensor(data, check=False))
 
     def row(self, idx: int) -> Tensor:
         return take_rows(self.matrix, [idx])

@@ -24,17 +24,17 @@ from mmqa.text import SOS
 
 
 def gru_step(cell, x, h_prev):
-    z = sigmoid(add(add(matmul(x, cell.w_z), matmul(h_prev, cell.u_z)), cell.b_z))
-    r = sigmoid(add(add(matmul(x, cell.w_r), matmul(h_prev, cell.u_r)), cell.b_r))
-    cand = tanh(add(add(matmul(x, cell.w_h), matmul(mul(r, h_prev), cell.u_h)), cell.b_h))
+    z = sigmoid(add(add(matmul(x, cell.wz), matmul(h_prev, cell.uz)), cell.bz))
+    r = sigmoid(add(add(matmul(x, cell.wr), matmul(h_prev, cell.ur)), cell.br))
+    cand = tanh(add(add(matmul(x, cell.wh), matmul(mul(r, h_prev), cell.uh)), cell.bh))
     return add(mul(one_minus(z), h_prev), mul(z, cand))
 
 
 def lstm_step(cell, x, h_prev, c_prev):
-    i = sigmoid(add(add(matmul(x, cell.w_i), matmul(h_prev, cell.u_i)), cell.b_i))
-    f = sigmoid(add(add(matmul(x, cell.w_f), matmul(h_prev, cell.u_f)), cell.b_f))
-    o = sigmoid(add(add(matmul(x, cell.w_o), matmul(h_prev, cell.u_o)), cell.b_o))
-    g = tanh(add(add(matmul(x, cell.w_c), matmul(h_prev, cell.u_c)), cell.b_c))
+    i = sigmoid(add(add(matmul(x, cell.wi), matmul(h_prev, cell.ui)), cell.bi))
+    f = sigmoid(add(add(matmul(x, cell.wf), matmul(h_prev, cell.uf)), cell.bf))
+    o = sigmoid(add(add(matmul(x, cell.wo), matmul(h_prev, cell.uo)), cell.bo))
+    g = tanh(add(add(matmul(x, cell.wc), matmul(h_prev, cell.uc)), cell.bc))
     c = add(mul(f, c_prev), mul(i, g))
     return mul(o, tanh(c)), c
 
@@ -69,11 +69,11 @@ def teacher_forced_loss(decoder, embedding, context, question, gold):
     if decoder.hidden_width > question.cols:
         pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)), check=False)
         h1 = concat_cols(question, pad)
-    h2 = _zeros(decoder.layer2)
+    h2 = _zeros(decoder.l2)
     rows = []
     for token in [SOS] + list(gold[:-1]):
         x = concat_cols(context, embedding.row(token))
-        h1 = gru_step(decoder.layer1, x, h1)
-        h2 = gru_step(decoder.layer2, h1, h2)
-        rows.append(add_row(matmul(h2, decoder.proj_w), decoder.proj_b))
+        h1 = gru_step(decoder.l1, x, h1)
+        h2 = gru_step(decoder.l2, h1, h2)
+        rows.append(add_row(matmul(h2, decoder.proj.w), decoder.proj.b))
     return cross_entropy(concat_rows(*rows), gold)

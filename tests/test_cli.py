@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs
 from mmqa import cli
@@ -201,6 +203,38 @@ class TestFailureModes:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("model:\n  1: 2\n  foo: 3\n", "unknown model config keys: [1, 'foo']"),
+        ("1: 2\nfoo: 3\n", "unknown config sections: [1, 'foo']"),
+        ("training:\n  learning_rate: 1" + "0" * 400 + "\n",
+         "training.learning_rate is beyond the float range"),
+        ("training:\n  seed: " + "1" * 5000 + "\n", "cannot parse config"),
+        ("training:\n  seed: 2020-13-45\n", "cannot parse config"),
+    ], ids=["mixed-section-keys", "mixed-root-keys", "400-digit-float", "5000-digit-int",
+            "impossible-date"])
+    def test_unusable_config_value_is_validation_failure(self, tmp_path, capsys, text, key):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        config = tmp_path / "run.yaml"
+        config.write_text(text)
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", str(config), "--out", str(ckpt)]) == 1
+        assert key in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("width, message", [
+        (10 ** 12, "cannot allocate the model of ModelConfig(embed_width=1000000000000,"),
+        (10 ** 29, "embed_width must lie in [1, 2**63)"),
+    ], ids=["memory", "extent"])
+    def test_oversized_width_is_validation_failure(self, tmp_path, capsys, width, message):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        config = write_config(tmp_path / "run.yaml", data, model={"embed_width": width})
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_features_dir_is_validation_failure(self, tmp_path):
         data = tmp_path / "data.json"
         write_dataset(data)
@@ -334,6 +368,44 @@ class TestFailureModes:
         spoiled.write_bytes(bytes(blob))
         assert cli.main(command) == 3
         assert f"{spoiled}: byte {offset} is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A checkpoint trained for one epoch, its sidecar's bytes and a dataset."""
+        root = tmp_path_factory.mktemp("trained")
+        data = root / "data.json"
+        write_dataset(data)
+        config = write_config(root / "run.yaml", data, training={"max_epochs": 1})
+        ckpt = root / "m.ckpt"
+        assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 0
+        files = {"m.ckpt": ckpt.read_bytes(), "m.ckpt.vocab": (root / "m.ckpt.vocab").read_bytes()}
+        return root, data, files
+
+    @settings(max_examples=100, deadline=None)
+    @given(target=st.sampled_from(["m.ckpt", "m.ckpt.vocab"]),
+           edit=st.sampled_from(["flip", "insert", "truncate"]),
+           # half the positions fall in the first bytes: headers, names, extents
+           position=st.one_of(st.integers(0, 300), st.integers(0, 2 ** 31)),
+           byte=st.integers(1, 255))
+    def test_corrupt_checkpoint_or_sidecar_exits_cleanly(self, trained, target, edit,
+                                                         position, byte):
+        root, data, files = trained
+        work = root / "work"
+        work.mkdir(exist_ok=True)
+        for name, blob in files.items():
+            blob = bytearray(blob)
+            if name == target:
+                at = position % len(blob)
+                if edit == "flip":
+                    blob[at] ^= byte
+                elif edit == "insert":
+                    blob[at:at] = bytes([byte])
+                else:
+                    del blob[at:]
+            (work / name).write_bytes(bytes(blob))
+        code = cli.main(["eval", "--ckpt", str(work / "m.ckpt"), "--data", str(data),
+                         "--out", str(work / "s.tsv"), "--max-len", "4"])
+        assert code in (0, 1, 3)
 
     def test_usage_problems_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -63,9 +63,9 @@ class TestGruStep:
 
     def test_create_zero_biases_and_fan_in_bounds(self):
         cell = GruCell.create(np.random.default_rng(0), 9, 4)
-        np.testing.assert_array_equal(cell.b_z.data, np.zeros((1, 4)))
-        assert np.all(np.abs(cell.w_z.data) <= 1.0 / 3.0)
-        assert np.all(np.abs(cell.u_z.data) <= 0.5)
+        np.testing.assert_array_equal(cell.bz.data, np.zeros((1, 4)))
+        assert np.all(np.abs(cell.wz.data) <= 1.0 / 3.0)
+        assert np.all(np.abs(cell.uz.data) <= 0.5)
 
     def test_gradients_flow_through_step(self):
         rng = np.random.default_rng(3)
@@ -81,8 +81,8 @@ class TestGruStep:
 class TestLstmStep:
     def test_forget_bias_starts_at_one(self):
         cell = LstmCell.create(np.random.default_rng(1), 3, 4)
-        np.testing.assert_array_equal(cell.b_f.data, np.ones((1, 4)))
-        np.testing.assert_array_equal(cell.b_i.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(cell.bf.data, np.ones((1, 4)))
+        np.testing.assert_array_equal(cell.bi.data, np.zeros((1, 4)))
 
     def test_zero_weights_keep_scaled_cell_state(self):
         # only the candidate's input weights are non-zero, so the first input
@@ -170,9 +170,9 @@ class TestRnnForward:
         out = rnn_forward(layer, x)
         zero = Tensor(np.zeros((1, 4)), check=False)
         np.testing.assert_array_equal(out.data[:, :4],
-                                      gru_step(layer.forward_cell, x, zero).data)
+                                      gru_step(layer.fwd, x, zero).data)
         np.testing.assert_array_equal(out.data[:, 4:],
-                                      gru_step(layer.backward_cell, x, zero).data)
+                                      gru_step(layer.bwd, x, zero).data)
 
     def test_output_shapes(self):
         rng = np.random.default_rng(4)

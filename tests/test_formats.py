@@ -5,10 +5,19 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs
 from mmqa.augment import Dialog, expand_basic
-from mmqa.config import Config, ModelConfig, config_from_dict, load_config
+from mmqa.config import (
+    Config,
+    DataConfig,
+    ModelConfig,
+    TrainingConfig,
+    config_from_dict,
+    load_config,
+)
 from mmqa.errors import FormatError, ValidationError
 from mmqa.formats import (
     CHECKPOINT_MAGIC,
@@ -29,6 +38,35 @@ from mmqa.formats import (
 from mmqa.model import Model
 from mmqa.text import tokenize
 from mmqa.training import Adam
+
+
+# Scalars a YAML document can hold, with the huge, non-finite and boolean
+# values that a config's checks must turn away
+_yaml_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.dates(), st.integers(),
+    st.integers(300, 420).map(lambda digits: 10 ** digits), st.just(2 ** 63),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_yaml_values = st.one_of(_yaml_scalars, st.recursive(
+    _yaml_scalars, lambda inner: st.dictionaries(_yaml_scalars, inner, max_size=3),
+    max_leaves=6,
+))
+
+
+def _section(cls):
+    """A section mapping: some of its own keys, then keys of any scalar type."""
+    own = st.fixed_dictionaries({}, optional=dict.fromkeys(vars(cls()), _yaml_values))
+    others = st.dictionaries(_yaml_scalars, _yaml_values, max_size=2)
+    return st.builds(lambda a, b: {**a, **b}, own, others)
+
+
+_config_mappings = st.one_of(
+    st.fixed_dictionaries({}, optional={"data": _section(DataConfig),
+                                        "model": _section(ModelConfig),
+                                        "training": _section(TrainingConfig)}),
+    st.dictionaries(st.one_of(st.sampled_from(["data", "model", "training"]), _yaml_scalars),
+                    _yaml_values, max_size=4),
+)
 
 
 def sample_dialogs():
@@ -306,7 +344,7 @@ class TestModelCheckpoint:
         assert rebuilt.question_rnn.kind == "lstm"
         assert rebuilt.cfg.pooling == "average"
         assert list(rebuilt.streams) == ["summary", "history", "flow"]
-        assert rebuilt.streams["flow"][0].input_width == 5
+        assert rebuilt.streams["flow"][0].fwd.input_width == 5
 
     def test_every_architecture_field_round_trips(self, tmp_path):
         cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10, cell="lstm",
@@ -509,6 +547,17 @@ class TestConfig:
         path.write_bytes(b"training:\n  seed: 3  # caf\xe9\n")  # Latin-1, not UTF-8
         with pytest.raises(FormatError, match="c.yaml: byte 26 is not valid UTF-8"):
             load_config(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_config_mappings)
+    @example({"model": {1: 2, "foo": 3}})
+    @example({1: 2, "foo": 3})
+    @example({"training": {"learning_rate": 10 ** 400}})
+    def test_any_mapping_is_accepted_or_a_validation_error(self, raw):
+        try:
+            config_from_dict(raw)
+        except ValidationError:
+            pass
 
     def test_hash_is_stable_and_sensitive(self):
         a = Config().hash()

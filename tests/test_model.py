@@ -11,6 +11,7 @@ from mmqa import gradcheck
 from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import (
+    Affine,
     Decoder,
     Model,
     decode_step,
@@ -41,10 +42,10 @@ def biased_decoder(bias, context_width=2, embed_width=2, hidden=2):
     """Decoder whose logits are exactly `bias` at every step."""
     vocab_size = len(bias)
     return Decoder(
-        layer1=zero_cell(context_width + embed_width, hidden),
-        layer2=zero_cell(hidden, hidden),
-        proj_w=Tensor(np.zeros((hidden, vocab_size)), check=False),
-        proj_b=T([list(map(float, bias))]),
+        l1=zero_cell(context_width + embed_width, hidden),
+        l2=zero_cell(hidden, hidden),
+        proj=Affine(w=Tensor(np.zeros((hidden, vocab_size)), check=False),
+                    b=T([list(map(float, bias))])),
     )
 
 
@@ -113,7 +114,7 @@ class TestDecodeStep:
         state = init_decoder(decoder, question)
         logits1, state = decode_step(decoder, state, context, embedding.row(SOS))
         logits2, _ = decode_step(decoder, state, context, embedding.row(4))
-        assert logits1.shape == (1, decoder.vocab_size)
+        assert logits1.shape == (1, decoder.proj.w.cols)
         assert not np.array_equal(logits1.data, logits2.data)
 
 

@@ -244,11 +244,6 @@ class TestEmbeddings:
         b = EmbeddingTable.create(5, 4, np.random.default_rng(9))
         assert np.array_equal(a.matrix.data, b.matrix.data)
 
-    def test_width_consistency_enforced(self):
-        table = EmbeddingTable.create(4, 8, np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            EmbeddingTable(table.matrix, 9)
-
     def test_embed_token_rows(self):
         vocab = Vocabulary(["cat"])
         table = EmbeddingTable.create(len(vocab), 3, np.random.default_rng(1))

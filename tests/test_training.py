@@ -146,7 +146,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_context(self, toy_examples):
         model = fresh_model()
-        model.decoder.proj_b.data[...] = np.inf
+        model.decoder.proj.b.data[...] = np.inf
         with pytest.raises(NumericalError, match="diverged"):
             train(model, toy_examples[:2], toy_examples[2:3],
                   quick_config(max_epochs=1, batch_size=2))
@@ -157,11 +157,11 @@ class TestTrain:
                              embed_width=8, hidden_width=4,
                              freeze_embeddings=True)
         before = model.embedding.matrix.data.copy()
-        proj_before = model.decoder.proj_w.data.copy()
+        proj_before = model.decoder.proj.w.data.copy()
         train(model, toy_examples[:4], toy_examples[4:5],
               quick_config(max_epochs=1, patience=5))
         assert np.array_equal(model.embedding.matrix.data, before)
-        assert not np.array_equal(model.decoder.proj_w.data, proj_before)
+        assert not np.array_equal(model.decoder.proj.w.data, proj_before)
 
     def test_train_f1_target_short_circuits(self, toy_examples):
         model = fresh_model()
@@ -178,7 +178,7 @@ class TestTrain:
             model = fresh_model(seed=7)
             train(model, toy_examples[:4], toy_examples[4:5],
                   quick_config(batch_size=2, loss_mode=mode, ss_probability=0.9))
-            runs[mode] = model.decoder.proj_w.data.copy()
+            runs[mode] = model.decoder.proj.w.data.copy()
         assert not np.array_equal(runs["tf"], runs["ss"])
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .augment import AUGMENTATIONS, Dialog, derive_seed, expand_basic
-from .config import ModelConfig, load_config
+from .config import MAX_GENERATE_LEN, ModelConfig, load_config
 from .errors import NumericalError, ValidationError
 from .formats import (
     checkpoint_from_model,
@@ -117,6 +117,9 @@ def _cmd_train(args) -> int:
 
 
 def _load_eval_examples(args):
+    if not 1 <= args.max_len <= MAX_GENERATE_LEN:
+        raise ValidationError(f"--max-len must lie in [1, {MAX_GENERATE_LEN}], "
+                              f"got {args.max_len}")
     model, _tensors, _hash = model_from_checkpoint(args.ckpt)
     dialogs = load_dataset(args.data)
     examples = [expand_basic(d)[0] for d in dialogs]

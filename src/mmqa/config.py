@@ -22,6 +22,7 @@ __all__ = [
     "POOLINGS",
     "FEATURES",
     "LOSS_MODES",
+    "MAX_GENERATE_LEN",
     "DataConfig",
     "ModelConfig",
     "TrainingConfig",
@@ -34,6 +35,9 @@ CELLS = ("gru", "lstm")
 POOLINGS = ("max", "average")
 FEATURES = ("flow", "rgb", "audio")  # each has a `<modality>_width` in ModelConfig
 LOSS_MODES = ("tf", "ss", "free")
+# the most tokens a greedy answer may take: an undertrained model may never
+# emit EOS, and then decoding runs for the whole bound
+MAX_GENERATE_LEN = 1000
 
 
 @dataclass
@@ -117,8 +121,9 @@ class TrainingConfig:
             )
         if not (0.0 <= self.ss_probability <= 1.0):
             raise ValidationError("ss_probability must lie in [0, 1]")
-        if self.max_generate_len < 1:
-            raise ValidationError("max_generate_len must be >= 1")
+        if not 1 <= self.max_generate_len <= MAX_GENERATE_LEN:
+            raise ValidationError(f"max_generate_len must lie in [1, {MAX_GENERATE_LEN}], "
+                                  f"got {self.max_generate_len}")
 
 
 @dataclass

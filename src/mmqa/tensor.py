@@ -122,16 +122,41 @@ class _Node:
     A node names its tape by the tape's `key`, not by the tape itself: with
     no reference cycle between a tape and its nodes, a finished tape and
     every array its backward functions hold are freed as soon as it is
-    dropped, instead of at the next cyclic garbage collection.
+    dropped, instead of at the next cyclic garbage collection. A leaf's
+    `sink`, when set, is the array its gradient is added into.
     """
 
-    __slots__ = ("tape_key", "index", "parents", "backward_fn")
+    __slots__ = ("tape_key", "index", "parents", "backward_fn", "sink")
 
-    def __init__(self, tape_key, index, parents, backward_fn):
+    def __init__(self, tape_key, index, parents, backward_fn, sink=None):
         self.tape_key = tape_key
         self.index = index
         self.parents = parents
         self.backward_fn = backward_fn
+        self.sink = sink
+
+
+class _RowSparse:
+    """A gradient that is zero outside some rows: `rows[i]` belongs to row
+    `indices[i]` of an array of `shape`, and repeated indices add up.
+
+    After TensorFlow's `IndexedSlices`: an embedding lookup's gradient costs
+    the rows it touched, not the whole vocabulary.
+    """
+
+    __slots__ = ("shape", "indices", "rows")
+
+    def __init__(self, shape, indices, rows):
+        self.shape = shape
+        self.indices = indices
+        self.rows = rows
+
+    def add_to(self, acc: np.ndarray) -> np.ndarray:
+        np.add.at(acc, self.indices, self.rows)
+        return acc
+
+    def dense(self) -> np.ndarray:
+        return self.add_to(np.zeros(self.shape))
 
 
 class Gradients:
@@ -146,6 +171,8 @@ class Gradients:
         node = tensor.node
         if node is None or node.tape_key is not self._tape.key:
             raise ValidationError("tensor was not recorded on this tape")
+        if node.sink is not None:
+            raise ValidationError("tensor's gradient was added into its sink")
         g = self._grads[node.index]
         if g is None:
             return np.zeros_like(tensor.data)
@@ -186,11 +213,16 @@ class Tape:
 
     Execution order is a topological order by construction, so the backward
     pass is a single reverse sweep with gradient accumulation at each node.
+
+    `sinks` maps leaf tensors to arrays of their shape: backward() adds such
+    a leaf's gradient straight into its array (which it never zeroes), row
+    by row for an embedding lookup, and reports no gradient for it.
     """
 
-    def __init__(self):
+    def __init__(self, sinks: dict | None = None):
         self.nodes: list[_Node] = []
         self.key = object()
+        self.sinks = sinks or {}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -207,7 +239,7 @@ class Tape:
         node = tensor.node
         if node is not None and node.tape_key is self.key:
             return node
-        node = _Node(self.key, len(self.nodes), (), None)
+        node = _Node(self.key, len(self.nodes), (), None, self.sinks.get(tensor))
         self.nodes.append(node)
         tensor.node = node
         return node
@@ -238,6 +270,15 @@ class Tape:
             for parent, contribution in zip(n.parents, n.backward_fn(g)):
                 if contribution is None:
                     continue
+                sink = parent.sink
+                if sink is not None:
+                    if type(contribution) is _RowSparse:
+                        contribution.add_to(sink)
+                    else:
+                        np.add(sink, contribution, out=sink)
+                    continue
+                if type(contribution) is _RowSparse:
+                    contribution = contribution.dense()
                 # backward functions may return shared arrays and views, so
                 # the first contribution is stored as is and later ones are
                 # summed out of place, never into it
@@ -378,7 +419,8 @@ def concat_rows(*tensors: Tensor) -> Tensor:
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of `m` by index (repeats allowed); gradients scatter-add."""
+    """Gather rows of `m` by index (repeats allowed); the gradient is
+    row-sparse and scatter-adds."""
     if m.ndim != 2:
         raise ShapeError(f"take_rows needs rank 2, got shape {m.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -389,13 +431,7 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
             f"row index out of range for {m.shape[0]} rows: {indices}"
         )
     shape = m.shape
-
-    def back(g):
-        acc = np.zeros(shape)
-        np.add.at(acc, idx, g)
-        return (acc,)
-
-    return _emit(m.data[idx], (m,), back)
+    return _emit(m.data[idx], (m,), lambda g: (_RowSparse(shape, idx, g),))
 
 
 def softmax_rows(m: Tensor) -> Tensor:

@@ -1,9 +1,11 @@
 """Adam optimization, the training loop, and corpus evaluation.
 
 Training runs shuffled mini-batches with per-example backward passes and
-batch-averaged gradients. After every epoch the model greedily answers the
-validation set; the best mean token-F1 parameters are kept and training
-stops once that score fails to improve for `patience` epochs in a row.
+batch-averaged gradients, summed in one vector laid out like the flat
+parameter vector that Adam updates in place. After every epoch the model
+greedily answers the validation set; the best mean token-F1 parameters are
+kept and training stops once that score fails to improve for `patience`
+epochs in a row.
 """
 
 from __future__ import annotations
@@ -25,9 +27,19 @@ __all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate"]
 class Adam(object):
     """Standard Adam with bias correction over a named parameter dict.
 
+    On construction the parameters are copied into one contiguous vector,
+    `theta`, in the dict's order, and each parameter's `data` is rebound to
+    its view of it. The moments are two vectors of the same layout; `m` and
+    `v` map each name to its view. A step updates all three in place.
+
     A zero gradient leaves its parameter bitwise untouched as long as the
     moments are still zero, which keeps unused modules exactly frozen.
     """
+
+    # elements per pass of `step`: small enough that a pass's six arrays
+    # (parameters, gradient, moments, two scratch rows) stay in cache, large
+    # enough that ufunc dispatch is negligible
+    CHUNK = 1 << 14
 
     def __init__(self, params: dict, learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -37,25 +49,67 @@ class Adam(object):
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        for p, view in zip(params.values(), self.views(self.theta).values()):
+            p.data = view
+        self._m = np.zeros_like(self.theta)
+        self._v = np.zeros_like(self.theta)
+        self.m = self.views(self._m)
+        self.v = self.views(self._v)
+        self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
 
-    def step(self, grads: dict) -> None:
+    def views(self, vector: np.ndarray) -> dict:
+        """Name -> view of `vector`, a vector in `theta`'s layout."""
+        out, offset = {}, 0
+        for name, p in self.params.items():
+            out[name] = vector[offset:offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        return out
+
+    def _gather(self, grads: dict) -> np.ndarray:
         if set(grads) != set(self.params):
             raise ValidationError("gradient names do not match parameter names")
+        for name, param in self.params.items():
+            if grads[name].shape != param.data.shape:
+                raise ShapeError(f"gradient for {name!r} is {grads[name].shape}, "
+                                 f"parameter is {param.data.shape}")
+        return np.concatenate([grads[name].reshape(-1) for name in self.params])
+
+    def step(self, grad) -> None:
+        """One update from `grad`, a vector in `theta`'s layout or a name ->
+        array map.
+
+        Each element goes through the textbook expression, operation by
+        operation, so the result is bitwise that of the unfused formula.
+        """
+        if isinstance(grad, dict):
+            grad = self._gather(grad)
+        if grad.shape != self.theta.shape:
+            raise ShapeError(f"gradient is {grad.shape}, parameters are {self.theta.shape}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, param in self.params.items():
-            g = grads[name]
-            if g.shape != param.data.shape:
-                raise ShapeError(
-                    f"gradient for {name!r} is {g.shape}, parameter is {param.data.shape}"
-                )
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for lo in range(0, self.theta.size, self.CHUNK):
+            part = slice(lo, lo + self.CHUNK)
+            p, m, v, g = self.theta[part], self._m[part], self._v[part], grad[part]
+            a, b = self._scratch[:, :p.size]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(v, a, out=v)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.epsilon, out=b)
+            np.divide(m, c1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
 
 
 def token_f1(pred, gold) -> float:
@@ -106,6 +160,12 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
 
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    # one gradient vector in the parameters' layout: every backward pass
+    # adds straight into the slices of the parameters it reached, so an
+    # unused parameter's slice stays zero
+    grad = np.zeros_like(adam.theta)
+    grads = adam.views(grad)
+    sinks = {p: grads[name] for name, p in params.items()}
     best = {name: p.data.copy() for name, p in params.items()}
     best_f1 = -1.0
     best_epoch = 0
@@ -120,11 +180,9 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            totals = {name: np.zeros_like(p.data) for name, p in params.items()}
+            grad.fill(0.0)
             for idx in batch:
-                with Tape() as tape:
-                    for p in params.values():
-                        tape.watch(p)
+                with Tape(sinks) as tape:
                     loss = model.loss(train_set[idx], mode=cfg.loss_mode,
                                       p_model=cfg.ss_probability, rng=sample_rng)
                     value = loss.item()
@@ -133,14 +191,18 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                             f"loss diverged to {value} at epoch {epoch} "
                             f"(example {train_set[idx].video_id!r})"
                         )
-                    grads = tape.backward(loss)
-                    for name, p in params.items():
-                        totals[name] += grads.wrt(p)
+                    tape.backward(loss)
                 epoch_loss += value
             if model.cfg.freeze_embeddings:
-                totals["embedding.matrix"][...] = 0.0
-            scale = 1.0 / len(batch)
-            adam.step({name: g * scale for name, g in totals.items()})
+                grads["embedding.matrix"][...] = 0.0
+            if not np.isfinite(grad).all():
+                name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+                raise NumericalError(
+                    f"gradient of {name} is not finite at epoch {epoch} "
+                    f"(batch {[train_set[i].video_id for i in batch]})"
+                )
+            grad *= 1.0 / len(batch)
+            adam.step(grad)
         epoch_loss /= len(train_set)
 
         val_f1 = _mean_f1(model, val_set, cfg.max_generate_len)

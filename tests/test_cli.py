@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: augment, train, eval, generate."""
 
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs
-from mmqa import cli
+from mmqa import cli, model as model_module, tensor
 from mmqa.augment import expand_shuffle
 from mmqa.config import Config
 from mmqa.formats import (
@@ -106,6 +107,23 @@ class TestPipeline:
         assert cli.main(["generate", "--ckpt", str(ckpt), "--data", str(data),
                          "--out", str(answers_path), "--max-len", "6"]) == 0
         assert len(answers_path.read_text().splitlines()) == 4
+
+    def test_nonfinite_gradient_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # the loss stays finite; only the bias row of the vocabulary
+        # projection gets an infinite gradient
+        def add_row(m, r):
+            out = tensor.add_row(m, r)
+            back = out.node.backward_fn
+            out.node.backward_fn = lambda g: (back(g)[0], np.full(r.shape, np.inf))
+            return out
+
+        monkeypatch.setattr(model_module, "add_row", add_row)
+        code, _data, ckpt = self.run_train(tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gradient of decoder.proj.b is not finite at epoch 1" in err
+        assert "vid" in err
+        assert not ckpt.exists()
 
     def test_training_is_byte_deterministic(self, tmp_path):
         data = tmp_path / "data.json"
@@ -234,6 +252,24 @@ class TestFailureModes:
         assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "generate"])
+    def test_decoding_bound_is_validated(self, tmp_path, capsys, command):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        if command == "train":
+            config = write_config(tmp_path / "run.yaml", data,
+                                  training={"max_generate_len": 10 ** 12})
+            argv = ["train", "--config", config, "--out", str(tmp_path / "n.ckpt")]
+            key = "max_generate_len must lie in [1, 1000], got 1000000000000"
+        else:
+            argv = [command, "--ckpt", ckpt, "--data", str(data),
+                    "--out", str(tmp_path / "out.txt"), "--max-len", str(10 ** 12)]
+            key = "--max-len must lie in [1, 1000], got 1000000000000"
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "n.ckpt").exists() and not (tmp_path / "out.txt").exists()
 
     def test_missing_features_dir_is_validation_failure(self, tmp_path):
         data = tmp_path / "data.json"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import corpus_vocab, overfit_dialogs
+from mmqa import gradcheck
 from mmqa.augment import DialogExample
 from mmqa.config import TrainingConfig
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
-from mmqa.tensor import Tensor
+from mmqa.tensor import Tape, Tensor
+from mmqa.text import SOS, resolve_token
 from mmqa.training import Adam, evaluate, token_f1, train
 
 
@@ -79,6 +81,75 @@ class TestAdam:
         adam = Adam(self.params({"w": [1.0, 2.0]}))
         with pytest.raises(ShapeError):
             adam.step({"w": np.array([[1.0, 2.0]])})
+
+    def test_flat_step_is_bitwise_the_per_name_formula(self):
+        # "big" spans several of step's chunks; "still" never gets a gradient
+        rng = np.random.default_rng(3)
+        shapes = {"big": (300, 70), "row": (1, 5), "still": (4, 3), "vec": (7,)}
+        initial = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = self.params(initial)
+        adam = Adam(params, learning_rate=0.01, beta1=0.8, beta2=0.99, epsilon=1e-7)
+        ref = {name: value.copy() for name, value in initial.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items()}
+            grads["still"][...] = 0.0
+            adam.step(np.concatenate([g.reshape(-1) for g in grads.values()]))
+            for name, g in grads.items():
+                m[name] = 0.8 * m[name] + (1.0 - 0.8) * g
+                v[name] = 0.99 * v[name] + (1.0 - 0.99) * (g * g)
+                m_hat = m[name] / (1.0 - 0.8 ** t)
+                v_hat = v[name] / (1.0 - 0.99 ** t)
+                ref[name] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-7)
+            for name in shapes:
+                assert np.array_equal(params[name].data, ref[name]), (t, name)
+                assert np.array_equal(adam.m[name], m[name]), (t, name)
+                assert np.array_equal(adam.v[name], v[name]), (t, name)
+        assert np.array_equal(params["still"].data, initial["still"])
+        with pytest.raises(ShapeError):
+            adam.step(np.zeros(adam.theta.size + 1))
+
+
+class TestGradientBuffer:
+    def test_sinks_receive_the_tape_gradients(self):
+        # history, all five modalities and a repeated token ("cat", "it")
+        model, example = gradcheck._toy_setup()
+        params = model.parameters()
+        assert len(params) == 143
+        with Tape() as tape:
+            for p in params.values():
+                tape.watch(p)
+            grads = tape.backward(model.loss(example))
+        expected = {name: grads.wrt(p) for name, p in params.items()}
+        sinks = {p: np.zeros_like(p.data) for p in params.values()}
+        with Tape(sinks) as tape:
+            grads = tape.backward(model.loss(example))
+        with pytest.raises(ValidationError, match="sink"):
+            grads.wrt(model.embedding.matrix)
+        for name, p in params.items():
+            assert np.abs(sinks[p] - expected[name]).max() <= 1e-12, name
+        tokens = [t for pair in example.history for s in pair for t in s]
+        tokens += example.question + example.answer + example.summary
+        used = {SOS} | {resolve_token(model.vocab, t) for t in tokens}
+        unused = sorted(set(range(len(model.vocab))) - used)
+        assert unused
+        assert not sinks[model.embedding.matrix][unused].any()
+
+    def test_training_keeps_parameters_in_one_vector_without_watching(
+            self, toy_examples, monkeypatch):
+        def no_watch(tape, tensor):
+            raise AssertionError("train watched a tensor")
+
+        monkeypatch.setattr(Tape, "watch", no_watch)
+        model = fresh_model()
+        train(model, toy_examples[:4], toy_examples[4:5], quick_config(max_epochs=1))
+        arrays = [p.data for p in model.parameters().values()]
+        vector = arrays[0].base
+        assert vector is not None and vector.ndim == 1
+        assert vector.size == sum(a.size for a in arrays)
+        assert all(a.base is vector for a in arrays)
 
 
 class TestTokenF1:

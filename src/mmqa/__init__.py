@@ -25,7 +25,7 @@ from .errors import (
 )
 from .metrics import bleu, cider, rouge_l, rouge_l_corpus
 from .model import Model
-from .tensor import Gradients, Tape, Tensor, grad_check
+from .tensor import Tape, Tensor, grad_check
 from .text import Vocabulary, build_vocabulary, tokenize
 from .training import Adam, TrainResult, evaluate, token_f1, train
 
@@ -48,7 +48,6 @@ __all__ = [
     "rouge_l",
     "rouge_l_corpus",
     "Model",
-    "Gradients",
     "Tape",
     "Tensor",
     "grad_check",

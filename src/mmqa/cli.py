@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .augment import AUGMENTATIONS, Dialog, derive_seed, expand_basic
-from .config import MAX_GENERATE_LEN, ModelConfig, load_config
+from .config import MAX_FACTOR, MAX_GENERATE_LEN, ModelConfig, load_config
 from .errors import NumericalError, ValidationError
 from .formats import (
     checkpoint_from_model,
@@ -75,6 +75,8 @@ def _attach_features(examples, features_dir: str, arch: ModelConfig) -> None:
 
 
 def _cmd_augment(args) -> int:
+    if not 1 <= args.factor <= MAX_FACTOR:
+        raise ValidationError(f"--factor must lie in [1, {MAX_FACTOR}], got {args.factor}")
     dialogs = load_dataset(args.data)
     examples = _expand(dialogs, args.mode, args.factor, args.seed)
     expanded = [

@@ -23,6 +23,7 @@ __all__ = [
     "FEATURES",
     "LOSS_MODES",
     "MAX_GENERATE_LEN",
+    "MAX_FACTOR",
     "DataConfig",
     "ModelConfig",
     "TrainingConfig",
@@ -38,6 +39,9 @@ LOSS_MODES = ("tf", "ss", "free")
 # the most tokens a greedy answer may take: an undertrained model may never
 # emit EOS, and then decoding runs for the whole bound
 MAX_GENERATE_LEN = 1000
+# the most shuffled copies per example: a dialog with n history pairs has
+# n! - 1 of them, so without a bound a long dialog expands factorially
+MAX_FACTOR = 1000
 
 
 @dataclass
@@ -113,8 +117,8 @@ class TrainingConfig:
             raise ValidationError(
                 f"augmentation must be one of {list(AUGMENTATIONS)}, got {self.augmentation!r}"
             )
-        if self.factor < 1:
-            raise ValidationError("factor must be >= 1")
+        if not 1 <= self.factor <= MAX_FACTOR:
+            raise ValidationError(f"factor must lie in [1, {MAX_FACTOR}], got {self.factor}")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(
                 f"loss_mode must be one of {list(LOSS_MODES)}, got {self.loss_mode!r}"

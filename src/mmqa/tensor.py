@@ -21,7 +21,6 @@ __all__ = [
     "Tensor",
     "Module",
     "Tape",
-    "Gradients",
     "untaped",
     "logistic",
     "ones",
@@ -49,11 +48,11 @@ __all__ = [
 class Tensor:
     """A dense real array of rank 1 or 2.
 
-    `data` is a float64 ndarray; `node` points into the active tape when the
-    tensor was produced or consumed while recording, else is None.
+    `data` is a float64 ndarray. A tensor carries no tape state: a tape
+    refers to the tensors it recorded, never the other way round.
     """
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data",)
 
     def __init__(self, data, check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
@@ -65,7 +64,6 @@ class Tensor:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("tensor values must be finite")
         self.data = arr
-        self.node = None
 
     @property
     def shape(self) -> tuple:
@@ -116,26 +114,6 @@ def ones(*shape) -> Tensor:
     return Tensor(np.ones(shape), check=False)
 
 
-class _Node:
-    """One executed primitive on the tape (or a leaf input).
-
-    A node names its tape by the tape's `key`, not by the tape itself: with
-    no reference cycle between a tape and its nodes, a finished tape and
-    every array its backward functions hold are freed as soon as it is
-    dropped, instead of at the next cyclic garbage collection. A leaf's
-    `sink`, when set, is the array its gradient is added into.
-    """
-
-    __slots__ = ("tape_key", "index", "parents", "backward_fn", "sink")
-
-    def __init__(self, tape_key, index, parents, backward_fn, sink=None):
-        self.tape_key = tape_key
-        self.index = index
-        self.parents = parents
-        self.backward_fn = backward_fn
-        self.sink = sink
-
-
 class _RowSparse:
     """A gradient that is zero outside some rows: `rows[i]` belongs to row
     `indices[i]` of an array of `shape`, and repeated indices add up.
@@ -157,26 +135,6 @@ class _RowSparse:
 
     def dense(self) -> np.ndarray:
         return self.add_to(np.zeros(self.shape))
-
-
-class Gradients:
-    """Result of a backward pass: accumulated gradients keyed by tensor."""
-
-    def __init__(self, tape: "Tape", grads: list):
-        self._tape = tape
-        self._grads = grads
-
-    def wrt(self, tensor: Tensor) -> np.ndarray:
-        """Gradient of the loss with respect to `tensor` (zeros if unused)."""
-        node = tensor.node
-        if node is None or node.tape_key is not self._tape.key:
-            raise ValidationError("tensor was not recorded on this tape")
-        if node.sink is not None:
-            raise ValidationError("tensor's gradient was added into its sink")
-        g = self._grads[node.index]
-        if g is None:
-            return np.zeros_like(tensor.data)
-        return g
 
 
 _ACTIVE = threading.local()
@@ -209,20 +167,23 @@ def untaped():
 
 
 class Tape:
-    """Append-only record of executed primitives, in execution order.
+    """Append-only list of executed primitives, in execution order.
 
-    Execution order is a topological order by construction, so the backward
-    pass is a single reverse sweep with gradient accumulation at each node.
+    Each record is `(output, parents, backward_fn)`. Execution order is a
+    topological order by construction, so the backward pass is a single
+    reverse sweep. The records refer to tensors, and tensors to nothing on
+    the tape, so any number of tapes, nested or on other threads, may share
+    a tensor, and a finished tape is freed as soon as it is dropped.
 
-    `sinks` maps leaf tensors to arrays of their shape: backward() adds such
-    a leaf's gradient straight into its array (which it never zeroes), row
-    by row for an embedding lookup, and reports no gradient for it.
+    Gradients go only into sinks: `sinks` maps leaf tensors to arrays of
+    their shape, and backward() adds such a leaf's gradient straight into
+    its array (which it never zeroes), row by row for an embedding lookup.
+    `watch` gives a leaf a zero sink of its own.
     """
 
     def __init__(self, sinks: dict | None = None):
-        self.nodes: list[_Node] = []
-        self.key = object()
-        self.sinks = sinks or {}
+        self.records: list = []
+        self.sinks = dict(sinks) if sinks else {}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -233,60 +194,65 @@ class Tape:
         return False
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def _leaf(self, tensor: Tensor) -> _Node:
-        node = tensor.node
-        if node is not None and node.tape_key is self.key:
-            return node
-        node = _Node(self.key, len(self.nodes), (), None, self.sinks.get(tensor))
-        self.nodes.append(node)
-        tensor.node = node
-        return node
+        return len(self.records)
 
     def watch(self, tensor: Tensor) -> None:
-        """Register `tensor` as a leaf so backward() reports a gradient for it."""
-        self._leaf(tensor)
+        """Give the leaf `tensor` a zero sink, unless it has one already."""
+        # a sink ends the backward sweep at its tensor, so an output of this
+        # tape would pass no gradient on to its own parents
+        if any(out is tensor for out, _, _ in self.records):
+            raise ValidationError("only a leaf can be watched, not an output of this tape")
+        if tensor not in self.sinks:
+            self.sinks[tensor] = np.zeros_like(tensor.data)
 
-    def _record(self, out: Tensor, parents: Sequence[Tensor], backward_fn) -> None:
-        parent_nodes = tuple(self._leaf(p) for p in parents)
-        node = _Node(self.key, len(self.nodes), parent_nodes, backward_fn)
-        self.nodes.append(node)
-        out.node = node
+    def wrt(self, tensor: Tensor) -> np.ndarray:
+        """The sink that holds `tensor`'s gradient."""
+        sink = self.sinks.get(tensor)
+        if sink is None:
+            raise ValidationError("tensor has no sink on this tape; watch it first")
+        return sink
 
-    def backward(self, loss: Tensor) -> Gradients:
-        """Reverse-accumulate gradients of a scalar `loss` over the tape."""
-        node = loss.node
-        if node is None or node.tape_key is not self.key:
+    def backward(self, loss: Tensor) -> "Tape":
+        """Reverse-accumulate gradients of a scalar `loss` into the sinks.
+
+        Returns the tape, so `tape.backward(loss).wrt(x)` reads x's gradient.
+        """
+        # interior gradients by the id of each record's output; the records
+        # keep the outputs alive, so no id is reused while this runs
+        grads = {id(out): None for out, _, _ in self.records}
+        if id(loss) not in grads:
             raise ValidationError("loss is not recorded on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        grads: list = [None] * len(self.nodes)
-        grads[node.index] = np.ones_like(loss.data)
-        for n in reversed(self.nodes):
-            g = grads[n.index]
-            if g is None or n.backward_fn is None:
+        grads[id(loss)] = np.ones_like(loss.data)
+        sinks = self.sinks
+        for out, parents, backward_fn in reversed(self.records):
+            g = grads.pop(id(out))
+            if g is None:
                 continue
-            for parent, contribution in zip(n.parents, n.backward_fn(g)):
+            for parent, contribution in zip(parents, backward_fn(g)):
                 if contribution is None:
                     continue
-                sink = parent.sink
+                sink = sinks.get(parent)
                 if sink is not None:
                     if type(contribution) is _RowSparse:
                         contribution.add_to(sink)
                     else:
                         np.add(sink, contribution, out=sink)
                     continue
+                key = id(parent)
+                if key not in grads:
+                    continue  # a leaf without a sink
                 if type(contribution) is _RowSparse:
                     contribution = contribution.dense()
                 # backward functions may return shared arrays and views, so
                 # the first contribution is stored as is and later ones are
                 # summed out of place, never into it
-                if grads[parent.index] is None:
-                    grads[parent.index] = contribution
+                if grads[key] is None:
+                    grads[key] = contribution
                 else:
-                    grads[parent.index] = grads[parent.index] + contribution
-        return Gradients(self, grads)
+                    grads[key] = grads[key] + contribution
+        return self
 
 
 def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -298,7 +264,7 @@ def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(value, check=False)
     tape = _active_tape()
     if tape is not None:
-        tape._record(out, parents, backward_fn)
+        tape.records.append((out, parents, backward_fn))
     return out
 
 

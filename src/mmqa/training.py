@@ -66,24 +66,12 @@ class Adam(object):
             offset += p.data.size
         return out
 
-    def _gather(self, grads: dict) -> np.ndarray:
-        if set(grads) != set(self.params):
-            raise ValidationError("gradient names do not match parameter names")
-        for name, param in self.params.items():
-            if grads[name].shape != param.data.shape:
-                raise ShapeError(f"gradient for {name!r} is {grads[name].shape}, "
-                                 f"parameter is {param.data.shape}")
-        return np.concatenate([grads[name].reshape(-1) for name in self.params])
-
     def step(self, grad) -> None:
-        """One update from `grad`, a vector in `theta`'s layout or a name ->
-        array map.
+        """One update from `grad`, a vector in `theta`'s layout.
 
         Each element goes through the textbook expression, operation by
         operation, so the result is bitwise that of the unfused formula.
         """
-        if isinstance(grad, dict):
-            grad = self._gather(grad)
         if grad.shape != self.theta.shape:
             raise ShapeError(f"gradient is {grad.shape}, parameters are {self.theta.shape}")
         self.t += 1
@@ -166,7 +154,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     grad = np.zeros_like(adam.theta)
     grads = adam.views(grad)
     sinks = {p: grads[name] for name, p in params.items()}
-    best = {name: p.data.copy() for name, p in params.items()}
+    best = adam.theta.copy()
     best_f1 = -1.0
     best_epoch = 0
     stale = 0
@@ -211,7 +199,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best = {name: p.data.copy() for name, p in params.items()}
+            best = adam.theta.copy()
             stale = 0
         else:
             stale += 1
@@ -222,7 +210,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
             log.append(entry)
             if train_f1 >= stop_at_train_f1:
                 epochs_to_target = epoch
-                best = {name: p.data.copy() for name, p in params.items()}
+                best = adam.theta.copy()
                 best_f1 = val_f1
                 best_epoch = epoch
                 break
@@ -232,9 +220,8 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         if stale >= cfg.patience:
             break
 
-    for name, p in params.items():
-        p.data[...] = best[name]
-    return TrainResult(params=best, best_f1=best_f1, best_epoch=best_epoch,
+    adam.theta[...] = best
+    return TrainResult(params=adam.views(best), best_f1=best_f1, best_epoch=best_epoch,
                        epochs_run=epochs_run, log=log,
                        epochs_to_target=epochs_to_target, optimizer=adam)
 

@@ -77,6 +77,28 @@ class TestAugmentCommand:
         expected = [ex.video_id for d in dialogs for ex in expand_shuffle(d, 2, 5)]
         assert [d.video_id for d in load_dataset(str(out))] == expected
 
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_factor_bound_is_validated(self, tmp_path, capsys, command):
+        # a dialog with n history pairs gains up to n! - 1 shuffled copies,
+        # so an unbounded factor lets a long dialog expand factorially
+        data = tmp_path / "in.json"
+        write_dataset(data)
+        out = tmp_path / "out"
+        if command == "augment":
+            argv = ["augment", "--data", str(data), "--out", str(out),
+                    "--mode", "shuffle", "--factor", str(10 ** 12)]
+            key = "--factor must lie in [1, 1000], got 1000000000000"
+        else:
+            config = write_config(tmp_path / "run.yaml", data,
+                                  training={"augmentation": "shuffle", "factor": 10 ** 12})
+            argv = ["train", "--config", config, "--out", str(out)]
+            key = "factor must lie in [1, 1000], got 1000000000000"
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert key in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.vocab").exists()
+
 
 class TestPipeline:
     def run_train(self, tmp_path, **config_overrides):
@@ -112,10 +134,8 @@ class TestPipeline:
         # the loss stays finite; only the bias row of the vocabulary
         # projection gets an infinite gradient
         def add_row(m, r):
-            out = tensor.add_row(m, r)
-            back = out.node.backward_fn
-            out.node.backward_fn = lambda g: (back(g)[0], np.full(r.shape, np.inf))
-            return out
+            return tensor._emit(m.data + r.data, (m, r),
+                                lambda g: (g, np.full(r.shape, np.inf)))
 
         monkeypatch.setattr(model_module, "add_row", add_row)
         code, _data, ckpt = self.run_train(tmp_path)

@@ -326,8 +326,7 @@ class TestModelCheckpoint:
     def test_optimizer_state_round_trips(self, tmp_path):
         vocab, model = self.build()
         optimizer = Adam(model.parameters(), learning_rate=0.01)
-        optimizer.step({name: np.ones_like(t.data)
-                        for name, t in model.parameters().items()})
+        optimizer.step(np.ones_like(optimizer.theta))
         path = self.save(tmp_path, model, vocab, optimizer)
         _, tensors, _ = model_from_checkpoint(path)
         assert tensors["__opt__/t"][0] == 1.0

@@ -388,7 +388,7 @@ class TestModelAssembly:
 
     def test_toy_loss_records_few_tape_nodes(self):
         # A guard that does not depend on host speed: the fused recurrence
-        # records 265 nodes here, a per-step one over 1,300.
+        # records 117 operations here, a per-step one over 1,000.
         model, example = gradcheck._toy_setup()
         with Tape() as tape:
             model.loss(example)

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.tensor import (
-    Gradients,
     Tape,
     Tensor,
     add,
@@ -251,6 +250,13 @@ class TestTape:
             g = tape.backward(sum_all(x))
         np.testing.assert_array_equal(g.wrt(y), [0.0])
 
+    def test_watching_an_output_is_rejected(self):
+        x = T([1.0])
+        with Tape() as tape:
+            y = mul(x, x)
+            with pytest.raises(ValidationError, match="leaf"):
+                tape.watch(y)
+
     def test_loss_not_on_tape_rejected(self):
         loss = sum_all(T([1.0]))  # built with no tape active
         with Tape() as tape:
@@ -286,6 +292,20 @@ class TestTape:
         np.testing.assert_array_equal(g_inner, [2.0, 2.0])
         np.testing.assert_array_equal(g_outer, [1.0, 1.0])
 
+    def test_inner_tape_between_two_uses_keeps_the_outer_gradient(self):
+        # sum(x*x + x) so dy/dx = 2x + 1, although an inner tape watched and
+        # used x between the outer tape's two uses of it
+        x = T([1.0, 1.0])
+        with Tape() as outer:
+            outer.watch(x)
+            a = mul(x, x)
+            with Tape() as inner:
+                inner.watch(x)
+                g_inner = inner.backward(sum_all(x)).wrt(x)
+            g_outer = outer.backward(sum_all(add(a, x))).wrt(x)
+        np.testing.assert_array_equal(g_inner, [1.0, 1.0])
+        np.testing.assert_array_equal(g_outer, [3.0, 3.0])
+
     def test_tapes_are_thread_local(self):
         errors = []
 
@@ -311,9 +331,51 @@ class TestTape:
         assert not errors
         np.testing.assert_array_equal(g, [1.0])
 
-    def test_no_recording_without_tape(self):
-        y = relu(T([[1.0, -1.0]]))
-        assert y.node is None
+    def test_threads_taping_one_tensor_each_get_their_gradient(self):
+        # the second thread tapes x while the first is between its two uses
+        x = T([1.0, 1.0])
+        barrier = threading.Barrier(2, timeout=10)
+        results, errors = {}, []
+
+        def first():
+            try:
+                with Tape() as tape:
+                    tape.watch(x)
+                    a = mul(x, x)
+                    barrier.wait()  # let the second thread tape x
+                    barrier.wait()  # ...and wait until it has
+                    results["first"] = tape.backward(sum_all(add(a, x))).wrt(x)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        def second():
+            try:
+                barrier.wait()
+                with Tape() as tape:
+                    tape.watch(x)
+                    y = sum_all(mul(x, T([5.0, 5.0])))
+                    barrier.wait()
+                    results["second"] = tape.backward(y).wrt(x)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        np.testing.assert_array_equal(results["first"], [3.0, 3.0])
+        np.testing.assert_array_equal(results["second"], [5.0, 5.0])
+
+    def test_wrt_returns_a_given_sink(self):
+        x = T([[1.0, 2.0]])
+        sink = np.full((1, 2), 10.0)
+        with Tape({x: sink}) as tape:
+            g = tape.backward(sum_all(mul(x, x))).wrt(x)
+        assert g is sink
+        np.testing.assert_array_equal(sink, [[12.0, 14.0]])
 
     def test_untaped_block_records_nothing(self):
         x = T([[1.0, 2.0]])
@@ -322,12 +384,13 @@ class TestTape:
             before = len(tape)
             with untaped():
                 y = mul(x, x)
-            assert len(tape) == before and y.node is None
+            assert len(tape) == before
             g = tape.backward(sum_all(mul(x, y))).wrt(x)
         np.testing.assert_array_equal(g, [[1.0, 4.0]])  # y is a constant here
 
     def test_finished_tape_is_freed_without_the_cycle_collector(self):
-        # nodes name their tape by key, so tape and nodes form no cycle
+        # records refer to tensors and tensors to nothing on the tape, so a
+        # tape and its records form no cycle
         x = T([[1.0, 2.0]])
         gc.disable()
         try:

@@ -44,13 +44,13 @@ class TestAdam:
         snapshot = params["w"].data.copy()
         adam = Adam(params, learning_rate=0.5)
         for _ in range(3):
-            adam.step({"w": np.zeros((1, 2))})
+            adam.step(np.zeros(2))
         assert np.array_equal(params["w"].data, snapshot)
 
     def test_first_step_approximates_signed_learning_rate(self):
         params = self.params({"w": [[1.0, 1.0, 1.0]]})
         adam = Adam(params, learning_rate=0.01)
-        adam.step({"w": np.array([[3.0, -0.5, 2e-7]])})
+        adam.step(np.array([3.0, -0.5, 2e-7]))
         moved = params["w"].data - 1.0
         np.testing.assert_allclose(moved[0, :2], [-0.01, 0.01], rtol=1e-6)
         assert abs(moved[0, 2]) < 0.01  # epsilon damps near-zero gradients
@@ -59,28 +59,24 @@ class TestAdam:
         params = self.params({"w": [2.0]})
         adam = Adam(params, learning_rate=0.1)
         for _ in range(200):
-            adam.step({"w": params["w"].data.copy()})  # gradient of w^2/2
+            adam.step(params["w"].data.copy())  # gradient of w^2/2
         assert abs(params["w"].data[0]) < 0.05
 
     def test_step_counter_advances(self):
         params = self.params({"w": [1.0]})
         adam = Adam(params)
         assert adam.t == 0
-        adam.step({"w": np.array([1.0])})
-        adam.step({"w": np.array([1.0])})
+        adam.step(np.array([1.0]))
+        adam.step(np.array([1.0]))
         assert adam.t == 2
-
-    def test_name_mismatch_rejected(self):
-        adam = Adam(self.params({"w": [1.0]}))
-        with pytest.raises(ValidationError):
-            adam.step({"v": np.array([1.0])})
-        with pytest.raises(ValidationError):
-            adam.step({})
 
     def test_shape_mismatch_rejected(self):
         adam = Adam(self.params({"w": [1.0, 2.0]}))
         with pytest.raises(ShapeError):
-            adam.step({"w": np.array([[1.0, 2.0]])})
+            adam.step(np.array([[1.0, 2.0]]))
+        with pytest.raises(ShapeError):
+            adam.step(np.array([1.0]))
+        assert adam.t == 0
 
     def test_flat_step_is_bitwise_the_per_name_formula(self):
         # "big" spans several of step's chunks; "still" never gets a gradient
@@ -126,8 +122,7 @@ class TestGradientBuffer:
         sinks = {p: np.zeros_like(p.data) for p in params.values()}
         with Tape(sinks) as tape:
             grads = tape.backward(model.loss(example))
-        with pytest.raises(ValidationError, match="sink"):
-            grads.wrt(model.embedding.matrix)
+        assert grads.wrt(model.embedding.matrix) is sinks[model.embedding.matrix]
         for name, p in params.items():
             assert np.abs(sinks[p] - expected[name]).max() <= 1e-12, name
         tokens = [t for pair in example.history for s in pair for t in s]

@@ -18,7 +18,6 @@ from .augment import AUGMENTATIONS
 from .errors import ValidationError
 
 __all__ = [
-    "CELLS",
     "POOLINGS",
     "FEATURES",
     "LOSS_MODES",
@@ -28,11 +27,11 @@ __all__ = [
     "ModelConfig",
     "TrainingConfig",
     "Config",
+    "check_text",
     "config_from_dict",
     "load_config",
 ]
 
-CELLS = ("gru", "lstm")
 POOLINGS = ("max", "average")
 FEATURES = ("flow", "rgb", "audio")  # each has a `<modality>_width` in ModelConfig
 LOSS_MODES = ("tf", "ss", "free")
@@ -44,11 +43,28 @@ MAX_GENERATE_LEN = 1000
 MAX_FACTOR = 1000
 
 
+def check_text(value: str, where: str) -> str:
+    """`value`, unless it holds a NUL or a lone surrogate: no file name can
+    hold either, and a lone surrogate cannot even be written as UTF-8."""
+    nul = value.find("\0")
+    if nul >= 0:
+        raise ValidationError(f"{where} holds a NUL at character {nul}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{where} holds a lone surrogate at character {exc.start}") from None
+    return value
+
+
 @dataclass
 class DataConfig:
     train: str = "train.json"
     val: str = "val.json"
     features_dir: str = ""
+
+    def validate(self):
+        for key in ("train", "val", "features_dir"):
+            check_text(getattr(self, key), f"data.{key}")
 
 
 @dataclass
@@ -59,7 +75,6 @@ class ModelConfig:
     embed_width: int = 64
     hidden_width: int = 32
     decoder_hidden: int = 0  # 0 means "match the encoder output width"
-    cell: str = "gru"
     pooling: str = "max"
     freeze_embeddings: bool = False
     flow_width: int = 0
@@ -73,8 +88,6 @@ class ModelConfig:
                          *((f"{modality}_width", 0) for modality in FEATURES)):
             if not low <= getattr(self, key) < 2 ** 63:
                 raise ValidationError(f"{key} must lie in [{low}, 2**63)")
-        if self.cell not in CELLS:
-            raise ValidationError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
         if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
 
@@ -137,6 +150,7 @@ class Config:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def validate(self):
+        self.data.validate()
         self.model.validate()
         self.training.validate()
         return self

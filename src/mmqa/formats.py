@@ -25,7 +25,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .augment import Dialog
-from .config import CELLS, POOLINGS, ModelConfig
+from .config import POOLINGS, ModelConfig, check_text
 from .errors import FormatError, ValidationError
 from .text import tokenize
 
@@ -112,7 +112,7 @@ def _require(mapping: dict, key: str, kind, where: str):
     value = mapping[key]
     if not isinstance(value, kind):
         raise ValidationError(f"{where}: {key!r} must be {kind.__name__}")
-    return value
+    return check_text(value, f"{where}: {key!r}") if kind is str else value
 
 
 def load_dataset(path: str) -> list:
@@ -272,7 +272,7 @@ def _cfg_scalar(value: float) -> np.ndarray:
 # flag as 0 or 1 and a width as is. The stored decoder_hidden is the resolved
 # width, so like the encoder widths it is at least 1; the other fields'
 # smallest value is 0.
-_CFG_CHOICES = {"cell": CELLS, "pooling": POOLINGS, "freeze_embeddings": (False, True)}
+_CFG_CHOICES = {"pooling": POOLINGS, "freeze_embeddings": (False, True)}
 _CFG_POSITIVE = ("embed_width", "hidden_width", "decoder_hidden")
 _CFG_FIELDS = tuple(
     (f.name, 1 if f.name in _CFG_POSITIVE else 0, _CFG_CHOICES.get(f.name))
@@ -295,9 +295,10 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
     return out
 
 
-# Written by older versions for an off-paper decoder variant; only its
-# off value (0) is still accepted.
-_RETIRED_CFG_FIELD = "literal_decoder"
+# Fields that older versions wrote for retired off-paper variants, each with
+# the one stored value still accepted: the literal decoder's off value, and
+# the GRU's index among the cells ("gru", "lstm").
+_RETIRED_CFG_FIELDS = {"literal_decoder": 0.0, "cell": 0.0}
 _VOCABULARY_SIZED = ("embedding.matrix", "decoder.proj.w", "decoder.proj.b")
 
 
@@ -341,12 +342,13 @@ def model_from_checkpoint(path: str):
         high = widest if choices is None else len(choices) - 1
         value = _cfg_int(tensors, key, path, low, high)
         arch[key] = value if choices is None else choices[value]
-    retired = tensors.get(CFG_PREFIX + _RETIRED_CFG_FIELD)
-    if retired is not None and not (retired.size == 1 and retired.reshape(-1)[0] == 0.0):
-        raise ValidationError(
-            f"{path}: architecture field {_RETIRED_CFG_FIELD!r} selects a decoder "
-            f"variant that no longer exists; only 0 is accepted"
-        )
+    for key, accepted in _RETIRED_CFG_FIELDS.items():
+        stored = tensors.get(CFG_PREFIX + key)
+        if stored is not None and stored.reshape(-1).tolist() != [accepted]:
+            raise ValidationError(
+                f"{path}: architecture field {key!r} selects a variant that no "
+                f"longer exists; only {accepted:g} is accepted"
+            )
     model = Model.create(np.random.default_rng(0), vocab, **arch)
     params = model.parameters()
     for name, tensor in params.items():

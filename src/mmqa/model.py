@@ -255,7 +255,7 @@ class Model:
         cfg.validate()
         d = 2 * cfg.hidden_width
         cfg = replace(cfg, decoder_hidden=cfg.decoder_hidden or d)
-        make_rnn = lambda width: RecurrentLayer.create(rng, cfg.cell, width, cfg.hidden_width)
+        make_rnn = lambda width: RecurrentLayer.create(rng, width, cfg.hidden_width)
         stream = lambda width: (make_rnn(width), AttentionParams.create(rng, d))
         try:
             model = cls(

@@ -25,13 +25,9 @@ __all__ = [
     "logistic",
     "ones",
     "matmul",
-    "add",
     "add_row",
     "mul",
     "relu",
-    "sigmoid",
-    "tanh",
-    "one_minus",
     "transpose",
     "concat_cols",
     "concat_rows",
@@ -284,13 +280,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad @ bd, (a, b), back)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two equally shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def add_row(m: Tensor, r: Tensor) -> Tensor:
     """Add a 1*n row vector to every row of an m*n matrix."""
     if m.ndim != 2 or r.ndim != 2 or r.shape[0] != 1 or r.shape[1] != m.shape[1]:
@@ -320,23 +309,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, computed stably on both tails."""
-    y = logistic(x.data)
-    return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent elementwise."""
-    y = np.tanh(x.data)
-    return _emit(y, (x,), lambda g: (g * (1.0 - y * y),))
-
-
-def one_minus(x: Tensor) -> Tensor:
-    """1 - x elementwise."""
-    return _emit(1.0 - x.data, (x,), lambda g: (-g,))
 
 
 def transpose(x: Tensor) -> Tensor:

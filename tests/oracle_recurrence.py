@@ -1,26 +1,53 @@
 """Per-step recurrence composed from tape primitives: the reference that the
-fused `gru_sequence`, `lstm_sequence` and teacher-forced decoder are tested
-against. Every step records about twenty small tape ops; nothing here is
-used by the package itself.
+fused `gru_sequence` and teacher-forced decoder are tested against. Every
+step records about twenty small tape ops; nothing here is used by the
+package itself.
+
+The elementwise primitives `add`, `sigmoid`, `tanh` and `one_minus` exist
+only for this reference, so they live here rather than in `mmqa.tensor`;
+`tests/test_tensor.py` grad-checks them.
 """
 
 import numpy as np
 
+from mmqa.errors import ShapeError
 from mmqa.tensor import (
     Tensor,
-    add,
+    _emit,
     add_row,
     concat_cols,
     concat_rows,
     cross_entropy,
+    logistic,
     matmul,
     mul,
-    one_minus,
-    sigmoid,
     take_rows,
-    tanh,
 )
 from mmqa.text import SOS
+
+
+def add(a, b):
+    """Elementwise sum of two equally shaped tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sigmoid(x):
+    """Logistic function, computed stably on both tails."""
+    y = logistic(x.data)
+    return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
+
+
+def tanh(x):
+    """Hyperbolic tangent elementwise."""
+    y = np.tanh(x.data)
+    return _emit(y, (x,), lambda g: (g * (1.0 - y * y),))
+
+
+def one_minus(x):
+    """1 - x elementwise."""
+    return _emit(1.0 - x.data, (x,), lambda g: (-g,))
 
 
 def gru_step(cell, x, h_prev):
@@ -28,15 +55,6 @@ def gru_step(cell, x, h_prev):
     r = sigmoid(add(add(matmul(x, cell.wr), matmul(h_prev, cell.ur)), cell.br))
     cand = tanh(add(add(matmul(x, cell.wh), matmul(mul(r, h_prev), cell.uh)), cell.bh))
     return add(mul(one_minus(z), h_prev), mul(z, cand))
-
-
-def lstm_step(cell, x, h_prev, c_prev):
-    i = sigmoid(add(add(matmul(x, cell.wi), matmul(h_prev, cell.ui)), cell.bi))
-    f = sigmoid(add(add(matmul(x, cell.wf), matmul(h_prev, cell.uf)), cell.bf))
-    o = sigmoid(add(add(matmul(x, cell.wo), matmul(h_prev, cell.uo)), cell.bo))
-    g = tanh(add(add(matmul(x, cell.wc), matmul(h_prev, cell.uc)), cell.bc))
-    c = add(mul(f, c_prev), mul(i, g))
-    return mul(o, tanh(c)), c
 
 
 def _zeros(cell):
@@ -50,16 +68,6 @@ def gru_sequence(cell, seq, h0=None, reverse=False):
     out = {}
     for t in order:
         h = out[t] = gru_step(cell, take_rows(seq, [t]), h)
-    return concat_rows(*[out[t] for t in range(seq.rows)])
-
-
-def lstm_sequence(cell, seq, reverse=False):
-    order = range(seq.rows - 1, -1, -1) if reverse else range(seq.rows)
-    h = c = _zeros(cell)
-    out = {}
-    for t in order:
-        h, c = lstm_step(cell, take_rows(seq, [t]), h, c)
-        out[t] = h
     return concat_rows(*[out[t] for t in range(seq.rows)])
 
 

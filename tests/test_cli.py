@@ -1,20 +1,23 @@
 """End-to-end command-line pipeline: augment, train, eval, generate."""
 
+import contextlib
+import json
 import struct
 import time
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_vocab, overfit_dialogs
+from conftest import corpus_vocab, overfit_dialogs, template_dialog
 from mmqa import cli, model as model_module, tensor
 from mmqa.augment import expand_shuffle
 from mmqa.config import Config
 from mmqa.formats import (
     checkpoint_from_model,
+    feature_path,
     load_checkpoint,
     load_dataset,
     load_scores,
@@ -360,6 +363,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("field, value", [
         ("cell", 5.0),
         ("cell", -1.0),
+        ("cell", 1.0),
+        ("cell", float("nan")),
         ("pooling", float("nan")),
         ("embed_width", 0.0),
         ("hidden_width", 2.5),
@@ -472,3 +477,105 @@ class TestFailureModes:
         assert exc.value.code == 1
         assert cli.main([]) == 1
         capsys.readouterr()
+
+
+# Text as json.dumps writes it from any Python string: NULs and lone
+# surrogates come out as \u escapes that json.loads turns back into them.
+# Plain draws almost never hold a surrogate, so some strings are drawn from
+# a short list of awkward characters instead.
+fuzz_text = st.one_of(st.text(st.characters(exclude_categories=()), max_size=8),
+                      st.text(st.sampled_from("\0\ud800\udfff #?a"), max_size=4))
+fuzz_dialogs = st.lists(st.fixed_dictionaries({
+    "video_id": fuzz_text,
+    "summary": fuzz_text,
+    "turns": st.lists(st.fixed_dictionaries({"question": fuzz_text, "answer": fuzz_text}),
+                      min_size=1, max_size=2),
+}), min_size=1, max_size=3)
+
+
+def tiny_config(path, train, val, features_dir):
+    """A one-epoch run of a 2-wide model with a 1-wide flow stream, so that
+    every example also reads a feature file."""
+    doc = {
+        "data": {"train": train, "val": val, "features_dir": features_dir},
+        "model": {"embed_width": 2, "hidden_width": 1, "flow_width": 1},
+        "training": {"max_epochs": 1, "batch_size": 4, "max_generate_len": 2,
+                     "augmentation": "basic"},
+    }
+    path.write_text(json.dumps(doc))  # JSON is YAML; it escapes what YAML cannot hold
+    return str(path)
+
+
+class TestTextFaults:
+    @pytest.mark.parametrize("field, text, fault", [
+        ("video_id", "a\ud800b", "dialog 0: 'video_id' holds a lone surrogate at character 1"),
+        ("video_id", "a\0b", "dialog 0: 'video_id' holds a NUL at character 1"),
+        ("summary", "a \udfff", "dialog 'v': 'summary' holds a lone surrogate at character 2"),
+        ("answer", "\0", "dialog 'v' turn 0: 'answer' holds a NUL at character 0"),
+    ], ids=["video_id-surrogate", "video_id-nul", "summary-surrogate", "answer-nul"])
+    def test_dataset_text_is_validation_failure(self, tmp_path, capsys, field, text, fault):
+        dialog = {"video_id": "v", "summary": "a cat", "turns": [{"question": "who",
+                                                                  "answer": "a cat"}]}
+        if field == "answer":
+            dialog["turns"][0]["answer"] = text
+        else:
+            dialog[field] = text
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"dialogs": [dialog]}))
+        assert cli.main(["augment", "--data", str(data), "--out", str(tmp_path / "out.json"),
+                         "--mode", "shuffle"]) == 1
+        assert fault in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["train", "val", "features_dir"])
+    @pytest.mark.parametrize("text, fault", [("x\0y.json", "a NUL at character 1"),
+                                             ("x\ud800.json", "a lone surrogate at character 1")],
+                             ids=["nul", "surrogate"])
+    def test_config_path_text_is_validation_failure(self, tmp_path, capsys, key, text, fault):
+        data = tmp_path / "data.json"
+        write_dataset(data)
+        paths = {"train": str(data), "val": str(data), "features_dir": str(tmp_path), key: text}
+        config = tiny_config(tmp_path / "run.yaml", **paths)
+        assert cli.main(["train", "--config", config, "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert f"data.{key} holds {fault}" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(dialogs=fuzz_dialogs)
+    @example(dialogs=[{"video_id": "v", "summary": "a \ud800",
+                       "turns": [{"question": "who", "answer": "a cat"}]}])
+    @example(dialogs=[{"video_id": "a\0b", "summary": "a cat",
+                       "turns": [{"question": "who", "answer": "a cat"}]}])
+    def test_fuzzed_dataset_text_exits_cleanly(self, work, dialogs):
+        data = work / "data.json"
+        data.write_text(json.dumps({"dialogs": dialogs}))
+        for dialog in dialogs:  # a feature file for every id a file name can hold
+            with contextlib.suppress(ValueError, OSError):
+                save_features(feature_path(str(work), dialog["video_id"], "flow"),
+                              np.ones((2, 1)))
+        assert cli.main(["augment", "--data", str(data), "--out", str(work / "out.json"),
+                         "--mode", "shuffle"]) in (0, 1)
+        config = tiny_config(work / "run.yaml", str(data), str(data), str(work))
+        assert cli.main(["train", "--config", config,
+                         "--out", str(work / "m.ckpt")]) in (0, 1, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(paths=st.fixed_dictionaries({key: st.one_of(st.none(), fuzz_text)
+                                        for key in ("train", "val", "features_dir")}))
+    @example(paths={"train": None, "val": None, "features_dir": "x\0y"})
+    @example(paths={"train": "x\ud800.json", "val": None, "features_dir": None})
+    def test_fuzzed_config_paths_exit_cleanly(self, work, paths):
+        # None keeps a key at a file that exists, so later keys are reached too
+        data = work / "data.json"
+        write_dataset(data, [template_dialog(f"vid{i}", "cat", "runs", "park")
+                             for i in range(2)])
+        for i in range(2):
+            save_features(str(work / f"vid{i}.flow.feat"), np.ones((2, 1)))
+        real = {"train": str(data), "val": str(data), "features_dir": str(work)}
+        config = tiny_config(work / "run.yaml", **{key: real[key] if value is None else value
+                                                  for key, value in paths.items()})
+        with contextlib.chdir(work):  # relative draws stay inside the work directory
+            code = cli.main(["train", "--config", config, "--out", str(work / "m.ckpt")])
+        assert code in (0, 1, 3)

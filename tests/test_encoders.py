@@ -1,4 +1,4 @@
-"""Recurrent cells, bidirectional encoding, and both attention mechanisms."""
+"""The GRU cell, bidirectional encoding, and both attention mechanisms."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overf
 from mmqa.encoders import (
     AttentionParams,
     GruCell,
-    LstmCell,
     RecurrentLayer,
     SelfAttentionParams,
     gru_sequence,
     gru_step,
     guided_attend,
-    lstm_sequence,
     rnn_forward,
     self_attend,
 )
@@ -78,29 +76,6 @@ class TestGruStep:
         assert grad_check(f, T(rng.normal(size=(1, 3)) * 0.5)) < 1e-6
 
 
-class TestLstmStep:
-    def test_forget_bias_starts_at_one(self):
-        cell = LstmCell.create(np.random.default_rng(1), 3, 4)
-        np.testing.assert_array_equal(cell.bf.data, np.ones((1, 4)))
-        np.testing.assert_array_equal(cell.bi.data, np.zeros((1, 4)))
-
-    def test_zero_weights_keep_scaled_cell_state(self):
-        # only the candidate's input weights are non-zero, so the first input
-        # row writes c1 = 0.5 * tanh(x Wc) and the zero second row adds
-        # nothing: c2 = f * c1 with the forget gate at its bias
-        z = lambda shape: Tensor(np.zeros(shape), check=False)
-        cell = LstmCell(
-            z((2, 2)), z((2, 2)), z((2, 2)), Tensor(np.eye(2), check=False),
-            z((2, 2)), z((2, 2)), z((2, 2)), z((2, 2)),
-            z((1, 2)), Tensor(np.ones((1, 2)), check=False), z((1, 2)), z((1, 2)),
-        )
-        h = lstm_sequence(cell, T([[1.2, -2.0], [0.0, 0.0]]))
-        c1 = 0.5 * np.tanh(np.array([1.2, -2.0]))
-        keep = 1.0 / (1.0 + np.exp(-1.0))  # forget gate at its bias
-        np.testing.assert_allclose(h.data[0], 0.5 * np.tanh(c1))
-        np.testing.assert_allclose(h.data[1], 0.5 * np.tanh(keep * c1))
-
-
 def taped_run(fn, cell, seq, states, weights, **kwargs):
     """Output and the gradients of sum(output * weights) with respect to the
     input, every cell parameter and the initial states, plus the tape size."""
@@ -114,27 +89,22 @@ def taped_run(fn, cell, seq, states, weights, **kwargs):
 
 
 class TestFusedSequences:
-    """The fused primitives against the per-step composition of tape ops."""
+    """The fused primitive against the per-step composition of tape ops."""
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("kind, with_state", [("gru", False), ("gru", True),
-                                                  ("lstm", False)])
-    def test_matches_per_step_oracle(self, kind, with_state, reverse):
+    @pytest.mark.parametrize("with_state", [False, True], ids=["gru-False", "gru-True"])
+    def test_matches_per_step_oracle(self, with_state, reverse):
         rng = np.random.default_rng(31)
         n, width, hidden = 7, 5, 4
-        if kind == "gru":
-            cell = GruCell.create(rng, width, hidden)
-            fused, reference = gru_sequence, oracle.gru_sequence
-        else:
-            cell = LstmCell.create(rng, width, hidden)
-            fused, reference = lstm_sequence, oracle.lstm_sequence
+        cell = GruCell.create(rng, width, hidden)
         for p in cell.parameters().values():
             p.data[...] = rng.normal(0.0, 0.6, size=p.shape)
         seq = T(rng.normal(size=(n, width)))
         states = [T(rng.normal(size=(1, hidden)))] if with_state else []
         weights = T(rng.normal(size=(n, hidden)))
-        out, grads, nodes = taped_run(fused, cell, seq, states, weights, reverse=reverse)
-        want, want_grads, _ = taped_run(reference, cell, seq, states, weights,
+        out, grads, nodes = taped_run(gru_sequence, cell, seq, states, weights,
+                                      reverse=reverse)
+        want, want_grads, _ = taped_run(oracle.gru_sequence, cell, seq, states, weights,
                                         reverse=reverse)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         for got, expected in zip(grads, want_grads):
@@ -144,14 +114,10 @@ class TestFusedSequences:
 
     def test_steps_are_the_one_row_case(self):
         rng = np.random.default_rng(32)
-        gru, lstm = GruCell.create(rng, 3, 2), LstmCell.create(rng, 3, 2)
+        gru = GruCell.create(rng, 3, 2)
         x, h = T(rng.normal(size=(1, 3))), T(rng.normal(size=(1, 2)))
         np.testing.assert_array_equal(gru_step(gru, x, h).data,
                                       gru_sequence(gru, x, h).data)
-        zero = Tensor(np.zeros((1, 2)), check=False)
-        want_h, _ = oracle.lstm_step(lstm, x, zero, zero)
-        np.testing.assert_allclose(lstm_sequence(lstm, x).data, want_h.data,
-                                   rtol=0, atol=1e-15)
 
     def test_initial_state_shape_checked(self):
         cell = GruCell.create(np.random.default_rng(0), 3, 2)
@@ -164,7 +130,7 @@ class TestFusedSequences:
 class TestRnnForward:
     def test_single_step_forward_half_matches_cell(self):
         rng = np.random.default_rng(2)
-        layer = RecurrentLayer.create(rng, "gru", 3, 4)
+        layer = RecurrentLayer.create(rng, 3, 4)
         x = T(rng.normal(size=(1, 3)))
         out = rnn_forward(layer, x)
         zero = Tensor(np.zeros((1, 4)), check=False)
@@ -175,7 +141,7 @@ class TestRnnForward:
 
     def test_output_shapes(self):
         rng = np.random.default_rng(4)
-        layer = RecurrentLayer.create(rng, "gru", 3, 4)
+        layer = RecurrentLayer.create(rng, 3, 4)
         seq = T(rng.normal(size=(5, 3)))
         assert rnn_forward(layer, seq).shape == (5, 8)
         assert layer.output_width == 8
@@ -185,7 +151,7 @@ class TestRnnForward:
         # reverses the rows and swaps the direction halves
         rng = np.random.default_rng(6)
         cell = GruCell.create(rng, 3, 2)
-        layer = RecurrentLayer("gru", cell, cell)
+        layer = RecurrentLayer(cell, cell)
         seq = rng.normal(size=(4, 3))
         out = rnn_forward(layer, T(seq)).data
         rev = rnn_forward(layer, T(seq[::-1].copy())).data
@@ -193,28 +159,19 @@ class TestRnnForward:
         np.testing.assert_array_equal(out, swapped)
 
     def test_zero_weights_give_zero_states(self):
-        layer = RecurrentLayer("gru", zero_gru(3, 2), zero_gru(3, 2))
+        layer = RecurrentLayer(zero_gru(3, 2), zero_gru(3, 2))
         out = rnn_forward(layer, T(np.arange(6.0).reshape(2, 3) + 1.0))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
-    def test_lstm_layer_runs_and_differs_from_gru(self):
-        seq = T(np.random.default_rng(8).normal(size=(3, 4)))
-        gru = RecurrentLayer.create(np.random.default_rng(9), "gru", 4, 2)
-        lstm = RecurrentLayer.create(np.random.default_rng(9), "lstm", 4, 2)
-        assert rnn_forward(lstm, seq).shape == (3, 4)
-        assert not np.allclose(rnn_forward(gru, seq).data, rnn_forward(lstm, seq).data)
-
     def test_input_validation(self):
-        layer = RecurrentLayer.create(np.random.default_rng(0), "gru", 3, 2)
+        layer = RecurrentLayer.create(np.random.default_rng(0), 3, 2)
         with pytest.raises(ShapeError):
             rnn_forward(layer, T([1.0, 2.0, 3.0]))  # rank 1
         with pytest.raises(ShapeError):
             rnn_forward(layer, T(np.zeros((2, 4))))  # wrong width
-        with pytest.raises(ValidationError):
-            RecurrentLayer.create(np.random.default_rng(0), "rnn", 3, 2)
 
     def test_parameter_naming(self):
-        layer = RecurrentLayer.create(np.random.default_rng(0), "gru", 3, 2)
+        layer = RecurrentLayer.create(np.random.default_rng(0), 3, 2)
         names = set(layer.parameters())
         assert "fwd.wz" in names and "bwd.uh" in names and len(names) == 18
 

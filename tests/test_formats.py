@@ -336,17 +336,17 @@ class TestModelCheckpoint:
     def test_architecture_travels_in_the_file(self, tmp_path, toy_examples):
         vocab = corpus_vocab(overfit_dialogs())
         model = Model.create(np.random.default_rng(4), vocab,
-                             embed_width=6, hidden_width=3, cell="lstm",
+                             embed_width=6, hidden_width=3,
                              pooling="average", flow_width=5)
         path = self.save(tmp_path, model, vocab)
         rebuilt, _, _ = model_from_checkpoint(path)
-        assert rebuilt.question_rnn.kind == "lstm"
+        assert rebuilt.question_rnn.fwd.hidden_width == 3
         assert rebuilt.cfg.pooling == "average"
         assert list(rebuilt.streams) == ["summary", "history", "flow"]
         assert rebuilt.streams["flow"][0].fwd.input_width == 5
 
     def test_every_architecture_field_round_trips(self, tmp_path):
-        cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10, cell="lstm",
+        cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10,
                           pooling="average", freeze_embeddings=True, flow_width=5,
                           rgb_width=4, audio_width=2)
         defaults = ModelConfig()
@@ -434,6 +434,20 @@ class TestModelCheckpoint:
         with pytest.raises(ValidationError, match="literal_decoder"):
             model_from_checkpoint(path)
 
+    def test_retired_cell_field_loads_as_gru(self, tmp_path, toy_examples):
+        # checkpoints written while an LSTM cell was still an option carry
+        # __cfg__/cell, with 0 for the GRU; other values are rejected in
+        # test_cli's corrupt architecture cases
+        vocab, model = self.build()
+        tensors = checkpoint_from_model(model)
+        assert "__cfg__/cell" not in tensors
+        tensors["__cfg__/cell"] = np.zeros(1)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tensors, Config().hash())
+        vocab.save(path + ".vocab")
+        rebuilt, _, _ = model_from_checkpoint(path)
+        assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
+
     def test_width_is_bounded_below_the_vocabulary_size(self, tmp_path):
         # the widest non-vocabulary extent is 5 * 8 + 8 = 48 (the decoder's
         # first-layer input); a hidden width of 60 must fail the range check
@@ -511,8 +525,8 @@ class TestConfig:
             config_from_dict({"model": {"embed_width": True}})
 
     def test_type_errors_rejected(self):
-        with pytest.raises(ValidationError, match="cell"):
-            config_from_dict({"model": {"cell": 7}})
+        with pytest.raises(ValidationError, match="pooling must be str"):
+            config_from_dict({"model": {"pooling": 7}})
 
     def test_semantic_validation(self):
         with pytest.raises(ValidationError, match="loss_mode"):
@@ -523,6 +537,10 @@ class TestConfig:
     def test_retired_literal_decoder_key_rejected(self):
         with pytest.raises(ValidationError, match="literal_decoder"):
             config_from_dict({"model": {"literal_decoder": False}})
+
+    def test_retired_cell_key_rejected(self):
+        with pytest.raises(ValidationError, match="unknown model config keys: \\['cell'\\]"):
+            config_from_dict({"model": {"cell": "gru"}})
 
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "c.yaml"

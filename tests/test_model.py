@@ -377,7 +377,7 @@ class TestModelAssembly:
     @pytest.mark.parametrize("arch, fault", [
         ({"embed_width": 0}, "embed_width"),
         ({"decoder_hidden": -1}, "decoder_hidden"),
-        ({"cell": "rnn"}, "cell"),
+        ({"hidden_width": 0}, "hidden_width"),
         ({"pooling": "sum"}, "pooling"),
         ({"audio_width": -2}, "audio_width"),
     ])

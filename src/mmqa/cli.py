@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .augment import AUGMENTATIONS, Dialog, derive_seed, expand_basic
-from .config import MAX_FACTOR, MAX_GENERATE_LEN, ModelConfig, load_config
+from .config import MAX_FACTOR, MAX_GENERATE_LEN, ModelConfig, check_text, load_config
 from .errors import NumericalError, ValidationError
 from .formats import (
     checkpoint_from_model,
@@ -34,6 +34,9 @@ from .text import build_vocabulary
 from .training import evaluate, train
 
 __all__ = ["main"]
+
+# the options that name a file or directory
+PATH_OPTIONS = ("config", "data", "out", "ckpt", "features")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,6 +214,10 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 1
+        for option in PATH_OPTIONS:
+            value = getattr(args, option, None)
+            if value is not None:
+                check_text(value, f"--{option}")
         return int(args.func(args) or 0)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

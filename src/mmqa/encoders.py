@@ -11,6 +11,18 @@ arrays, and records a single tape node whose backward is hand-written
 backpropagation through time (the precomputed-input scheme of Appleyard,
 Kocisky and Blunsom, 2016). `gru_step`, the decoder's step, is the one-row
 case of `gru_sequence`.
+
+The encoders' recurrences are also stacked: `rnn_stack` runs both
+directions of many (layer, sequence) items in one step loop over a stacked
+state and BPTT loop, records one tape node, and returns one packed matrix
+that holds the items' rows one after another, as the data of PyTorch's
+`PackedSequence` does; `unpack` reads each item's rows back. This is the
+dynamic batching of TensorFlow Fold (Looks, Herreshoff, Hutchins and
+Norvig, 2017) and DyNet's on-the-fly operation batching (Neubig, Goldberg
+and Dyer, 2017) applied to one example's graph. `Model.encode` calls it in
+two waves: the question, the summary, every history sentence and every
+present modality first, then the history stream, which reads the sentence
+vectors of wave 1. `rnn_forward` is the one-item call.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from .tensor import (
     mul,
     relu,
     softmax_rows,
+    take_rows,
     transpose,
 )
 
@@ -45,6 +58,8 @@ __all__ = [
     "gru_sequence",
     "gru_step",
     "rnn_forward",
+    "rnn_stack",
+    "unpack",
     "self_attend",
     "guided_attend",
 ]
@@ -225,15 +240,152 @@ def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
     return gru_sequence(cell, x, h_prev)
 
 
+def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
+    for cell in (layer.fwd, layer.bwd):
+        _check_sequence(cell, seq, None)
+        if cell.hidden_width != hidden:
+            raise ShapeError(
+                f"stacked layers must share one hidden width: {cell.hidden_width} vs {hidden}"
+            )
+
+
+def rnn_stack(items) -> Tensor:
+    """Run each `(RecurrentLayer, seq)` item over its n_i*in_i sequence in
+    both directions; returns the packed (sum n_i)*2h states as one tape node.
+
+    The output holds the items' rows one after another, as the data of
+    PyTorch's `PackedSequence` does: item i's rows are what
+    `rnn_forward(layer_i, seq_i)` returns, forward states on the left and
+    backward states on the right, and `unpack` reads them back per item.
+    `Model.encode` calls it in two waves: the question, summary, history
+    sentences and modalities, then the history stream over wave 1's
+    sentence vectors.
+
+    The K = 2 * len(items) runs (one per item and direction) share one step
+    loop over a K*h state, longest run first, so the runs still going at
+    step t are the first rows of the state and a run stops at its length.
+    Each run's U weights are stacked into K*h*2h and K*h*h arrays and
+    applied through `np.matmul`, one vector-matrix product per run, and the
+    BPTT loop is stacked the same way. Each run keeps its own input-term
+    GEMMs, input gradient and weight gradients: the BLAS behind numpy can
+    round a row of a product differently when the product has more rows,
+    and this way every number equals `gru_sequence`'s bitwise. Each run's
+    input and cell weights are parents once per run, last item and
+    direction first, so the tape adds them into a shared cell's sinks in the
+    order that one record per direction did. This is the dynamic batching
+    of same-typed operations in one graph (Looks et al., 2017; Neubig,
+    Goldberg and Dyer, 2017) on top of Appleyard et al.'s precomputed inputs.
+    """
+    if not items:
+        raise ValidationError("rnn_stack needs at least one (layer, sequence) item")
+    h = items[0][0].fwd.hidden_width
+    runs = []  # (cell, input in step order, packed rows, packed columns, reverse)
+    start = 0
+    for layer, seq in items:
+        _check_item(layer, seq, h)
+        rows = slice(start, start + seq.rows)
+        runs.append((layer.fwd, seq.data, rows, slice(0, h), False))
+        runs.append((layer.bwd, seq.data[::-1], rows, slice(h, 2 * h), True))
+        start += seq.rows
+    k_runs = len(runs)
+    lengths = [x.shape[0] for _, x, _, _, _ in runs]
+    order = sorted(range(k_runs), key=lambda k: -lengths[k])
+    slot = [0] * k_runs  # a run's row in the K*h state
+    for s, k in enumerate(order):
+        slot[k] = s
+    steps = lengths[order[0]]
+    live = (k_runs - np.cumsum(np.bincount(lengths))[:steps]).tolist()  # runs still going at step t
+
+    xw = np.zeros((steps, k_runs, 3 * h))
+    for k, (cell, x, _, _, _) in enumerate(runs):
+        ws = (cell.wz.data, cell.wr.data, cell.wh.data)
+        b = np.concatenate([cell.bz.data, cell.br.data, cell.bh.data], axis=1)[0]
+        xw[:lengths[k], slot[k]] = np.concatenate([x @ w for w in ws], axis=1) + b
+    cells = [runs[k][0] for k in order]
+    u_zr = np.stack([np.concatenate([c.uz.data, c.ur.data], axis=1) for c in cells])
+    u_h = np.stack([c.uh.data for c in cells])
+
+    gates = np.zeros((steps, k_runs, 2 * h))  # z | r
+    cand = np.zeros((steps, k_runs, h))
+    out = np.zeros((steps, k_runs, h))
+    state = np.zeros((k_runs, h))
+    for t, b in enumerate(live):
+        s = state[:b]
+        zr = gates[t, :b] = logistic(xw[t, :b, :2 * h] + np.matmul(s[:, None], u_zr[:b])[:, 0])
+        z = zr[:, :h]
+        c = cand[t, :b] = np.tanh(
+            xw[t, :b, 2 * h:] + np.matmul((zr[:, h:] * s)[:, None], u_h[:b])[:, 0])
+        state = out[t, :b] = (1.0 - z) * s + z * c
+    packed = np.empty((start, 2 * h))
+    for k, (_, _, rows, cols, reverse) in enumerate(runs):
+        states = out[:lengths[k], slot[k]]
+        packed[rows, cols] = states[::-1] if reverse else states
+
+    def back(g):
+        dout = np.zeros((steps, k_runs, h))
+        for k, (_, _, rows, cols, reverse) in enumerate(runs):
+            g_k = g[rows, cols]
+            dout[:lengths[k], slot[k]] = g_k[::-1] if reverse else g_k
+        prev = np.zeros_like(out)
+        prev[1:] = out[:-1]
+        z, r = gates[..., :h], gates[..., h:]
+        keep = 1.0 - z
+        to_cand = z * (1.0 - cand * cand)
+        to_z = (cand - prev) * z * keep
+        to_r = prev * r * (1.0 - r)
+        u_zr_t, u_h_t = u_zr.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
+        da = np.zeros((steps, k_runs, 3 * h))  # pre-activation gradients, z | r | cand
+        dh = np.zeros((k_runs, h))
+        for t in range(steps - 1, -1, -1):
+            b = live[t]
+            d = dh[:b] + dout[t, :b]
+            da_t = da[t, :b]
+            np.multiply(d, to_z[t, :b], out=da_t[:, :h])
+            dac = np.multiply(d, to_cand[t, :b], out=da_t[:, 2 * h:])
+            drh = np.matmul(dac[:, None], u_h_t[:b])[:, 0]
+            np.multiply(drh, to_r[t, :b], out=da_t[:, h:2 * h])
+            dh[:b] = (d * keep[t, :b] + drh * r[t, :b]
+                      + np.matmul(da_t[:, None, :2 * h], u_zr_t[:b])[:, 0])
+        rh = r * prev
+        grads = []
+        for k in range(k_runs - 1, -1, -1):
+            cell, x, _, _, reverse = runs[k]
+            n, s = lengths[k], slot[k]
+            da_k = da[:n, s]
+            parts = (da_k[:, :h], da_k[:, h:2 * h], da_k[:, 2 * h:])
+            dx = (parts[0] @ cell.wz.data.T + parts[1] @ cell.wr.data.T
+                  + parts[2] @ cell.wh.data.T)
+            du_zr = prev[:n, s].T @ da_k[:, :2 * h]
+            db = da_k.sum(axis=0, keepdims=True)
+            grads += (dx[::-1] if reverse else dx, *(x.T @ part for part in parts),
+                      du_zr[:, :h], du_zr[:, h:], rh[:n, s].T @ parts[2],
+                      db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
+        return grads
+
+    parents = tuple(p for layer, seq in reversed(items)
+                    for cell in (layer.bwd, layer.fwd)
+                    for p in (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
+                              cell.bz, cell.br, cell.bh))
+    return _emit(packed, parents, back)
+
+
+def unpack(packed: Tensor, items) -> list:
+    """The n_i*2h rows of each item in `rnn_stack(items)`'s packed output."""
+    if len(items) == 1:
+        return [packed]
+    ends = np.cumsum([seq.rows for _, seq in items])
+    return [take_rows(packed, range(end - seq.rows, end))
+            for (_, seq), end in zip(items, ends)]
+
+
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
     """Run the layer over an n*in sequence; returns n*2h.
 
     Row t concatenates the forward state after step t with the backward
     state produced at t (the backward pass consumes the reversed input).
-    Initial states are zero. Each direction is one fused tape node.
+    Initial states are zero. This is the one-item `rnn_stack`.
     """
-    return concat_cols(gru_sequence(layer.fwd, seq),
-                       gru_sequence(layer.bwd, seq, reverse=True))
+    return rnn_stack([(layer, seq)])
 
 
 def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .augment import DialogExample
-from .encoders import GruCell, gru_sequence
+from .encoders import GruCell, RecurrentLayer, gru_sequence, rnn_stack
 from .model import Model
 from .tensor import (
     Tensor,
@@ -85,6 +85,7 @@ def primitive_checks(eps: float = 1e-5) -> list:
         ("sum_all", lambda x: sum_all(x), a),
     ]
     cases += _recurrence_cases(rng)
+    cases += _stack_cases(rng)
     return [(name, grad_check(f, x, eps)) for name, f, x in cases]
 
 
@@ -107,6 +108,22 @@ def _recurrence_cases(rng) -> list:
             for name, x in {"seq": seq, **cell.parameters(), **states}.items():
                 cases.append((f"{tag}/{name}", loss, x))
     return cases
+
+
+def _stack_cases(rng) -> list:
+    """Stacked recurrences over ragged lengths (1, 3 and 4 rows): two items
+    share one layer and the third has another input width. One case per
+    input and per weight of both directions of the shared layer."""
+    shared = RecurrentLayer.create(rng, 3, 2)
+    for p in shared.parameters().values():
+        p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+    seqs = {"seq1": _smooth(rng, 1, 3), "seq3": _smooth(rng, 3, 3), "seq4": _smooth(rng, 4, 2)}
+    items = [(shared, seqs["seq1"]), (shared, seqs["seq3"]),
+             (RecurrentLayer.create(rng, 2, 2), seqs["seq4"])]
+    weights = _smooth(rng, 8, 4)
+    loss = lambda _x: sum_all(mul(rnn_stack(items), weights))
+    return [(f"rnn_stack/{name}", loss, x)
+            for name, x in {**seqs, **shared.parameters()}.items()]
 
 
 def _toy_setup():

@@ -23,7 +23,9 @@ from .encoders import (
     gru_step,
     guided_attend,
     rnn_forward,
+    rnn_stack,
     self_attend,
+    unpack,
 )
 from .errors import ShapeError, ValidationError
 from .tensor import (
@@ -287,32 +289,45 @@ class Model:
         return {f"{prefix}.{name}": tensor for prefix, group in groups
                 for name, tensor in group.parameters().items()}
 
-    def _attend(self, stream: str, seq: Tensor, q_tilde: Tensor) -> Tensor:
-        """1*D vector of `seq` through one stream's recurrence and attention."""
-        rnn, attn = self.streams[stream]
-        return guided_attend(attn, rnn_forward(rnn, seq), q_tilde, self.cfg.pooling)
-
     def encode(self, example: DialogExample):
         """Encode one example; returns (context 1*5D, question vector 1*D).
 
+        The recurrences run in two waves of `rnn_stack`. Wave 1 holds the
+        question, the summary, every history sentence (through the summary
+        stream's layer) and every present modality; its packed output is
+        read back per stream with `unpack`. Wave 2 is the history stream,
+        which reads wave 1's sentence vectors. The attention calls keep the
+        order of one stream after another, so every shared gradient sums in
+        the same order as a per-stream encode.
+
         An empty history and a disabled or absent modality encode as the
         zero vector and touch no parameters of their stream, so those
-        receive no gradient from such an example.
+        receive no gradient from such an example; a history-free example
+        runs no wave 2.
         """
         embed = lambda tokens: embed_sentence(self.vocab, self.embedding, tokens)
         zero = lambda: Tensor(np.zeros((1, self.width)), check=False)
-        q_tilde = rnn_forward(self.question_rnn, embed(example.question))
+        summary_rnn = self.streams["summary"][0]
+        # looked up question, summary, then sentences: the embedding's sink adds
+        # their gradients in the reverse order, which fixes its rounding
+        question, summary = embed(example.question), embed(example.summary)
+        sentences = [embed(tokens) for pair in example.history for tokens in pair]
+        present = [m for m in FEATURES
+                   if m in self.streams and getattr(example, m) is not None]
+        items = [(self.question_rnn, question), (summary_rnn, summary),
+                 *((summary_rnn, seq) for seq in sentences),
+                 *((self.streams[m][0], Tensor(getattr(example, m))) for m in present)]
+        q_tilde, summary, *states = unpack(rnn_stack(items), items)
+        attend = lambda stream, seq: guided_attend(self.streams[stream][1], seq, q_tilde,
+                                                   self.cfg.pooling)
         q_vec = self_attend(self.question_attn, q_tilde)
-        summary = self._attend("summary", embed(example.summary), q_tilde)
-        sentences = [self._attend("summary", embed(tokens), q_tilde)
-                     for pair in example.history for tokens in pair]
-        history = (self._attend("history", concat_rows(*sentences), q_tilde)
+        summary = attend("summary", summary)
+        sentences = [attend("summary", seq) for seq in states[:len(sentences)]]
+        history = (attend("history", rnn_forward(self.streams["history"][0],
+                                                 concat_rows(*sentences)))
                    if sentences else zero())
-        features = []
-        for modality in FEATURES:
-            frames = getattr(example, modality)
-            features.append(zero() if modality not in self.streams or frames is None else
-                            self._attend(modality, Tensor(frames), q_tilde))
+        frames = dict(zip(present, states[len(sentences):]))
+        features = [attend(m, frames[m]) if m in frames else zero() for m in FEATURES]
         return fuse(*features, summary, history), q_vec
 
     def answer_ids(self, example: DialogExample) -> list[int]:

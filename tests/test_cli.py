@@ -538,6 +538,26 @@ class TestTextFaults:
         assert cli.main(["train", "--config", config, "--out", str(tmp_path / "m.ckpt")]) == 1
         assert f"data.{key} holds {fault}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["augment", "--data", None, "--out", "o.json"], "--data"),
+        (["augment", "--data", "d.json", "--out", None], "--out"),
+        (["train", "--config", None, "--out", "m.ckpt"], "--config"),
+        (["eval", "--ckpt", None, "--data", "d.json", "--out", "s.tsv"], "--ckpt"),
+        (["eval", "--ckpt", "m.ckpt", "--data", "d.json", "--out", "s.tsv",
+          "--features", None], "--features"),
+        (["generate", "--ckpt", "m.ckpt", "--data", None, "--out", "a.txt"], "--data"),
+    ], ids=["augment-data", "augment-out", "train-config", "eval-ckpt", "eval-features",
+            "generate-data"])
+    @pytest.mark.parametrize("text, fault", [("f\0", "a NUL at character 1"),
+                                             ("f\ud800", "a lone surrogate at character 1")],
+                             ids=["nul", "surrogate"])
+    def test_path_option_text_is_validation_failure(self, tmp_path, capsys, argv, option,
+                                                    text, fault):
+        # checked before any file is opened, so none of the files exists
+        argv = [text if a is None else str(tmp_path / a) if "." in a else a for a in argv]
+        assert cli.main(argv) == 1
+        assert f"{option} holds {fault}" in capsys.readouterr().err
+
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")

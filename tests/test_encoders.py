@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import oracle_recurrence as oracle
 from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overfit_dialogs
@@ -14,11 +16,13 @@ from mmqa.encoders import (
     gru_step,
     guided_attend,
     rnn_forward,
+    rnn_stack,
     self_attend,
+    unpack,
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
-from mmqa.tensor import Tape, Tensor, grad_check, mul, sum_all
+from mmqa.tensor import Tape, Tensor, concat_cols, concat_rows, grad_check, mul, sum_all
 from mmqa.text import embed_sentence
 
 
@@ -176,6 +180,85 @@ class TestRnnForward:
         assert "fwd.wz" in names and "bwd.uh" in names and len(names) == 18
 
 
+def sequence_rnn_forward(layer, seq):
+    """A bidirectional layer as two `gru_sequence` records: the reference
+    that the stacked recurrence is compared against."""
+    return concat_cols(gru_sequence(layer.fwd, seq), gru_sequence(layer.bwd, seq, reverse=True))
+
+
+def stacked_run(fn, items, weights):
+    """Output and the gradients of sum(output * weights) with respect to
+    every distinct input and layer parameter."""
+    leaves = {id(x): x for layer, seq in items for x in (seq, *layer.parameters().values())}
+    with Tape() as tape:
+        for x in leaves.values():
+            tape.watch(x)
+        out = fn(items)
+        tape.backward(sum_all(mul(out, weights)))
+    return out.data, [tape.wrt(x) for x in leaves.values()]
+
+
+class TestRnnStack:
+    """The stacked recurrence against one `gru_sequence` record per direction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 4),
+           widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)),
+                          min_size=1, max_size=6))
+    def test_matches_per_item_sequences(self, seed, hidden, widths, picks):
+        rng = np.random.default_rng(seed)
+        layers = [RecurrentLayer.create(rng, width, hidden) for width in widths]
+        for layer in layers:
+            for p in layer.parameters().values():
+                p.data[...] = rng.normal(0.0, 0.6, size=p.shape)
+        items = [(layers[i % len(layers)],
+                  T(rng.normal(size=(n, layers[i % len(layers)].fwd.input_width))))
+                 for i, n in picks]
+        weights = T(rng.normal(size=(sum(n for _, n in picks), 2 * hidden)))
+        out, grads = stacked_run(rnn_stack, items, weights)
+        reference = lambda its: concat_rows(*(sequence_rnn_forward(*item) for item in its))
+        want, want_grads = stacked_run(reference, items, weights)
+        np.testing.assert_array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        event(f"gradients bitwise equal: "
+              f"{all(np.array_equal(g, w) for g, w in zip(grads, want_grads))}")
+
+    def test_unpack_gives_each_item_its_rnn_forward(self):
+        rng = np.random.default_rng(41)
+        shared, other = RecurrentLayer.create(rng, 3, 2), RecurrentLayer.create(rng, 5, 2)
+        items = [(shared, T(rng.normal(size=(n, 3)))) for n in (4, 1, 3)]
+        items.append((other, T(rng.normal(size=(2, 5)))))
+        for (layer, seq), rows in zip(items, unpack(rnn_stack(items), items)):
+            np.testing.assert_array_equal(rows.data, sequence_rnn_forward(layer, seq).data)
+
+    def test_one_record_for_all_items(self):
+        rng = np.random.default_rng(42)
+        layer = RecurrentLayer.create(rng, 3, 2)
+        items = [(layer, T(rng.normal(size=(n, 3)))) for n in (2, 5)]
+        with Tape() as tape:
+            packed = rnn_stack(items)
+        assert len(tape) == 1 and packed.shape == (7, 4)
+        # each run lists its input and cell once, last item and direction first
+        parents = tape.records[0][1]
+        assert len(parents) == 40
+        assert parents[0] is items[1][1] and parents[1] is layer.bwd.wz
+        assert parents[10] is items[1][1] and parents[11] is layer.fwd.wz
+        assert parents[20] is items[0][1] and parents[31] is layer.fwd.wz
+
+    def test_input_validation(self):
+        rng = np.random.default_rng(43)
+        layer = RecurrentLayer.create(rng, 3, 2)
+        with pytest.raises(ValidationError):
+            rnn_stack([])
+        with pytest.raises(ShapeError, match="hidden width"):
+            rnn_stack([(layer, T(np.ones((2, 3)))),
+                       (RecurrentLayer.create(rng, 3, 4), T(np.ones((2, 3))))])
+        with pytest.raises(ShapeError, match="input width"):
+            rnn_stack([(layer, T(np.ones((2, 3)))), (layer, T(np.ones((2, 4))))])
+
+
 class TestSelfAttend:
     def test_zero_params_zero_output(self):
         width = 3
@@ -301,6 +384,48 @@ class TestHistoryAndFeatures:
         context, _ = model.encode(example)
         np.testing.assert_array_equal(self.slot(model, context, 3), vecs[0].data)
         np.testing.assert_array_equal(self.slot(model, context, 4), history.data)
+
+    @staticmethod
+    def per_stream_encode(model, example):
+        """`Model.encode` as one recurrence record per stream and direction."""
+        embed = lambda tokens: embed_sentence(model.vocab, model.embedding, tokens)
+
+        def stream(name, seq):
+            rnn, attn = model.streams[name]
+            return guided_attend(attn, sequence_rnn_forward(rnn, seq), q, model.cfg.pooling)
+
+        q = sequence_rnn_forward(model.question_rnn, embed(example.question))
+        q_vec = self_attend(model.question_attn, q)
+        summary = stream("summary", embed(example.summary))
+        sentences = [stream("summary", embed(tokens))
+                     for pair in example.history for tokens in pair]
+        history = stream("history", concat_rows(*sentences))
+        features = [stream(m, Tensor(getattr(example, m))) for m in ("flow", "rgb", "audio")]
+        return concat_cols(*features, summary, history), q_vec
+
+    def test_gradients_match_per_stream_composition(self, toy_examples):
+        # the stacked waves add every shared gradient (the summary cell's,
+        # the question states', the embedding rows') in the same order as
+        # one record per stream and direction, so all of them agree bitwise
+        model = self.model(26, **{f"{m}_width": w for m, w in FEATURE_WIDTHS.items()})
+        example = toy_examples[2]
+        example.history = example.history + toy_examples[3].history
+        attach_random_features([example], seed=8, frames=5)
+        rng = np.random.default_rng(9)
+        weights = T(rng.normal(size=(1, 6 * model.width)))
+        params = model.parameters()
+
+        def gradients(encode):
+            with Tape() as tape:
+                for p in params.values():
+                    tape.watch(p)
+                tape.backward(sum_all(mul(concat_cols(*encode(example)), weights)))
+            return {name: tape.wrt(p) for name, p in params.items()}
+
+        got = gradients(model.encode)
+        want = gradients(lambda ex: self.per_stream_encode(model, ex))
+        for name in params:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_history_order_matters(self, toy_examples):
         model = self.model(23)

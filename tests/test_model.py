@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import oracle_recurrence as oracle
-from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overfit_dialogs
+from conftest import (
+    FEATURE_WIDTHS,
+    attach_random_features,
+    corpus_vocab,
+    overfit_dialogs,
+    overfit_model,
+)
 from mmqa import gradcheck
+from mmqa.augment import expand_per_turn
 from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import (
@@ -387,8 +394,8 @@ class TestModelAssembly:
             Model.create(np.random.default_rng(3), vocab, **arch)
 
     def test_toy_loss_records_few_tape_nodes(self):
-        # A guard that does not depend on host speed: the fused recurrence
-        # records 117 operations here, a per-step one over 1,000.
+        # A guard that does not depend on host speed: the stacked recurrence
+        # records 102 operations here, a per-step one over 1,000.
         model, example = gradcheck._toy_setup()
         with Tape() as tape:
             model.loss(example)
@@ -398,3 +405,39 @@ class TestModelAssembly:
         ids = text_model.answer_ids(toy_examples[0])
         answer = toy_examples[0].answer
         assert ids == [text_model.vocab.id(t) for t in answer]
+
+
+class TestEncodeWaves:
+    """Wave 1 stacks every recurrence but the history stream's; wave 2 runs
+    the history stream only when there is a history."""
+
+    @staticmethod
+    def record_groups(example):
+        """The parameter groups (name prefixes) among each tape record's
+        parents, for the records of one training loss."""
+        model = overfit_model(corpus_vocab(overfit_dialogs()))
+        attach_random_features([example], seed=5)
+        names = {id(p): n for n, p in model.parameters().items()}
+        with Tape() as tape:
+            model.loss(example)
+        return [sorted({names[id(p)].split(".")[0] for p in parents if id(p) in names})
+                for _, parents, _ in tape.records]
+
+    @staticmethod
+    def recurrences(groups):
+        return [g for g in groups if any(name.endswith("_rnn") for name in g)]
+
+    def test_history_free_example_runs_no_second_wave(self):
+        example = expand_per_turn(overfit_dialogs()[0])[0]
+        assert example.history == []
+        groups = self.record_groups(example)
+        assert not any(name.startswith("history_") for g in groups for name in g)
+        assert self.recurrences(groups) == [
+            ["audio_rnn", "flow_rnn", "question_rnn", "rgb_rnn", "summary_rnn"]]
+
+    def test_example_with_history_runs_second_wave(self):
+        example = expand_per_turn(overfit_dialogs()[0])[1]
+        assert len(example.history) == 1
+        assert self.recurrences(self.record_groups(example)) == [
+            ["audio_rnn", "flow_rnn", "question_rnn", "rgb_rnn", "summary_rnn"],
+            ["history_rnn"]]

@@ -5,12 +5,12 @@ bidirectional GRU layer and is reduced to a single 1*D vector: the
 question by a two-layer position-wise self-attention mask, everything else
 by question-guided bilinear attention followed by pooling over positions.
 
-The recurrence is fused: `gru_sequence` computes the input projections of
-a whole sequence with one GEMM per gate, runs the time steps on plain numpy
-arrays, and records a single tape node whose backward is hand-written
-backpropagation through time (the precomputed-input scheme of Appleyard,
-Kocisky and Blunsom, 2016). `gru_step`, the decoder's step, is the one-row
-case of `gru_sequence`.
+The decoder's recurrence is fused: `gru_sequence` runs a GRU from a given
+initial state, computes the input projections of a whole sequence with one
+GEMM per gate, runs the time steps on plain numpy arrays, and records a
+single tape node whose backward is hand-written backpropagation through
+time (the precomputed-input scheme of Appleyard, Kocisky and Blunsom,
+2016). `gru_step`, the decoder's step, is its one-row case.
 
 The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
@@ -28,7 +28,6 @@ vectors of wave 1. `rnn_forward` is the one-item call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -151,34 +150,33 @@ class SelfAttentionParams(Module):
         )
 
 
-def _check_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor]) -> None:
+def _check_sequence(cell: GruCell, seq: Tensor) -> None:
     if seq.ndim != 2 or seq.rows < 1:
         raise ShapeError(f"recurrent input must be a non-empty n*in matrix, got {seq.shape}")
     if seq.cols != cell.input_width:
         raise ShapeError(
             f"sequence width {seq.cols} does not match cell input width {cell.input_width}"
         )
-    if h0 is not None and h0.shape != (1, cell.hidden_width):
-        raise ShapeError(
-            f"initial state {h0.shape} does not match hidden width {cell.hidden_width}"
-        )
 
 
-def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
-                 reverse: bool = False) -> Tensor:
-    """Run a GRU over an n*in sequence; returns the n*h states as one tape node.
+def gru_sequence(cell: GruCell, seq: Tensor, h0: Tensor) -> Tensor:
+    """The decoder's recurrence: run a GRU over an n*in sequence from the 1*h
+    state `h0`; returns the n*h states as one tape node.
 
-    Row t is the state after consuming input row t; with `reverse` the rows
-    are consumed last to first. `h0` is the 1*h initial state (zero when
-    omitted) and receives a gradient like every weight. Per step:
+    Row t is the state after consuming input row t, rows first to last, and
+    `h0` receives a gradient like every weight. Per step:
         z = sigmoid(x Wz + h Uz + bz),  r = sigmoid(x Wr + h Ur + br)
         cand = tanh(x Wh + (r * h) Uh + bh),  h' = (1 - z) * h + z * cand
     The input terms of all steps take one GEMM per gate, the recurrence runs
     on plain arrays and the backward is hand-written BPTT.
     """
-    _check_sequence(cell, seq, h0)
+    _check_sequence(cell, seq)
+    if h0.shape != (1, cell.hidden_width):
+        raise ShapeError(
+            f"initial state {h0.shape} does not match hidden width {cell.hidden_width}"
+        )
     n, h = seq.rows, cell.hidden_width
-    x = seq.data[::-1] if reverse else seq.data
+    x = seq.data
     # The input weights stay separate per gate, one GEMM each, so that a step
     # of the decoder's wide first layer never copies its weights into one matrix.
     ws = (cell.wz.data, cell.wr.data, cell.wh.data)
@@ -191,7 +189,7 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
     gates = np.empty((n, 2 * h))  # z | r
     cand = np.empty((n, h))
     out = np.empty((n, h))
-    state = initial = np.zeros(h) if h0 is None else h0.data[0]
+    state = initial = h0.data[0]
     for t in range(n):
         zr = gates[t] = logistic(xw_zr[t] + state @ u_zr)
         z = zr[:h]
@@ -201,8 +199,6 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
     rh = gates[:, h:] * prev
 
     def back(g):
-        if reverse:
-            g = g[::-1]
         z, r = gates[:, :h], gates[:, h:]
         keep = 1.0 - z
         to_cand = z * (1.0 - cand * cand)
@@ -222,17 +218,12 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Optional[Tensor] = None,
         db = da.sum(axis=0, keepdims=True)
         du_zr = prev.T @ da[:, :2 * h]
         du_h = rh.T @ da[:, 2 * h:]
-        grads = (
-            dx[::-1] if reverse else dx, *(x.T @ part for part in parts),
-            du_zr[:, :h], du_zr[:, h:], du_h,
-            db[:, :h], db[:, h:2 * h], db[:, 2 * h:],
-        )
-        return grads if h0 is None else grads + (dh[None, :],)
+        return (dx, *(x.T @ part for part in parts),
+                du_zr[:, :h], du_zr[:, h:], du_h,
+                db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
 
-    parents = (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
-               cell.bz, cell.br, cell.bh)
-    return _emit(out[::-1].copy() if reverse else out,
-                 parents if h0 is None else parents + (h0,), back)
+    return _emit(out, (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
+                       cell.bz, cell.br, cell.bh, h0), back)
 
 
 def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
@@ -242,7 +233,7 @@ def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
 
 def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
     for cell in (layer.fwd, layer.bwd):
-        _check_sequence(cell, seq, None)
+        _check_sequence(cell, seq)
         if cell.hidden_width != hidden:
             raise ShapeError(
                 f"stacked layers must share one hidden width: {cell.hidden_width} vs {hidden}"
@@ -269,7 +260,8 @@ def rnn_stack(items) -> Tensor:
     BPTT loop is stacked the same way. Each run keeps its own input-term
     GEMMs, input gradient and weight gradients: the BLAS behind numpy can
     round a row of a product differently when the product has more rows,
-    and this way every number equals `gru_sequence`'s bitwise. Each run's
+    and this way every number equals that of a `gru_sequence` record over
+    the run's rows in step order from a zero state, bitwise. Each run's
     input and cell weights are parents once per run, last item and
     direction first, so the tape adds them into a shared cell's sinks in the
     order that one record per direction did. This is the dynamic batching
@@ -371,8 +363,6 @@ def rnn_stack(items) -> Tensor:
 
 def unpack(packed: Tensor, items) -> list:
     """The n_i*2h rows of each item in `rnn_stack(items)`'s packed output."""
-    if len(items) == 1:
-        return [packed]
     ends = np.cumsum([seq.rows for _, seq in items])
     return [take_rows(packed, range(end - seq.rows, end))
             for (_, seq), end in zip(items, ends)]

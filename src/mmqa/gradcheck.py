@@ -8,8 +8,6 @@ parameter tensor by parameter tensor.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .augment import DialogExample
@@ -90,24 +88,17 @@ def primitive_checks(eps: float = 1e-5) -> list:
 
 
 def _recurrence_cases(rng) -> list:
-    """The fused GRU sequence in both directions, from a zero and from a given
-    initial state: one case per input, weight, bias and initial state."""
+    """The decoder's fused GRU sequence from a given initial state: one case
+    per input, weight, bias and the initial state."""
     seq = _smooth(rng, 4, 3)
     cell = GruCell.create(rng, 3, 2)
     for p in cell.parameters().values():
         p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
     h0 = _smooth(rng, 1, 2)
-    cases = []
-    for reverse in (False, True):
-        for states in ({}, {"h0": h0}):
-            run = partial(gru_sequence, cell, seq, states.get("h0"), reverse=reverse)
-            weights = _smooth(rng, *run().shape)
-            loss = lambda _x, run=run, weights=weights: sum_all(mul(run(), weights))
-            tag = (f"gru_sequence/{'reverse' if reverse else 'forward'}"
-                   + ("+states" if states else ""))
-            for name, x in {"seq": seq, **cell.parameters(), **states}.items():
-                cases.append((f"{tag}/{name}", loss, x))
-    return cases
+    weights = _smooth(rng, 4, 2)
+    loss = lambda _x: sum_all(mul(gru_sequence(cell, seq, h0), weights))
+    return [(f"gru_sequence/{name}", loss, x)
+            for name, x in {"seq": seq, **cell.parameters(), "h0": h0}.items()]
 
 
 def _stack_cases(rng) -> list:

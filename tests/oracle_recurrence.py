@@ -61,14 +61,14 @@ def _zeros(cell):
     return Tensor(np.zeros((1, cell.hidden_width)), check=False)
 
 
-def gru_sequence(cell, seq, h0=None, reverse=False):
-    """n*h states, row t after input row t, like the fused primitive."""
-    order = range(seq.rows - 1, -1, -1) if reverse else range(seq.rows)
-    h = _zeros(cell) if h0 is None else h0
-    out = {}
-    for t in order:
-        h = out[t] = gru_step(cell, take_rows(seq, [t]), h)
-    return concat_rows(*[out[t] for t in range(seq.rows)])
+def gru_sequence(cell, seq, h0):
+    """n*h states from the 1*h state `h0`, row t after input row t, like the
+    fused primitive."""
+    h, out = h0, []
+    for t in range(seq.rows):
+        h = gru_step(cell, take_rows(seq, [t]), h)
+        out.append(h)
+    return concat_rows(*out)
 
 
 def teacher_forced_loss(decoder, embedding, context, question, gold):

@@ -401,6 +401,18 @@ class TestModelAssembly:
             model.loss(example)
         assert len(tape) <= 300
 
+    def test_every_recorded_primitive_is_grad_checked(self):
+        # a record's primitive is the function whose local `back` it holds
+        # (`gru_sequence.<locals>.back`); each needs a `primitive_checks` case
+        model, example = gradcheck._toy_setup()
+        recorded = set()
+        for mode in ("tf", "free"):
+            with Tape() as tape:
+                model.loss(example, mode=mode, rng=np.random.default_rng(0))
+            recorded |= {fn.__qualname__.split(".")[0] for _, _, fn in tape.records}
+        checked = {name.split("/")[0] for name, _ in gradcheck.primitive_checks()}
+        assert recorded - checked == set()
+
     def test_answer_ids_resolve_in_vocabulary_words(self, text_model, toy_examples):
         ids = text_model.answer_ids(toy_examples[0])
         answer = toy_examples[0].answer

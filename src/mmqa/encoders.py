@@ -23,6 +23,9 @@ and Dyer, 2017) applied to one example's graph. `Model.encode` calls it in
 two waves: the question, the summary, every history sentence and every
 present modality first, then the history stream, which reads the sentence
 vectors of wave 1. `rnn_forward` is the one-item call.
+
+Each attention is one tape record too, whose backward applies the chain
+rule of its products, ReLUs, softmax and pooling one operation at a time.
 """
 
 from __future__ import annotations
@@ -32,22 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import (
-    Module,
-    Tensor,
-    _emit,
-    add_row,
-    concat_cols,
-    logistic,
-    matmul,
-    max_pool_rows,
-    mean_rows,
-    mul,
-    relu,
-    softmax_rows,
-    take_rows,
-    transpose,
-)
+from .tensor import Module, Tensor, _emit, logistic, take_rows
 
 __all__ = [
     "GruCell",
@@ -195,10 +183,9 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Tensor) -> Tensor:
         z = zr[:h]
         c = cand[t] = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
         state = out[t] = (1.0 - z) * state + z * c
-    prev = np.concatenate([initial[None, :], out[:-1]])
-    rh = gates[:, h:] * prev
 
     def back(g):
+        prev = np.concatenate([initial[None, :], out[:-1]])
         z, r = gates[:, :h], gates[:, h:]
         keep = 1.0 - z
         to_cand = z * (1.0 - cand * cand)
@@ -217,7 +204,7 @@ def gru_sequence(cell: GruCell, seq: Tensor, h0: Tensor) -> Tensor:
         dx = parts[0] @ ws[0].T + parts[1] @ ws[1].T + parts[2] @ ws[2].T
         db = da.sum(axis=0, keepdims=True)
         du_zr = prev.T @ da[:, :2 * h]
-        du_h = rh.T @ da[:, 2 * h:]
+        du_h = (r * prev).T @ da[:, 2 * h:]
         return (dx, *(x.T @ part for part in parts),
                 du_zr[:, :h], du_zr[:, h:], du_h,
                 db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
@@ -379,26 +366,41 @@ def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
 
 
 def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:
-    """Masked mean of a sequence: two-layer ReLU mask, then mean, then ReLU."""
-    a1 = relu(add_row(matmul(seq, params.conv1_w), params.conv1_b))
-    mask = relu(add_row(matmul(a1, params.conv2_w), params.conv2_b))  # n x D
-    return relu(mean_rows(mul(seq, mask)))
+    """Masked mean of an n*D sequence as one tape record: ReLU(mean_rows(seq *
+    mask)) with mask = ReLU(ReLU(seq C1 + c1) C2 + c2). `seq` is a parent
+    twice, mask path first, so the tape sums its gradient as a chain of
+    per-operation records would."""
+    if seq.ndim != 2 or seq.cols != params.conv1_w.rows:
+        raise ShapeError(f"self-attention input {seq.shape} does not match "
+                         f"width {params.conv1_w.rows}")
+    x, w1, w2 = seq.data, params.conv1_w.data, params.conv2_w.data
+    pre1 = x @ w1 + params.conv1_b.data
+    hidden = np.maximum(pre1, 0.0)
+    pre2 = hidden @ w2 + params.conv2_b.data
+    mask = np.maximum(pre2, 0.0)  # n x D
+    mean = (x * mask).mean(axis=0, keepdims=True)
 
+    def back(g):
+        d_prod = np.repeat(g * (mean > 0.0), x.shape[0], axis=0) / x.shape[0]
+        d_pre2 = d_prod * x * (pre2 > 0.0)
+        d_pre1 = d_pre2 @ w2.T * (pre1 > 0.0)
+        return (d_prod * mask, d_pre2.sum(axis=0, keepdims=True), hidden.T @ d_pre2,
+                d_pre1.sum(axis=0, keepdims=True), x.T @ d_pre1, d_pre1 @ w1.T)
 
-def _pool_rows(m: Tensor, pooling: str) -> Tensor:
-    if pooling == "max":
-        return max_pool_rows(m)
-    if pooling == "average":
-        return mean_rows(m)
-    raise ValidationError(f"unknown pooling {pooling!r}; expected 'max' or 'average'")
+    return _emit(np.maximum(mean, 0.0), (seq, params.conv2_b, params.conv2_w,
+                                         params.conv1_b, params.conv1_w, seq), back)
 
 
 def guided_attend(params: AttentionParams, seq: Tensor, question: Tensor,
                   pooling: str = "max") -> Tensor:
-    """Question-guided attention over `seq`, pooled to 1*D.
+    """Question-guided attention over `seq`, pooled to 1*D as one tape record.
 
     scores = softmax_rows(seq W_guide question^T), an n_s*n_q matrix; the
-    output pools ReLU([scores^T seq ; question] W_out) over positions.
+    output pools ReLU([scores^T seq ; question] W_out) over positions by the
+    columnwise maximum (the gradient goes to the first maximal row) or mean.
+    The backward keeps the contiguous transposes and column views of a chain
+    of per-operation records, and `question` and `seq` are parents twice
+    each, in the order of that chain's reverse sweep.
     """
     if seq.cols != question.cols:
         raise ShapeError(
@@ -406,6 +408,35 @@ def guided_attend(params: AttentionParams, seq: Tensor, question: Tensor,
         )
     if seq.rows < 1 or question.rows < 1:
         raise ShapeError("attention inputs must be non-empty")
-    scores = softmax_rows(matmul(matmul(seq, params.w_guide), transpose(question)))
-    context = matmul(transpose(scores), seq)  # n_q x D
-    return _pool_rows(relu(matmul(concat_cols(context, question), params.w_out)), pooling)
+    if pooling not in ("max", "average"):
+        raise ValidationError(f"unknown pooling {pooling!r}; expected 'max' or 'average'")
+    x, q, w_guide, w_out = seq.data, question.data, params.w_guide.data, params.w_out.data
+    guided = x @ w_guide
+    q_t = q.T.copy()
+    scores = guided @ q_t
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)  # n_s x n_q
+    weights_t = weights.T.copy()
+    joined = np.concatenate([weights_t @ x, q], axis=1)  # context | question
+    pre = joined @ w_out
+    act = np.maximum(pre, 0.0)  # n_q x D
+    d = x.shape[1]
+
+    def back(g):
+        if pooling == "max":
+            d_act = np.zeros(act.shape)
+            d_act[act.argmax(axis=0), np.arange(act.shape[1])] = g[0]
+        else:
+            d_act = np.repeat(g, act.shape[0], axis=0) / act.shape[0]
+        d_pre = d_act * (pre > 0.0)
+        d_joined = d_pre @ w_out.T
+        d_context = d_joined[:, :d]
+        d_weights = (d_context @ x.T).T
+        d_scores = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
+        d_guided = d_scores @ q_t.T
+        return (joined.T @ d_pre, d_joined[:, d:], weights_t.T @ d_context,
+                (guided.T @ d_scores).T, d_guided @ w_guide.T, x.T @ d_guided)
+
+    pool = act.max if pooling == "max" else act.mean
+    return _emit(pool(axis=0, keepdims=True), (params.w_out, question, seq, question, seq,
+                                                params.w_guide), back)

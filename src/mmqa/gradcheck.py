@@ -11,7 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .augment import DialogExample
-from .encoders import GruCell, RecurrentLayer, gru_sequence, rnn_stack
+from .encoders import (
+    AttentionParams,
+    GruCell,
+    RecurrentLayer,
+    SelfAttentionParams,
+    gru_sequence,
+    guided_attend,
+    rnn_stack,
+    self_attend,
+)
 from .model import Model
 from .tensor import (
     Tensor,
@@ -21,14 +30,9 @@ from .tensor import (
     cross_entropy,
     grad_check,
     matmul,
-    max_pool_rows,
-    mean_rows,
     mul,
-    relu,
-    softmax_rows,
     sum_all,
     take_rows,
-    transpose,
 )
 from .text import build_vocabulary
 
@@ -37,27 +41,17 @@ __all__ = ["primitive_checks", "composed_checks", "TOLERANCE"]
 TOLERANCE = 1e-4
 
 
-def _away_from_zero(rng, *shape) -> Tensor:
-    # keep |x| >= 0.2 so kinked ops (relu, max) see no branch flips at +/-eps
-    magnitude = rng.uniform(0.2, 1.0, size=shape)
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return Tensor(magnitude * sign, check=False)
-
-
 def _smooth(rng, *shape) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0, size=shape), check=False)
 
 
-def primitive_checks(eps: float = 1e-5) -> list:
-    """(name, max relative error) for every differentiable primitive."""
+def _primitive_cases() -> list:
+    """(name, scalar function, input) for every differentiable primitive."""
     rng = np.random.default_rng(7)
     a = _smooth(rng, 3, 4)
     b = _smooth(rng, 3, 4)
     w = _smooth(rng, 4, 5)
     row = _smooth(rng, 1, 4)
-    kinked = _away_from_zero(rng, 3, 4)
-    spread = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.37
-                    + rng.normal(0.0, 0.01, size=(3, 4)), check=False)
     logits = _smooth(rng, 3, 5)
     targets = [0, 2, 4]
 
@@ -68,23 +62,24 @@ def primitive_checks(eps: float = 1e-5) -> list:
         ("add_row/row", lambda x: sum_all(mul(add_row(a, x), b)), row),
         ("mul/left", lambda x: sum_all(mul(x, b)), a),
         ("mul/right", lambda x: sum_all(mul(a, x)), b),
-        ("relu", lambda x: sum_all(mul(relu(x), b)), kinked),
-        ("transpose", lambda x: sum_all(matmul(transpose(x), b)), a),
         ("concat_cols", lambda x: sum_all(mul(concat_cols(x, b),
                                               concat_cols(b, a))), a),
         ("concat_rows", lambda x: sum_all(mul(concat_rows(x, b),
                                               concat_rows(b, a))), a),
         ("take_rows", lambda x: sum_all(mul(take_rows(x, [0, 2, 2, 1]),
                                             take_rows(b, [1, 0, 2, 2]))), a),
-        ("softmax_rows", lambda x: sum_all(mul(softmax_rows(x), b)), a),
-        ("mean_rows", lambda x: sum_all(mul(mean_rows(x), row)), a),
-        ("max_pool_rows", lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
         ("cross_entropy", lambda x: cross_entropy(x, targets), logits),
         ("sum_all", lambda x: sum_all(x), a),
     ]
     cases += _recurrence_cases(rng)
     cases += _stack_cases(rng)
-    return [(name, grad_check(f, x, eps)) for name, f, x in cases]
+    cases += _attention_cases(rng)
+    return cases
+
+
+def primitive_checks(eps: float = 1e-5) -> list:
+    """(name, max relative error) for every differentiable primitive."""
+    return [(name, grad_check(f, x, eps)) for name, f, x in _primitive_cases()]
 
 
 def _recurrence_cases(rng) -> list:
@@ -115,6 +110,28 @@ def _stack_cases(rng) -> list:
     loss = lambda _x: sum_all(mul(rnn_stack(items), weights))
     return [(f"rnn_stack/{name}", loss, x)
             for name, x in {**seqs, **shared.parameters()}.items()]
+
+
+def _attention_cases(rng) -> list:
+    """Both fused attentions over a 4-row sequence and a 2-row question: one
+    case per input and weight, guided attention under both poolings. The
+    weights are drawn from N(0, 0.5^2), as with the recurrences, so that the
+    ReLUs are not all dead and each case's gradient is non-zero."""
+    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+    seq, question = _smooth(rng, 4, 3), _smooth(rng, 2, 3)
+    self_params = SelfAttentionParams(draw(3, 3), draw(1, 3), draw(3, 3), draw(1, 3))
+    guide_params = AttentionParams(draw(3, 3), draw(6, 3))
+    weights = _smooth(rng, 1, 3)
+    loss = lambda _x: sum_all(mul(self_attend(self_params, seq), weights))
+    cases = [(f"self_attend/{name}", loss, x)
+             for name, x in {"seq": seq, **self_params.parameters()}.items()]
+    for pooling in ("max", "average"):
+        loss = lambda _x, pooling=pooling: sum_all(
+            mul(guided_attend(guide_params, seq, question, pooling), weights))
+        cases += [(f"guided_attend/{pooling}/{name}", loss, x)
+                  for name, x in {"seq": seq, "question": question,
+                                  **guide_params.parameters()}.items()]
+    return cases
 
 
 def _toy_setup():

@@ -27,14 +27,9 @@ __all__ = [
     "matmul",
     "add_row",
     "mul",
-    "relu",
-    "transpose",
     "concat_cols",
     "concat_rows",
     "take_rows",
-    "softmax_rows",
-    "mean_rows",
-    "max_pool_rows",
     "cross_entropy",
     "sum_all",
     "grad_check",
@@ -295,12 +290,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0) elementwise; gradient is zero on the non-positive side."""
-    xd = x.data
-    return _emit(np.maximum(xd, 0.0), (x,), lambda g: (g * (xd > 0.0),))
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """Plain-array logistic function, stable on both tails.
 
@@ -309,13 +298,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Matrix transpose."""
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs rank 2, got shape {x.shape}")
-    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
 def concat_cols(*tensors: Tensor) -> Tensor:
@@ -370,51 +352,6 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
         )
     shape = m.shape
     return _emit(m.data[idx], (m,), lambda g: (_RowSparse(shape, idx, g),))
-
-
-def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction for stability."""
-    if m.ndim != 2:
-        raise ShapeError(f"softmax_rows needs rank 2, got shape {m.shape}")
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return ((g - dot) * y,)
-
-    return _emit(y, (m,), back)
-
-
-def mean_rows(m: Tensor) -> Tensor:
-    """Columnwise arithmetic mean, returned as a 1*n matrix."""
-    if m.ndim != 2:
-        raise ShapeError(f"mean_rows needs rank 2, got shape {m.shape}")
-    n_rows = m.shape[0]
-    return _emit(
-        m.data.mean(axis=0, keepdims=True),
-        (m,),
-        lambda g: (np.repeat(g, n_rows, axis=0) / n_rows,),
-    )
-
-
-def max_pool_rows(m: Tensor) -> Tensor:
-    """Columnwise maximum as a 1*n matrix.
-
-    The gradient flows only to the first maximal row of each column.
-    """
-    if m.ndim != 2:
-        raise ShapeError(f"max_pool_rows needs rank 2, got shape {m.shape}")
-    argmax = m.data.argmax(axis=0)  # first occurrence on ties
-    shape = m.shape
-
-    def back(g):
-        acc = np.zeros(shape)
-        acc[argmax, np.arange(shape[1])] = g[0]
-        return (acc,)
-
-    return _emit(m.data.max(axis=0, keepdims=True), (m,), back)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle_attention as attention
 import oracle_recurrence as oracle
 from conftest import FEATURE_WIDTHS, attach_random_features, corpus_vocab, overfit_dialogs
 from mmqa.encoders import (
@@ -22,7 +23,17 @@ from mmqa.encoders import (
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
-from mmqa.tensor import Tape, Tensor, _emit, concat_cols, concat_rows, grad_check, mul, sum_all
+from mmqa.tensor import (
+    Tape,
+    Tensor,
+    _emit,
+    concat_cols,
+    concat_rows,
+    grad_check,
+    mul,
+    sum_all,
+    take_rows,
+)
 from mmqa.text import embed_sentence
 
 
@@ -356,6 +367,95 @@ class TestGuidedAttend:
         seq, q = T(rng.normal(size=(2, 3))), T(rng.normal(size=(1, 3)))
         f = lambda w: sum_all(guided_attend(params, seq, q, "average"))
         assert grad_check(f, params.w_guide) < 1e-5
+
+
+class TestFusedAttention:
+    """Each attention is one tape record that agrees bitwise with the chain
+    of per-operation records in `oracle_attention`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(1, 6), n_q=st.integers(1, 6),
+           width=st.integers(1, 5), pooling=st.sampled_from(["max", "average"]))
+    def test_matches_composed_chains_bitwise(self, seed, n_s, n_q, width, pooling):
+        rng = np.random.default_rng(seed)
+        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+        self_params = SelfAttentionParams(draw(width, width), draw(1, width),
+                                          draw(width, width), draw(1, width))
+        guide_params = AttentionParams(draw(width, width), draw(2 * width, width))
+        seq_rows, question_rows = draw(n_s, width), draw(n_q, width)
+        weights = draw(1, 3 * width)
+        leaves = [seq_rows, question_rows, *self_params.parameters().values(),
+                  *guide_params.parameters().values()]
+
+        def run(self_fn, guided_fn):
+            with Tape() as tape:
+                for x in leaves:
+                    tape.watch(x)
+                # interior inputs, as `unpack` hands them to `Model.encode`'s
+                # attentions; the question feeds all three attentions, so the
+                # first guided record adds to gradients the second has begun
+                seq = take_rows(seq_rows, range(n_s))
+                question = take_rows(question_rows, range(n_q))
+                out = concat_cols(self_fn(self_params, question),
+                                  guided_fn(guide_params, seq, question, pooling),
+                                  guided_fn(guide_params, seq, question, pooling))
+                tape.backward(sum_all(mul(out, weights)))
+            return out.data, [tape.wrt(x).copy() for x in leaves]
+
+        out, grads = run(self_attend, guided_attend)
+        want, want_grads = run(attention.self_attend, attention.guided_attend)
+        np.testing.assert_array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_one_record_each(self):
+        rng = np.random.default_rng(17)
+        self_params = SelfAttentionParams.create(rng, 3)
+        guide_params = AttentionParams.create(rng, 3)
+        seq, question = T(rng.normal(size=(4, 3))), T(rng.normal(size=(2, 3)))
+        with Tape() as tape:
+            self_attend(self_params, question)
+            guided_attend(guide_params, seq, question)
+        assert len(tape) == 2
+        # a tensor with two contributions is a parent twice, in the order
+        # of the composed chain's reverse sweep
+        p = self_params
+        assert [id(x) for x in tape.records[0][1]] == [id(x) for x in (
+            question, p.conv2_b, p.conv2_w, p.conv1_b, p.conv1_w, question)]
+        g = guide_params
+        assert [id(x) for x in tape.records[1][1]] == [id(x) for x in (
+            g.w_out, question, seq, question, seq, g.w_guide)]
+
+    def test_softmax_stays_finite_at_large_scores(self):
+        # every score is 1,000: the weights are uniform, as under a zero guide
+        seq = T([[1.0, 2.0], [1.0, -1.0], [1.0, 0.5]])
+        question = T([[1.0, 0.3], [1.0, -0.4]])
+        w_out = T(np.arange(8.0).reshape(4, 2) / 8.0)
+        large = AttentionParams(T([[1000.0, 0.0], [0.0, 0.0]]), w_out)
+        zero = AttentionParams(T(np.zeros((2, 2))), w_out)
+        with Tape() as tape:
+            for x in (seq, question, large.w_guide):
+                tape.watch(x)
+            out = guided_attend(large, seq, question, "average")
+            tape.backward(sum_all(out))
+        np.testing.assert_array_equal(out.data,
+                                      guided_attend(zero, seq, question, "average").data)
+        for x in (seq, question, large.w_guide):
+            assert np.all(np.isfinite(tape.wrt(x)))
+
+    def test_max_pooling_tie_sends_the_gradient_to_the_first_row(self):
+        # equal question rows tie every column of the pooled matrix; under a
+        # zero guide the question's gradient comes only through the pooled
+        # rows, so it lands on row 0 alone
+        params = AttentionParams(T(np.zeros((2, 2))), T(np.vstack([np.eye(2), np.eye(2)])))
+        seq = T([[1.0, 2.0], [3.0, 1.0]])
+        question = T([[0.5, 1.0], [0.5, 1.0]])
+        with Tape() as tape:
+            tape.watch(question)
+            out = guided_attend(params, seq, question, "max")
+            g = tape.backward(sum_all(out)).wrt(question)
+        np.testing.assert_array_equal(out.data, [[2.5, 2.5]])
+        np.testing.assert_array_equal(g, [[1.0, 1.0], [0.0, 0.0]])
 
 
 class TestHistoryAndFeatures:

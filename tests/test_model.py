@@ -394,12 +394,13 @@ class TestModelAssembly:
             Model.create(np.random.default_rng(3), vocab, **arch)
 
     def test_toy_loss_records_few_tape_nodes(self):
-        # A guard that does not depend on host speed: the stacked recurrence
-        # records 102 operations here, a per-step one over 1,000.
+        # A guard that does not depend on host speed: with the stacked
+        # recurrences and one record per attention the loss records 31
+        # operations here; a per-step recurrence recorded over 1,000.
         model, example = gradcheck._toy_setup()
         with Tape() as tape:
             model.loss(example)
-        assert len(tape) <= 300
+        assert len(tape) <= 40
 
     def test_every_recorded_primitive_is_grad_checked(self):
         # a record's primitive is the function whose local `back` it holds
@@ -412,6 +413,23 @@ class TestModelAssembly:
             recorded |= {fn.__qualname__.split(".")[0] for _, _, fn in tape.records}
         checked = {name.split("/")[0] for name, _ in gradcheck.primitive_checks()}
         assert recorded - checked == set()
+
+    def test_every_gradient_check_sees_a_nonzero_gradient(self):
+        # a check whose analytic gradient is all zero, as with every ReLU
+        # dead, reads error 0.0 and shows nothing
+        largest = {}
+        for name, f, x in gradcheck._primitive_cases():
+            with Tape() as tape:
+                tape.watch(x)
+                largest[f"primitive/{name}"] = np.abs(tape.backward(f(x)).wrt(x)).max()
+        model, example = gradcheck._toy_setup()
+        params = model.parameters()
+        with Tape() as tape:
+            for p in params.values():
+                tape.watch(p)
+            tape.backward(model.loss(example, mode="tf"))
+        largest.update((f"model/{name}", np.abs(tape.wrt(p)).max()) for name, p in params.items())
+        assert [name for name, value in largest.items() if value == 0.0] == []
 
     def test_answer_ids_resolve_in_vocabulary_words(self, text_model, toy_examples):
         ids = text_model.answer_ids(toy_examples[0])

@@ -1,4 +1,6 @@
-"""Autodiff core: forward values, tape semantics, gradients, grad_check."""
+"""Autodiff core: forward values, tape semantics, gradients, grad_check; and
+the primitives of the reference chains in `oracle_recurrence` and
+`oracle_attention`."""
 
 import gc
 import threading
@@ -22,16 +24,12 @@ from mmqa.tensor import (
     grad_check,
     logistic,
     matmul,
-    max_pool_rows,
-    mean_rows,
     mul,
-    relu,
-    softmax_rows,
     sum_all,
     take_rows,
-    transpose,
     untaped,
 )
+from oracle_attention import max_pool_rows, mean_rows, relu, softmax_rows, transpose
 from oracle_recurrence import add, one_minus, sigmoid, tanh
 
 matrices = arrays(np.float64, (3, 4),
@@ -208,7 +206,7 @@ class TestProperties:
             with Tape() as tape:
                 tape.watch(x)
                 tape.watch(w)
-                y = sum_all(tanh(matmul(relu(x), w)))
+                y = sum_all(tanh(matmul(tanh(x), w)))
                 grads = tape.backward(y)
                 return y.data.copy(), grads.wrt(x).copy(), grads.wrt(w).copy()
 
@@ -274,7 +272,7 @@ class TestTape:
         x = T([[1.0, 2.0]])
         with Tape() as tape:
             tape.watch(x)
-            y = relu(x)
+            y = mul(x, x)
             with pytest.raises(ShapeError):
                 tape.backward(y)
 
@@ -441,18 +439,29 @@ class TestGradCheck:
         assert grad_check(f, T([[0.9, 0.1]])) < 1e-8
 
     @pytest.mark.parametrize("case", ["add/left", "add/right", "sigmoid", "tanh",
-                                      "one_minus"])
+                                      "one_minus", "relu", "transpose", "softmax_rows",
+                                      "mean_rows", "max_pool_rows"])
     def test_oracle_primitives_match_finite_differences(self, case):
-        # the reference recurrence's own primitives, on the inputs that
-        # `primitive_checks` gives its elementwise cases
+        # the reference chains' own primitives, on the inputs that
+        # `primitive_checks` gives its elementwise cases; relu sees |x| >= 0.2
+        # and max pooling well-spread rows, so no branch flips at +/-eps
         rng = np.random.default_rng(7)
         a, b = T(rng.normal(0.0, 1.0, size=(3, 4))), T(rng.normal(0.0, 1.0, size=(3, 4)))
+        row = T(rng.normal(0.0, 1.0, size=(1, 4)))
+        kinked = T(rng.uniform(0.2, 1.0, size=(3, 4))
+                   * np.where(rng.random((3, 4)) < 0.5, -1.0, 1.0))
+        spread = T(np.arange(12.0).reshape(3, 4) * 0.37 + rng.normal(0.0, 0.01, size=(3, 4)))
         f, x = {
             "add/left": (lambda x: sum_all(add(x, b)), a),
             "add/right": (lambda x: sum_all(add(a, x)), b),
             "sigmoid": (lambda x: sum_all(mul(sigmoid(x), b)), a),
             "tanh": (lambda x: sum_all(mul(tanh(x), b)), a),
             "one_minus": (lambda x: sum_all(mul(one_minus(x), b)), a),
+            "relu": (lambda x: sum_all(mul(relu(x), b)), kinked),
+            "transpose": (lambda x: sum_all(matmul(transpose(x), b)), a),
+            "softmax_rows": (lambda x: sum_all(mul(softmax_rows(x), b)), a),
+            "mean_rows": (lambda x: sum_all(mul(mean_rows(x), row)), a),
+            "max_pool_rows": (lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
         }[case]
         assert grad_check(f, x) < TOLERANCE
 
@@ -465,7 +474,7 @@ class TestGradCheck:
 
     def test_non_scalar_f_rejected(self):
         with pytest.raises(ShapeError):
-            grad_check(lambda x: relu(x), T([[1.0, 2.0]]))
+            grad_check(lambda x: mul(x, x), T([[1.0, 2.0]]))
 
     def test_restores_input_after_perturbation(self):
         x = T([[0.25, -0.75]])

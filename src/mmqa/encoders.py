@@ -16,16 +16,20 @@ The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
 state and BPTT loop, records one tape node, and returns one packed matrix
 that holds the items' rows one after another, as the data of PyTorch's
-`PackedSequence` does; `unpack` reads each item's rows back. This is the
-dynamic batching of TensorFlow Fold (Looks, Herreshoff, Hutchins and
-Norvig, 2017) and DyNet's on-the-fly operation batching (Neubig, Goldberg
-and Dyer, 2017) applied to one example's graph. `Model.encode` calls it in
-two waves: the question, the summary, every history sentence and every
-present modality first, then the history stream, which reads the sentence
-vectors of wave 1. `rnn_forward` is the one-item call.
+`PackedSequence` does. This is the dynamic batching of TensorFlow Fold
+(Looks, Herreshoff, Hutchins and Norvig, 2017) and DyNet's on-the-fly
+operation batching (Neubig, Goldberg and Dyer, 2017) applied to one
+example's graph. `Model.encode` calls it in two waves: the question, the
+summary, every history sentence and every present modality first, then the
+history stream, which reads the sentence vectors of wave 1. `rnn_forward`
+is the one-item call.
 
-Each attention is one tape record too, whose backward applies the chain
-rule of its products, ReLUs, softmax and pooling one operation at a time.
+The attentions are batched the same way: `guided_stack` attends row spans
+of one matrix, each with its own weights, in one tape record, so one call
+on wave 1's packed output reduces the summary, every sentence and every
+modality; `guided_attend` is the one-span call. `self_attend` is one record
+too. Each backward applies the chain rule of its products, ReLUs, softmax
+and pooling one operation at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import Module, Tensor, _emit, logistic, take_rows
+from .tensor import Module, Tensor, _emit, logistic
 
 __all__ = [
     "GruCell",
@@ -46,8 +50,8 @@ __all__ = [
     "gru_step",
     "rnn_forward",
     "rnn_stack",
-    "unpack",
     "self_attend",
+    "guided_stack",
     "guided_attend",
 ]
 
@@ -234,10 +238,9 @@ def rnn_stack(items) -> Tensor:
     The output holds the items' rows one after another, as the data of
     PyTorch's `PackedSequence` does: item i's rows are what
     `rnn_forward(layer_i, seq_i)` returns, forward states on the left and
-    backward states on the right, and `unpack` reads them back per item.
-    `Model.encode` calls it in two waves: the question, summary, history
-    sentences and modalities, then the history stream over wave 1's
-    sentence vectors.
+    backward states on the right. `Model.encode` calls it in two waves:
+    the question, summary, history sentences and modalities, then the
+    history stream over wave 1's sentence vectors.
 
     The K = 2 * len(items) runs (one per item and direction) share one step
     loop over a K*h state, longest run first, so the runs still going at
@@ -275,14 +278,21 @@ def rnn_stack(items) -> Tensor:
     steps = lengths[order[0]]
     live = (k_runs - np.cumsum(np.bincount(lengths))[:steps]).tolist()  # runs still going at step t
 
+    cells = [runs[k][0] for k in order]
+    per_cell = {}  # each distinct cell's biases and U_z | U_r, concatenated once
+    for c in cells:
+        if id(c) not in per_cell:
+            per_cell[id(c)] = (np.concatenate([c.bz.data, c.br.data, c.bh.data], axis=1)[0],
+                             np.concatenate([c.uz.data, c.ur.data], axis=1))
     xw = np.zeros((steps, k_runs, 3 * h))
     for k, (cell, x, _, _, _) in enumerate(runs):
-        ws = (cell.wz.data, cell.wr.data, cell.wh.data)
-        b = np.concatenate([cell.bz.data, cell.br.data, cell.bh.data], axis=1)[0]
-        xw[:lengths[k], slot[k]] = np.concatenate([x @ w for w in ws], axis=1) + b
-    cells = [runs[k][0] for k in order]
-    u_zr = np.stack([np.concatenate([c.uz.data, c.ur.data], axis=1) for c in cells])
-    u_h = np.stack([c.uh.data for c in cells])
+        n, s = lengths[k], slot[k]
+        for gate, w in enumerate((cell.wz, cell.wr, cell.wh)):
+            np.matmul(x, w.data, out=xw[:n, s, gate * h:(gate + 1) * h])
+    # the biases also land on the steps after a run has ended, which are never read
+    xw += np.array([per_cell[id(c)][0] for c in cells])
+    u_zr = np.array([per_cell[id(c)][1] for c in cells])
+    u_h = np.array([c.uh.data for c in cells])
 
     gates = np.zeros((steps, k_runs, 2 * h))  # z | r
     cand = np.zeros((steps, k_runs, h))
@@ -348,13 +358,6 @@ def rnn_stack(items) -> Tensor:
     return _emit(packed, parents, back)
 
 
-def unpack(packed: Tensor, items) -> list:
-    """The n_i*2h rows of each item in `rnn_stack(items)`'s packed output."""
-    ends = np.cumsum([seq.rows for _, seq in items])
-    return [take_rows(packed, range(end - seq.rows, end))
-            for (_, seq), end in zip(items, ends)]
-
-
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:
     """Run the layer over an n*in sequence; returns n*2h.
 
@@ -391,6 +394,98 @@ def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:
                                          params.conv1_b, params.conv1_w, seq), back)
 
 
+def guided_stack(spans, seq: Tensor, question: Tensor, pooling: str = "max") -> Tensor:
+    """Question-guided attention over row spans of `seq`, one pooled 1*D row
+    per span, as one tape record.
+
+    Each span is `(AttentionParams, start, stop)`: its own weights (spans may
+    share them) over rows start..stop-1 of `seq`; every span attends the
+    same `question`. Output row i, and every gradient, is what
+    `guided_attend(params_i, rows_i, question, pooling)` gives for span i,
+    bitwise. `Model.encode` attends the summary, every history sentence and
+    every present modality in one call on `rnn_stack`'s packed output.
+
+    The softmax normalizes each sequence row over question positions, so it
+    runs once over all spans' score rows one after another; ReLU and pooling
+    run once over an S*n_q*D stack, since every span has the n_q question
+    positions. Nothing is ragged there, so nothing is padded or masked. The
+    products whose shapes depend on a span's length run per span on its own
+    rows (numpy's BLAS rounds a row differently when a product of one row
+    becomes a vector routine), and the products with W_out per run of
+    consecutive spans that share weights. Each span's weights are parents
+    once per span and `question` twice per span, last span first, so the
+    tape sums them in the order of one record per span.
+    """
+    if pooling not in ("max", "average"):
+        raise ValidationError(f"unknown pooling {pooling!r}; expected 'max' or 'average'")
+    x, q = seq.data, question.data
+    if x.ndim != 2 or q.ndim != 2 or x.shape[1] != q.shape[1]:
+        raise ShapeError(f"attention width mismatch: sequence {x.shape} vs question {q.shape}")
+    if not spans:
+        raise ValidationError("guided_stack needs at least one (params, start, stop) span")
+    n_spans, (n_q, d) = len(spans), q.shape
+    q_t = q.T.copy()
+    rows, at, guided = [], [], []  # per span: its rows of seq, of the scores, guided rows
+    for params, start, stop in spans:
+        if not 0 <= start < stop <= x.shape[0]:
+            raise ShapeError(f"span {start}:{stop} is not a non-empty range of "
+                             f"the {x.shape[0]} sequence rows")
+        end = at[-1].stop if at else 0
+        at.append(slice(end, end + stop - start))
+        rows.append(x[start:stop])
+        guided.append(rows[-1] @ params.w_guide.data)
+    # (params, spans) of each run of consecutive spans that share weights
+    cuts = [s for s in range(1, n_spans) if spans[s][0] is not spans[s - 1][0]]
+    runs = [(spans[a][0], slice(a, b)) for a, b in zip([0, *cuts], [*cuts, n_spans])]
+    scores = np.concatenate([g @ q_t for g in guided])
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    weights_t = weights.T.copy()
+    joined = np.empty((n_spans, n_q, 2 * d))  # context | question
+    joined[:, :, d:] = q
+    for s, (cols, r) in enumerate(zip(at, rows)):
+        np.matmul(weights_t[:, cols], r, out=joined[s, :, :d])
+    pre = np.empty((n_spans, n_q, d))
+    for params, run in runs:
+        np.matmul(joined[run], params.w_out.data, out=pre[run])
+    act = np.maximum(pre, 0.0)
+
+    def back(g):
+        if pooling == "max":
+            d_act = np.zeros(act.shape)
+            d_act[np.arange(n_spans)[:, None], act.argmax(axis=1), np.arange(d)] = g
+        else:
+            d_act = np.repeat(g[:, None, :], n_q, axis=1) / n_q
+        d_pre = d_act * (pre > 0.0)
+        d_joined = np.empty((n_spans, n_q, 2 * d))
+        for params, run in runs:
+            np.matmul(d_pre[run], params.w_out.data.T, out=d_joined[run])
+        d_context = d_joined[:, :, :d]
+        d_weights_t = np.empty(weights_t.shape)
+        for s, (cols, r) in enumerate(zip(at, rows)):
+            np.matmul(d_context[s], r.T, out=d_weights_t[:, cols])
+        d_weights = d_weights_t.T
+        d_scores = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
+        d_w_out = np.matmul(joined.transpose(0, 2, 1), d_pre)
+        d_seq_context, d_seq_guided = np.zeros(x.shape), np.zeros(x.shape)
+        weight_grads, question_grads = [], []
+        for s in range(n_spans - 1, -1, -1):
+            params, start, stop = spans[s]
+            d_sc = d_scores[at[s]]
+            d_guided = d_sc @ q_t.T
+            # the transpose of a contiguous copy, as one span's record multiplies
+            span_weights_t = weights[at[s]].T.copy()
+            d_seq_context[start:stop] += span_weights_t.T @ d_context[s]
+            d_seq_guided[start:stop] += d_guided @ params.w_guide.data.T
+            weight_grads += (d_w_out[s], rows[s].T @ d_guided)
+            question_grads += (d_joined[s, :, d:], (guided[s].T @ d_sc).T)
+        return (*weight_grads, *question_grads, d_seq_context, d_seq_guided)
+
+    parents = tuple(p for params, _, _ in reversed(spans) for p in (params.w_out, params.w_guide))
+    pool = act.max if pooling == "max" else act.mean
+    return _emit(pool(axis=1), (*parents, *(question,) * (2 * n_spans), seq, seq), back)
+
+
 def guided_attend(params: AttentionParams, seq: Tensor, question: Tensor,
                   pooling: str = "max") -> Tensor:
     """Question-guided attention over `seq`, pooled to 1*D as one tape record.
@@ -398,45 +493,9 @@ def guided_attend(params: AttentionParams, seq: Tensor, question: Tensor,
     scores = softmax_rows(seq W_guide question^T), an n_s*n_q matrix; the
     output pools ReLU([scores^T seq ; question] W_out) over positions by the
     columnwise maximum (the gradient goes to the first maximal row) or mean.
-    The backward keeps the contiguous transposes and column views of a chain
-    of per-operation records, and `question` and `seq` are parents twice
-    each, in the order of that chain's reverse sweep.
+    This is the one-span `guided_stack`: its backward keeps the contiguous
+    transposes and column views of a chain of per-operation records, and
+    `question` and `seq` are parents twice each, one contribution per
+    product path, in the order of that chain's reverse sweep.
     """
-    if seq.cols != question.cols:
-        raise ShapeError(
-            f"attention width mismatch: sequence {seq.shape} vs question {question.shape}"
-        )
-    if seq.rows < 1 or question.rows < 1:
-        raise ShapeError("attention inputs must be non-empty")
-    if pooling not in ("max", "average"):
-        raise ValidationError(f"unknown pooling {pooling!r}; expected 'max' or 'average'")
-    x, q, w_guide, w_out = seq.data, question.data, params.w_guide.data, params.w_out.data
-    guided = x @ w_guide
-    q_t = q.T.copy()
-    scores = guided @ q_t
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)  # n_s x n_q
-    weights_t = weights.T.copy()
-    joined = np.concatenate([weights_t @ x, q], axis=1)  # context | question
-    pre = joined @ w_out
-    act = np.maximum(pre, 0.0)  # n_q x D
-    d = x.shape[1]
-
-    def back(g):
-        if pooling == "max":
-            d_act = np.zeros(act.shape)
-            d_act[act.argmax(axis=0), np.arange(act.shape[1])] = g[0]
-        else:
-            d_act = np.repeat(g, act.shape[0], axis=0) / act.shape[0]
-        d_pre = d_act * (pre > 0.0)
-        d_joined = d_pre @ w_out.T
-        d_context = d_joined[:, :d]
-        d_weights = (d_context @ x.T).T
-        d_scores = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
-        d_guided = d_scores @ q_t.T
-        return (joined.T @ d_pre, d_joined[:, d:], weights_t.T @ d_context,
-                (guided.T @ d_scores).T, d_guided @ w_guide.T, x.T @ d_guided)
-
-    pool = act.max if pooling == "max" else act.mean
-    return _emit(pool(axis=0, keepdims=True), (params.w_out, question, seq, question, seq,
-                                                params.w_guide), back)
+    return guided_stack([(params, 0, seq.rows)], seq, question, pooling)

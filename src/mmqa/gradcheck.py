@@ -18,15 +18,15 @@ from .encoders import (
     SelfAttentionParams,
     gru_sequence,
     guided_attend,
+    guided_stack,
     rnn_stack,
     self_attend,
 )
-from .model import Model
+from .model import Model, fuse
 from .tensor import (
     Tensor,
     add_row,
     concat_cols,
-    concat_rows,
     cross_entropy,
     grad_check,
     matmul,
@@ -64,8 +64,6 @@ def _primitive_cases() -> list:
         ("mul/right", lambda x: sum_all(mul(a, x)), b),
         ("concat_cols", lambda x: sum_all(mul(concat_cols(x, b),
                                               concat_cols(b, a))), a),
-        ("concat_rows", lambda x: sum_all(mul(concat_rows(x, b),
-                                              concat_rows(b, a))), a),
         ("take_rows", lambda x: sum_all(mul(take_rows(x, [0, 2, 2, 1]),
                                             take_rows(b, [1, 0, 2, 2]))), a),
         ("cross_entropy", lambda x: cross_entropy(x, targets), logits),
@@ -74,6 +72,7 @@ def _primitive_cases() -> list:
     cases += _recurrence_cases(rng)
     cases += _stack_cases(rng)
     cases += _attention_cases(rng)
+    cases += _stacked_attention_cases(rng)
     return cases
 
 
@@ -131,6 +130,32 @@ def _attention_cases(rng) -> list:
         cases += [(f"guided_attend/{pooling}/{name}", loss, x)
                   for name, x in {"seq": seq, "question": question,
                                   **guide_params.parameters()}.items()]
+    return cases
+
+
+def _stacked_attention_cases(rng) -> list:
+    """Guided attention over ragged spans of one 6-row sequence (row 1, rows
+    2-3 and rows 4-5; row 0 is in no span), where the first two spans share
+    weights, under both poolings; then the fusion of rows of two matrices
+    with two zero slots. One case per input and weight."""
+    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+    seq, question = _smooth(rng, 6, 2), _smooth(rng, 2, 2)
+    shared, other = AttentionParams(draw(2, 2), draw(4, 2)), AttentionParams(draw(2, 2), draw(4, 2))
+    spans = [(shared, 1, 2), (shared, 2, 4), (other, 4, 6)]
+    weights = _smooth(rng, 3, 2)
+    inputs = {"seq": seq, "question": question,
+              **{f"shared.{k}": v for k, v in shared.parameters().items()},
+              **{f"other.{k}": v for k, v in other.parameters().items()}}
+    cases = []
+    for pooling in ("max", "average"):
+        loss = lambda _x, pooling=pooling: sum_all(
+            mul(guided_stack(spans, seq, question, pooling), weights))
+        cases += [(f"guided_stack/{pooling}/{name}", loss, x) for name, x in inputs.items()]
+    rows, row = _smooth(rng, 3, 2), _smooth(rng, 1, 2)
+    slot_weights = _smooth(rng, 1, 10)
+    loss = lambda _x: sum_all(mul(fuse((rows, 2), None, (rows, 0), (row, 0), None),
+                                  slot_weights))
+    cases += [("fuse/rows", loss, rows), ("fuse/row", loss, row)]
     return cases
 
 

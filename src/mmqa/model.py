@@ -1,13 +1,16 @@
 """Early fusion, the two-layer GRU answer decoder, and the assembled model.
 
-The five modality vectors (flow, rgb, audio, summary, history) concatenate
-into a single context that is re-fed to the decoder at every step; the
-question vector only initializes the decoder's first hidden layer.
+The five modality vectors (flow, rgb, audio, summary, history) are written
+side by side into a single context by one `fuse` record, which reads each
+vector as a row of the attention output that holds it; the context is
+re-fed to the decoder at every step, and the question vector only
+initializes the decoder's first hidden layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -22,18 +25,18 @@ from .encoders import (
     gru_sequence,
     gru_step,
     guided_attend,
+    guided_stack,
     rnn_forward,
     rnn_stack,
     self_attend,
-    unpack,
 )
 from .errors import ShapeError, ValidationError
 from .tensor import (
     Module,
     Tensor,
+    _emit,
     add_row,
     concat_cols,
-    concat_rows,
     cross_entropy,
     matmul,
     ones,
@@ -63,13 +66,37 @@ __all__ = [
 ]
 
 
-def fuse(flow: Tensor, rgb: Tensor, audio: Tensor, summary: Tensor,
-         history: Tensor) -> Tensor:
-    """Concatenate the five modality vectors, fixed order, into 1*5D."""
-    widths = {t.cols for t in (flow, rgb, audio, summary, history)}
+def fuse(flow, rgb, audio, summary, history) -> Tensor:
+    """Write the five modality vectors side by side, fixed order, into 1*5D
+    as one record.
+
+    Each slot is a `(tensor, row)` pair that names one row of a matrix, or
+    None for the zero vector of an absent modality or an empty history. The
+    gradient of a slot lands on its row of its tensor.
+    """
+    slots = (flow, rgb, audio, summary, history)
+    present = [(k, *slot) for k, slot in enumerate(slots) if slot is not None]
+    if not present:
+        raise ValidationError("fusion needs at least one present slot")
+    widths = {t.cols for _, t, _ in present}
     if len(widths) != 1:
         raise ShapeError(f"fusion inputs must share one width, got {sorted(widths)}")
-    return concat_cols(flow, rgb, audio, summary, history)
+    d = widths.pop()
+    for _, t, row in present:
+        if not 0 <= row < t.rows:
+            raise ShapeError(f"fusion row {row} is out of range for shape {t.shape}")
+    out = np.zeros((1, len(slots) * d))
+    for k, t, row in present:
+        out[0, k * d:(k + 1) * d] = t.data[row]
+    parents = tuple({id(t): t for _, t, _ in present}.values())
+
+    def back(g):
+        grads = {id(t): np.zeros(t.shape) for t in parents}
+        for k, t, row in present:
+            grads[id(t)][row] += g[0, k * d:(k + 1) * d]
+        return tuple(grads.values())
+
+    return _emit(out, parents, back)
 
 
 @dataclass
@@ -294,11 +321,10 @@ class Model:
 
         The recurrences run in two waves of `rnn_stack`. Wave 1 holds the
         question, the summary, every history sentence (through the summary
-        stream's layer) and every present modality; its packed output is
-        read back per stream with `unpack`. Wave 2 is the history stream,
-        which reads wave 1's sentence vectors. The attention calls keep the
-        order of one stream after another, so every shared gradient sums in
-        the same order as a per-stream encode.
+        stream's layer) and every present modality. One `guided_stack`
+        attends every wave-1 item but the question on the packed output, one
+        row per item. Wave 2 is the history stream over the sentence rows of
+        those vectors, attended on its own; `fuse` reads each slot's row.
 
         An empty history and a disabled or absent modality encode as the
         zero vector and touch no parameters of their stream, so those
@@ -306,8 +332,7 @@ class Model:
         runs no wave 2.
         """
         embed = lambda tokens: embed_sentence(self.vocab, self.embedding, tokens)
-        zero = lambda: Tensor(np.zeros((1, self.width)), check=False)
-        summary_rnn = self.streams["summary"][0]
+        summary_rnn, summary_attn = self.streams["summary"]
         # looked up question, summary, then sentences: the embedding's sink adds
         # their gradients in the reverse order, which fixes its rounding
         question, summary = embed(example.question), embed(example.summary)
@@ -317,18 +342,20 @@ class Model:
         items = [(self.question_rnn, question), (summary_rnn, summary),
                  *((summary_rnn, seq) for seq in sentences),
                  *((self.streams[m][0], Tensor(getattr(example, m))) for m in present)]
-        q_tilde, summary, *states = unpack(rnn_stack(items), items)
-        attend = lambda stream, seq: guided_attend(self.streams[stream][1], seq, q_tilde,
-                                                   self.cfg.pooling)
+        packed = rnn_stack(items)
+        q_tilde = take_rows(packed, range(question.rows))
         q_vec = self_attend(self.question_attn, q_tilde)
-        summary = attend("summary", summary)
-        sentences = [attend("summary", seq) for seq in states[:len(sentences)]]
-        history = (attend("history", rnn_forward(self.streams["history"][0],
-                                                 concat_rows(*sentences)))
-                   if sentences else zero())
-        frames = dict(zip(present, states[len(sentences):]))
-        features = [attend(m, frames[m]) if m in frames else zero() for m in FEATURES]
-        return fuse(*features, summary, history), q_vec
+        attns = [summary_attn] * (1 + len(sentences)) + [self.streams[m][1] for m in present]
+        ends = list(accumulate(seq.rows for _, seq in items))
+        spans = list(zip(attns, ends, ends[1:]))
+        vectors = guided_stack(spans, packed, q_tilde, self.cfg.pooling)
+        history = None
+        if sentences:
+            history_rnn, history_attn = self.streams["history"]
+            states = rnn_forward(history_rnn, take_rows(vectors, range(1, 1 + len(sentences))))
+            history = (guided_attend(history_attn, states, q_tilde, self.cfg.pooling), 0)
+        rows = {m: (vectors, 1 + len(sentences) + k) for k, m in enumerate(present)}
+        return fuse(*(rows.get(m) for m in FEATURES), (vectors, 0), history), q_vec
 
     def answer_ids(self, example: DialogExample) -> list[int]:
         return [resolve_token(self.vocab, t) for t in example.answer]

@@ -28,7 +28,6 @@ __all__ = [
     "add_row",
     "mul",
     "concat_cols",
-    "concat_rows",
     "take_rows",
     "cross_entropy",
     "sum_all",
@@ -319,25 +318,6 @@ def concat_cols(*tensors: Tensor) -> Tensor:
     return _emit(np.concatenate([t.data for t in tensors], axis=1), tensors, back)
 
 
-def concat_rows(*tensors: Tensor) -> Tensor:
-    """Stack matrices vertically; all must share the column count."""
-    if len(tensors) < 1:
-        raise ValidationError("concat_rows needs at least one tensor")
-    cols = tensors[0].shape[1] if tensors[0].ndim == 2 else None
-    for t in tensors:
-        if t.ndim != 2 or t.shape[1] != cols:
-            raise ShapeError(
-                f"concat_rows column mismatch: {[tuple(t.shape) for t in tensors]}"
-            )
-    heights = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + heights)
-
-    def back(g):
-        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(heights)))
-
-    return _emit(np.concatenate([t.data for t in tensors], axis=0), tensors, back)
-
-
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of `m` by index (repeats allowed); the gradient is
     row-sparse and scatter-adds."""
@@ -346,7 +326,7 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ValidationError("take_rows needs a non-empty index list")
-    if idx.min() < 0 or idx.max() >= m.shape[0]:
+    if min(indices) < 0 or max(indices) >= m.shape[0]:
         raise ValidationError(
             f"row index out of range for {m.shape[0]} rows: {indices}"
         )

@@ -10,7 +10,7 @@ entries that share a trigram with the unknown word.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -74,10 +74,9 @@ class Vocabulary:
     def __init__(self, tokens=()):
         self._tokens: list[str] = list(RESERVED_TOKENS)
         self._ids: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
-        self._postings: defaultdict[str, list[int]] = defaultdict(list)
+        self._postings: dict[str, list[int]] = {}
         self._gram_counts: list[int] = [0] * len(RESERVED_TOKENS)
-        for token in tokens:
-            self.add(token)
+        self._extend(tokens)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -90,14 +89,26 @@ class Vocabulary:
         existing = self._ids.get(token)
         if existing is not None:
             return existing
-        idx = len(self._tokens)
-        self._tokens.append(token)
-        self._ids[token] = idx
-        grams = _trigrams(token)
-        self._gram_counts.append(len(grams))
-        for gram in grams:
-            self._postings[gram].append(idx)
-        return idx
+        self._extend((token,))
+        return len(self._tokens) - 1
+
+    def _extend(self, tokens) -> None:
+        """Give each new token the next id and index its trigrams, in one pass."""
+        ids, postings, gram_counts = self._ids, self._postings, self._gram_counts
+        get = postings.get
+        for token in tokens:
+            if token in ids:
+                continue
+            idx = ids[token] = len(ids)
+            self._tokens.append(token)
+            grams = _trigrams(token)
+            gram_counts.append(len(grams))
+            for gram in grams:
+                posting = get(gram)
+                if posting is None:
+                    postings[gram] = [idx]
+                else:
+                    posting.append(idx)
 
     def id(self, token: str):
         return self._ids.get(token)
@@ -121,15 +132,16 @@ class Vocabulary:
         token, since its line number fixes its id and so its embedding row."""
         from .formats import read_text
 
-        vocab = cls()
-        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        lines = read_text(path).splitlines()
+        seen = set(RESERVED_TOKENS)
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 raise ValidationError(f"{path}:{lineno}: empty vocabulary line")
-            if line in vocab:
+            if line in seen:
                 kind = "reserved" if line in RESERVED_TOKENS else "repeated"
                 raise ValidationError(f"{path}:{lineno}: {kind} vocabulary token {line!r}")
-            vocab.add(line)
-        return vocab
+            seen.add(line)
+        return cls(lines)
 
 
 def build_vocabulary(token_lists) -> Vocabulary:
@@ -140,9 +152,9 @@ def build_vocabulary(token_lists) -> Vocabulary:
     return Vocabulary(sorted(seen - set(RESERVED_TOKENS)))
 
 
-def _trigrams(token: str) -> frozenset:
+def _trigrams(token: str) -> set:
     padded = "<" + token + ">"
-    return frozenset(padded[i:i + 3] for i in range(len(padded) - 2))
+    return {padded[i:i + 3] for i in range(len(padded) - 2)}
 
 
 def resolve_token(vocab: Vocabulary, token: str) -> int:

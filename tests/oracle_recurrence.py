@@ -3,20 +3,19 @@ fused `gru_sequence` and teacher-forced decoder are tested against. Every
 step records about twenty small tape ops; nothing here is used by the
 package itself.
 
-The elementwise primitives `add`, `sigmoid`, `tanh` and `one_minus` exist
-only for this reference, so they live here rather than in `mmqa.tensor`;
-`tests/test_tensor.py` grad-checks them.
+The primitives `concat_rows`, `add`, `sigmoid`, `tanh` and `one_minus`
+exist only for the references, so they live here rather than in
+`mmqa.tensor`; `tests/test_tensor.py` checks them.
 """
 
 import numpy as np
 
-from mmqa.errors import ShapeError
+from mmqa.errors import ShapeError, ValidationError
 from mmqa.tensor import (
     Tensor,
     _emit,
     add_row,
     concat_cols,
-    concat_rows,
     cross_entropy,
     logistic,
     matmul,
@@ -24,6 +23,24 @@ from mmqa.tensor import (
     take_rows,
 )
 from mmqa.text import SOS
+
+
+def concat_rows(*tensors):
+    """Stack matrices vertically; all must share the column count."""
+    if len(tensors) < 1:
+        raise ValidationError("concat_rows needs at least one tensor")
+    cols = tensors[0].shape[1] if tensors[0].ndim == 2 else None
+    for t in tensors:
+        if t.ndim != 2 or t.shape[1] != cols:
+            raise ShapeError(
+                f"concat_rows column mismatch: {[tuple(t.shape) for t in tensors]}"
+            )
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
+
+    def back(g):
+        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(tensors)))
+
+    return _emit(np.concatenate([t.data for t in tensors], axis=0), tensors, back)
 
 
 def add(a, b):

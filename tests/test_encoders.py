@@ -16,10 +16,10 @@ from mmqa.encoders import (
     gru_sequence,
     gru_step,
     guided_attend,
+    guided_stack,
     rnn_forward,
     rnn_stack,
     self_attend,
-    unpack,
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
@@ -28,13 +28,13 @@ from mmqa.tensor import (
     Tensor,
     _emit,
     concat_cols,
-    concat_rows,
     grad_check,
     mul,
     sum_all,
     take_rows,
 )
 from mmqa.text import embed_sentence
+from oracle_recurrence import concat_rows
 
 
 def T(data):
@@ -246,13 +246,18 @@ class TestRnnStack:
         event(f"gradients bitwise equal: "
               f"{all(np.array_equal(g, w) for g, w in zip(grads, want_grads))}")
 
-    def test_unpack_gives_each_item_its_rnn_forward(self):
+    def test_packed_rows_hold_each_items_rnn_forward(self):
         rng = np.random.default_rng(41)
         shared, other = RecurrentLayer.create(rng, 3, 2), RecurrentLayer.create(rng, 5, 2)
         items = [(shared, T(rng.normal(size=(n, 3)))) for n in (4, 1, 3)]
         items.append((other, T(rng.normal(size=(2, 5)))))
-        for (layer, seq), rows in zip(items, unpack(rnn_stack(items), items)):
-            np.testing.assert_array_equal(rows.data, sequence_rnn_forward(layer, seq).data)
+        packed = rnn_stack(items).data
+        assert packed.shape == (10, 4)
+        start = 0
+        for layer, seq in items:
+            np.testing.assert_array_equal(packed[start:start + seq.rows],
+                                          sequence_rnn_forward(layer, seq).data)
+            start += seq.rows
 
     def test_one_record_for_all_items(self):
         rng = np.random.default_rng(42)
@@ -391,8 +396,8 @@ class TestFusedAttention:
             with Tape() as tape:
                 for x in leaves:
                     tape.watch(x)
-                # interior inputs, as `unpack` hands them to `Model.encode`'s
-                # attentions; the question feeds all three attentions, so the
+                # interior inputs, as `take_rows` hands them to the history
+                # attention; the question feeds all three attentions, so the
                 # first guided record adds to gradients the second has begun
                 seq = take_rows(seq_rows, range(n_s))
                 question = take_rows(question_rows, range(n_q))
@@ -424,7 +429,7 @@ class TestFusedAttention:
             question, p.conv2_b, p.conv2_w, p.conv1_b, p.conv1_w, question)]
         g = guide_params
         assert [id(x) for x in tape.records[1][1]] == [id(x) for x in (
-            g.w_out, question, seq, question, seq, g.w_guide)]
+            g.w_out, g.w_guide, question, question, seq, seq)]
 
     def test_softmax_stays_finite_at_large_scores(self):
         # every score is 1,000: the weights are uniform, as under a zero guide
@@ -456,6 +461,94 @@ class TestFusedAttention:
             g = tape.backward(sum_all(out)).wrt(question)
         np.testing.assert_array_equal(out.data, [[2.5, 2.5]])
         np.testing.assert_array_equal(g, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def composed_spans(spans, seq, question, pooling):
+    """One `guided_attend` record per span over its `take_rows`, stacked
+    back into one matrix: the reference for `guided_stack`."""
+    return concat_rows(*(guided_attend(params, take_rows(seq, range(start, stop)),
+                                       question, pooling)
+                         for params, start, stop in spans))
+
+
+class TestGuidedStack:
+    """Attention over row spans of one matrix in one record, against one
+    record per span."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lead=st.integers(0, 2),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+           picks=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+           n_q=st.integers(1, 6), width=st.integers(1, 5),
+           pooling=st.sampled_from(["max", "average"]))
+    def test_matches_one_span_calls_bitwise(self, seed, lead, lengths, picks, n_q, width,
+                                            pooling):
+        rng = np.random.default_rng(seed)
+        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+        pool = [AttentionParams(draw(width, width), draw(2 * width, width)) for _ in range(3)]
+        ends = np.cumsum([lead, *lengths]).tolist()
+        spans = [(pool[k], start, end) for k, start, end in zip(picks, ends, ends[1:])]
+        seq_rows, question_rows = draw(ends[-1] + 1, width), draw(n_q, width)
+        weights = draw(len(spans), width)
+        leaves = [seq_rows, question_rows,
+                  *(w for params in pool for w in params.parameters().values())]
+
+        def run(attend):
+            with Tape() as tape:
+                for x in leaves:
+                    tape.watch(x)
+                # interior inputs, as `rnn_stack` and `take_rows` hand them
+                # to `Model.encode`'s stacked attention
+                seq = take_rows(seq_rows, range(seq_rows.rows))
+                question = take_rows(question_rows, range(n_q))
+                out = attend(spans, seq, question, pooling)
+                tape.backward(sum_all(mul(out, weights)))
+            return out.data, [tape.wrt(x).copy() for x in leaves]
+
+        out, grads = run(guided_stack)
+        want, want_grads = run(composed_spans)
+        np.testing.assert_array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_one_record_lists_weights_then_question_then_seq(self):
+        rng = np.random.default_rng(44)
+        shared, other = AttentionParams.create(rng, 3), AttentionParams.create(rng, 3)
+        seq, question = T(rng.normal(size=(6, 3))), T(rng.normal(size=(2, 3)))
+        spans = [(shared, 1, 3), (shared, 3, 4), (other, 4, 6)]
+        with Tape() as tape:
+            out = guided_stack(spans, seq, question)
+        assert len(tape) == 1 and out.shape == (3, 3)
+        # each span's weights once, last span first, then the question twice
+        # per span and the sequence twice, one contribution per product path
+        assert [id(x) for x in tape.records[0][1]] == [id(x) for x in (
+            other.w_out, other.w_guide, shared.w_out, shared.w_guide,
+            shared.w_out, shared.w_guide, *(question,) * 6, seq, seq)]
+
+    def test_rows_outside_every_span_get_no_gradient(self):
+        rng = np.random.default_rng(45)
+        params = AttentionParams.create(rng, 3)
+        seq, question = T(rng.normal(size=(5, 3))), T(rng.normal(size=(2, 3)))
+        with Tape() as tape:
+            tape.watch(seq)
+            tape.backward(sum_all(guided_stack([(params, 1, 3)], seq, question, "average")))
+        g = tape.wrt(seq)
+        np.testing.assert_array_equal(g[[0, 3, 4]], np.zeros((3, 3)))
+        assert np.all(g[1:3] != 0.0)
+
+    def test_input_validation(self):
+        rng = np.random.default_rng(46)
+        params = AttentionParams.create(rng, 3)
+        seq, question = T(np.ones((4, 3))), T(np.ones((2, 3)))
+        with pytest.raises(ValidationError):
+            guided_stack([], seq, question)
+        for start, stop in ((2, 2), (3, 1), (-1, 2), (2, 5)):
+            with pytest.raises(ShapeError, match="span"):
+                guided_stack([(params, 0, 1), (params, start, stop)], seq, question)
+        with pytest.raises(ShapeError, match="width"):
+            guided_stack([(params, 0, 4)], seq, T(np.ones((2, 4))))
+        with pytest.raises(ValidationError, match="pooling"):
+            guided_stack([(params, 0, 4)], seq, question, "sum")
 
 
 class TestHistoryAndFeatures:
@@ -497,8 +590,11 @@ class TestHistoryAndFeatures:
 
     @staticmethod
     def per_stream_encode(model, example):
-        """`Model.encode` as one recurrence record per stream and direction."""
+        """`Model.encode` as one recurrence record per stream and direction
+        and one attention record per stream: the summary, each sentence, the
+        present modalities, then the history."""
         embed = lambda tokens: embed_sentence(model.vocab, model.embedding, tokens)
+        zero = lambda: Tensor(np.zeros((1, model.width)), check=False)
 
         def stream(name, seq):
             rnn, attn = model.streams[name]
@@ -509,18 +605,12 @@ class TestHistoryAndFeatures:
         summary = stream("summary", embed(example.summary))
         sentences = [stream("summary", embed(tokens))
                      for pair in example.history for tokens in pair]
-        history = stream("history", concat_rows(*sentences))
-        features = [stream(m, Tensor(getattr(example, m))) for m in ("flow", "rgb", "audio")]
+        features = [zero() if getattr(example, m) is None else stream(m, Tensor(getattr(example, m)))
+                    for m in ("flow", "rgb", "audio")]
+        history = stream("history", concat_rows(*sentences)) if sentences else zero()
         return concat_cols(*features, summary, history), q_vec
 
-    def test_gradients_match_per_stream_composition(self, toy_examples):
-        # the stacked waves add every shared gradient (the summary cell's,
-        # the question states', the embedding rows') in the same order as
-        # one record per stream and direction, so all of them agree bitwise
-        model = self.model(26, **{f"{m}_width": w for m, w in FEATURE_WIDTHS.items()})
-        example = toy_examples[2]
-        example.history = example.history + toy_examples[3].history
-        attach_random_features([example], seed=8, frames=5)
+    def assert_gradients_match_per_stream_composition(self, model, example):
         rng = np.random.default_rng(9)
         weights = T(rng.normal(size=(1, 6 * model.width)))
         params = model.parameters()
@@ -536,6 +626,29 @@ class TestHistoryAndFeatures:
         want = gradients(lambda ex: self.per_stream_encode(model, ex))
         for name in params:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_gradients_match_per_stream_composition(self, toy_examples):
+        # the stacked recurrences and attention add every shared gradient
+        # (the summary cell's and attention's, the question states', the
+        # embedding rows') in the order of one record per stream and direction
+        # with the history attended last, so all of them agree bitwise
+        model = self.model(26, **{f"{m}_width": w for m, w in FEATURE_WIDTHS.items()})
+        example = toy_examples[2]
+        example.history = example.history + toy_examples[3].history
+        attach_random_features([example], seed=8, frames=5)
+        self.assert_gradients_match_per_stream_composition(model, example)
+
+    def test_history_free_gradients_match_per_stream_composition(self, toy_examples):
+        # without a history the reference's stream order is that of a record
+        # per stream in the former `Model.encode`, so this also pins the
+        # gradients of a history-free example to what they were before the
+        # attentions were stacked
+        model = self.model(27, **{f"{m}_width": w for m, w in FEATURE_WIDTHS.items()})
+        example = toy_examples[2]
+        example.history = []
+        attach_random_features([example], seed=10, frames=4)
+        example.rgb = None
+        self.assert_gradients_match_per_stream_composition(model, example)
 
     def test_history_order_matters(self, toy_examples):
         model = self.model(23)

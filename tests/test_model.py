@@ -28,7 +28,7 @@ from mmqa.model import (
     scheduled_sample_loss,
     teacher_forced_loss,
 )
-from mmqa.tensor import Tape, Tensor
+from mmqa.tensor import Tape, Tensor, mul, sum_all
 from mmqa.text import EOS, PAD, SOS, EmbeddingTable
 
 
@@ -67,16 +67,31 @@ def random_decoder(seed=7, context_width=4, embed_width=3, hidden=4, vocab_size=
 
 class TestFuse:
     def test_fixed_order_concatenation(self):
-        out = fuse(T([[1.0, 1]]), T([[2.0, 2]]), T([[3.0, 3]]),
-                   T([[4.0, 4]]), T([[5.0, 5]]))
-        np.testing.assert_array_equal(
-            out.data, [[1, 1, 2, 2, 3, 3, 4, 4, 5, 5]]
-        )
+        # slots flow | rgb | audio | summary | history, each a row of a matrix
+        rows, history = T([[1.0, 1], [2.0, 2], [3.0, 3], [4.0, 4]]), T([[5.0, 5]])
+        out = fuse((rows, 1), (rows, 2), (rows, 3), (rows, 0), (history, 0))
+        np.testing.assert_array_equal(out.data, [[2, 2, 3, 3, 4, 4, 1, 1, 5, 5]])
+
+    def test_zero_slots_and_gradient_rows(self):
+        # an absent modality and an empty history take zero slots and no
+        # gradient; each present slot's gradient lands on its own row
+        rows = T([[1.0, 2], [3.0, 4], [5.0, 6]])
+        with Tape() as tape:
+            tape.watch(rows)
+            out = fuse((rows, 2), None, None, (rows, 0), None)
+            tape.backward(sum_all(mul(out, T([np.arange(1.0, 11.0)]))))
+        np.testing.assert_array_equal(out.data, [[5, 6, 0, 0, 0, 0, 1, 2, 0, 0]])
+        np.testing.assert_array_equal(tape.wrt(rows), [[7, 8], [0, 0], [1, 2]])
+        assert len(tape.records[0][1]) == 1  # one parent per distinct matrix
 
     def test_width_mismatch_rejected(self):
+        rows = T([[1.0, 1], [2.0, 2]])
         with pytest.raises(ShapeError):
-            fuse(T([[1.0, 1]]), T([[2.0]]), T([[3.0, 3]]),
-                 T([[4.0, 4]]), T([[5.0, 5]]))
+            fuse((rows, 0), (T([[2.0]]), 0), None, (rows, 1), None)
+        with pytest.raises(ShapeError):
+            fuse((rows, 2), None, None, (rows, 0), None)
+        with pytest.raises(ValidationError):
+            fuse(None, None, None, None, None)
 
 
 class TestInitDecoder:
@@ -395,12 +410,25 @@ class TestModelAssembly:
 
     def test_toy_loss_records_few_tape_nodes(self):
         # A guard that does not depend on host speed: with the stacked
-        # recurrences and one record per attention the loss records 31
-        # operations here; a per-step recurrence recorded over 1,000.
+        # recurrences, one stacked attention and one fusion record the loss
+        # records 20 operations here; a per-step recurrence recorded over 1,000.
         model, example = gradcheck._toy_setup()
         with Tape() as tape:
             model.loss(example)
-        assert len(tape) <= 40
+        assert len(tape) <= 22
+
+    def test_each_history_sentence_adds_one_encode_record(self):
+        # a sentence costs its embedding lookup and nothing more: it joins the
+        # stacked recurrence, the stacked attention and the history rows
+        model, example = gradcheck._toy_setup()
+        pair = example.history[0]
+        counts = []
+        for turns in (1, 2, 3):
+            example.history = [pair] * turns
+            with Tape() as tape:
+                model.encode(example)
+            counts.append(len(tape))
+        assert counts[1] - counts[0] == counts[2] - counts[1] == 2
 
     def test_every_recorded_primitive_is_grad_checked(self):
         # a record's primitive is the function whose local `back` it holds

@@ -19,7 +19,6 @@ from mmqa.tensor import (
     Tensor,
     add_row,
     concat_cols,
-    concat_rows,
     cross_entropy,
     grad_check,
     logistic,
@@ -30,7 +29,7 @@ from mmqa.tensor import (
     untaped,
 )
 from oracle_attention import max_pool_rows, mean_rows, relu, softmax_rows, transpose
-from oracle_recurrence import add, one_minus, sigmoid, tanh
+from oracle_recurrence import add, concat_rows, one_minus, sigmoid, tanh
 
 matrices = arrays(np.float64, (3, 4),
                   elements=st.floats(-10, 10, allow_nan=False, width=64))
@@ -162,6 +161,14 @@ class TestForwardValues:
         out = concat_cols(a, b)
         np.testing.assert_array_equal(out.data[:, :2], a.data)
         np.testing.assert_array_equal(out.data[:, 2:], b.data)
+
+    def test_concat_rows_slices_recover_inputs(self):
+        a, b = T([[1.0, 2]]), T([[3.0, 4], [5.0, 6]])
+        out = concat_rows(a, b)
+        np.testing.assert_array_equal(out.data[:1], a.data)
+        np.testing.assert_array_equal(out.data[1:], b.data)
+        with pytest.raises(ShapeError):
+            concat_rows(a, T([[1.0, 2, 3]]))
 
     def test_transpose_roundtrip(self):
         m = T(np.arange(6.0).reshape(2, 3))
@@ -440,7 +447,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("case", ["add/left", "add/right", "sigmoid", "tanh",
                                       "one_minus", "relu", "transpose", "softmax_rows",
-                                      "mean_rows", "max_pool_rows"])
+                                      "mean_rows", "max_pool_rows", "concat_rows"])
     def test_oracle_primitives_match_finite_differences(self, case):
         # the reference chains' own primitives, on the inputs that
         # `primitive_checks` gives its elementwise cases; relu sees |x| >= 0.2
@@ -462,6 +469,7 @@ class TestGradCheck:
             "softmax_rows": (lambda x: sum_all(mul(softmax_rows(x), b)), a),
             "mean_rows": (lambda x: sum_all(mul(mean_rows(x), row)), a),
             "max_pool_rows": (lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
+            "concat_rows": (lambda x: sum_all(mul(concat_rows(x, b), concat_rows(b, a))), a),
         }[case]
         assert grad_check(f, x) < TOLERANCE
 

@@ -127,6 +127,29 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match=":2: empty"):
             Vocabulary.load(path)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(short_words, max_size=12), st.lists(short_words, max_size=4))
+    def test_trigram_index_matches_a_per_token_build(self, tmp_path_factory, first, later):
+        # the one-pass build indexes what adding each token on its own would:
+        # its ascending ids under every trigram and its trigram count
+        def reference(vocab):
+            postings, counts = {}, [0] * len(RESERVED_TOKENS)
+            for idx in range(len(RESERVED_TOKENS), len(vocab)):
+                grams = oracle.trigrams(vocab.token(idx))
+                counts.append(len(grams))
+                for gram in grams:
+                    postings.setdefault(gram, []).append(idx)
+            return postings, counts
+
+        vocab = Vocabulary(first)
+        for w in later:
+            vocab.add(w)
+        path = tmp_path_factory.mktemp("vocab") / "words.vocab"
+        vocab.save(path)
+        for built in (vocab, Vocabulary.load(path)):
+            assert built.tokens() == vocab.tokens()
+            assert (built._postings, built._gram_counts) == reference(vocab)
+
 
 class TestTrigramDice:
     def test_identical(self):

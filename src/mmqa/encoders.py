@@ -5,12 +5,11 @@ bidirectional GRU layer and is reduced to a single 1*D vector: the
 question by a two-layer position-wise self-attention mask, everything else
 by question-guided bilinear attention followed by pooling over positions.
 
-The decoder's recurrence is fused: `gru_sequence` runs a GRU from a given
-initial state, computes the input projections of a whole sequence with one
-GEMM per gate, runs the time steps on plain numpy arrays, and records a
-single tape node whose backward is hand-written backpropagation through
-time (the precomputed-input scheme of Appleyard, Kocisky and Blunsom,
-2016). `gru_step`, the decoder's step, is its one-row case.
+The decoder's GRU runs on plain arrays: `gru_step` is one update from
+given input terms, and `gru_run` runs it over the input terms of a whole
+sequence, computed beforehand (the precomputed-input scheme of Appleyard,
+Kocisky and Blunsom, 2016), and returns the hand-written backpropagation
+through time that the decoder's one loss record calls.
 
 The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
@@ -46,8 +45,8 @@ __all__ = [
     "RecurrentLayer",
     "AttentionParams",
     "SelfAttentionParams",
-    "gru_sequence",
     "gru_step",
+    "gru_run",
     "rnn_forward",
     "rnn_stack",
     "self_attend",
@@ -83,6 +82,16 @@ class GruCell(Module):
     @property
     def hidden_width(self) -> int:
         return self.wz.cols
+
+    def fields(self) -> tuple:
+        """The nine parameters in field order, as `parameters()` lists them."""
+        return (self.wz, self.wr, self.wh, self.uz, self.ur, self.uh, self.bz, self.br, self.bh)
+
+    def joined(self):
+        """The biases as one 3h vector (update | reset | candidate) and
+        U_z | U_r as one h*2h matrix, as `gru_step` and `gru_run` take them."""
+        return (np.concatenate([self.bz.data, self.br.data, self.bh.data], axis=1)[0],
+                np.concatenate([self.uz.data, self.ur.data], axis=1))
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):
@@ -151,75 +160,64 @@ def _check_sequence(cell: GruCell, seq: Tensor) -> None:
         )
 
 
-def gru_sequence(cell: GruCell, seq: Tensor, h0: Tensor) -> Tensor:
-    """The decoder's recurrence: run a GRU over an n*in sequence from the 1*h
-    state `h0`; returns the n*h states as one tape node.
+def gru_step(xw: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray) -> np.ndarray:
+    """One GRU update on plain arrays; returns the new 1-D state.
 
-    Row t is the state after consuming input row t, rows first to last, and
-    `h0` receives a gradient like every weight. Per step:
-        z = sigmoid(x Wz + h Uz + bz),  r = sigmoid(x Wr + h Ur + br)
-        cand = tanh(x Wh + (r * h) Uh + bh),  h' = (1 - z) * h + z * cand
-    The input terms of all steps take one GEMM per gate, the recurrence runs
-    on plain arrays and the backward is hand-written BPTT.
+    `xw` holds the input terms of the update, reset and candidate gates with
+    their biases (3h), `h` the previous state (h), `u_zr` is U_z | U_r
+    (h*2h) and `u_h` is U_h:
+        z = sigmoid(xw_z + h Uz),  r = sigmoid(xw_r + h Ur)
+        cand = tanh(xw_h + (r * h) Uh),  h' = (1 - z) * h + z * cand
     """
-    _check_sequence(cell, seq)
-    if h0.shape != (1, cell.hidden_width):
-        raise ShapeError(
-            f"initial state {h0.shape} does not match hidden width {cell.hidden_width}"
-        )
-    n, h = seq.rows, cell.hidden_width
-    x = seq.data
-    # The input weights stay separate per gate, one GEMM each, so that a step
-    # of the decoder's wide first layer never copies its weights into one matrix.
-    ws = (cell.wz.data, cell.wr.data, cell.wh.data)
-    b = np.concatenate([cell.bz.data, cell.br.data, cell.bh.data], axis=1)[0]
-    u_zr = np.concatenate([cell.uz.data, cell.ur.data], axis=1)
-    u_h = cell.uh.data
-    # n x 3h: update, reset and candidate input terms
-    xw = np.concatenate([x @ w for w in ws], axis=1) + b
+    n = h.shape[0]
+    zr = logistic(xw[:2 * n] + h @ u_zr)
+    z = zr[:n]
+    return (1.0 - z) * h + z * np.tanh(xw[2 * n:] + (zr[n:] * h) @ u_h)
+
+
+def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
+    """`gru_step` over the T rows of input terms `xw` (T*3h) from the state
+    `h0`, keeping what backpropagation through time needs.
+
+    Returns the T*h states (row t after input row t) and `back`, which maps
+    their gradient to the pre-activation gradients of the gates (T*3h, update
+    | reset | candidate, which are also the gradients of `xw`), the gradient
+    of `h0` and those of U_z | U_r and U_h.
+    """
+    steps, h = xw.shape[0], h0.shape[0]
     xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
-    gates = np.empty((n, 2 * h))  # z | r
-    cand = np.empty((n, h))
-    out = np.empty((n, h))
-    state = initial = h0.data[0]
-    for t in range(n):
-        zr = gates[t] = logistic(xw_zr[t] + state @ u_zr)
+    gates, cand, states = [], [], [h0]  # z | r per step, candidates, h0 and every state
+    for t in range(steps):
+        state = states[-1]
+        zr = logistic(xw_zr[t] + state @ u_zr)
         z = zr[:h]
-        c = cand[t] = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
-        state = out[t] = (1.0 - z) * state + z * c
+        c = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
+        gates.append(zr)
+        cand.append(c)
+        states.append((1.0 - z) * state + z * c)
+    out = np.array(states[1:])
 
     def back(g):
-        prev = np.concatenate([initial[None, :], out[:-1]])
-        z, r = gates[:, :h], gates[:, h:]
+        prev = np.array(states[:-1])
+        zr, c = np.array(gates), np.array(cand)
+        z, r = zr[:, :h], zr[:, h:]
         keep = 1.0 - z
-        to_cand = z * (1.0 - cand * cand)
-        to_z = (cand - prev) * z * keep
+        to_cand = z * (1.0 - c * c)
+        to_z = (c - prev) * z * keep
         to_r = prev * r * (1.0 - r)
-        da = np.empty((n, 3 * h))  # pre-activation gradients, z | r | cand
+        u_zr_t, u_h_t = u_zr.T, u_h.T
+        da = np.empty((steps, 3 * h))
         dh = np.zeros(h)
-        for t in range(n - 1, -1, -1):
+        for t in range(steps - 1, -1, -1):
             dh = dh + g[t]
             np.multiply(dh, to_z[t], out=da[t, :h])
             dac = np.multiply(dh, to_cand[t], out=da[t, 2 * h:])
-            drh = dac @ u_h.T
+            drh = dac @ u_h_t
             np.multiply(drh, to_r[t], out=da[t, h:2 * h])
-            dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr.T
-        parts = (da[:, :h], da[:, h:2 * h], da[:, 2 * h:])
-        dx = parts[0] @ ws[0].T + parts[1] @ ws[1].T + parts[2] @ ws[2].T
-        db = da.sum(axis=0, keepdims=True)
-        du_zr = prev.T @ da[:, :2 * h]
-        du_h = (r * prev).T @ da[:, 2 * h:]
-        return (dx, *(x.T @ part for part in parts),
-                du_zr[:, :h], du_zr[:, h:], du_h,
-                db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
+            dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr_t
+        return da, dh, prev.T @ da[:, :2 * h], (r * prev).T @ da[:, 2 * h:]
 
-    return _emit(out, (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
-                       cell.bz, cell.br, cell.bh, h0), back)
-
-
-def gru_step(cell: GruCell, x: Tensor, h_prev: Tensor) -> Tensor:
-    """One GRU update on a 1*in input and 1*h previous state."""
-    return gru_sequence(cell, x, h_prev)
+    return out, back
 
 
 def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
@@ -250,8 +248,9 @@ def rnn_stack(items) -> Tensor:
     BPTT loop is stacked the same way. Each run keeps its own input-term
     GEMMs, input gradient and weight gradients: the BLAS behind numpy can
     round a row of a product differently when the product has more rows,
-    and this way every number equals that of a `gru_sequence` record over
-    the run's rows in step order from a zero state, bitwise. Each run's
+    and this way every number equals that of one fused GRU record over the
+    run's rows in step order from a zero state (the reference
+    `gru_sequence` of the tests), bitwise. Each run's
     input and cell weights are parents once per run, last item and
     direction first, so the tape adds them into a shared cell's sinks in the
     order that one record per direction did. This is the dynamic batching
@@ -282,8 +281,7 @@ def rnn_stack(items) -> Tensor:
     per_cell = {}  # each distinct cell's biases and U_z | U_r, concatenated once
     for c in cells:
         if id(c) not in per_cell:
-            per_cell[id(c)] = (np.concatenate([c.bz.data, c.br.data, c.bh.data], axis=1)[0],
-                             np.concatenate([c.uz.data, c.ur.data], axis=1))
+            per_cell[id(c)] = c.joined()
     xw = np.zeros((steps, k_runs, 3 * h))
     for k, (cell, x, _, _, _) in enumerate(runs):
         n, s = lengths[k], slot[k]
@@ -353,8 +351,7 @@ def rnn_stack(items) -> Tensor:
 
     parents = tuple(p for layer, seq in reversed(items)
                     for cell in (layer.bwd, layer.fwd)
-                    for p in (seq, cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh,
-                              cell.bz, cell.br, cell.bh))
+                    for p in (seq, *cell.fields()))
     return _emit(packed, parents, back)
 
 

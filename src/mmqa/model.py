@@ -5,13 +5,19 @@ side by side into a single context by one `fuse` record, which reads each
 vector as a row of the attention output that holds it; the context is
 re-fed to the decoder at every step, and the question vector only
 initializes the decoder's first hidden layer.
+
+The context is the same at every step, so layer 1's input weights split
+into context rows and embedding rows, and the context's input term is
+computed once per sequence. `decoder_loss` takes a whole teacher-forced or
+scheduled-sampling loss as one tape record with a hand-written backward;
+`decode_step` decodes greedily on plain arrays and records nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .encoders import (
     GruCell,
     RecurrentLayer,
     SelfAttentionParams,
-    gru_sequence,
+    gru_run,
     gru_step,
     guided_attend,
     guided_stack,
@@ -31,18 +37,7 @@ from .encoders import (
     self_attend,
 )
 from .errors import ShapeError, ValidationError
-from .tensor import (
-    Module,
-    Tensor,
-    _emit,
-    add_row,
-    concat_cols,
-    cross_entropy,
-    matmul,
-    ones,
-    take_rows,
-    untaped,
-)
+from .tensor import Module, Tensor, _emit, _RowSparse, take_rows, untaped
 from .text import (
     EOS,
     PAD,
@@ -56,10 +51,12 @@ from .text import (
 __all__ = [
     "Decoder",
     "DecoderState",
+    "StepTerms",
     "Model",
     "fuse",
     "init_decoder",
     "decode_step",
+    "decoder_loss",
     "generate",
     "teacher_forced_loss",
     "scheduled_sample_loss",
@@ -133,34 +130,89 @@ class Decoder(Module):
         )
 
 
+class StepTerms(NamedTuple):
+    """What every step of one (decoder, context) pair shares."""
+
+    decoder: Decoder
+    context: Tensor
+    xw1: np.ndarray  # layer 1's context input terms plus its biases, 3h
+    w1: np.ndarray   # layer 1's embedding rows of W_z | W_r | W_h, d_w*3h
+    u1: tuple        # layer 1's U_z | U_r and U_h
+    w2: np.ndarray   # layer 2's W_z | W_r | W_h, h*3h
+    b2: np.ndarray   # layer 2's biases, 3h
+    u2: tuple        # layer 2's U_z | U_r and U_h
+
+
 @dataclass
 class DecoderState:
-    h1: Tensor
-    h2: Tensor
+    """Both decoder layers' states as 1-D arrays, plus the terms that the
+    steps share; the first step makes them."""
+
+    h1: np.ndarray
+    h2: np.ndarray
+    terms: Optional[StepTerms] = None
 
 
 def init_decoder(decoder: Decoder, question: Tensor) -> DecoderState:
     """Start layer 1 at the question vector (zero-padded); layer 2 at zero."""
+    return DecoderState(h1=_first_state(decoder, question), h2=np.zeros(decoder.hidden_width))
+
+
+def _first_state(decoder: Decoder, question: Tensor) -> np.ndarray:
     h = decoder.hidden_width
     d = question.cols
     if h < d:
         raise ValidationError(
             f"decoder hidden width {h} cannot hold the question vector of width {d}"
         )
-    h1 = question if h == d else concat_cols(
-        question, Tensor(np.zeros((1, h - d)), check=False)
-    )
-    return DecoderState(h1=h1, h2=Tensor(np.zeros((1, h)), check=False))
+    h1 = np.zeros(h)
+    h1[:d] = question.data[0]
+    return h1
+
+
+def _context_width(decoder: Decoder, context: Tensor, embed_width: int) -> int:
+    """Layer 1's context rows: its input width less the embedding width."""
+    width = decoder.l1.input_width - embed_width
+    if context.shape != (1, width):
+        raise ShapeError(f"decoder context {context.shape} does not match (1, {width}), "
+                         f"its input width {decoder.l1.input_width} less the "
+                         f"embedding width {embed_width}")
+    return width
+
+
+def _step_terms(decoder: Decoder, context: Tensor, embed_width: int) -> StepTerms:
+    l1, l2 = decoder.l1, decoder.l2
+    cw = _context_width(decoder, context, embed_width)
+    b1, u_zr1 = l1.joined()
+    b2, u_zr2 = l2.joined()
+    c = context.data[0]
+    ws1 = (l1.wz.data, l1.wr.data, l1.wh.data)
+    return StepTerms(decoder, context,
+                     xw1=np.concatenate([c @ w[:cw] for w in ws1]) + b1,
+                     w1=np.concatenate([w[cw:] for w in ws1], axis=1), u1=(u_zr1, l1.uh.data),
+                     w2=np.concatenate([l2.wz.data, l2.wr.data, l2.wh.data], axis=1), b2=b2,
+                     u2=(u_zr2, l2.uh.data))
 
 
 def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
                 w_prev: Tensor):
-    """One decoding step; the context rides along in every step's input."""
-    x = concat_cols(context, w_prev)
-    h1 = gru_step(decoder.l1, x, state.h1)
-    h2 = gru_step(decoder.l2, h1, state.h2)
-    logits = add_row(matmul(h2, decoder.proj.w), decoder.proj.b)
-    return logits, DecoderState(h1=h1, h2=h2)
+    """One decoding step on plain arrays; the context rides along in every
+    step's input. Returns the 1*|V| logits and the next state.
+
+    Layer 1's context term is computed once per (decoder, context) pair and
+    kept in the state, so a step multiplies only the embedding by layer 1's
+    input weights.
+    """
+    terms = state.terms
+    if terms is None or terms.decoder is not decoder or terms.context is not context:
+        terms = _step_terms(decoder, context, w_prev.cols)
+    if w_prev.shape != (1, terms.w1.shape[0]):
+        raise ShapeError(f"previous token vector {w_prev.shape} does not match "
+                         f"(1, {terms.w1.shape[0]})")
+    h1 = gru_step(w_prev.data[0] @ terms.w1 + terms.xw1, state.h1, *terms.u1)
+    h2 = gru_step(h1 @ terms.w2 + terms.b2, state.h2, *terms.u2)
+    logits = h2 @ decoder.proj.w.data + decoder.proj.b.data
+    return Tensor(logits, check=False), DecoderState(h1, h2, terms)
 
 
 def _greedy_pick(logits: Tensor) -> int:
@@ -177,16 +229,20 @@ def generate(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
     state = init_decoder(decoder, question)
-    w_prev = embedding.row(SOS)
+    token = SOS
     out: list[int] = []
     for _ in range(max_len):
-        logits, state = decode_step(decoder, state, context, w_prev)
+        logits, state = decode_step(decoder, state, context, _row(embedding, token))
         token = _greedy_pick(logits)
         if token == EOS:
             break
         out.append(token)
-        w_prev = embedding.row(token)
     return out
+
+
+def _row(embedding: EmbeddingTable, token: int) -> Tensor:
+    """A token's embedding as a 1*d_w tensor that no tape records."""
+    return Tensor(embedding.matrix.data[token:token + 1], check=False)
 
 
 def _normalize_gold(gold) -> list[int]:
@@ -198,27 +254,81 @@ def _normalize_gold(gold) -> list[int]:
     return gold
 
 
-def _forced_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
-                 question: Tensor, inputs: list[int], gold: list[int]) -> Tensor:
-    """Mean cross-entropy of `gold` when step t is fed token `inputs[t]`.
+def _cell_grads(dw: np.ndarray, da: np.ndarray, du_zr: np.ndarray, du_h: np.ndarray) -> tuple:
+    """A GruCell's nine gradients in field order, from those of its input
+    weights side by side (in*3h), its gates' pre-activation gradients (T*3h)
+    and those of U_z | U_r and U_h."""
+    h = du_h.shape[0]
+    db = da.sum(axis=0, keepdims=True)
+    return (dw[:, :h], dw[:, h:2 * h], dw[:, 2 * h:], du_zr[:, :h], du_zr[:, h:], du_h,
+            db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
 
-    All inputs are known up front, so each decoder layer runs as one fused
-    sequence and the vocabulary projection is a single T*h by h*|V| product.
+
+def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
+                 question: Tensor, inputs, gold) -> Tensor:
+    """Mean cross-entropy of `gold` when step t is fed token `inputs[t]`, as
+    one tape record.
+
+    Layer 1 starts at the zero-padded question and layer 2 at zero. Layer
+    1's input weights split into context rows and embedding rows, so the
+    context, the same at every step, takes one 1*3h product per sequence,
+    and the embeddings one T-row GEMM (Appleyard et al.'s precomputed
+    inputs). Both layers run with `gru_run`, and the vocabulary projection
+    is one T*h by h*|V| product. The hand-written backward feeds the softmax
+    cross-entropy gradient straight into the projection's, runs each
+    layer's BPTT, and takes the gradients of the context and of the context
+    rows from the column sums of layer 1's gate gradients. The embedding
+    gradient is row-sparse.
     """
-    state = init_decoder(decoder, question)
-    steps = len(inputs)
-    x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
-    h1 = gru_sequence(decoder.l1, x, state.h1)
-    h2 = gru_sequence(decoder.l2, h1, state.h2)
-    logits = add_row(matmul(h2, decoder.proj.w), decoder.proj.b)
-    return cross_entropy(logits, gold)
+    l1, l2, proj = decoder.l1, decoder.l2, decoder.proj
+    table = embedding.matrix
+    h0 = _first_state(decoder, question)
+    terms = _step_terms(decoder, context, table.cols)
+    steps, vocab = len(inputs), proj.w.cols
+    if steps < 1 or len(gold) != steps:
+        raise ValidationError(f"decoder_loss needs one gold token per input: "
+                              f"{steps} inputs, {len(gold)} gold tokens")
+    if min(inputs) < 0 or max(inputs) >= table.rows:
+        raise ValidationError(f"input id out of range for {table.rows} embedding rows: {inputs}")
+    if min(gold) < 0 or max(gold) >= vocab:
+        raise ValidationError(f"target id out of range for vocab {vocab}: {gold}")
+    idx, targets, rows = np.asarray(inputs, dtype=np.intp), np.asarray(gold), np.arange(steps)
+    c, emb = context.data[0], table.data[idx]
+    h1, back1 = gru_run(emb @ terms.w1 + terms.xw1, h0, *terms.u1)
+    h2, back2 = gru_run(h1 @ terms.w2 + terms.b2, np.zeros(h0.shape[0]), *terms.u2)
+    logits = h2 @ proj.w.data + proj.b.data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(shifted - np.log(total))[rows, targets].sum() / steps
+
+    def back(g):
+        d_logits = e / total
+        d_logits[rows, targets] -= 1.0
+        d_logits *= g[0] / steps
+        da2, _, du_zr2, du_h2 = back2(d_logits @ proj.w.data.T)
+        da1, dh0, du_zr1, du_h1 = back1(da2 @ terms.w2.T)
+        col, h, cw = da1.sum(axis=0), h0.shape[0], c.shape[0]
+        d_context = sum(col[k * h:(k + 1) * h] @ w.data[:cw].T
+                        for k, w in enumerate((l1.wz, l1.wr, l1.wh)))
+        dw1 = np.empty((cw + emb.shape[1], 3 * h))
+        np.outer(c, col, out=dw1[:cw])
+        np.matmul(emb.T, da1, out=dw1[cw:])
+        return (_RowSparse(table.shape, idx, da1 @ terms.w1.T), d_context[None, :],
+                dh0[None, :question.cols],
+                *_cell_grads(dw1, da1, du_zr1, du_h1),
+                *_cell_grads(h1.T @ da2, da2, du_zr2, du_h2),
+                h2.T @ d_logits, d_logits.sum(axis=0, keepdims=True))
+
+    return _emit(np.array([loss]), (table, context, question, *l1.fields(), *l2.fields(),
+                                    proj.w, proj.b), back)
 
 
 def teacher_forced_loss(decoder: Decoder, embedding: EmbeddingTable,
                         context: Tensor, question: Tensor, gold) -> Tensor:
     """Mean cross-entropy with every step fed the previous gold token."""
     gold = _normalize_gold(gold)
-    return _forced_loss(decoder, embedding, context, question, [SOS] + gold[:-1], gold)
+    return decoder_loss(decoder, embedding, context, question, [SOS] + gold[:-1], gold)
 
 
 def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
@@ -227,23 +337,22 @@ def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
     """Cross-entropy where each step past the first may feed the model's own
     previous greedy pick instead of the gold token, with probability p_model.
 
-    The picks come from an untaped step-by-step decode (they are argmaxes,
-    so no gradient flows through them); the loss is then the teacher-forced
-    loss over the chosen inputs. p_model=0 consumes the same random draws
-    but always picks gold, so it is bit-identical to the teacher-forced
-    loss; p_model=1 runs free.
+    The picks come from a step-by-step decode on plain arrays (they are
+    argmaxes, so no gradient flows through them, and nothing is recorded);
+    the loss is then the teacher-forced loss over the chosen inputs.
+    p_model=0 consumes the same random draws but always picks gold, so it is
+    bit-identical to the teacher-forced loss; p_model=1 runs free.
     """
     if not (0.0 <= p_model <= 1.0):
         raise ValidationError(f"p_model must lie in [0, 1], got {p_model}")
     gold = _normalize_gold(gold)
     inputs = [SOS]
-    with untaped():
-        state = init_decoder(decoder, question)
-        for t in range(1, len(gold)):
-            logits, state = decode_step(decoder, state, context, embedding.row(inputs[-1]))
-            use_model = rng.random() < p_model
-            inputs.append(_greedy_pick(logits) if use_model else gold[t - 1])
-    return _forced_loss(decoder, embedding, context, question, inputs, gold)
+    state = init_decoder(decoder, question)
+    for t in range(1, len(gold)):
+        logits, state = decode_step(decoder, state, context, _row(embedding, inputs[-1]))
+        use_model = rng.random() < p_model
+        inputs.append(_greedy_pick(logits) if use_model else gold[t - 1])
+    return decoder_loss(decoder, embedding, context, question, inputs, gold)
 
 
 @dataclass
@@ -377,6 +486,7 @@ class Model:
 
     def generate(self, example: DialogExample, max_len: int = 20) -> list[str]:
         """Greedy answer tokens (as strings) for one example."""
-        context, q_vec = self.encode(example)
-        ids = generate(self.decoder, self.embedding, context, q_vec, max_len)
+        with untaped():
+            context, q_vec = self.encode(example)
+            ids = generate(self.decoder, self.embedding, context, q_vec, max_len)
         return [self.vocab.token(i) for i in ids]

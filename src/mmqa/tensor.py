@@ -23,15 +23,11 @@ __all__ = [
     "Tape",
     "untaped",
     "logistic",
-    "ones",
-    "matmul",
-    "add_row",
     "mul",
-    "concat_cols",
     "take_rows",
-    "cross_entropy",
     "sum_all",
     "grad_check",
+    "grad_checks",
 ]
 
 
@@ -98,10 +94,6 @@ class Module:
             elif isinstance(value, Module):
                 out.update((f"{f.name}.{k}", v) for k, v in value.parameters().items())
         return out
-
-
-def ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape), check=False)
 
 
 class _RowSparse:
@@ -262,25 +254,6 @@ def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 # Forward primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an m*k and a k*n tensor."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def back(g):
-        return (g @ bd.T, ad.T @ g)
-
-    return _emit(ad @ bd, (a, b), back)
-
-
-def add_row(m: Tensor, r: Tensor) -> Tensor:
-    """Add a 1*n row vector to every row of an m*n matrix."""
-    if m.ndim != 2 or r.ndim != 2 or r.shape[0] != 1 or r.shape[1] != m.shape[1]:
-        raise ShapeError(f"add_row shape mismatch: {m.shape} vs {r.shape}")
-    return _emit(m.data + r.data, (m, r), lambda g: (g, g.sum(axis=0, keepdims=True)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two equally shaped tensors."""
     if a.shape != b.shape:
@@ -299,25 +272,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def concat_cols(*tensors: Tensor) -> Tensor:
-    """Stack matrices along the feature axis; all must share the row count."""
-    if len(tensors) < 2:
-        raise ValidationError("concat_cols needs at least two tensors")
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.ndim != 2 or t.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols row mismatch: {[tuple(t.shape) for t in tensors]}"
-            )
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def back(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
-
-    return _emit(np.concatenate([t.data for t in tensors], axis=1), tensors, back)
-
-
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of `m` by index (repeats allowed); the gradient is
     row-sparse and scatter-adds."""
@@ -332,32 +286,6 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
         )
     shape = m.shape
     return _emit(m.data[idx], (m,), lambda g: (_RowSparse(shape, idx, g),))
-
-
-def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean negative log-softmax of the target ids over T rows of logits."""
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy needs rank-2 logits, got {logits.shape}")
-    t_count, vocab = logits.shape
-    idx = np.asarray(targets, dtype=np.intp)
-    if idx.ndim != 1 or idx.size != t_count:
-        raise ValidationError(
-            f"cross_entropy needs one target per logit row: {t_count} rows, {idx.size} targets"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-        raise ValidationError(f"target id out of range for vocab {vocab}: {targets}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = -log_probs[np.arange(t_count), idx].mean()
-    probs = np.exp(log_probs)
-
-    def back(g):
-        grad = probs.copy()
-        grad[np.arange(t_count), idx] -= 1.0
-        return (grad * (g.reshape(-1)[0] / t_count),)
-
-    return _emit(np.array([loss]), (logits,), back)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -385,23 +313,37 @@ def grad_check(
     perturbations of `x` (mutated in place and restored). The error at each
     coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
+    return grad_checks(lambda: f(x), [x], eps)[0]
+
+
+def grad_checks(f: Callable[[], Tensor], xs: Sequence[Tensor], eps: float = 1e-5) -> list:
+    """`grad_check` of the scalar `f()` with respect to each leaf in `xs`.
+
+    One reverse pass that watches every leaf gives all the analytic
+    gradients, so the checks of one function share its tape; each leaf's
+    gradient is the one a pass watching it alone gives.
+    """
     if not (1e-6 <= eps <= 1e-3):
         raise ValidationError(f"eps must lie in [1e-6, 1e-3], got {eps}")
     with Tape() as tape:
-        tape.watch(x)
-        y = f(x)
+        for x in xs:
+            tape.watch(x)
+        y = f()
         if y.data.size != 1:
             raise ShapeError(f"grad_check needs a scalar-valued f, got shape {y.shape}")
-        analytic = tape.backward(y).wrt(x)
+        tape.backward(y)
+    return [_max_error(f, x, tape.wrt(x), eps) for x in xs]
 
+
+def _max_error(f: Callable[[], Tensor], x: Tensor, analytic: np.ndarray, eps: float) -> float:
     flat = x.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = f(x).item()
+        hi = f().item()
         flat[i] = orig - eps
-        lo = f(x).item()
+        lo = f().item()
         flat[i] = orig
         numeric[i] = (hi - lo) / (2.0 * eps)
     numeric = numeric.reshape(x.shape)

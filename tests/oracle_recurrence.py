@@ -1,28 +1,60 @@
-"""Per-step recurrence composed from tape primitives: the reference that the
-fused `gru_sequence` and teacher-forced decoder are tested against. Every
-step records about twenty small tape ops; nothing here is used by the
-package itself.
+"""The recurrences and the decoder composed from small tape records: the
+references that `rnn_stack`, `decoder_loss` and `decode_step` are tested
+against. Nothing here is used by the package itself.
 
-The primitives `concat_rows`, `add`, `sigmoid`, `tanh` and `one_minus`
-exist only for the references, so they live here rather than in
-`mmqa.tensor`; `tests/test_tensor.py` checks them.
+`gru_sequence` is the decoder's former fused GRU record (input terms of all
+steps by one GEMM per gate, the recurrence on plain arrays, hand-written
+BPTT); `step_sequence` composes the same recurrence from about twenty tape
+records per step and is its own reference. `forced_loss` and
+`decode_step` are the decoder's former chains of records. The primitives
+`ones`, `matmul`, `add_row`, `concat_cols`, `concat_rows`, `add`,
+`sigmoid`, `tanh`, `one_minus` and `cross_entropy` exist only for these
+references, so they live here rather than in `mmqa.tensor`;
+`tests/test_tensor.py` checks them.
 """
 
 import numpy as np
 
 from mmqa.errors import ShapeError, ValidationError
-from mmqa.tensor import (
-    Tensor,
-    _emit,
-    add_row,
-    concat_cols,
-    cross_entropy,
-    logistic,
-    matmul,
-    mul,
-    take_rows,
-)
+from mmqa.tensor import Tensor, _emit, logistic, mul, take_rows
 from mmqa.text import SOS
+
+
+def ones(*shape):
+    return Tensor(np.ones(shape), check=False)
+
+
+def matmul(a, b):
+    """Matrix product of an m*k and a k*n tensor."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def add_row(m, r):
+    """Add a 1*n row vector to every row of an m*n matrix."""
+    if m.ndim != 2 or r.ndim != 2 or r.shape[0] != 1 or r.shape[1] != m.shape[1]:
+        raise ShapeError(f"add_row shape mismatch: {m.shape} vs {r.shape}")
+    return _emit(m.data + r.data, (m, r), lambda g: (g, g.sum(axis=0, keepdims=True)))
+
+
+def concat_cols(*tensors):
+    """Stack matrices along the feature axis; all must share the row count."""
+    if len(tensors) < 2:
+        raise ValidationError("concat_cols needs at least two tensors")
+    rows = tensors[0].shape[0]
+    for t in tensors:
+        if t.ndim != 2 or t.shape[0] != rows:
+            raise ShapeError(
+                f"concat_cols row mismatch: {[tuple(t.shape) for t in tensors]}"
+            )
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+
+    def back(g):
+        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(tensors)))
+
+    return _emit(np.concatenate([t.data for t in tensors], axis=1), tensors, back)
 
 
 def concat_rows(*tensors):
@@ -67,6 +99,89 @@ def one_minus(x):
     return _emit(1.0 - x.data, (x,), lambda g: (-g,))
 
 
+def cross_entropy(logits, targets):
+    """Mean negative log-softmax of the target ids over T rows of logits."""
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy needs rank-2 logits, got {logits.shape}")
+    t_count, vocab = logits.shape
+    idx = np.asarray(targets, dtype=np.intp)
+    if idx.ndim != 1 or idx.size != t_count:
+        raise ValidationError(
+            f"cross_entropy needs one target per logit row: {t_count} rows, {idx.size} targets"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+        raise ValidationError(f"target id out of range for vocab {vocab}: {targets}")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    probs = np.exp(log_probs)
+
+    def back(g):
+        grad = probs.copy()
+        grad[np.arange(t_count), idx] -= 1.0
+        return (grad * (g.reshape(-1)[0] / t_count),)
+
+    return _emit(np.array([-log_probs[np.arange(t_count), idx].mean()]), (logits,), back)
+
+
+def gru_sequence(cell, seq, h0):
+    """The decoder's former fused record: a GRU over an n*in sequence from
+    the 1*h state `h0`; returns the n*h states, row t after input row t.
+
+    The input terms of all steps take one GEMM per gate, the recurrence runs
+    on plain arrays and the backward is hand-written BPTT.
+    """
+    if seq.ndim != 2 or seq.rows < 1 or seq.cols != cell.input_width:
+        raise ShapeError(f"sequence {seq.shape} does not match cell input width "
+                         f"{cell.input_width}")
+    if h0.shape != (1, cell.hidden_width):
+        raise ShapeError(
+            f"initial state {h0.shape} does not match hidden width {cell.hidden_width}"
+        )
+    n, h = seq.rows, cell.hidden_width
+    x = seq.data
+    ws = (cell.wz.data, cell.wr.data, cell.wh.data)
+    b, u_zr = cell.joined()
+    u_h = cell.uh.data
+    xw = np.concatenate([x @ w for w in ws], axis=1) + b
+    xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
+    gates = np.empty((n, 2 * h))  # z | r
+    cand = np.empty((n, h))
+    out = np.empty((n, h))
+    state = initial = h0.data[0]
+    for t in range(n):
+        zr = gates[t] = logistic(xw_zr[t] + state @ u_zr)
+        z = zr[:h]
+        c = cand[t] = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
+        state = out[t] = (1.0 - z) * state + z * c
+
+    def back(g):
+        prev = np.concatenate([initial[None, :], out[:-1]])
+        z, r = gates[:, :h], gates[:, h:]
+        keep = 1.0 - z
+        to_cand = z * (1.0 - cand * cand)
+        to_z = (cand - prev) * z * keep
+        to_r = prev * r * (1.0 - r)
+        da = np.empty((n, 3 * h))  # pre-activation gradients, z | r | cand
+        dh = np.zeros(h)
+        for t in range(n - 1, -1, -1):
+            dh = dh + g[t]
+            np.multiply(dh, to_z[t], out=da[t, :h])
+            dac = np.multiply(dh, to_cand[t], out=da[t, 2 * h:])
+            drh = dac @ u_h.T
+            np.multiply(drh, to_r[t], out=da[t, h:2 * h])
+            dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr.T
+        parts = (da[:, :h], da[:, h:2 * h], da[:, 2 * h:])
+        dx = parts[0] @ ws[0].T + parts[1] @ ws[1].T + parts[2] @ ws[2].T
+        db = da.sum(axis=0, keepdims=True)
+        du_zr = prev.T @ da[:, :2 * h]
+        du_h = (r * prev).T @ da[:, 2 * h:]
+        return (dx, *(x.T @ part for part in parts),
+                du_zr[:, :h], du_zr[:, h:], du_h,
+                db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
+
+    return _emit(out, (seq, *cell.fields(), h0), back)
+
+
 def gru_step(cell, x, h_prev):
     z = sigmoid(add(add(matmul(x, cell.wz), matmul(h_prev, cell.uz)), cell.bz))
     r = sigmoid(add(add(matmul(x, cell.wr), matmul(h_prev, cell.ur)), cell.br))
@@ -74,13 +189,8 @@ def gru_step(cell, x, h_prev):
     return add(mul(one_minus(z), h_prev), mul(z, cand))
 
 
-def _zeros(cell):
-    return Tensor(np.zeros((1, cell.hidden_width)), check=False)
-
-
-def gru_sequence(cell, seq, h0):
-    """n*h states from the 1*h state `h0`, row t after input row t, like the
-    fused primitive."""
+def step_sequence(cell, seq, h0):
+    """`gru_sequence` as one chain of `gru_step` records per row."""
     h, out = h0, []
     for t in range(seq.rows):
         h = gru_step(cell, take_rows(seq, [t]), h)
@@ -88,13 +198,37 @@ def gru_sequence(cell, seq, h0):
     return concat_rows(*out)
 
 
+def first_state(decoder, question):
+    """The zero-padded question as layer 1's 1*h initial state."""
+    if decoder.hidden_width == question.cols:
+        return question
+    pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)), check=False)
+    return concat_cols(question, pad)
+
+
+def forced_loss(decoder, embedding, context, question, inputs, gold):
+    """The decoder loss as the chain of records it replaced: the context
+    copied to every step beside the step's embedding, two `gru_sequence`
+    records, the projection and the cross-entropy."""
+    steps = len(inputs)
+    x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
+    h1 = gru_sequence(decoder.l1, x, first_state(decoder, question))
+    h2 = gru_sequence(decoder.l2, h1, Tensor(np.zeros((1, decoder.hidden_width)), check=False))
+    return cross_entropy(add_row(matmul(h2, decoder.proj.w), decoder.proj.b), gold)
+
+
+def decode_step(decoder, h1, h2, context, w_prev):
+    """One decoding step as a chain of one-row records; returns the logits
+    and both layers' 1*h states."""
+    h1 = gru_sequence(decoder.l1, concat_cols(context, w_prev), h1)
+    h2 = gru_sequence(decoder.l2, h1, h2)
+    return add_row(matmul(h2, decoder.proj.w), decoder.proj.b), h1, h2
+
+
 def teacher_forced_loss(decoder, embedding, context, question, gold):
     """Step-by-step teacher-forced decode; `gold` already ends in EOS."""
-    h1 = question
-    if decoder.hidden_width > question.cols:
-        pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)), check=False)
-        h1 = concat_cols(question, pad)
-    h2 = _zeros(decoder.l2)
+    h1 = first_state(decoder, question)
+    h2 = Tensor(np.zeros((1, decoder.hidden_width)), check=False)
     rows = []
     for token in [SOS] + list(gold[:-1]):
         x = concat_cols(context, embedding.row(token))

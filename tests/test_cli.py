@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs, template_dialog
@@ -30,6 +30,20 @@ from mmqa.model import Model
 
 def write_dataset(path, dialogs=None):
     save_dataset(str(path), dialogs if dialogs is not None else overfit_dialogs()[:4])
+
+
+def edited(blob: bytes, edit: str, position: int, byte: int) -> bytes:
+    """`blob` with one byte at `position` (modulo its length) flipped by
+    xor with `byte`, `byte` inserted there, or everything from there cut."""
+    blob = bytearray(blob)
+    at = position % len(blob)
+    if edit == "flip":
+        blob[at] ^= byte
+    elif edit == "insert":
+        blob[at:at] = bytes([byte])
+    else:
+        del blob[at:]
+    return bytes(blob)
 
 
 def write_config(path, data_path, **overrides):
@@ -136,11 +150,14 @@ class TestPipeline:
     def test_nonfinite_gradient_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the loss stays finite; only the bias row of the vocabulary
         # projection gets an infinite gradient
-        def add_row(m, r):
-            return tensor._emit(m.data + r.data, (m, r),
-                                lambda g: (g, np.full(r.shape, np.inf)))
+        original = model_module.decoder_loss
 
-        monkeypatch.setattr(model_module, "add_row", add_row)
+        def decoder_loss(decoder, *args):
+            loss, bias = original(decoder, *args), decoder.proj.b
+            return tensor._emit(loss.data, (loss, bias),
+                                lambda g: (g, np.full(bias.shape, np.inf)))
+
+        monkeypatch.setattr(model_module, "decoder_loss", decoder_loss)
         code, _data, ckpt = self.run_train(tmp_path)
         assert code == 2
         err = capsys.readouterr().err
@@ -454,18 +471,49 @@ class TestFailureModes:
         work = root / "work"
         work.mkdir(exist_ok=True)
         for name, blob in files.items():
-            blob = bytearray(blob)
-            if name == target:
-                at = position % len(blob)
-                if edit == "flip":
-                    blob[at] ^= byte
-                elif edit == "insert":
-                    blob[at:at] = bytes([byte])
-                else:
-                    del blob[at:]
-            (work / name).write_bytes(bytes(blob))
+            (work / name).write_bytes(edited(blob, edit, position, byte)
+                                      if name == target else blob)
         code = cli.main(["eval", "--ckpt", str(work / "m.ckpt"), "--data", str(data),
                          "--out", str(work / "s.tsv"), "--max-len", "4"])
+        assert code in (0, 1, 3)
+
+    @pytest.fixture(scope="class")
+    def generate_inputs(self, tmp_path_factory):
+        """The bytes of a two-dialog dataset and of two flow feature files,
+        and a checkpoint of a model with a 1-wide flow stream."""
+        root = tmp_path_factory.mktemp("inputs")
+        dialogs = [template_dialog(f"vid{i}", "cat", "runs", "park") for i in range(2)]
+        write_dataset(root / "data.json", dialogs)
+        for i in range(2):
+            save_features(str(root / f"vid{i}.flow.feat"), np.ones((2, 1)))
+        vocab = corpus_vocab(dialogs)
+        model = Model.create(np.random.default_rng(0), vocab, embed_width=2, hidden_width=1,
+                             flow_width=1)
+        ckpt = root / "m.ckpt"
+        save_checkpoint(str(ckpt), checkpoint_from_model(model), Config().hash())
+        vocab.save(str(ckpt) + ".vocab")
+        files = {name: (root / name).read_bytes()
+                 for name in ("data.json", "vid0.flow.feat", "vid1.flow.feat")}
+        return root, ckpt, files
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.sampled_from(["data.json", "vid0.flow.feat"]),
+           edit=st.sampled_from(["flip", "insert", "truncate"]),
+           # half the positions fall in the first bytes: headers and the first dialog
+           position=st.one_of(st.integers(0, 100), st.integers(0, 2 ** 31)),
+           byte=st.integers(1, 255))
+    def test_byte_edits_of_generate_inputs_exit_cleanly(self, generate_inputs, target, edit,
+                                                        position, byte):
+        root, ckpt, files = generate_inputs
+        work = root / "work"
+        work.mkdir(exist_ok=True)
+        for name, blob in files.items():
+            (work / name).write_bytes(edited(blob, edit, position, byte)
+                                      if name == target else blob)
+        code = cli.main(["generate", "--ckpt", str(ckpt), "--data", str(work / "data.json"),
+                         "--features", str(work), "--out", str(work / "a.txt"),
+                         "--max-len", "3"])
+        event(f"{target} exit {code}")
         assert code in (0, 1, 3)
 
     def test_usage_problems_exit_1(self, capsys):

@@ -13,7 +13,7 @@ from mmqa.encoders import (
     GruCell,
     RecurrentLayer,
     SelfAttentionParams,
-    gru_sequence,
+    gru_run,
     gru_step,
     guided_attend,
     guided_stack,
@@ -23,18 +23,9 @@ from mmqa.encoders import (
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
-from mmqa.tensor import (
-    Tape,
-    Tensor,
-    _emit,
-    concat_cols,
-    grad_check,
-    mul,
-    sum_all,
-    take_rows,
-)
+from mmqa.tensor import Tape, Tensor, _emit, grad_check, mul, sum_all, take_rows
 from mmqa.text import embed_sentence
-from oracle_recurrence import concat_rows
+from oracle_recurrence import concat_cols, concat_rows, gru_sequence
 
 
 def T(data):
@@ -50,18 +41,25 @@ def zero_gru(width, hidden):
     )
 
 
+def step(cell, x, h_prev):
+    """`gru_step` of a cell on a 1*in input and a 1*h state, as 1*h."""
+    b, u_zr = cell.joined()
+    xw = np.concatenate([x.data @ w.data for w in (cell.wz, cell.wr, cell.wh)], axis=1) + b
+    return gru_step(xw[0], h_prev.data[0], u_zr, cell.uh.data)[None, :]
+
+
 class TestGruStep:
     def test_zero_weights_halve_previous_state(self):
         # z = r = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0,
         # so the interpolation keeps exactly half of h_prev.
         cell = zero_gru(3, 2)
-        h = gru_step(cell, T([[1.0, 2.0, 3.0]]), T([[0.8, -0.4]]))
-        np.testing.assert_array_equal(h.data, [[0.4, -0.2]])
+        h = step(cell, T([[1.0, 2.0, 3.0]]), T([[0.8, -0.4]]))
+        np.testing.assert_array_equal(h, [[0.4, -0.2]])
 
     def test_origin_is_fixed_point(self):
         cell = GruCell.create(np.random.default_rng(5), 3, 4)
-        h = gru_step(cell, T([[0.0, 0.0, 0.0]]), T([[0.0] * 4]))
-        np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
+        h = step(cell, T([[0.0, 0.0, 0.0]]), T([[0.0] * 4]))
+        np.testing.assert_array_equal(h, np.zeros((1, 4)))
 
     def test_state_stays_inside_convex_bound(self):
         # h_t interpolates h_prev with a tanh candidate, so elementwise
@@ -71,8 +69,8 @@ class TestGruStep:
         for _ in range(25):
             h_prev = rng.uniform(-2.0, 2.0, size=(1, 3))
             x = T(rng.normal(size=(1, 4)))
-            h = gru_step(cell, x, T(h_prev))
-            assert np.all(np.abs(h.data) <= np.maximum(np.abs(h_prev), 1.0) + 1e-12)
+            h = step(cell, x, T(h_prev))
+            assert np.all(np.abs(h) <= np.maximum(np.abs(h_prev), 1.0) + 1e-12)
 
     def test_create_zero_biases_and_fan_in_bounds(self):
         cell = GruCell.create(np.random.default_rng(0), 9, 4)
@@ -81,14 +79,27 @@ class TestGruStep:
         assert np.all(np.abs(cell.uz.data) <= 0.5)
 
     def test_gradients_flow_through_step(self):
+        # `gru_run`'s BPTT over one row against central differences of
+        # `gru_step`: the gradients of the input terms, the state and both U
         rng = np.random.default_rng(3)
-        cell = GruCell.create(rng, 3, 2)
-        h_prev = T(rng.normal(size=(1, 2)) * 0.5)
-
-        def f(x):
-            return sum_all(gru_step(cell, x, h_prev))
-
-        assert grad_check(f, T(rng.normal(size=(1, 3)) * 0.5)) < 1e-6
+        h = 2
+        xw, h0 = rng.normal(size=3 * h), rng.normal(size=h) * 0.5
+        u_zr, u_h = rng.normal(size=(h, 2 * h)), rng.normal(size=(h, h))
+        weights = rng.normal(size=h)
+        out, back = gru_run(xw[None, :], h0, u_zr, u_h)
+        np.testing.assert_array_equal(out[0], gru_step(xw, h0, u_zr, u_h))
+        analytic = back(weights[None, :])
+        for arg, got in zip((xw, h0, u_zr, u_h), (analytic[0][0], *analytic[1:])):
+            numeric = np.zeros(arg.shape)
+            for i in np.ndindex(arg.shape):
+                orig = arg[i]
+                arg[i] = orig + 1e-6
+                hi = gru_step(xw, h0, u_zr, u_h) @ weights
+                arg[i] = orig - 1e-6
+                lo = gru_step(xw, h0, u_zr, u_h) @ weights
+                arg[i] = orig
+                numeric[i] = (hi - lo) / 2e-6
+            np.testing.assert_allclose(got, numeric, rtol=0, atol=1e-8)
 
 
 def taped_run(fn, cell, seq, h0, weights):
@@ -104,7 +115,9 @@ def taped_run(fn, cell, seq, h0, weights):
 
 
 class TestFusedSequences:
-    """The fused primitive against the per-step composition of tape ops."""
+    """The reference's fused GRU record, which the stacked recurrence is held
+    to bitwise, against the per-step composition of tape records, and
+    `gru_step` and `gru_run` against it."""
 
     def test_matches_per_step_oracle(self):
         rng = np.random.default_rng(31)
@@ -116,19 +129,28 @@ class TestFusedSequences:
         h0 = T(rng.normal(size=(1, hidden)))
         weights = T(rng.normal(size=(n, hidden)))
         out, grads, nodes = taped_run(gru_sequence, cell, seq, h0, weights)
-        want, want_grads, _ = taped_run(oracle.gru_sequence, cell, seq, h0, weights)
+        want, want_grads, _ = taped_run(oracle.step_sequence, cell, seq, h0, weights)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         for got, expected in zip(grads, want_grads):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
         # one record for the fused sequence, then mul and sum_all of the loss
         assert nodes == 3
+        # `gru_run` on the same input terms gives the same states and BPTT
+        b, u_zr = cell.joined()
+        xw = np.concatenate([seq.data @ w.data for w in (cell.wz, cell.wr, cell.wh)], axis=1) + b
+        states, back = gru_run(xw, h0.data[0], u_zr, cell.uh.data)
+        np.testing.assert_array_equal(states, out)
+        da, dh0, du_zr, du_h = back(weights.data)
+        np.testing.assert_array_equal(dh0, grads[-1][0])
+        np.testing.assert_array_equal(du_zr, np.concatenate(grads[4:6], axis=1))
+        np.testing.assert_array_equal(du_h, grads[6])
+        np.testing.assert_array_equal(da.sum(axis=0), np.concatenate(grads[7:10], axis=1)[0])
 
     def test_steps_are_the_one_row_case(self):
         rng = np.random.default_rng(32)
         gru = GruCell.create(rng, 3, 2)
         x, h = T(rng.normal(size=(1, 3))), T(rng.normal(size=(1, 2)))
-        np.testing.assert_array_equal(gru_step(gru, x, h).data,
-                                      gru_sequence(gru, x, h).data)
+        np.testing.assert_array_equal(step(gru, x, h), gru_sequence(gru, x, h).data)
 
     def test_initial_state_shape_checked(self):
         cell = GruCell.create(np.random.default_rng(0), 3, 2)
@@ -145,10 +167,8 @@ class TestRnnForward:
         x = T(rng.normal(size=(1, 3)))
         out = rnn_forward(layer, x)
         zero = Tensor(np.zeros((1, 4)), check=False)
-        np.testing.assert_array_equal(out.data[:, :4],
-                                      gru_step(layer.fwd, x, zero).data)
-        np.testing.assert_array_equal(out.data[:, 4:],
-                                      gru_step(layer.bwd, x, zero).data)
+        np.testing.assert_array_equal(out.data[:, :4], step(layer.fwd, x, zero))
+        np.testing.assert_array_equal(out.data[:, 4:], step(layer.bwd, x, zero))
 
     def test_output_shapes(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,12 @@
 """Fusion, decoder initialization, greedy generation, and the loss modes."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import oracle_recurrence as oracle
 from conftest import (
@@ -22,6 +25,7 @@ from mmqa.model import (
     Decoder,
     Model,
     decode_step,
+    decoder_loss,
     fuse,
     generate,
     init_decoder,
@@ -99,13 +103,13 @@ class TestInitDecoder:
         decoder, _, _, _ = random_decoder(hidden=4)
         q = T([[1.0, 2.0, 3.0, 4.0]])
         state = init_decoder(decoder, q)
-        np.testing.assert_array_equal(state.h1.data, q.data)
-        np.testing.assert_array_equal(state.h2.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(state.h1, q.data[0])
+        np.testing.assert_array_equal(state.h2, np.zeros(4))
 
     def test_wider_decoder_pads_with_zeros(self):
         decoder, _, _, _ = random_decoder(hidden=6)
         state = init_decoder(decoder, T([[1.0, 2.0, 3.0, 4.0]]))
-        np.testing.assert_array_equal(state.h1.data, [[1, 2, 3, 4, 0, 0]])
+        np.testing.assert_array_equal(state.h1, [1, 2, 3, 4, 0, 0])
 
     def test_narrower_decoder_rejected(self):
         decoder, _, _, _ = random_decoder(hidden=3)
@@ -123,13 +127,13 @@ class TestDecodeStep:
     def test_step_is_pure_and_returns_fresh_state(self):
         decoder, embedding, context, question = random_decoder()
         state = init_decoder(decoder, question)
-        h1_before = state.h1.data.copy()
+        h1_before = state.h1.copy()
         first, next_state = decode_step(decoder, state, context, embedding.row(SOS))
         again, _ = decode_step(decoder, state, context, embedding.row(SOS))
         np.testing.assert_array_equal(first.data, again.data)
-        np.testing.assert_array_equal(state.h1.data, h1_before)
+        np.testing.assert_array_equal(state.h1, h1_before)
         assert next_state is not state
-        assert not np.array_equal(next_state.h1.data, state.h1.data)
+        assert not np.array_equal(next_state.h1, state.h1)
 
     def test_state_advances_across_steps(self):
         decoder, embedding, context, question = random_decoder()
@@ -232,6 +236,98 @@ class TestTeacherForcedLoss:
         assert abs(loss - want) <= 1e-12
         for got, expected in zip(grads, want_grads):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+
+def random_setup(seed, context_width, embed_width, question_width, hidden, vocab_size):
+    """A decoder with N(0, 0.5^2) weights and biases, its embedding, a
+    context and a question."""
+    rng = np.random.default_rng(seed)
+    decoder = Decoder.create(rng, context_width, embed_width, hidden, vocab_size)
+    embedding = EmbeddingTable.create(vocab_size, embed_width, rng)
+    for p in (embedding.matrix, *decoder.parameters().values()):
+        p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+    return (decoder, embedding, T(rng.normal(size=(1, context_width))),
+            T(rng.normal(size=(1, question_width))))
+
+
+shapes = dict(seed=st.integers(0, 2**32 - 1), context_width=st.integers(1, 5),
+              embed_width=st.integers(1, 4), question_width=st.integers(1, 4),
+              pad=st.integers(0, 2), vocab_size=st.integers(3, 7))
+
+
+class TestDecoderLoss:
+    """The one-record decoder loss and the plain-array step against the
+    chains of records they replaced, in `oracle_recurrence`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(1, 6), data=st.data(), **shapes)
+    def test_matches_the_chain_it_replaced(self, steps, data, seed, context_width,
+                                           embed_width, question_width, pad, vocab_size):
+        decoder, embedding, context, question = random_setup(
+            seed, context_width, embed_width, question_width, question_width + pad, vocab_size)
+        tokens = st.lists(st.integers(0, vocab_size - 1), min_size=steps, max_size=steps)
+        inputs, gold = data.draw(tokens), data.draw(tokens)
+        event(f"an input token repeats: {len(set(inputs)) < steps}")
+        leaves = [embedding.matrix, context, question, *decoder.parameters().values()]
+
+        def run(loss_fn):
+            with Tape() as tape:
+                for x in leaves:
+                    tape.watch(x)
+                loss = loss_fn(decoder, embedding, context, question, inputs, gold)
+                tape.backward(loss)
+            return loss.item(), [tape.wrt(x) for x in leaves], len(tape)
+
+        loss, grads, records = run(decoder_loss)
+        want, want_grads, _ = run(oracle.forced_loss)
+        assert records == 1
+        assert abs(loss - want) <= 1e-12
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(1, 4), data=st.data(), **shapes)
+    def test_decode_step_matches_the_one_row_chain(self, steps, data, seed, context_width,
+                                                   embed_width, question_width, pad,
+                                                   vocab_size):
+        decoder, embedding, context, question = random_setup(
+            seed, context_width, embed_width, question_width, question_width + pad, vocab_size)
+        state = init_decoder(decoder, question)
+        h1 = oracle.first_state(decoder, question)
+        h2 = Tensor(np.zeros((1, decoder.hidden_width)), check=False)
+        for token in data.draw(st.lists(st.integers(0, vocab_size - 1),
+                                        min_size=steps, max_size=steps)):
+            logits, state = decode_step(decoder, state, context, embedding.row(token))
+            want, h1, h2 = oracle.decode_step(decoder, h1, h2, context, embedding.row(token))
+            np.testing.assert_allclose(logits.data, want.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.h1, h1.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.h2, h2.data[0], rtol=0, atol=1e-12)
+
+    def test_step_terms_follow_the_context(self):
+        # a state made with one context recomputes the shared terms for another
+        decoder, embedding, context, question = random_decoder(seed=41)
+        _, state = decode_step(decoder, init_decoder(decoder, question), context,
+                               embedding.row(SOS))
+        other = T(context.data + 1.0)
+        got, _ = decode_step(decoder, state, other, embedding.row(4))
+        fresh = replace(state, terms=None)
+        want, _ = decode_step(decoder, fresh, other, embedding.row(4))
+        np.testing.assert_array_equal(got.data, want.data)
+        same, _ = decode_step(decoder, state, context, embedding.row(4))
+        assert not np.array_equal(same.data, got.data)
+
+    def test_input_validation(self):
+        decoder, embedding, context, question = random_decoder()
+        with pytest.raises(ValidationError):
+            decoder_loss(decoder, embedding, context, question, [1, 4], [4])
+        with pytest.raises(ValidationError):
+            decoder_loss(decoder, embedding, context, question, [9], [4])
+        with pytest.raises(ValidationError):
+            decoder_loss(decoder, embedding, context, question, [1], [9])
+        with pytest.raises(ShapeError):
+            decoder_loss(decoder, embedding, T([[1.0, 2.0]]), question, [1], [4])
+        with pytest.raises(ShapeError):
+            decode_step(decoder, init_decoder(decoder, question), context, T([[1.0, 2.0]]))
 
 
 def self_embedding():
@@ -410,12 +506,31 @@ class TestModelAssembly:
 
     def test_toy_loss_records_few_tape_nodes(self):
         # A guard that does not depend on host speed: with the stacked
-        # recurrences, one stacked attention and one fusion record the loss
-        # records 20 operations here; a per-step recurrence recorded over 1,000.
+        # recurrences, one stacked attention, one fusion and one decoder
+        # record the loss records 13 operations here; a per-step recurrence
+        # recorded over 1,000.
         model, example = gradcheck._toy_setup()
         with Tape() as tape:
             model.loss(example)
-        assert len(tape) <= 22
+        assert len(tape) <= 13
+
+    def test_pick_pass_records_nothing(self):
+        # scheduled sampling and free running pick their inputs on plain
+        # arrays, so they record what teacher forcing records
+        model, example = gradcheck._toy_setup()
+        counts = {}
+        for mode in ("tf", "ss", "free"):
+            with Tape() as tape:
+                model.loss(example, mode=mode, p_model=0.5, rng=np.random.default_rng(0))
+            counts[mode] = len(tape)
+        assert counts["ss"] == counts["free"] == counts["tf"]
+
+    def test_generate_records_nothing(self):
+        model, example = gradcheck._toy_setup()
+        with Tape() as tape:
+            tokens = model.generate(example, max_len=4)
+        assert len(tape) == 0
+        assert tokens == model.generate(example, max_len=4)
 
     def test_each_history_sentence_adds_one_encode_record(self):
         # a sentence costs its embedding lookup and nothing more: it joins the
@@ -432,7 +547,7 @@ class TestModelAssembly:
 
     def test_every_recorded_primitive_is_grad_checked(self):
         # a record's primitive is the function whose local `back` it holds
-        # (`gru_sequence.<locals>.back`); each needs a `primitive_checks` case
+        # (`decoder_loss.<locals>.back`); each needs a `primitive_checks` case
         model, example = gradcheck._toy_setup()
         recorded = set()
         for mode in ("tf", "free"):
@@ -449,7 +564,7 @@ class TestModelAssembly:
         for name, f, x in gradcheck._primitive_cases():
             with Tape() as tape:
                 tape.watch(x)
-                largest[f"primitive/{name}"] = np.abs(tape.backward(f(x)).wrt(x)).max()
+                largest[f"primitive/{name}"] = np.abs(tape.backward(f()).wrt(x)).max()
         model, example = gradcheck._toy_setup()
         params = model.parameters()
         with Tape() as tape:

@@ -12,24 +12,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.gradcheck import TOLERANCE
 from mmqa.tensor import (
     Tape,
     Tensor,
-    add_row,
-    concat_cols,
-    cross_entropy,
     grad_check,
+    grad_checks,
     logistic,
-    matmul,
     mul,
     sum_all,
     take_rows,
     untaped,
 )
 from oracle_attention import max_pool_rows, mean_rows, relu, softmax_rows, transpose
-from oracle_recurrence import add, concat_rows, one_minus, sigmoid, tanh
+from oracle_recurrence import (
+    add,
+    add_row,
+    concat_cols,
+    concat_rows,
+    cross_entropy,
+    gru_sequence,
+    matmul,
+    one_minus,
+    sigmoid,
+    tanh,
+)
 
 matrices = arrays(np.float64, (3, 4),
                   elements=st.floats(-10, 10, allow_nan=False, width=64))
@@ -445,9 +454,12 @@ class TestGradCheck:
         f = lambda x: sum_all(mul(one_minus(x), add(x, b)))
         assert grad_check(f, T([[0.9, 0.1]])) < 1e-8
 
-    @pytest.mark.parametrize("case", ["add/left", "add/right", "sigmoid", "tanh",
-                                      "one_minus", "relu", "transpose", "softmax_rows",
-                                      "mean_rows", "max_pool_rows", "concat_rows"])
+    @pytest.mark.parametrize("case", [
+        "add/left", "add/right", "sigmoid", "tanh", "one_minus", "relu", "transpose",
+        "softmax_rows", "mean_rows", "max_pool_rows", "concat_rows", "matmul/left",
+        "matmul/right", "add_row/matrix", "add_row/row", "concat_cols", "cross_entropy",
+        *(f"gru_sequence/{name}" for name in ("seq", "wz", "wr", "wh", "uz", "ur", "uh",
+                                              "bz", "br", "bh", "h0"))])
     def test_oracle_primitives_match_finite_differences(self, case):
         # the reference chains' own primitives, on the inputs that
         # `primitive_checks` gives its elementwise cases; relu sees |x| >= 0.2
@@ -458,6 +470,14 @@ class TestGradCheck:
         kinked = T(rng.uniform(0.2, 1.0, size=(3, 4))
                    * np.where(rng.random((3, 4)) < 0.5, -1.0, 1.0))
         spread = T(np.arange(12.0).reshape(3, 4) * 0.37 + rng.normal(0.0, 0.01, size=(3, 4)))
+        w, logits = T(rng.normal(0.0, 1.0, size=(4, 5))), T(rng.normal(0.0, 1.0, size=(3, 5)))
+        # the fused GRU record from a given state, with N(0, 0.5^2) weights
+        cell = GruCell.create(rng, 3, 2)
+        for p in cell.parameters().values():
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+        seq, h0, weights = T(rng.normal(size=(4, 3))), T(rng.normal(size=(1, 2))), \
+            T(rng.normal(size=(4, 2)))
+        sequence = lambda _x: sum_all(mul(gru_sequence(cell, seq, h0), weights))
         f, x = {
             "add/left": (lambda x: sum_all(add(x, b)), a),
             "add/right": (lambda x: sum_all(add(a, x)), b),
@@ -470,8 +490,24 @@ class TestGradCheck:
             "mean_rows": (lambda x: sum_all(mul(mean_rows(x), row)), a),
             "max_pool_rows": (lambda x: sum_all(mul(max_pool_rows(x), row)), spread),
             "concat_rows": (lambda x: sum_all(mul(concat_rows(x, b), concat_rows(b, a))), a),
+            "matmul/left": (lambda x: sum_all(matmul(x, w)), a),
+            "matmul/right": (lambda x: sum_all(matmul(a, x)), w),
+            "add_row/matrix": (lambda x: sum_all(mul(add_row(x, row), b)), a),
+            "add_row/row": (lambda x: sum_all(mul(add_row(a, x), b)), row),
+            "concat_cols": (lambda x: sum_all(mul(concat_cols(x, b), concat_cols(b, a))), a),
+            "cross_entropy": (lambda x: cross_entropy(x, [0, 2, 4]), logits),
+            **{f"gru_sequence/{name}": (sequence, x)
+               for name, x in {"seq": seq, **cell.parameters(), "h0": h0}.items()},
         }[case]
         assert grad_check(f, x) < TOLERANCE
+
+    def test_shared_pass_gives_each_inputs_own_check(self):
+        # one reverse pass for several leaves of one function gives each the
+        # error of a check that watches it alone
+        rng = np.random.default_rng(5)
+        a, b, w = T(rng.normal(size=(2, 3))), T(rng.normal(size=(2, 3))), T(rng.normal(size=(3, 2)))
+        f = lambda: sum_all(tanh(matmul(mul(a, b), w)))
+        assert grad_checks(f, [a, b, w]) == [grad_check(lambda _x: f(), x) for x in (a, b, w)]
 
     def test_eps_range_enforced(self):
         x = T([1.0])

@@ -9,7 +9,11 @@ The decoder's GRU runs on plain arrays: `gru_step` is one update from
 given input terms, and `gru_run` runs it over the input terms of a whole
 sequence, computed beforehand (the precomputed-input scheme of Appleyard,
 Kocisky and Blunsom, 2016), and returns the hand-written backpropagation
-through time that the decoder's one loss record calls.
+through time that the decoder's one loss record calls. Every GRU here
+updates its state as h' = h + z * (cand - h) and writes each stage of a
+step in place, with the four-call `tensor.logistic`; the input terms of
+a run, and in the backward its input and weight gradients, take one GEMM
+each with the cell's W_z | W_r | W_h side by side (`GruCell.joined`).
 
 The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
@@ -88,9 +92,11 @@ class GruCell(Module):
         return (self.wz, self.wr, self.wh, self.uz, self.ur, self.uh, self.bz, self.br, self.bh)
 
     def joined(self):
-        """The biases as one 3h vector (update | reset | candidate) and
-        U_z | U_r as one h*2h matrix, as `gru_step` and `gru_run` take them."""
-        return (np.concatenate([self.bz.data, self.br.data, self.bh.data], axis=1)[0],
+        """W_z | W_r | W_h as one in*3h matrix, the biases as one 3h vector
+        (update | reset | candidate) and U_z | U_r as one h*2h matrix: the
+        forms in which `rnn_stack` and the decoder use them."""
+        return (np.concatenate([self.wz.data, self.wr.data, self.wh.data], axis=1),
+                np.concatenate([self.bz.data, self.br.data, self.bh.data], axis=1)[0],
                 np.concatenate([self.uz.data, self.ur.data], axis=1))
 
     @classmethod
@@ -167,12 +173,20 @@ def gru_step(xw: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray) -
     their biases (3h), `h` the previous state (h), `u_zr` is U_z | U_r
     (h*2h) and `u_h` is U_h:
         z = sigmoid(xw_z + h Uz),  r = sigmoid(xw_r + h Ur)
-        cand = tanh(xw_h + (r * h) Uh),  h' = (1 - z) * h + z * cand
+        cand = tanh(xw_h + (r * h) Uh),  h' = h + z * (cand - h)
+    Each stage is written in place into the array the step allocated for it.
     """
     n = h.shape[0]
-    zr = logistic(xw[:2 * n] + h @ u_zr)
-    z = zr[:n]
-    return (1.0 - z) * h + z * np.tanh(xw[2 * n:] + (zr[n:] * h) @ u_h)
+    zr = h @ u_zr
+    zr += xw[:2 * n]
+    logistic(zr, out=zr)
+    new = (zr[n:] * h) @ u_h
+    new += xw[2 * n:]
+    np.tanh(new, out=new)
+    new -= h
+    new *= zr[:n]
+    new += h
+    return new
 
 
 def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
@@ -185,25 +199,30 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
     of `h0` and those of U_z | U_r and U_h.
     """
     steps, h = xw.shape[0], h0.shape[0]
-    xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
-    gates, cand, states = [], [], [h0]  # z | r per step, candidates, h0 and every state
+    gates = np.empty((steps, 2 * h))  # z | r
+    cand = np.empty((steps, h))
+    rh = np.empty((steps, h))  # r * the previous state
+    states = np.empty((steps + 1, h))  # h0, then the state after each step
+    states[0] = h0
     for t in range(steps):
-        state = states[-1]
-        zr = logistic(xw_zr[t] + state @ u_zr)
-        z = zr[:h]
-        c = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
-        gates.append(zr)
-        cand.append(c)
-        states.append((1.0 - z) * state + z * c)
-    out = np.array(states[1:])
+        state, zr, c, new = states[t], gates[t], cand[t], states[t + 1]
+        np.matmul(state, u_zr, out=zr)
+        zr += xw[t, :2 * h]
+        logistic(zr, out=zr)
+        np.multiply(zr[h:], state, out=rh[t])
+        np.matmul(rh[t], u_h, out=c)
+        c += xw[t, 2 * h:]
+        np.tanh(c, out=c)
+        np.subtract(c, state, out=new)
+        new *= zr[:h]
+        new += state
 
     def back(g):
-        prev = np.array(states[:-1])
-        zr, c = np.array(gates), np.array(cand)
-        z, r = zr[:, :h], zr[:, h:]
+        prev = states[:-1]
+        z, r = gates[:, :h], gates[:, h:]
         keep = 1.0 - z
-        to_cand = z * (1.0 - c * c)
-        to_z = (c - prev) * z * keep
+        to_cand = z * (1.0 - cand * cand)
+        to_z = (cand - prev) * z * keep
         to_r = prev * r * (1.0 - r)
         u_zr_t, u_h_t = u_zr.T, u_h.T
         da = np.empty((steps, 3 * h))
@@ -215,9 +234,19 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
             drh = dac @ u_h_t
             np.multiply(drh, to_r[t], out=da[t, h:2 * h])
             dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr_t
-        return da, dh, prev.T @ da[:, :2 * h], (r * prev).T @ da[:, 2 * h:]
+        return da, dh, prev.T @ da[:, :2 * h], rh.T @ da[:, 2 * h:]
 
-    return out, back
+    return states[1:], back
+
+
+def _cell_grads(dw: np.ndarray, da: np.ndarray, du_zr: np.ndarray, du_h: np.ndarray) -> tuple:
+    """A GruCell's nine gradients in field order, from those of its input
+    weights side by side (in*3h), its gates' pre-activation gradients (T*3h)
+    and those of U_z | U_r and U_h."""
+    h = du_h.shape[0]
+    db = da.sum(axis=0, keepdims=True)
+    return (dw[:, :h], dw[:, h:2 * h], dw[:, 2 * h:], du_zr[:, :h], du_zr[:, h:], du_h,
+            db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
 
 
 def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
@@ -245,12 +274,15 @@ def rnn_stack(items) -> Tensor:
     step t are the first rows of the state and a run stops at its length.
     Each run's U weights are stacked into K*h*2h and K*h*h arrays and
     applied through `np.matmul`, one vector-matrix product per run, and the
-    BPTT loop is stacked the same way. Each run keeps its own input-term
-    GEMMs, input gradient and weight gradients: the BLAS behind numpy can
-    round a row of a product differently when the product has more rows,
-    and this way every number equals that of one fused GRU record over the
-    run's rows in step order from a zero state (the reference
-    `gru_sequence` of the tests), bitwise. Each run's
+    BPTT loop is stacked the same way. Each step writes its gates, candidate
+    and state in place into per-run buffers; the state update is
+    h' = h + z * (cand - h). Each run keeps its own three GEMMs, each over
+    its cell's W = W_z | W_r | W_h side by side: x W for the input terms,
+    then da W^T for the input gradient and x^T da for the weight gradients.
+    The BLAS behind numpy can round a row of a product differently when the
+    product has more rows, and this way every number equals that of one
+    fused GRU record over the run's rows in step order from a zero state
+    (the reference `gru_sequence` of the tests), bitwise. Each run's
     input and cell weights are parents once per run, last item and
     direction first, so the tape adds them into a shared cell's sinks in the
     order that one record per direction did. This is the dynamic batching
@@ -278,43 +310,50 @@ def rnn_stack(items) -> Tensor:
     live = (k_runs - np.cumsum(np.bincount(lengths))[:steps]).tolist()  # runs still going at step t
 
     cells = [runs[k][0] for k in order]
-    per_cell = {}  # each distinct cell's biases and U_z | U_r, concatenated once
+    per_cell = {}  # each distinct cell's W_z | W_r | W_h, biases and U_z | U_r, joined once
     for c in cells:
         if id(c) not in per_cell:
             per_cell[id(c)] = c.joined()
-    xw = np.zeros((steps, k_runs, 3 * h))
+    # the step loop's buffers keep a unit axis, so each step's batched
+    # vector-matrix products write straight into them
+    xw = np.zeros((steps, k_runs, 1, 3 * h))
     for k, (cell, x, _, _, _) in enumerate(runs):
-        n, s = lengths[k], slot[k]
-        for gate, w in enumerate((cell.wz, cell.wr, cell.wh)):
-            np.matmul(x, w.data, out=xw[:n, s, gate * h:(gate + 1) * h])
+        np.matmul(x, per_cell[id(cell)][0], out=xw[:lengths[k], slot[k], 0])
     # the biases also land on the steps after a run has ended, which are never read
-    xw += np.array([per_cell[id(c)][0] for c in cells])
-    u_zr = np.array([per_cell[id(c)][1] for c in cells])
+    xw += np.array([per_cell[id(c)][1] for c in cells])[:, None]
+    u_zr = np.array([per_cell[id(c)][2] for c in cells])
     u_h = np.array([c.uh.data for c in cells])
 
-    gates = np.zeros((steps, k_runs, 2 * h))  # z | r
-    cand = np.zeros((steps, k_runs, h))
-    out = np.zeros((steps, k_runs, h))
-    state = np.zeros((k_runs, h))
+    gates = np.zeros((steps, k_runs, 1, 2 * h))  # z | r
+    cand = np.zeros((steps, k_runs, 1, h))
+    rh = np.zeros((steps, k_runs, 1, h))  # r * the previous state
+    states = np.zeros((steps + 1, k_runs, 1, h))  # zero, then the state after each step
+    xw_zr, xw_h = xw[..., :2 * h], xw[..., 2 * h:]
+    z_all, r_all = gates[..., :h], gates[..., h:]
     for t, b in enumerate(live):
-        s = state[:b]
-        zr = gates[t, :b] = logistic(xw[t, :b, :2 * h] + np.matmul(s[:, None], u_zr[:b])[:, 0])
-        z = zr[:, :h]
-        c = cand[t, :b] = np.tanh(
-            xw[t, :b, 2 * h:] + np.matmul((zr[:, h:] * s)[:, None], u_h[:b])[:, 0])
-        state = out[t, :b] = (1.0 - z) * s + z * c
+        s, zr, c, rs, new = states[t, :b], gates[t, :b], cand[t, :b], rh[t, :b], states[t + 1, :b]
+        np.matmul(s, u_zr[:b], out=zr)
+        zr += xw_zr[t, :b]
+        logistic(zr, out=zr)
+        np.multiply(r_all[t, :b], s, out=rs)
+        np.matmul(rs, u_h[:b], out=c)
+        c += xw_h[t, :b]
+        np.tanh(c, out=c)
+        np.subtract(c, s, out=new)
+        new *= z_all[t, :b]
+        new += s
+    gates, cand, rh = gates[:, :, 0], cand[:, :, 0], rh[:, :, 0]
+    prev, out = states[:-1, :, 0], states[1:, :, 0]
     packed = np.empty((start, 2 * h))
     for k, (_, _, rows, cols, reverse) in enumerate(runs):
-        states = out[:lengths[k], slot[k]]
-        packed[rows, cols] = states[::-1] if reverse else states
+        run_states = out[:lengths[k], slot[k]]
+        packed[rows, cols] = run_states[::-1] if reverse else run_states
 
     def back(g):
         dout = np.zeros((steps, k_runs, h))
         for k, (_, _, rows, cols, reverse) in enumerate(runs):
             g_k = g[rows, cols]
             dout[:lengths[k], slot[k]] = g_k[::-1] if reverse else g_k
-        prev = np.zeros_like(out)
-        prev[1:] = out[:-1]
         z, r = gates[..., :h], gates[..., h:]
         keep = 1.0 - z
         to_cand = z * (1.0 - cand * cand)
@@ -333,20 +372,16 @@ def rnn_stack(items) -> Tensor:
             np.multiply(drh, to_r[t, :b], out=da_t[:, h:2 * h])
             dh[:b] = (d * keep[t, :b] + drh * r[t, :b]
                       + np.matmul(da_t[:, None, :2 * h], u_zr_t[:b])[:, 0])
-        rh = r * prev
         grads = []
         for k in range(k_runs - 1, -1, -1):
             cell, x, _, _, reverse = runs[k]
             n, s = lengths[k], slot[k]
+            w = per_cell[id(cell)][0]
             da_k = da[:n, s]
-            parts = (da_k[:, :h], da_k[:, h:2 * h], da_k[:, 2 * h:])
-            dx = (parts[0] @ cell.wz.data.T + parts[1] @ cell.wr.data.T
-                  + parts[2] @ cell.wh.data.T)
-            du_zr = prev[:n, s].T @ da_k[:, :2 * h]
-            db = da_k.sum(axis=0, keepdims=True)
-            grads += (dx[::-1] if reverse else dx, *(x.T @ part for part in parts),
-                      du_zr[:, :h], du_zr[:, h:], rh[:n, s].T @ parts[2],
-                      db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
+            dx = da_k @ w.T
+            grads += (dx[::-1] if reverse else dx,
+                      *_cell_grads(x.T @ da_k, da_k, prev[:n, s].T @ da_k[:, :2 * h],
+                                   rh[:n, s].T @ da_k[:, 2 * h:]))
         return grads
 
     parents = tuple(p for layer, seq in reversed(items)

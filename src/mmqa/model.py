@@ -28,6 +28,7 @@ from .encoders import (
     GruCell,
     RecurrentLayer,
     SelfAttentionParams,
+    _cell_grads,
     gru_run,
     gru_step,
     guided_attend,
@@ -136,6 +137,7 @@ class StepTerms(NamedTuple):
     decoder: Decoder
     context: Tensor
     xw1: np.ndarray  # layer 1's context input terms plus its biases, 3h
+    wc1: np.ndarray  # layer 1's context rows of W_z | W_r | W_h, 5D*3h
     w1: np.ndarray   # layer 1's embedding rows of W_z | W_r | W_h, d_w*3h
     u1: tuple        # layer 1's U_z | U_r and U_h
     w2: np.ndarray   # layer 2's W_z | W_r | W_h, h*3h
@@ -181,17 +183,12 @@ def _context_width(decoder: Decoder, context: Tensor, embed_width: int) -> int:
 
 
 def _step_terms(decoder: Decoder, context: Tensor, embed_width: int) -> StepTerms:
-    l1, l2 = decoder.l1, decoder.l2
     cw = _context_width(decoder, context, embed_width)
-    b1, u_zr1 = l1.joined()
-    b2, u_zr2 = l2.joined()
-    c = context.data[0]
-    ws1 = (l1.wz.data, l1.wr.data, l1.wh.data)
-    return StepTerms(decoder, context,
-                     xw1=np.concatenate([c @ w[:cw] for w in ws1]) + b1,
-                     w1=np.concatenate([w[cw:] for w in ws1], axis=1), u1=(u_zr1, l1.uh.data),
-                     w2=np.concatenate([l2.wz.data, l2.wr.data, l2.wh.data], axis=1), b2=b2,
-                     u2=(u_zr2, l2.uh.data))
+    w1, b1, u_zr1 = decoder.l1.joined()
+    w2, b2, u_zr2 = decoder.l2.joined()
+    return StepTerms(decoder, context, xw1=context.data[0] @ w1[:cw] + b1, wc1=w1[:cw],
+                     w1=w1[cw:], u1=(u_zr1, decoder.l1.uh.data),
+                     w2=w2, b2=b2, u2=(u_zr2, decoder.l2.uh.data))
 
 
 def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
@@ -254,16 +251,6 @@ def _normalize_gold(gold) -> list[int]:
     return gold
 
 
-def _cell_grads(dw: np.ndarray, da: np.ndarray, du_zr: np.ndarray, du_h: np.ndarray) -> tuple:
-    """A GruCell's nine gradients in field order, from those of its input
-    weights side by side (in*3h), its gates' pre-activation gradients (T*3h)
-    and those of U_z | U_r and U_h."""
-    h = du_h.shape[0]
-    db = da.sum(axis=0, keepdims=True)
-    return (dw[:, :h], dw[:, h:2 * h], dw[:, 2 * h:], du_zr[:, :h], du_zr[:, h:], du_h,
-            db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
-
-
 def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
                  question: Tensor, inputs, gold) -> Tensor:
     """Mean cross-entropy of `gold` when step t is fed token `inputs[t]`, as
@@ -308,13 +295,11 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         d_logits *= g[0] / steps
         da2, _, du_zr2, du_h2 = back2(d_logits @ proj.w.data.T)
         da1, dh0, du_zr1, du_h1 = back1(da2 @ terms.w2.T)
-        col, h, cw = da1.sum(axis=0), h0.shape[0], c.shape[0]
-        d_context = sum(col[k * h:(k + 1) * h] @ w.data[:cw].T
-                        for k, w in enumerate((l1.wz, l1.wr, l1.wh)))
-        dw1 = np.empty((cw + emb.shape[1], 3 * h))
+        col, cw = da1.sum(axis=0), c.shape[0]
+        dw1 = np.empty((cw + emb.shape[1], col.shape[0]))
         np.outer(c, col, out=dw1[:cw])
         np.matmul(emb.T, da1, out=dw1[cw:])
-        return (_RowSparse(table.shape, idx, da1 @ terms.w1.T), d_context[None, :],
+        return (_RowSparse(table.shape, idx, da1 @ terms.w1.T), (col @ terms.wc1.T)[None, :],
                 dh0[None, :question.cols],
                 *_cell_grads(dw1, da1, du_zr1, du_h1),
                 *_cell_grads(h1.T @ da2, da2, du_zr2, du_h2),

@@ -262,14 +262,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Plain-array logistic function, stable on both tails.
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Plain-array logistic function as 0.5 * tanh(0.5 * x) + 0.5, in four
+    ufunc calls, written into `out` when it is given (`out` may be `x`).
 
-    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below, so
-    no branch ever exponentiates a large positive number.
+    tanh saturates instead of overflowing, so nothing overflows and the
+    result lies in [0, 1]: exactly 0 below about -38, exactly 1 above about
+    37, and within 2.2e-16 (one ulp of 1) of 1/(1 + exp(-x)) everywhere.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    np.multiply(out, 0.5, out=out)
+    return np.add(out, 0.5, out=out)
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:

@@ -2,10 +2,13 @@
 references that `rnn_stack`, `decoder_loss` and `decode_step` are tested
 against. Nothing here is used by the package itself.
 
-`gru_sequence` is the decoder's former fused GRU record (input terms of all
-steps by one GEMM per gate, the recurrence on plain arrays, hand-written
-BPTT); `step_sequence` composes the same recurrence from about twenty tape
-records per step and is its own reference. `forced_loss` and
+`gru_sequence` is a fused GRU record (input terms of all steps by one GEMM
+over the gates' input weights side by side, the recurrence on plain arrays
+with the package's `logistic` and update h' = h + z * (cand - h),
+hand-written BPTT) that the package's kernels are held to bitwise;
+`step_sequence` composes the same recurrence from about twenty tape records
+per step, with `reference_logistic` and h' = (1 - z) * h + z * cand, and is
+its independent reference. `forced_loss` and
 `decode_step` are the decoder's former chains of records. The primitives
 `ones`, `matmul`, `add_row`, `concat_cols`, `concat_rows`, `add`,
 `sigmoid`, `tanh`, `one_minus` and `cross_entropy` exist only for these
@@ -82,9 +85,19 @@ def add(a, b):
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
+def reference_logistic(x):
+    """The logistic function 1/(1 + exp(-x)), stable on both tails.
+
+    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below, so
+    no branch ever exponentiates a large positive number.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
     """Logistic function, computed stably on both tails."""
-    y = logistic(x.data)
+    y = reference_logistic(x.data)
     return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -124,11 +137,12 @@ def cross_entropy(logits, targets):
 
 
 def gru_sequence(cell, seq, h0):
-    """The decoder's former fused record: a GRU over an n*in sequence from
-    the 1*h state `h0`; returns the n*h states, row t after input row t.
+    """A fused GRU record over an n*in sequence from the 1*h state `h0`;
+    returns the n*h states, row t after input row t.
 
-    The input terms of all steps take one GEMM per gate, the recurrence runs
-    on plain arrays and the backward is hand-written BPTT.
+    The input terms of all steps take one GEMM with W_z | W_r | W_h, the
+    recurrence runs on plain arrays and the backward is hand-written BPTT,
+    whose input and weight gradients are one GEMM each.
     """
     if seq.ndim != 2 or seq.rows < 1 or seq.cols != cell.input_width:
         raise ShapeError(f"sequence {seq.shape} does not match cell input width "
@@ -139,10 +153,9 @@ def gru_sequence(cell, seq, h0):
         )
     n, h = seq.rows, cell.hidden_width
     x = seq.data
-    ws = (cell.wz.data, cell.wr.data, cell.wh.data)
-    b, u_zr = cell.joined()
+    w, b, u_zr = cell.joined()
     u_h = cell.uh.data
-    xw = np.concatenate([x @ w for w in ws], axis=1) + b
+    xw = x @ w + b
     xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
     gates = np.empty((n, 2 * h))  # z | r
     cand = np.empty((n, h))
@@ -152,7 +165,7 @@ def gru_sequence(cell, seq, h0):
         zr = gates[t] = logistic(xw_zr[t] + state @ u_zr)
         z = zr[:h]
         c = cand[t] = np.tanh(xw_h[t] + (zr[h:] * state) @ u_h)
-        state = out[t] = (1.0 - z) * state + z * c
+        state = out[t] = state + z * (c - state)
 
     def back(g):
         prev = np.concatenate([initial[None, :], out[:-1]])
@@ -170,12 +183,11 @@ def gru_sequence(cell, seq, h0):
             drh = dac @ u_h.T
             np.multiply(drh, to_r[t], out=da[t, h:2 * h])
             dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr.T
-        parts = (da[:, :h], da[:, h:2 * h], da[:, 2 * h:])
-        dx = parts[0] @ ws[0].T + parts[1] @ ws[1].T + parts[2] @ ws[2].T
+        dw = x.T @ da
         db = da.sum(axis=0, keepdims=True)
         du_zr = prev.T @ da[:, :2 * h]
         du_h = (r * prev).T @ da[:, 2 * h:]
-        return (dx, *(x.T @ part for part in parts),
+        return (da @ w.T, dw[:, :h], dw[:, h:2 * h], dw[:, 2 * h:],
                 du_zr[:, :h], du_zr[:, h:], du_h,
                 db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
 

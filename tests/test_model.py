@@ -32,7 +32,7 @@ from mmqa.model import (
     scheduled_sample_loss,
     teacher_forced_loss,
 )
-from mmqa.tensor import Tape, Tensor, mul, sum_all
+from mmqa.tensor import Tape, Tensor, grad_check, mul, sum_all
 from mmqa.text import EOS, PAD, SOS, EmbeddingTable
 
 
@@ -573,6 +573,24 @@ class TestModelAssembly:
             tape.backward(model.loss(example, mode="tf"))
         largest.update((f"model/{name}", np.abs(tape.wrt(p)).max()) for name, p in params.items())
         assert [name for name, value in largest.items() if value == 0.0] == []
+
+    def test_composed_checks_give_each_parameters_own_check(self, monkeypatch):
+        # the shared reverse pass gives each parameter the error that a check
+        # watching it alone gives, in parameter order
+        names = ["embedding.matrix", "history_rnn.bwd.uz", "decoder.proj.b"]
+        toy_setup = gradcheck._toy_setup
+
+        def toy_subset():
+            model, example = toy_setup()
+            params = model.parameters()
+            model.parameters = lambda: {name: params[name] for name in names}
+            return model, example
+
+        monkeypatch.setattr(gradcheck, "_toy_setup", toy_subset)
+        model, example = toy_subset()
+        loss = lambda _x: model.loss(example, mode="tf")
+        want = [(name, grad_check(loss, p)) for name, p in model.parameters().items()]
+        assert gradcheck.composed_checks() == want
 
     def test_answer_ids_resolve_in_vocabulary_words(self, text_model, toy_examples):
         ids = text_model.answer_ids(toy_examples[0])

@@ -36,6 +36,7 @@ from oracle_recurrence import (
     gru_sequence,
     matmul,
     one_minus,
+    reference_logistic,
     sigmoid,
     tanh,
 )
@@ -214,6 +215,20 @@ class TestProperties:
     def test_max_pool_dominates_mean(self, data):
         m = Tensor(data)
         assert np.all(max_pool_rows(m).data >= mean_rows(m).data - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 50),
+                  elements=st.floats(-745, 745, allow_nan=False, width=64)))
+    def test_logistic_tracks_the_reference_formula(self, x):
+        # 0.5 * tanh(0.5 * x) + 0.5 against 1/(1 + exp(-x)): within one ulp
+        # of 1, inside [0, 1], monotone, and the same bits in place
+        y = logistic(x)
+        assert np.abs(y - reference_logistic(x)).max() <= 2.3e-16
+        assert np.all((y >= 0.0) & (y <= 1.0))
+        assert np.all(np.diff(logistic(np.sort(x))) >= 0.0)
+        inplace = x.copy()
+        assert logistic(inplace, out=inplace) is inplace
+        np.testing.assert_array_equal(inplace, y)
 
     def test_tape_determinism(self):
         def run():

@@ -288,9 +288,9 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
         out[CFG_PREFIX + key] = _cfg_scalar(value if choices is None else choices.index(value))
     if optimizer is not None:
         out[OPT_PREFIX + "t"] = _cfg_scalar(optimizer.t)
-        for name, m in optimizer.m.items():
+        for name, m in optimizer.views(optimizer.m).items():
             out[f"{OPT_PREFIX}m/{name}"] = m
-        for name, v in optimizer.v.items():
+        for name, v in optimizer.views(optimizer.v).items():
             out[f"{OPT_PREFIX}v/{name}"] = v
     return out
 

@@ -1,9 +1,11 @@
 """Finite-difference verification of every primitive and the full model.
 
 Each check compares reverse-mode gradients against central differences and
-reports the max relative error. The composed check differentiates one
-teacher-forced loss through all five encoders, the fusion, and the decoder,
-parameter tensor by parameter tensor.
+reports the max relative error. A primitive whose output is not a scalar is
+checked through `_weighted`, the sum of its output times fixed random
+weights: one vector-Jacobian product of the kernel. The composed check
+differentiates one teacher-forced loss through all five encoders, the
+fusion, and the decoder, parameter tensor by parameter tensor.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .encoders import (
     self_attend,
 )
 from .model import Decoder, Model, decoder_loss, fuse
-from .tensor import Tensor, grad_checks, mul, sum_all, take_rows
+from .tensor import Tensor, _emit, grad_checks, take_rows
 from .text import EmbeddingTable, build_vocabulary
 
 __all__ = ["primitive_checks", "composed_checks", "TOLERANCE"]
@@ -35,20 +37,22 @@ def _smooth(rng, *shape) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0, size=shape), check=False)
 
 
+def _weighted(out: Tensor, weights: np.ndarray) -> Tensor:
+    """The scalar sum of `out` times the plain array `weights`, as one
+    record: the checked function of every non-scalar primitive."""
+    return _emit(np.array([(out.data * weights).sum()]), (out,), lambda g: (g[0] * weights,))
+
+
 def _primitive_cases() -> list:
     """(name, scalar function of no arguments, input) for every
     differentiable primitive."""
     rng = np.random.default_rng(7)
     a = _smooth(rng, 3, 4)
-    b = _smooth(rng, 3, 4)
+    weights = rng.normal(0.0, 1.0, size=(3, 4))
 
-    product = lambda: sum_all(mul(a, b))
     cases = [
-        ("mul/left", product, a),
-        ("mul/right", product, b),
-        ("take_rows", lambda: sum_all(mul(take_rows(a, [0, 2, 2, 1]),
-                                          take_rows(b, [1, 0, 2, 2]))), a),
-        ("sum_all", lambda: sum_all(a), a),
+        ("weighted", lambda: _weighted(a, weights), a),
+        ("take_rows", lambda: _weighted(take_rows(a, [0, 2, 2, 1]), weights[[1, 0, 2, 2]]), a),
     ]
     # each group draws from a generator of its own, so that a change to one
     # group's draws moves no other group's values
@@ -97,8 +101,8 @@ def _stack_cases(rng) -> list:
     seqs = {"seq1": _smooth(rng, 1, 3), "seq3": _smooth(rng, 3, 3), "seq4": _smooth(rng, 4, 2)}
     items = [(shared, seqs["seq1"]), (shared, seqs["seq3"]),
              (RecurrentLayer.create(rng, 2, 2), seqs["seq4"])]
-    weights = _smooth(rng, 8, 4)
-    loss = lambda: sum_all(mul(rnn_stack(items), weights))
+    weights = rng.normal(0.0, 1.0, size=(8, 4))
+    loss = lambda: _weighted(rnn_stack(items), weights)
     return [(f"rnn_stack/{name}", loss, x)
             for name, x in {**seqs, **shared.parameters()}.items()]
 
@@ -112,13 +116,13 @@ def _attention_cases(rng) -> list:
     seq, question = _smooth(rng, 4, 3), _smooth(rng, 2, 3)
     self_params = SelfAttentionParams(draw(3, 3), draw(1, 3), draw(3, 3), draw(1, 3))
     guide_params = AttentionParams(draw(3, 3), draw(6, 3))
-    weights = _smooth(rng, 1, 3)
-    loss = lambda: sum_all(mul(self_attend(self_params, seq), weights))
+    weights = rng.normal(0.0, 1.0, size=(1, 3))
+    loss = lambda: _weighted(self_attend(self_params, seq), weights)
     cases = [(f"self_attend/{name}", loss, x)
              for name, x in {"seq": seq, **self_params.parameters()}.items()]
     for pooling in ("max", "average"):
-        loss = lambda pooling=pooling: sum_all(
-            mul(guided_attend(guide_params, seq, question, pooling), weights))
+        loss = lambda pooling=pooling: _weighted(
+            guided_attend(guide_params, seq, question, pooling), weights)
         cases += [(f"guided_attend/{pooling}/{name}", loss, x)
                   for name, x in {"seq": seq, "question": question,
                                   **guide_params.parameters()}.items()]
@@ -134,19 +138,18 @@ def _stacked_attention_cases(rng) -> list:
     seq, question = _smooth(rng, 6, 2), _smooth(rng, 2, 2)
     shared, other = AttentionParams(draw(2, 2), draw(4, 2)), AttentionParams(draw(2, 2), draw(4, 2))
     spans = [(shared, 1, 2), (shared, 2, 4), (other, 4, 6)]
-    weights = _smooth(rng, 3, 2)
+    weights = rng.normal(0.0, 1.0, size=(3, 2))
     inputs = {"seq": seq, "question": question,
               **{f"shared.{k}": v for k, v in shared.parameters().items()},
               **{f"other.{k}": v for k, v in other.parameters().items()}}
     cases = []
     for pooling in ("max", "average"):
-        loss = lambda pooling=pooling: sum_all(
-            mul(guided_stack(spans, seq, question, pooling), weights))
+        loss = lambda pooling=pooling: _weighted(
+            guided_stack(spans, seq, question, pooling), weights)
         cases += [(f"guided_stack/{pooling}/{name}", loss, x) for name, x in inputs.items()]
     rows, row = _smooth(rng, 3, 2), _smooth(rng, 1, 2)
-    slot_weights = _smooth(rng, 1, 10)
-    loss = lambda: sum_all(mul(fuse((rows, 2), None, (rows, 0), (row, 0), None),
-                                  slot_weights))
+    slot_weights = rng.normal(0.0, 1.0, size=(1, 10))
+    loss = lambda: _weighted(fuse((rows, 2), None, (rows, 0), (row, 0), None), slot_weights)
     cases += [("fuse/rows", loss, rows), ("fuse/row", loss, row)]
     return cases
 

@@ -51,16 +51,11 @@ from .text import (
 
 __all__ = [
     "Decoder",
-    "DecoderState",
-    "StepTerms",
     "Model",
     "fuse",
     "init_decoder",
     "decode_step",
     "decoder_loss",
-    "generate",
-    "teacher_forced_loss",
-    "scheduled_sample_loss",
 ]
 
 

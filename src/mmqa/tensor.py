@@ -3,7 +3,10 @@
 All arithmetic is float64. Operations run eagerly on numpy arrays; when a
 Tape is active they are also recorded so that Tape.backward can replay the
 chain rule in reverse execution order. With no tape active the same
-functions work as plain forward math.
+functions work as plain forward math. The fused kernels that record on a
+tape live in `encoders` and `model`; the only primitive here is the
+embedding lookup `take_rows`, beside the plain-array `logistic` and the
+finite-difference checker.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ __all__ = [
     "Tape",
     "untaped",
     "logistic",
-    "mul",
     "take_rows",
-    "sum_all",
     "grad_check",
     "grad_checks",
 ]
@@ -254,14 +255,6 @@ def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 # Forward primitives
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two equally shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Plain-array logistic function as 0.5 * tanh(0.5 * x) + 0.5, in four
     ufunc calls, written into `out` when it is given (`out` may be `x`).
@@ -290,16 +283,6 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
         )
     shape = m.shape
     return _emit(m.data[idx], (m,), lambda g: (_RowSparse(shape, idx, g),))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of every element, as a scalar (shape (1,)) tensor."""
-    shape = x.shape
-    return _emit(
-        np.array([x.data.sum()]),
-        (x,),
-        lambda g: (np.full(shape, g.reshape(-1)[0]),),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ class Adam(object):
 
     On construction the parameters are copied into one contiguous vector,
     `theta`, in the dict's order, and each parameter's `data` is rebound to
-    its view of it. The moments are two vectors of the same layout; `m` and
-    `v` map each name to its view. A step updates all three in place.
+    its view of it. The moments `m` and `v` are two vectors of the same
+    layout, and `views` maps each name to its part of any of them. A step
+    updates all three in place.
 
     A zero gradient leaves its parameter bitwise untouched as long as the
     moments are still zero, which keeps unused modules exactly frozen.
@@ -52,10 +53,8 @@ class Adam(object):
         self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
         for p, view in zip(params.values(), self.views(self.theta).values()):
             p.data = view
-        self._m = np.zeros_like(self.theta)
-        self._v = np.zeros_like(self.theta)
-        self.m = self.views(self._m)
-        self.v = self.views(self._v)
+        self.m = np.zeros_like(self.theta)
+        self.v = np.zeros_like(self.theta)
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
 
     def views(self, vector: np.ndarray) -> dict:
@@ -79,7 +78,7 @@ class Adam(object):
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for lo in range(0, self.theta.size, self.CHUNK):
             part = slice(lo, lo + self.CHUNK)
-            p, m, v, g = self.theta[part], self._m[part], self._v[part], grad[part]
+            p, m, v, g = self.theta[part], self.m[part], self.v[part], grad[part]
             a, b = self._scratch[:, :p.size]
             # m = b1 * m + (1 - b1) * g
             np.multiply(m, b1, out=m)

@@ -11,8 +11,8 @@ than in `mmqa.tensor`; `tests/test_tensor.py` tests and grad-checks them.
 import numpy as np
 
 from mmqa.errors import ShapeError, ValidationError
-from mmqa.tensor import _emit, mul
-from oracle_recurrence import add_row, concat_cols, matmul
+from mmqa.tensor import _emit
+from oracle_recurrence import add_row, concat_cols, matmul, mul
 
 
 def relu(x):

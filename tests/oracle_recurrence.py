@@ -10,16 +10,16 @@ hand-written BPTT) that the package's kernels are held to bitwise;
 per step, with `reference_logistic` and h' = (1 - z) * h + z * cand, and is
 its independent reference. `forced_loss` and
 `decode_step` are the decoder's former chains of records. The primitives
-`ones`, `matmul`, `add_row`, `concat_cols`, `concat_rows`, `add`,
-`sigmoid`, `tanh`, `one_minus` and `cross_entropy` exist only for these
-references, so they live here rather than in `mmqa.tensor`;
-`tests/test_tensor.py` checks them.
+`ones`, `matmul`, `add_row`, `concat_cols`, `concat_rows`, `add`, `mul`,
+`sum_all`, `sigmoid`, `tanh`, `one_minus` and `cross_entropy` exist only
+for these references and for the tests' losses, so they live here rather
+than in `mmqa.tensor`; `tests/test_tensor.py` checks them.
 """
 
 import numpy as np
 
 from mmqa.errors import ShapeError, ValidationError
-from mmqa.tensor import Tensor, _emit, logistic, mul, take_rows
+from mmqa.tensor import Tensor, _emit, logistic, take_rows
 from mmqa.text import SOS
 
 
@@ -83,6 +83,20 @@ def add(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a, b):
+    """Elementwise product of two equally shaped tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+
+
+def sum_all(x):
+    """Sum of every element, as a scalar (shape (1,)) tensor."""
+    shape = x.shape
+    return _emit(np.array([x.data.sum()]), (x,), lambda g: (np.full(shape, g.reshape(-1)[0]),))
 
 
 def reference_logistic(x):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs, template_dialog
 from mmqa import cli, model as model_module, tensor
-from mmqa.augment import expand_shuffle
+from mmqa.augment import Dialog, expand_shuffle
 from mmqa.config import Config
 from mmqa.formats import (
     checkpoint_from_model,
@@ -44,6 +44,18 @@ def edited(blob: bytes, edit: str, position: int, byte: int) -> bytes:
     else:
         del blob[at:]
     return bytes(blob)
+
+
+# A one-epoch run whose every width is a single digit, so that an inserted
+# digit makes a run at most about ten times larger. The data section comes
+# last and names both files: a truncation drops a path, so no cut falls back
+# to the default widths and epochs.
+SMALL_CONFIG = yaml.safe_dump({
+    "training": {"max_epochs": 1, "patience": 1, "batch_size": 2, "seed": 0,
+                 "max_generate_len": 2},
+    "model": {"embed_width": 2, "hidden_width": 1},
+    "data": {"train": "data.json", "val": "data.json"},
+}, sort_keys=False).encode()
 
 
 def write_config(path, data_path, **overrides):
@@ -515,6 +527,29 @@ class TestFailureModes:
                          "--max-len", "3"])
         event(f"{target} exit {code}")
         assert code in (0, 1, 3)
+
+    @pytest.fixture(scope="class")
+    def two_dialogs(self, tmp_path_factory):
+        """A directory holding `SMALL_CONFIG`'s dataset of two one-turn dialogs."""
+        root = tmp_path_factory.mktemp("config")
+        write_dataset(root / "data.json",
+                      [Dialog(f"vid{i}", ["a", "cat", "runs"], [(["who", "runs"], ["a", "cat"])])
+                       for i in range(2)])
+        return root
+
+    @settings(max_examples=100, deadline=None)
+    @given(edit=st.sampled_from(["flip", "insert", "truncate"]),
+           position=st.integers(0, 2 ** 31),
+           byte=st.integers(1, 255))
+    # edits that still train: a 91-wide hidden layer, and nine epochs
+    @example(edit="insert", position=SMALL_CONFIG.index(b"hidden_width: 1") + 14, byte=ord("9"))
+    @example(edit="flip", position=SMALL_CONFIG.index(b"max_epochs: 1") + 12, byte=0x08)
+    def test_byte_edits_of_the_config_exit_cleanly(self, two_dialogs, edit, position, byte):
+        (two_dialogs / "run.yaml").write_bytes(edited(SMALL_CONFIG, edit, position, byte))
+        with contextlib.chdir(two_dialogs):  # the config names its files relative to it
+            code = cli.main(["train", "--config", "run.yaml", "--out", "m.ckpt"])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
 
     def test_usage_problems_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,9 +23,9 @@ from mmqa.encoders import (
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
-from mmqa.tensor import Tape, Tensor, _emit, grad_check, mul, sum_all, take_rows
+from mmqa.tensor import Tape, Tensor, _emit, grad_check, take_rows
 from mmqa.text import embed_sentence
-from oracle_recurrence import concat_cols, concat_rows, gru_sequence
+from oracle_recurrence import concat_cols, concat_rows, gru_sequence, mul, sum_all
 
 
 def T(data):

@@ -1,6 +1,7 @@
 """Nothing exported goes unused by the pipeline: every name in the
-`__all__` of `mmqa.tensor` and `mmqa.encoders` is imported by another
-module of the package."""
+`__all__` of `mmqa.tensor`, `mmqa.encoders` and `mmqa.model` is imported by
+another module of the package. The benchmark's modules count as users of
+`mmqa.model`, whose decoding steps they drive directly."""
 
 import ast
 from pathlib import Path
@@ -8,14 +9,18 @@ from pathlib import Path
 import pytest
 
 import mmqa
-from mmqa import encoders, tensor
+from mmqa import encoders, model, tensor
+
+PACKAGE = Path(mmqa.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def imported_names(exporter: str) -> set:
-    """Names that the package's other modules import from module `exporter`."""
+def imported_names(exporter: str, paths) -> set:
+    """Names that the modules at `paths`, less `exporter` itself, import
+    from module `exporter` of the package."""
     names = set()
-    for path in Path(mmqa.__file__).parent.glob("*.py"):
-        if path.stem == exporter:
+    for path in paths:
+        if path.parent == PACKAGE and path.stem == exporter:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.ImportFrom)
@@ -24,7 +29,9 @@ def imported_names(exporter: str) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", [tensor, encoders], ids=["tensor", "encoders"])
-def test_every_export_is_imported_by_another_module(module):
+@pytest.mark.parametrize("module, other_dirs", [
+    (tensor, []), (encoders, []), (model, [BENCH])], ids=["tensor", "encoders", "model"])
+def test_every_export_is_imported_by_another_module(module, other_dirs):
     exporter = module.__name__.rsplit(".", 1)[1]
-    assert set(module.__all__) - imported_names(exporter) == set()
+    paths = [p for d in (PACKAGE, *other_dirs) for p in d.glob("*.py")]
+    assert set(module.__all__) - imported_names(exporter, paths) == set()

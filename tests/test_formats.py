@@ -331,7 +331,7 @@ class TestModelCheckpoint:
         _, tensors, _ = model_from_checkpoint(path)
         assert tensors["__opt__/t"][0] == 1.0
         assert np.array_equal(tensors["__opt__/m/decoder.proj.b"],
-                              optimizer.m["decoder.proj.b"])
+                              optimizer.views(optimizer.m)["decoder.proj.b"])
 
     def test_architecture_travels_in_the_file(self, tmp_path, toy_examples):
         vocab = corpus_vocab(overfit_dialogs())

@@ -10,19 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
-from mmqa.gradcheck import TOLERANCE
+from mmqa.gradcheck import TOLERANCE, _weighted
 from mmqa.tensor import (
     Tape,
     Tensor,
     grad_check,
     grad_checks,
     logistic,
-    mul,
-    sum_all,
     take_rows,
     untaped,
 )
@@ -35,14 +33,24 @@ from oracle_recurrence import (
     cross_entropy,
     gru_sequence,
     matmul,
+    mul,
     one_minus,
     reference_logistic,
     sigmoid,
+    sum_all,
     tanh,
 )
 
 matrices = arrays(np.float64, (3, 4),
                   elements=st.floats(-10, 10, allow_nan=False, width=64))
+
+
+@st.composite
+def equal_shaped_pairs(draw):
+    """Two finite arrays of one random rank-1 or rank-2 shape."""
+    shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=6))
+    values = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    return tuple(draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
 
 
 def T(data):
@@ -470,9 +478,10 @@ class TestGradCheck:
         assert grad_check(f, T([[0.9, 0.1]])) < 1e-8
 
     @pytest.mark.parametrize("case", [
-        "add/left", "add/right", "sigmoid", "tanh", "one_minus", "relu", "transpose",
-        "softmax_rows", "mean_rows", "max_pool_rows", "concat_rows", "matmul/left",
-        "matmul/right", "add_row/matrix", "add_row/row", "concat_cols", "cross_entropy",
+        "mul/left", "mul/right", "sum_all", "add/left", "add/right", "sigmoid", "tanh",
+        "one_minus", "relu", "transpose", "softmax_rows", "mean_rows", "max_pool_rows",
+        "concat_rows", "matmul/left", "matmul/right", "add_row/matrix", "add_row/row",
+        "concat_cols", "cross_entropy",
         *(f"gru_sequence/{name}" for name in ("seq", "wz", "wr", "wh", "uz", "ur", "uh",
                                               "bz", "br", "bh", "h0"))])
     def test_oracle_primitives_match_finite_differences(self, case):
@@ -494,6 +503,9 @@ class TestGradCheck:
             T(rng.normal(size=(4, 2)))
         sequence = lambda _x: sum_all(mul(gru_sequence(cell, seq, h0), weights))
         f, x = {
+            "mul/left": (lambda x: sum_all(mul(x, b)), a),
+            "mul/right": (lambda x: sum_all(mul(a, x)), b),
+            "sum_all": (sum_all, a),
             "add/left": (lambda x: sum_all(add(x, b)), a),
             "add/right": (lambda x: sum_all(add(a, x)), b),
             "sigmoid": (lambda x: sum_all(mul(sigmoid(x), b)), a),
@@ -515,6 +527,21 @@ class TestGradCheck:
                for name, x in {"seq": seq, **cell.parameters(), "h0": h0}.items()},
         }[case]
         assert grad_check(f, x) < TOLERANCE
+
+    @settings(max_examples=60, deadline=None)
+    @given(equal_shaped_pairs())
+    def test_weighted_gives_the_bits_of_the_product_sum(self, pair):
+        # `primitive_checks` checks each kernel through `_weighted`, which
+        # must keep the value and gradient of the chain it replaced
+        data, w = pair
+        results = []
+        for loss in (lambda x: _weighted(x, w), lambda x: sum_all(mul(x, Tensor(w)))):
+            x = Tensor(data)
+            with Tape() as tape:
+                tape.watch(x)
+                y = loss(x)
+                results.append((y.data.tobytes(), tape.backward(y).wrt(x).tobytes()))
+        assert results[0] == results[1]
 
     def test_shared_pass_gives_each_inputs_own_check(self):
         # one reverse pass for several leaves of one function gives each the

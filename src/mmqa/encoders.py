@@ -15,6 +15,13 @@ step in place, with the four-call `tensor.logistic`; the input terms of
 a run, and in the backward its input and weight gradients, take one GEMM
 each with the cell's W_z | W_r | W_h side by side (`GruCell.joined`).
 
+A `GruCell` keeps its weights in that joined form at rest: W_z | W_r | W_h
+(in*3h), the three biases (1*3h) and U_z | U_r (h*2h) are each one owner
+array, and the named tensors `wz` ... `bh` (U_h aside) are `ColumnView`s of
+them, as the named weights of cuDNN's and PyTorch's RNNs are views of one
+flat buffer (`RNNBase.flatten_parameters`). So no call joins anything, and
+`Adam` lays the owners out in its one parameter vector whole.
+
 The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
 state and BPTT loop, records one tape node, and returns one packed matrix
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import Module, Tensor, _emit, logistic
+from .tensor import ColumnView, Module, Tensor, _emit, logistic
 
 __all__ = [
     "GruCell",
@@ -59,15 +66,27 @@ __all__ = [
 ]
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
+def _draw(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     # uniform [-k, k] with k = 1/sqrt(fan_in)
     k = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-k, k, size=shape), check=False)
+    return rng.uniform(-k, k, size=shape)
+
+
+def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
+    return Tensor(_draw(rng, fan_in, shape), check=False)
 
 
 @dataclass
 class GruCell(Module):
-    """Update/reset/candidate gate weights for one GRU direction."""
+    """Update/reset/candidate gate weights for one GRU direction.
+
+    The cell holds W_z | W_r | W_h (in*3h), the biases b_z | b_r | b_h
+    (1*3h) and U_z | U_r (h*2h) at rest in three owner tensors, `w`, `b` and
+    `u`; construction joins the given tensors once, and the named fields
+    other than `uh` become `ColumnView`s of the owners. Names, shapes and
+    values stay those given, and an update of a named tensor in place is an
+    update of its owner.
+    """
 
     wz: Tensor
     wr: Tensor
@@ -79,40 +98,74 @@ class GruCell(Module):
     br: Tensor
     bh: Tensor
 
+    def __post_init__(self):
+        join = lambda *ts: np.concatenate([t.data for t in ts], axis=1)
+        self._rest(join(self.wz, self.wr, self.wh), join(self.bz, self.br, self.bh),
+                   join(self.uz, self.ur))
+
+    def _rest(self, w: np.ndarray, b: np.ndarray, u: np.ndarray) -> None:
+        """Hold the joined arrays in the owners and make the named fields
+        (`uh` aside) their column views."""
+        w = self.w = Tensor(w, check=False)
+        b = self.b = Tensor(b, check=False)
+        u = self.u = Tensor(u, check=False)
+        h, view = self.uh.rows, ColumnView
+        self.wz, self.wr, self.wh = view(w, 0, h), view(w, h, 2 * h), view(w, 2 * h, 3 * h)
+        self.bz, self.br, self.bh = view(b, 0, h), view(b, h, 2 * h), view(b, 2 * h, 3 * h)
+        self.uz, self.ur = view(u, 0, h), view(u, h, 2 * h)
+        self._fields = (self.wz, self.wr, self.wh, self.uz, self.ur, self.uh,
+                        self.bz, self.br, self.bh)
+
     @property
     def input_width(self) -> int:
-        return self.wz.rows
+        return self.w.rows
 
     @property
     def hidden_width(self) -> int:
-        return self.wz.cols
+        return self.uh.rows
 
     def fields(self) -> tuple:
         """The nine parameters in field order, as `parameters()` lists them."""
-        return (self.wz, self.wr, self.wh, self.uz, self.ur, self.uh, self.bz, self.br, self.bh)
+        return self._fields
 
     def joined(self):
         """W_z | W_r | W_h as one in*3h matrix, the biases as one 3h vector
         (update | reset | candidate) and U_z | U_r as one h*2h matrix: the
-        forms in which `rnn_stack` and the decoder use them."""
-        return (np.concatenate([self.wz.data, self.wr.data, self.wh.data], axis=1),
-                np.concatenate([self.bz.data, self.br.data, self.bh.data], axis=1)[0],
-                np.concatenate([self.uz.data, self.ur.data], axis=1))
+        forms in which `rnn_stack` and the decoder use them. These are views
+        of the arrays the cell holds at rest; nothing is copied."""
+        return self.w.data, self.b.data[0], self.u.data
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):
-        w = lambda: _uniform(rng, input_width, (input_width, hidden_width))
-        u = lambda: _uniform(rng, hidden_width, (hidden_width, hidden_width))
-        b = lambda: Tensor(np.zeros((1, hidden_width)), check=False)
-        return cls(w(), w(), w(), u(), u(), u(), b(), b(), b())
+        # one draw of several matrices gives the values of as many draws in
+        # a row, so W_z, W_r, W_h come in one draw and U_z, U_r in another,
+        # each then joined side by side; `__new__` skips the constructor,
+        # which would take nine tensors only to join them again
+        h = hidden_width
+        w = _draw(rng, input_width, (3, input_width, h))
+        u_zr = _draw(rng, h, (2, h, h))
+        cell = cls.__new__(cls)
+        cell.uh = _uniform(rng, h, (h, h))
+        cell._rest(w.transpose(1, 0, 2).reshape(input_width, 3 * h), np.zeros((1, 3 * h)),
+                   u_zr.transpose(1, 0, 2).reshape(h, 2 * h))
+        return cell
 
 
 @dataclass
 class RecurrentLayer(Module):
-    """A GRU run in both directions over a sequence."""
+    """A GRU run in both directions over a sequence.
+
+    `widths` is (input width, hidden width), recorded when the layer is
+    built, if both directions share it, and None otherwise; `rnn_stack`
+    compares each item against it before any closer check.
+    """
 
     fwd: GruCell
     bwd: GruCell
+
+    def __post_init__(self):
+        shapes = {(cell.input_width, cell.hidden_width) for cell in (self.fwd, self.bwd)}
+        self.widths = shapes.pop() if len(shapes) == 1 else None
 
     @property
     def output_width(self) -> int:
@@ -269,6 +322,10 @@ def rnn_stack(items) -> Tensor:
     the question, summary, history sentences and modalities, then the
     history stream over wave 1's sentence vectors.
 
+    Each item is checked by one comparison of its sequence's trailing shape
+    and the stack's hidden width against the widths its layer recorded when
+    it was built; only a mismatch runs the checks that name the fault.
+
     The K = 2 * len(items) runs (one per item and direction) share one step
     loop over a K*h state, longest run first, so the runs still going at
     step t are the first rows of the state and a run stops at its length.
@@ -295,33 +352,33 @@ def rnn_stack(items) -> Tensor:
     runs = []  # (cell, input in step order, packed rows, packed columns, reverse)
     start = 0
     for layer, seq in items:
-        _check_item(layer, seq, h)
-        rows = slice(start, start + seq.rows)
-        runs.append((layer.fwd, seq.data, rows, slice(0, h), False))
-        runs.append((layer.bwd, seq.data[::-1], rows, slice(h, 2 * h), True))
-        start += seq.rows
+        x = seq.data
+        if (*x.shape[1:], h) != layer.widths or not x.shape[0]:
+            _check_item(layer, seq, h)
+        rows = slice(start, start + x.shape[0])
+        runs.append((layer.fwd, x, rows, slice(0, h), False))
+        runs.append((layer.bwd, x[::-1], rows, slice(h, 2 * h), True))
+        start += x.shape[0]
     k_runs = len(runs)
     lengths = [x.shape[0] for _, x, _, _, _ in runs]
-    order = sorted(range(k_runs), key=lambda k: -lengths[k])
+    order = sorted(range(k_runs), key=lengths.__getitem__, reverse=True)
     slot = [0] * k_runs  # a run's row in the K*h state
     for s, k in enumerate(order):
         slot[k] = s
     steps = lengths[order[0]]
-    live = (k_runs - np.cumsum(np.bincount(lengths))[:steps]).tolist()  # runs still going at step t
+    live = []  # runs still going at step t: the first s + 1 slots until slot s ends
+    for s in range(k_runs - 1, -1, -1):
+        live += [s + 1] * (lengths[order[s]] - len(live))
 
     cells = [runs[k][0] for k in order]
-    per_cell = {}  # each distinct cell's W_z | W_r | W_h, biases and U_z | U_r, joined once
-    for c in cells:
-        if id(c) not in per_cell:
-            per_cell[id(c)] = c.joined()
     # the step loop's buffers keep a unit axis, so each step's batched
     # vector-matrix products write straight into them
     xw = np.zeros((steps, k_runs, 1, 3 * h))
     for k, (cell, x, _, _, _) in enumerate(runs):
-        np.matmul(x, per_cell[id(cell)][0], out=xw[:lengths[k], slot[k], 0])
+        np.matmul(x, cell.w.data, out=xw[:lengths[k], slot[k], 0])
     # the biases also land on the steps after a run has ended, which are never read
-    xw += np.array([per_cell[id(c)][1] for c in cells])[:, None]
-    u_zr = np.array([per_cell[id(c)][2] for c in cells])
+    xw += np.array([c.b.data for c in cells])
+    u_zr = np.array([c.u.data for c in cells])
     u_h = np.array([c.uh.data for c in cells])
 
     gates = np.zeros((steps, k_runs, 1, 2 * h))  # z | r
@@ -376,18 +433,17 @@ def rnn_stack(items) -> Tensor:
         for k in range(k_runs - 1, -1, -1):
             cell, x, _, _, reverse = runs[k]
             n, s = lengths[k], slot[k]
-            w = per_cell[id(cell)][0]
             da_k = da[:n, s]
-            dx = da_k @ w.T
+            dx = da_k @ cell.w.data.T
             grads += (dx[::-1] if reverse else dx,
                       *_cell_grads(x.T @ da_k, da_k, prev[:n, s].T @ da_k[:, :2 * h],
                                    rh[:n, s].T @ da_k[:, 2 * h:]))
         return grads
 
-    parents = tuple(p for layer, seq in reversed(items)
-                    for cell in (layer.bwd, layer.fwd)
-                    for p in (seq, *cell.fields()))
-    return _emit(packed, parents, back)
+    parents = []
+    for layer, seq in reversed(items):
+        parents += (seq, *layer.bwd.fields(), seq, *layer.fwd.fields())
+    return _emit(packed, tuple(parents), back)
 
 
 def rnn_forward(layer: RecurrentLayer, seq: Tensor) -> Tensor:

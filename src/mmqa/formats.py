@@ -55,13 +55,14 @@ OPT_PREFIX = "__opt__/"
 CFG_PREFIX = "__cfg__/"
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename over."""
+def atomic_write_bytes(path: str, chunks) -> None:
+    """Write `chunks`, bytes-like objects in order, via a temp file in the
+    same directory, then rename over."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,7 +71,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def _decode(raw: bytes, path: str, offset: int = 0) -> str:
@@ -169,7 +170,7 @@ def save_features(path: str, matrix) -> None:
         raise ValidationError("feature matrix contains non-finite values")
     n, f = arr.shape
     header = FEATURE_MAGIC + struct.pack("<BII", FORMAT_VERSION, n, f)
-    atomic_write_bytes(path, header + arr.astype("<f4").tobytes(order="C"))
+    atomic_write_bytes(path, [header, arr.astype("<f4").tobytes(order="C")])
 
 
 def load_features(path: str) -> np.ndarray:
@@ -220,8 +221,10 @@ def save_checkpoint(path: str, tensors: dict, config_hash: bytes) -> None:
         parts.append(encoded)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f8").tobytes(order="C"))
-    atomic_write_bytes(path, b"".join(parts))
+        # the payload is written from the array itself (copied only when
+        # strided or not little-endian), so no copy of the whole file is held
+        parts.append(np.ascontiguousarray(arr, dtype="<f8"))
+    atomic_write_bytes(path, parts)
 
 
 def load_checkpoint(path: str):

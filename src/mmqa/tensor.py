@@ -6,7 +6,8 @@ chain rule in reverse execution order. With no tape active the same
 functions work as plain forward math. The fused kernels that record on a
 tape live in `encoders` and `model`; the only primitive here is the
 embedding lookup `take_rows`, beside the plain-array `logistic` and the
-finite-difference checker.
+finite-difference checker. A `ColumnView` is a tensor whose data is columns
+of another tensor's array; the GRU cells' named weights are such views.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import ShapeError, ValidationError
 
 __all__ = [
     "Tensor",
+    "ColumnView",
     "Module",
     "Tape",
     "untaped",
@@ -76,6 +78,26 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+class ColumnView(Tensor):
+    """Columns `lo:hi` of a rank-2 owner tensor, as a tensor of its own.
+
+    `data` reads the owner's array on every use, so a write through either
+    is seen by the other and rebinding the owner's `data` (as `Adam` does)
+    moves the view with it; a view's own `data` cannot be rebound. On a
+    tape a view is a leaf like any other tensor: its gradient is its own.
+    """
+
+    __slots__ = ("owner", "cols")
+
+    def __init__(self, owner: Tensor, lo: int, hi: int):
+        self.owner = owner
+        self.cols = slice(lo, hi)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.owner.data[:, self.cols]
 
 
 class Module:
@@ -297,8 +319,10 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     `f` must be scalar-valued and is re-evaluated at coordinate-wise +/- eps
-    perturbations of `x` (mutated in place and restored). The error at each
-    coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    perturbations of `x`, in C order, each written into `x.data` by index
+    and restored, so a strided view (a column block, say) is perturbed where
+    it lives. The error at each coordinate is
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     return grad_checks(lambda: f(x), [x], eps)[0]
 
@@ -323,17 +347,18 @@ def grad_checks(f: Callable[[], Tensor], xs: Sequence[Tensor], eps: float = 1e-5
 
 
 def _max_error(f: Callable[[], Tensor], x: Tensor, analytic: np.ndarray, eps: float) -> float:
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
+    # indexing writes through any strides; a reshape of a strided array
+    # would perturb a copy
+    data = x.data
+    numeric = np.zeros(data.shape)
+    for i in np.ndindex(data.shape):
+        orig = data[i]
+        data[i] = orig + eps
         hi = f().item()
-        flat[i] = orig - eps
+        data[i] = orig - eps
         lo = f().item()
-        flat[i] = orig
+        data[i] = orig
         numeric[i] = (hi - lo) / (2.0 * eps)
-    numeric = numeric.reshape(x.shape)
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())

@@ -19,7 +19,7 @@ import numpy as np
 from .config import TrainingConfig
 from .errors import NumericalError, ShapeError, ValidationError
 from .metrics import bleu, cider, rouge_l_corpus
-from .tensor import Tape
+from .tensor import ColumnView, Tape
 
 __all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate"]
 
@@ -28,10 +28,14 @@ class Adam(object):
     """Standard Adam with bias correction over a named parameter dict.
 
     On construction the parameters are copied into one contiguous vector,
-    `theta`, in the dict's order, and each parameter's `data` is rebound to
-    its view of it. The moments `m` and `v` are two vectors of the same
-    layout, and `views` maps each name to its part of any of them. A step
-    updates all three in place.
+    `theta`, owner by owner in the dict's order: a plain tensor is its own
+    owner, and a `ColumnView` (a GRU cell's gate columns) brings its whole
+    owner the first time one of its views comes up. Each owner's `data` is
+    rebound to its block of `theta`, reshaped, so a view reads its columns
+    of that block and every parameter's `data` is a view of `theta`. The
+    moments `m` and `v` are two vectors of the same layout, and `views`
+    maps each name to its part of any of them. A step updates all three in
+    place.
 
     A zero gradient leaves its parameter bitwise untouched as long as the
     moments are still zero, which keeps unused modules exactly frozen.
@@ -44,25 +48,32 @@ class Adam(object):
 
     def __init__(self, params: dict, learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        self.params = params
         self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.theta = np.concatenate([p.data.reshape(-1) for p in params.values()])
-        for p, view in zip(params.values(), self.views(self.theta).values()):
-            p.data = view
+        blocks, size = {}, 0  # owner -> its slice of theta
+        self._layout = {}  # name -> (owner's slice, its shape, the name's columns or None)
+        for name, p in params.items():
+            owner, cols = (p.owner, p.cols) if isinstance(p, ColumnView) else (p, None)
+            if owner not in blocks:
+                blocks[owner] = slice(size, size + owner.data.size)
+                size += owner.data.size
+            self._layout[name] = blocks[owner], owner.data.shape, cols
+        self.theta = np.concatenate([o.data.reshape(-1) for o in blocks])
+        for owner, block in blocks.items():
+            owner.data = self.theta[block].reshape(owner.data.shape)
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
 
     def views(self, vector: np.ndarray) -> dict:
         """Name -> view of `vector`, a vector in `theta`'s layout."""
-        out, offset = {}, 0
-        for name, p in self.params.items():
-            out[name] = vector[offset:offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
+        out = {}
+        for name, (block, shape, cols) in self._layout.items():
+            part = vector[block].reshape(shape)
+            out[name] = part if cols is None else part[:, cols]
         return out
 
     def step(self, grad) -> None:

@@ -551,6 +551,48 @@ class TestFailureModes:
         event(f"exit {code}")
         assert code in (0, 1, 2, 3)
 
+    @pytest.fixture(scope="class")
+    def train_inputs(self, tmp_path_factory):
+        """`SMALL_CONFIG`'s run with a 1-wide flow stream read from the
+        config's directory, and the bytes of its dataset and of one of its
+        two feature files."""
+        root = tmp_path_factory.mktemp("train-inputs")
+        config = yaml.safe_load(SMALL_CONFIG)
+        config["model"]["flow_width"] = 1
+        config["data"]["features_dir"] = "."
+        (root / "run.yaml").write_text(yaml.safe_dump(config, sort_keys=False))
+        write_dataset(root / "data.json",
+                      [Dialog(f"vid{i}", ["a", "cat", "runs"], [(["who", "runs"], ["a", "cat"])])
+                       for i in range(2)])
+        for i in range(2):
+            save_features(str(root / f"vid{i}.flow.feat"), np.full((2, 1), 0.5))
+        return root, {name: (root / name).read_bytes()
+                      for name in ("data.json", "vid0.flow.feat", "vid1.flow.feat")}
+
+    @settings(max_examples=250, deadline=None)
+    @given(target=st.sampled_from(["data.json", "vid0.flow.feat"]),
+           edit=st.sampled_from(["flip", "insert", "truncate"]),
+           # half the positions fall in the first bytes: headers and the first dialog
+           position=st.one_of(st.integers(0, 100), st.integers(0, 2 ** 31)),
+           byte=st.integers(1, 255))
+    # edits that still train: "a cat runs" becomes "a bat runs" in the
+    # second summary, and a flow value 0.5 becomes about 1.7e38
+    @example(target="data.json", edit="flip", position=-156, byte=0x01)
+    @example(target="vid0.flow.feat", edit="flip", position=-1, byte=0x40)
+    def test_byte_edits_of_train_inputs_exit_cleanly(self, train_inputs, target, edit,
+                                                     position, byte):
+        root, files = train_inputs
+        work = root / "work"
+        work.mkdir(exist_ok=True)
+        (work / "run.yaml").write_bytes((root / "run.yaml").read_bytes())
+        for name, blob in files.items():
+            (work / name).write_bytes(edited(blob, edit, position, byte)
+                                      if name == target else blob)
+        with contextlib.chdir(work):  # the config names its files relative to it
+            code = cli.main(["train", "--config", "run.yaml", "--out", "m.ckpt"])
+        event(f"{target} exit {code}")
+        assert code in (0, 1, 2, 3)
+
     def test_usage_problems_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["augment"])  # required flags missing

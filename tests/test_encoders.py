@@ -193,11 +193,20 @@ class TestRnnForward:
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_input_validation(self):
-        layer = RecurrentLayer.create(np.random.default_rng(0), 3, 2)
+        rng = np.random.default_rng(0)
+        layer = RecurrentLayer.create(rng, 3, 2)
         with pytest.raises(ShapeError):
             rnn_forward(layer, T([1.0, 2.0, 3.0]))  # rank 1
         with pytest.raises(ShapeError):
             rnn_forward(layer, T(np.zeros((2, 4))))  # wrong width
+        with pytest.raises(ShapeError):
+            rnn_forward(layer, Tensor(np.zeros((0, 3)), check=False))  # no rows
+        # directions of different input widths: the layer builds, and no
+        # input can match both of them
+        mixed = RecurrentLayer(GruCell.create(rng, 3, 2), GruCell.create(rng, 4, 2))
+        for width in (3, 4):
+            with pytest.raises(ShapeError, match="does not match cell input width"):
+                rnn_forward(mixed, T(np.ones((2, width))))
 
     def test_parameter_naming(self):
         layer = RecurrentLayer.create(np.random.default_rng(0), 3, 2)

@@ -18,6 +18,7 @@ from conftest import (
 )
 from mmqa import gradcheck
 from mmqa.augment import expand_per_turn
+from mmqa.config import Config, TrainingConfig
 from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import (
@@ -32,8 +33,10 @@ from mmqa.model import (
     scheduled_sample_loss,
     teacher_forced_loss,
 )
+from mmqa.formats import checkpoint_from_model, model_from_checkpoint, save_checkpoint
 from mmqa.tensor import Tape, Tensor, grad_check
 from mmqa.text import EOS, PAD, SOS, EmbeddingTable
+from mmqa.training import train
 from oracle_recurrence import mul, sum_all
 
 
@@ -633,3 +636,61 @@ class TestEncodeWaves:
         assert self.recurrences(self.record_groups(example)) == [
             ["audio_rnn", "flow_rnn", "question_rnn", "rgb_rnn", "summary_rnn"],
             ["history_rnn"]]
+
+
+def gru_cells(model):
+    """Every GruCell of a model: both directions of each encoder layer, then
+    the decoder's two layers."""
+    layers = [model.question_rnn, *(rnn for rnn, _ in model.streams.values())]
+    return ([cell for layer in layers for cell in (layer.fwd, layer.bwd)]
+            + [model.decoder.l1, model.decoder.l2])
+
+
+class TestCellsAtRest:
+    """Each cell's joined arrays are the storage of its named tensors: no
+    call joins them, so no stale copy can be read."""
+
+    @staticmethod
+    def assert_at_rest(model):
+        for cell in gru_cells(model):
+            w, b, u = cell.joined()
+            h = cell.hidden_width
+            blocks = [(cell.wz, w, 0), (cell.wr, w, 1), (cell.wh, w, 2),
+                      (cell.bz, b[None, :], 0), (cell.br, b[None, :], 1),
+                      (cell.bh, b[None, :], 2), (cell.uz, u, 0), (cell.ur, u, 1)]
+            for named, joined, k in blocks:
+                # the same memory, shape and strides: a view, not a copy
+                block = joined[:, k * h:(k + 1) * h]
+                assert named.data.__array_interface__ == block.__array_interface__
+
+    def test_after_create(self):
+        model, _ = gradcheck._toy_setup()
+        self.assert_at_rest(model)
+
+    def test_after_loading_a_checkpoint(self, tmp_path):
+        model, _ = gradcheck._toy_setup()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, checkpoint_from_model(model), Config().hash())
+        model.vocab.save(path + ".vocab")
+        rebuilt, _, _ = model_from_checkpoint(path)
+        self.assert_at_rest(rebuilt)
+        for name, p in rebuilt.parameters().items():
+            assert np.array_equal(p.data, model.parameters()[name].data), name
+
+    def test_after_training(self, toy_examples):
+        model = Model.create(np.random.default_rng(2), corpus_vocab(overfit_dialogs()),
+                             embed_width=8, hidden_width=4)
+        train(model, toy_examples[:4], toy_examples[4:5],
+              TrainingConfig(max_epochs=1, batch_size=4, seed=0, max_generate_len=4))
+        self.assert_at_rest(model)
+
+    def test_writes_through_named_tensors_reach_the_next_loss(self):
+        model, example = gradcheck._toy_setup()
+        loss = model.loss(example).item()
+        for cell in gru_cells(model):
+            for named in (cell.wz, cell.wr, cell.wh, cell.uz, cell.ur,
+                          cell.bz, cell.br, cell.bh):
+                named.data[0, -1] += 0.25
+                changed = model.loss(example).item()
+                assert changed != loss
+                loss = changed

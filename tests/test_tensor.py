@@ -459,6 +459,20 @@ class TestGradCheck:
     def test_linear_function_is_exact(self):
         assert grad_check(sum_all, T([[1.0, -2.0], [0.5, 3.0]])) < 1e-10
 
+    def test_strided_view_is_perturbed_in_place(self):
+        # a column block of a larger array, as a GRU cell's named weights
+        # are: a reshape of it would be a copy, and a perturbation of the
+        # copy would never reach the function
+        base = np.random.default_rng(8).normal(size=(3, 4))
+        before = base.copy()
+        view = Tensor(base[:, 1:3])
+        assert view.data.base is base and not view.data.flags.c_contiguous
+        square = lambda x: sum_all(mul(x, x))
+        error = grad_check(square, view)
+        assert error == grad_check(square, Tensor(base[:, 1:3].copy()))
+        assert error < 1e-8
+        assert base.tobytes() == before.tobytes()
+
     def test_sigmoid_chain(self):
         f = lambda x: sum_all(sigmoid(x))
         assert grad_check(f, T([0.3, -1.2])) < 1e-6

@@ -20,7 +20,11 @@ A `GruCell` keeps its weights in that joined form at rest: W_z | W_r | W_h
 array, and the named tensors `wz` ... `bh` (U_h aside) are `ColumnView`s of
 them, as the named weights of cuDNN's and PyTorch's RNNs are views of one
 flat buffer (`RNNBase.flatten_parameters`). So no call joins anything, and
-`Adam` lays the owners out in its one parameter vector whole.
+`Adam` lays the owners out in its one parameter vector whole. The tape
+records list a cell's four owners, `w`, `b`, `u` and `uh`, and their
+backwards return the joined gradients they compute, so each lands in one
+contiguous block of the training gradient; a named view's gradient is read
+as its columns of its owner's (`Tape.wrt`).
 
 The encoders' recurrences are also stacked: `rnn_stack` runs both
 directions of many (layer, sequence) items in one step loop over a stacked
@@ -85,7 +89,8 @@ class GruCell(Module):
     `u`; construction joins the given tensors once, and the named fields
     other than `uh` become `ColumnView`s of the owners. Names, shapes and
     values stay those given, and an update of a named tensor in place is an
-    update of its owner.
+    update of its owner. The tape records that use the cell list its four
+    owners, `w`, `b`, `u` and `uh` (`owners()`), never the named views.
     """
 
     wz: Tensor
@@ -113,8 +118,7 @@ class GruCell(Module):
         self.wz, self.wr, self.wh = view(w, 0, h), view(w, h, 2 * h), view(w, 2 * h, 3 * h)
         self.bz, self.br, self.bh = view(b, 0, h), view(b, h, 2 * h), view(b, 2 * h, 3 * h)
         self.uz, self.ur = view(u, 0, h), view(u, h, 2 * h)
-        self._fields = (self.wz, self.wr, self.wh, self.uz, self.ur, self.uh,
-                        self.bz, self.br, self.bh)
+        self._owners = (w, b, u, self.uh)
 
     @property
     def input_width(self) -> int:
@@ -124,9 +128,10 @@ class GruCell(Module):
     def hidden_width(self) -> int:
         return self.uh.rows
 
-    def fields(self) -> tuple:
-        """The nine parameters in field order, as `parameters()` lists them."""
-        return self._fields
+    def owners(self) -> tuple:
+        """The four tensors that hold the cell: `w`, `b`, `u` and `uh`, the
+        parents a tape record lists for it, in the order of `joined()`."""
+        return self._owners
 
     def joined(self):
         """W_z | W_r | W_h as one in*3h matrix, the biases as one 3h vector
@@ -292,16 +297,6 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
     return states[1:], back
 
 
-def _cell_grads(dw: np.ndarray, da: np.ndarray, du_zr: np.ndarray, du_h: np.ndarray) -> tuple:
-    """A GruCell's nine gradients in field order, from those of its input
-    weights side by side (in*3h), its gates' pre-activation gradients (T*3h)
-    and those of U_z | U_r and U_h."""
-    h = du_h.shape[0]
-    db = da.sum(axis=0, keepdims=True)
-    return (dw[:, :h], dw[:, h:2 * h], dw[:, 2 * h:], du_zr[:, :h], du_zr[:, h:], du_h,
-            db[:, :h], db[:, h:2 * h], db[:, 2 * h:])
-
-
 def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
     for cell in (layer.fwd, layer.bwd):
         _check_sequence(cell, seq)
@@ -339,10 +334,13 @@ def rnn_stack(items) -> Tensor:
     The BLAS behind numpy can round a row of a product differently when the
     product has more rows, and this way every number equals that of one
     fused GRU record over the run's rows in step order from a zero state
-    (the reference `gru_sequence` of the tests), bitwise. Each run's
-    input and cell weights are parents once per run, last item and
-    direction first, so the tape adds them into a shared cell's sinks in the
-    order that one record per direction did. This is the dynamic batching
+    (the reference `gru_sequence` of the tests), bitwise. Each run's input
+    and its cell's four owners (`GruCell.owners`) are parents once per run,
+    last item and direction first, so the tape adds them into a shared
+    cell's sinks in the order that one record per direction did; each
+    owner's gradient is one joined array (x^T da, the column sums of da,
+    and the U_z | U_r and U_h products), which the tape adds into the
+    owner's sink whole. This is the dynamic batching
     of same-typed operations in one graph (Looks et al., 2017; Neubig,
     Goldberg and Dyer, 2017) on top of Appleyard et al.'s precomputed inputs.
     """
@@ -435,14 +433,13 @@ def rnn_stack(items) -> Tensor:
             n, s = lengths[k], slot[k]
             da_k = da[:n, s]
             dx = da_k @ cell.w.data.T
-            grads += (dx[::-1] if reverse else dx,
-                      *_cell_grads(x.T @ da_k, da_k, prev[:n, s].T @ da_k[:, :2 * h],
-                                   rh[:n, s].T @ da_k[:, 2 * h:]))
+            grads += (dx[::-1] if reverse else dx, x.T @ da_k, da_k.sum(axis=0, keepdims=True),
+                      prev[:n, s].T @ da_k[:, :2 * h], rh[:n, s].T @ da_k[:, 2 * h:])
         return grads
 
     parents = []
     for layer, seq in reversed(items):
-        parents += (seq, *layer.bwd.fields(), seq, *layer.fwd.fields())
+        parents += (seq, *layer.bwd.owners(), seq, *layer.fwd.owners())
     return _emit(packed, tuple(parents), back)
 
 

@@ -28,7 +28,6 @@ from .encoders import (
     GruCell,
     RecurrentLayer,
     SelfAttentionParams,
-    _cell_grads,
     gru_run,
     gru_step,
     guided_attend,
@@ -295,12 +294,11 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         np.outer(c, col, out=dw1[:cw])
         np.matmul(emb.T, da1, out=dw1[cw:])
         return (_RowSparse(table.shape, idx, da1 @ terms.w1.T), (col @ terms.wc1.T)[None, :],
-                dh0[None, :question.cols],
-                *_cell_grads(dw1, da1, du_zr1, du_h1),
-                *_cell_grads(h1.T @ da2, da2, du_zr2, du_h2),
+                dh0[None, :question.cols], dw1, col[None, :], du_zr1, du_h1,
+                h1.T @ da2, da2.sum(axis=0, keepdims=True), du_zr2, du_h2,
                 h2.T @ d_logits, d_logits.sum(axis=0, keepdims=True))
 
-    return _emit(np.array([loss]), (table, context, question, *l1.fields(), *l2.fields(),
+    return _emit(np.array([loss]), (table, context, question, *l1.owners(), *l2.owners(),
                                     proj.w, proj.b), back)
 
 

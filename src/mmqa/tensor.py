@@ -7,7 +7,9 @@ functions work as plain forward math. The fused kernels that record on a
 tape live in `encoders` and `model`; the only primitive here is the
 embedding lookup `take_rows`, beside the plain-array `logistic` and the
 finite-difference checker. A `ColumnView` is a tensor whose data is columns
-of another tensor's array; the GRU cells' named weights are such views.
+of another tensor's array; the GRU cells' named weights are such views, and
+the tape records their owners, so a view's gradient is read as its columns
+of its owner's sink.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ class ColumnView(Tensor):
 
     `data` reads the owner's array on every use, so a write through either
     is seen by the other and rebinding the owner's `data` (as `Adam` does)
-    moves the view with it; a view's own `data` cannot be rebound. On a
-    tape a view is a leaf like any other tensor: its gradient is its own.
+    moves the view with it; a view's own `data` cannot be rebound. A tape
+    holds a view's gradient as its columns of its owner's sink, whether a
+    record lists the view or the owner.
     """
 
     __slots__ = ("owner", "cols")
@@ -183,12 +186,19 @@ class Tape:
     Gradients go only into sinks: `sinks` maps leaf tensors to arrays of
     their shape, and backward() adds such a leaf's gradient straight into
     its array (which it never zeroes), row by row for an embedding lookup.
-    `watch` gives a leaf a zero sink of its own.
+    The records list a GRU cell's owner arrays, not its named views, so
+    sinks are keyed by owner; a `ColumnView` cannot be given a sink of its
+    own. `watch` gives a leaf a zero sink; watching a view gives its owner
+    one (if it has none) and the view its columns of it, and `wrt` of a
+    view reads those columns.
     """
 
     def __init__(self, sinks: dict | None = None):
         self.records: list = []
         self.sinks = dict(sinks) if sinks else {}
+        if any(type(t) is ColumnView for t in self.sinks):
+            raise ValidationError("a view's gradient lands in its owner's sink; "
+                                  "key the sink by the owner")
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -202,17 +212,26 @@ class Tape:
         return len(self.records)
 
     def watch(self, tensor: Tensor) -> None:
-        """Give the leaf `tensor` a zero sink, unless it has one already."""
+        """Give the leaf `tensor` a zero sink, unless it has one already; a
+        view's sink is its columns of its owner's."""
         # a sink ends the backward sweep at its tensor, so an output of this
         # tape would pass no gradient on to its own parents
         if any(out is tensor for out, _, _ in self.records):
             raise ValidationError("only a leaf can be watched, not an output of this tape")
-        if tensor not in self.sinks:
+        if tensor in self.sinks:
+            return
+        if type(tensor) is ColumnView:
+            self.watch(tensor.owner)
+            self.sinks[tensor] = self.sinks[tensor.owner][:, tensor.cols]
+        else:
             self.sinks[tensor] = np.zeros_like(tensor.data)
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
-        """The sink that holds `tensor`'s gradient."""
+        """The sink that holds `tensor`'s gradient: for a view, its columns
+        of its owner's sink."""
         sink = self.sinks.get(tensor)
+        if sink is None and type(tensor) is ColumnView and tensor.owner in self.sinks:
+            sink = self.sinks[tensor.owner][:, tensor.cols]
         if sink is None:
             raise ValidationError("tensor has no sink on this tape; watch it first")
         return sink

@@ -33,9 +33,10 @@ class Adam(object):
     owner the first time one of its views comes up. Each owner's `data` is
     rebound to its block of `theta`, reshaped, so a view reads its columns
     of that block and every parameter's `data` is a view of `theta`. The
-    moments `m` and `v` are two vectors of the same layout, and `views`
-    maps each name to its part of any of them. A step updates all three in
-    place.
+    moments `m` and `v` are two vectors of the same layout. `views` maps
+    each name to its part of any of them, and `owner_blocks` each owner to
+    its block, a contiguous array: the sinks of a tape, which lists owners.
+    A step updates all three in place.
 
     A zero gradient leaves its parameter bitwise untouched as long as the
     moments are still zero, which keeps unused modules exactly frozen.
@@ -54,27 +55,33 @@ class Adam(object):
         self.epsilon = epsilon
         self.t = 0
         blocks, size = {}, 0  # owner -> its slice of theta
-        self._layout = {}  # name -> (owner's slice, its shape, the name's columns or None)
+        self._names = {}  # name -> (its owner, the name's columns or None)
         for name, p in params.items():
             owner, cols = (p.owner, p.cols) if isinstance(p, ColumnView) else (p, None)
             if owner not in blocks:
                 blocks[owner] = slice(size, size + owner.data.size)
                 size += owner.data.size
-            self._layout[name] = blocks[owner], owner.data.shape, cols
+            self._names[name] = owner, cols
         self.theta = np.concatenate([o.data.reshape(-1) for o in blocks])
         for owner, block in blocks.items():
             owner.data = self.theta[block].reshape(owner.data.shape)
+        self._blocks = blocks
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
 
     def views(self, vector: np.ndarray) -> dict:
         """Name -> view of `vector`, a vector in `theta`'s layout."""
-        out = {}
-        for name, (block, shape, cols) in self._layout.items():
-            part = vector[block].reshape(shape)
-            out[name] = part if cols is None else part[:, cols]
-        return out
+        blocks = self.owner_blocks(vector)
+        return {name: blocks[owner] if cols is None else blocks[owner][:, cols]
+                for name, (owner, cols) in self._names.items()}
+
+    def owner_blocks(self, vector: np.ndarray) -> dict:
+        """Owner tensor -> its block of `vector` (in `theta`'s layout),
+        shaped like the owner: one contiguous array each, which together
+        cover `vector` once."""
+        return {owner: vector[block].reshape(owner.data.shape)
+                for owner, block in self._blocks.items()}
 
     def step(self, grad) -> None:
         """One update from `grad`, a vector in `theta`'s layout.
@@ -142,6 +149,29 @@ def _mean_f1(model, examples, max_len: int) -> float:
     return total / len(examples)
 
 
+def _non_finite_example(model, examples, cfg: TrainingConfig, rng_state: dict, adam: Adam,
+                        name: str) -> Optional[str]:
+    """The video id of the first of a batch's `examples` whose own gradient
+    of the parameter `name` is not finite, or None if none is.
+
+    The batch is replayed one example per tape, from `rng_state`, the
+    sampling generator's state at the batch's start, into a fresh zero
+    vector with the owner sinks that training uses.
+    """
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = rng_state
+    grad = np.zeros_like(adam.theta)
+    part, sinks = adam.views(grad)[name], adam.owner_blocks(grad)
+    for example in examples:
+        grad.fill(0.0)
+        with Tape(sinks) as tape:
+            tape.backward(model.loss(example, mode=cfg.loss_mode,
+                                     p_model=cfg.ss_probability, rng=rng))
+        if not np.isfinite(part).all():
+            return example.video_id
+    return None
+
+
 def train(model, train_set, val_set, cfg: TrainingConfig,
           stop_at_train_f1: Optional[float] = None) -> TrainResult:
     """Optimize `model` in place; on return it holds the best parameters.
@@ -159,11 +189,11 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     # one gradient vector in the parameters' layout: every backward pass
-    # adds straight into the slices of the parameters it reached, so an
-    # unused parameter's slice stays zero
+    # adds straight into the blocks of the owners it reached, so an unused
+    # parameter's part stays zero
     grad = np.zeros_like(adam.theta)
     grads = adam.views(grad)
-    sinks = {p: grads[name] for name, p in params.items()}
+    sinks = adam.owner_blocks(grad)
     best = adam.theta.copy()
     best_f1 = -1.0
     best_epoch = 0
@@ -178,6 +208,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            batch_rng_state = sample_rng.bit_generator.state
             grad.fill(0.0)
             for idx in batch:
                 with Tape(sinks) as tape:
@@ -195,9 +226,13 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                 grads["embedding.matrix"][...] = 0.0
             if not np.isfinite(grad).all():
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+                examples = [train_set[i] for i in batch]
+                culprit = _non_finite_example(model, examples, cfg, batch_rng_state, adam, name)
+                found = (f"example {culprit!r}" if culprit is not None
+                         else "no one example's gradient is, their sum overflowed")
                 raise NumericalError(
                     f"gradient of {name} is not finite at epoch {epoch} "
-                    f"(batch {[train_set[i].video_id for i in batch]})"
+                    f"({found}; batch {[ex.video_id for ex in examples]})"
                 )
             grad *= 1.0 / len(batch)
             adam.step(grad)

@@ -205,7 +205,10 @@ def gru_sequence(cell, seq, h0):
                 du_zr[:, :h], du_zr[:, h:], du_h,
                 db[:, :h], db[:, h:2 * h], db[:, 2 * h:], dh[None, :])
 
-    return _emit(out, (seq, *cell.fields(), h0), back)
+    # the nine named weights, not the cell's owners, so a watched view's
+    # gradient comes from a record that lists the view itself
+    named = (cell.wz, cell.wr, cell.wh, cell.uz, cell.ur, cell.uh, cell.bz, cell.br, cell.bh)
+    return _emit(out, (seq, *named, h0), back)
 
 
 def gru_step(cell, x, h_prev):

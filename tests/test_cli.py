@@ -177,6 +177,40 @@ class TestPipeline:
         assert "vid" in err
         assert not ckpt.exists()
 
+    def test_nonfinite_gradient_names_its_example(self, tmp_path, capsys, monkeypatch):
+        # one run learns the order of the one four-example batch; the next
+        # gives the third example of that batch, alone, an infinite gradient
+        # of the projection bias
+        order, original_loss = [], Model.loss
+
+        def loss(self, example, *args, **kwargs):
+            order.append(example.video_id)
+            return original_loss(self, example, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "loss", loss)
+        (tmp_path / "a").mkdir()
+        assert self.run_train(tmp_path / "a")[0] == 0
+        batch, original = order[:4], model_module.decoder_loss
+        chosen = batch[2]
+
+        def decoder_loss(decoder, *args):
+            loss, bias = original(decoder, *args), decoder.proj.b
+            if order[-1] != chosen:
+                return loss
+            return tensor._emit(loss.data, (loss, bias),
+                                lambda g: (g, np.full(bias.shape, np.inf)))
+
+        monkeypatch.setattr(model_module, "decoder_loss", decoder_loss)
+        (tmp_path / "b").mkdir()
+        capsys.readouterr()
+        code, _data, ckpt = self.run_train(tmp_path / "b")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gradient of decoder.proj.b is not finite at epoch 1" in err
+        assert f"example {chosen!r}" in err and f"batch {batch}" in err
+        assert not [v for v in batch if v != chosen and f"example {v!r}" in err]
+        assert not ckpt.exists()
+
     def test_training_is_byte_deterministic(self, tmp_path):
         data = tmp_path / "data.json"
         write_dataset(data)

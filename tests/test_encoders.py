@@ -23,7 +23,7 @@ from mmqa.encoders import (
 )
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.model import Model
-from mmqa.tensor import Tape, Tensor, _emit, grad_check, take_rows
+from mmqa.tensor import ColumnView, Tape, Tensor, _emit, grad_check, take_rows
 from mmqa.text import embed_sentence
 from oracle_recurrence import concat_cols, concat_rows, gru_sequence, mul, sum_all
 
@@ -312,12 +312,42 @@ class TestRnnStack:
         with Tape() as tape:
             packed = rnn_stack(items)
         assert len(tape) == 1 and packed.shape == (7, 4)
-        # each run lists its input and cell once, last item and direction first
+        # each run lists its input and its cell's four owners once, last
+        # item and direction first
         parents = tape.records[0][1]
-        assert len(parents) == 40
-        assert parents[0] is items[1][1] and parents[1] is layer.bwd.wz
-        assert parents[10] is items[1][1] and parents[11] is layer.fwd.wz
-        assert parents[20] is items[0][1] and parents[31] is layer.fwd.wz
+        assert len(parents) == 20
+        assert parents[0] is items[1][1] and parents[1:5] == layer.bwd.owners()
+        assert parents[5] is items[1][1] and parents[6:10] == layer.fwd.owners()
+        assert parents[10] is items[0][1] and parents[16:20] == layer.fwd.owners()
+        assert parents[1:5] == (layer.bwd.w, layer.bwd.b, layer.bwd.u, layer.bwd.uh)
+
+    def test_watched_view_reads_its_columns_of_the_owners_gradient(self):
+        rng = np.random.default_rng(45)
+        layer = RecurrentLayer.create(rng, 3, 2)
+        for p in layer.parameters().values():
+            p.data[...] = rng.normal(0.0, 0.6, size=p.shape)
+        seq, weights = T(rng.normal(size=(4, 3))), T(rng.normal(size=(4, 4)))
+        named = layer.parameters()
+        grads = []
+        for fn in (lambda: rnn_stack([(layer, seq)]), lambda: sequence_rnn_forward(layer, seq)):
+            with Tape() as tape:
+                for p in named.values():
+                    tape.watch(p)
+                tape.backward(sum_all(mul(fn(), weights)))
+            grads.append({name: tape.wrt(p) for name, p in named.items()})
+            for p in named.values():
+                if isinstance(p, ColumnView):
+                    assert np.shares_memory(tape.wrt(p), tape.wrt(p.owner))
+                    np.testing.assert_array_equal(tape.wrt(p), tape.wrt(p.owner)[:, p.cols])
+            if len(grads) == 1:
+                # the stacked record lists the owners; the reference lists the views
+                parents = tape.records[0][1]
+                assert any(p is layer.fwd.w for p in parents)
+                assert not any(p is layer.fwd.wz for p in parents)
+        for name in named:
+            assert grads[1][name].any(), name
+            np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=0, atol=1e-12,
+                                       err_msg=name)
 
     def test_input_validation(self):
         rng = np.random.default_rng(43)

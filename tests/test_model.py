@@ -34,7 +34,7 @@ from mmqa.model import (
     teacher_forced_loss,
 )
 from mmqa.formats import checkpoint_from_model, model_from_checkpoint, save_checkpoint
-from mmqa.tensor import Tape, Tensor, grad_check
+from mmqa.tensor import ColumnView, Tape, Tensor, grad_check
 from mmqa.text import EOS, PAD, SOS, EmbeddingTable
 from mmqa.training import train
 from oracle_recurrence import mul, sum_all
@@ -612,7 +612,10 @@ class TestEncodeWaves:
         parents, for the records of one training loss."""
         model = overfit_model(corpus_vocab(overfit_dialogs()))
         attach_random_features([example], seed=5)
-        names = {id(p): n for n, p in model.parameters().items()}
+        names = {}
+        for n, p in model.parameters().items():
+            # a record lists a GRU cell's owners, which share its views' prefix
+            names[id(p.owner if isinstance(p, ColumnView) else p)] = n
         with Tape() as tape:
             model.loss(example)
         return [sorted({names[id(p)].split(".")[0] for p in parents if id(p) in names})

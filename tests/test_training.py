@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import corpus_vocab, overfit_dialogs
-from mmqa import gradcheck
+from mmqa import gradcheck, training
 from mmqa.augment import DialogExample
 from mmqa.config import TrainingConfig
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
-from mmqa.tensor import Tape, Tensor
+from mmqa.tensor import ColumnView, Tape, Tensor
 from mmqa.text import SOS, resolve_token
 from mmqa.training import Adam, evaluate, token_f1, train
 
@@ -120,12 +120,18 @@ class TestGradientBuffer:
                 tape.watch(p)
             grads = tape.backward(model.loss(example))
         expected = {name: grads.wrt(p) for name, p in params.items()}
-        sinks = {p: np.zeros_like(p.data) for p in params.values()}
+        # the records list a GRU cell's owners, so its sinks are keyed by
+        # owner, and a named view's gradient is its columns of its owner's
+        owner = lambda p: p.owner if isinstance(p, ColumnView) else p
+        sinks = {owner(p): np.zeros_like(owner(p).data) for p in params.values()}
+        with pytest.raises(ValidationError, match="owner"):
+            Tape({model.decoder.l1.wz: np.zeros(model.decoder.l1.wz.shape)})
         with Tape(sinks) as tape:
             grads = tape.backward(model.loss(example))
         assert grads.wrt(model.embedding.matrix) is sinks[model.embedding.matrix]
         for name, p in params.items():
-            assert np.abs(sinks[p] - expected[name]).max() <= 1e-12, name
+            assert np.shares_memory(grads.wrt(p), sinks[owner(p)]), name
+            assert np.abs(grads.wrt(p) - expected[name]).max() <= 1e-12, name
         tokens = [t for pair in example.history for s in pair for t in s]
         tokens += example.question + example.answer + example.summary
         used = {SOS} | {resolve_token(model.vocab, t) for t in tokens}
@@ -146,6 +152,30 @@ class TestGradientBuffer:
         assert vector is not None and vector.ndim == 1
         assert vector.size == sum(a.size for a in arrays)
         assert all(a.base is vector for a in arrays)
+
+
+    def test_training_sinks_are_contiguous_blocks_of_one_vector(
+            self, toy_examples, monkeypatch):
+        seen = []
+
+        class RecordingTape(Tape):
+            def __init__(self, sinks=None):
+                seen.append(sinks)
+                super().__init__(sinks)
+
+        monkeypatch.setattr(training, "Tape", RecordingTape)
+        train(fresh_model(), toy_examples[:4], toy_examples[4:5], quick_config(max_epochs=1))
+        assert len(seen) == 4 and all(sinks is seen[0] for sinks in seen)
+        sinks = list(seen[0].values())
+        vector = sinks[0].base
+        assert vector is not None and vector.ndim == 1
+        start = vector.__array_interface__["data"][0]
+        covered = np.zeros(vector.size, dtype=int)
+        for sink in sinks:
+            assert sink.flags.c_contiguous and sink.base is vector
+            offset = (sink.__array_interface__["data"][0] - start) // vector.itemsize
+            covered[offset:offset + sink.size] += 1
+        assert (covered == 1).all()
 
 
 class TestTokenF1:

@@ -15,7 +15,14 @@ from dataclasses import asdict
 import numpy as np
 
 from .augment import AUGMENTATIONS, Dialog, derive_seed, expand_basic
-from .config import MAX_FACTOR, MAX_GENERATE_LEN, ModelConfig, check_text, load_config
+from .config import (
+    DEFAULT_GENERATE_LEN,
+    MAX_FACTOR,
+    MAX_GENERATE_LEN,
+    ModelConfig,
+    check_text,
+    load_config,
+)
 from .errors import NumericalError, ValidationError
 from .formats import (
     checkpoint_from_model,
@@ -189,7 +196,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="score table to write")
     p.add_argument("--features", default="", help="feature file directory")
-    p.add_argument("--max-len", type=int, default=20, dest="max_len")
+    p.add_argument("--max-len", type=int, default=DEFAULT_GENERATE_LEN, dest="max_len")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("generate", help="write one generated answer per example")
@@ -197,7 +204,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="answers file to write")
     p.add_argument("--features", default="", help="feature file directory")
-    p.add_argument("--max-len", type=int, default=20, dest="max_len")
+    p.add_argument("--max-len", type=int, default=DEFAULT_GENERATE_LEN, dest="max_len")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

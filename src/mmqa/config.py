@@ -22,6 +22,7 @@ __all__ = [
     "FEATURES",
     "LOSS_MODES",
     "MAX_GENERATE_LEN",
+    "DEFAULT_GENERATE_LEN",
     "MAX_FACTOR",
     "DataConfig",
     "ModelConfig",
@@ -38,6 +39,8 @@ LOSS_MODES = ("tf", "ss", "free")
 # the most tokens a greedy answer may take: an undertrained model may never
 # emit EOS, and then decoding runs for the whole bound
 MAX_GENERATE_LEN = 1000
+# the tokens a greedy answer may take unless a run asks for another bound
+DEFAULT_GENERATE_LEN = 20
 # the most shuffled copies per example: a dialog with n history pairs has
 # n! - 1 of them, so without a bound a long dialog expands factorially
 MAX_FACTOR = 1000
@@ -111,7 +114,7 @@ class TrainingConfig:
     factor: int = 2
     loss_mode: str = "tf"
     ss_probability: float = 0.2
-    max_generate_len: int = 20
+    max_generate_len: int = DEFAULT_GENERATE_LEN
 
     def validate(self):
         if self.learning_rate <= 0:

@@ -9,16 +9,19 @@ The decoder's GRU runs on plain arrays: `gru_step` is one update from
 given input terms, and `gru_run` runs it over the input terms of a whole
 sequence, computed beforehand (the precomputed-input scheme of Appleyard,
 Kocisky and Blunsom, 2016), and returns the hand-written backpropagation
-through time that the decoder's one loss record calls. Every GRU here
-updates its state as h' = h + z * (cand - h) and writes each stage of a
-step in place, with the four-call `tensor.logistic`; the input terms of
-a run, and in the backward its input and weight gradients, take one GEMM
-each with the cell's W_z | W_r | W_h side by side (`GruCell.joined`).
+through time that the decoder's one loss record calls. The GRU step is
+written once: `gru_step`, `gru_run` and `rnn_stack` all call one in-place
+update, `_update`, on 1-D or stacked operands; it updates the state as
+h' = h + z * (cand - h) with the four-call `tensor.logistic`. Both
+backward passes call one BPTT step, `_back_step`, the same way. The input
+terms of a run, and in the backward its input and weight gradients, take
+one GEMM each with the cell's W_z | W_r | W_h side by side
+(`GruCell.joined`).
 
-A `GruCell` keeps its weights in that joined form at rest: W_z | W_r | W_h
-(in*3h), the three biases (1*3h) and U_z | U_r (h*2h) are each one owner
-array, and the named tensors `wz` ... `bh` (U_h aside) are `ColumnView`s of
-them, as the named weights of cuDNN's and PyTorch's RNNs are views of one
+A `GruCell` is its four owner tensors, which its one constructor takes:
+W_z | W_r | W_h (in*3h), the three biases (1*3h), U_z | U_r (h*2h) and
+U_h. The named tensors `wz` ... `bh` (U_h aside) are `ColumnView`s of the
+owners, as the named weights of cuDNN's and PyTorch's RNNs are views of one
 flat buffer (`RNNBase.flatten_parameters`). So no call joins anything, and
 `Adam` lays the owners out in its one parameter vector whole. The tape
 records list a cell's four owners, `w`, `b`, `u` and `uh`, and their
@@ -84,41 +87,31 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 class GruCell(Module):
     """Update/reset/candidate gate weights for one GRU direction.
 
-    The cell holds W_z | W_r | W_h (in*3h), the biases b_z | b_r | b_h
-    (1*3h) and U_z | U_r (h*2h) at rest in three owner tensors, `w`, `b` and
-    `u`; construction joins the given tensors once, and the named fields
-    other than `uh` become `ColumnView`s of the owners. Names, shapes and
-    values stay those given, and an update of a named tensor in place is an
-    update of its owner. The tape records that use the cell list its four
-    owners, `w`, `b`, `u` and `uh` (`owners()`), never the named views.
+    The cell is its four owner tensors: W_z | W_r | W_h (`w`, in*3h), the
+    biases b_z | b_r | b_h (`b`, 1*3h), U_z | U_r (`u`, h*2h) and U_h
+    (`uh`). The named weights `wz` ... `bh` other than `uh` are
+    `ColumnView`s of the owners, so an update of a named tensor in place is
+    an update of its owner, and `parameters()` lists the nine names. The
+    tape records that use the cell list its four owners (`owners()`),
+    never the named views.
     """
 
-    wz: Tensor
-    wr: Tensor
-    wh: Tensor
-    uz: Tensor
-    ur: Tensor
+    w: Tensor
+    b: Tensor
+    u: Tensor
     uh: Tensor
-    bz: Tensor
-    br: Tensor
-    bh: Tensor
+
+    _NAMES = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")
 
     def __post_init__(self):
-        join = lambda *ts: np.concatenate([t.data for t in ts], axis=1)
-        self._rest(join(self.wz, self.wr, self.wh), join(self.bz, self.br, self.bh),
-                   join(self.uz, self.ur))
-
-    def _rest(self, w: np.ndarray, b: np.ndarray, u: np.ndarray) -> None:
-        """Hold the joined arrays in the owners and make the named fields
-        (`uh` aside) their column views."""
-        w = self.w = Tensor(w, check=False)
-        b = self.b = Tensor(b, check=False)
-        u = self.u = Tensor(u, check=False)
         h, view = self.uh.rows, ColumnView
+        w, b, u = self.w, self.b, self.u
         self.wz, self.wr, self.wh = view(w, 0, h), view(w, h, 2 * h), view(w, 2 * h, 3 * h)
         self.bz, self.br, self.bh = view(b, 0, h), view(b, h, 2 * h), view(b, 2 * h, 3 * h)
         self.uz, self.ur = view(u, 0, h), view(u, h, 2 * h)
-        self._owners = (w, b, u, self.uh)
+
+    def parameters(self) -> dict:
+        return {name: getattr(self, name) for name in self._NAMES}
 
     @property
     def input_width(self) -> int:
@@ -131,29 +124,26 @@ class GruCell(Module):
     def owners(self) -> tuple:
         """The four tensors that hold the cell: `w`, `b`, `u` and `uh`, the
         parents a tape record lists for it, in the order of `joined()`."""
-        return self._owners
+        return self.w, self.b, self.u, self.uh
 
     def joined(self):
         """W_z | W_r | W_h as one in*3h matrix, the biases as one 3h vector
         (update | reset | candidate) and U_z | U_r as one h*2h matrix: the
-        forms in which `rnn_stack` and the decoder use them. These are views
-        of the arrays the cell holds at rest; nothing is copied."""
+        forms in which `rnn_stack` and the decoder use them. These are the
+        owners' arrays; nothing is copied."""
         return self.w.data, self.b.data[0], self.u.data
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):
         # one draw of several matrices gives the values of as many draws in
         # a row, so W_z, W_r, W_h come in one draw and U_z, U_r in another,
-        # each then joined side by side; `__new__` skips the constructor,
-        # which would take nine tensors only to join them again
+        # each then joined side by side
         h = hidden_width
         w = _draw(rng, input_width, (3, input_width, h))
         u_zr = _draw(rng, h, (2, h, h))
-        cell = cls.__new__(cls)
-        cell.uh = _uniform(rng, h, (h, h))
-        cell._rest(w.transpose(1, 0, 2).reshape(input_width, 3 * h), np.zeros((1, 3 * h)),
-                   u_zr.transpose(1, 0, 2).reshape(h, 2 * h))
-        return cell
+        side_by_side = lambda a: Tensor(a.transpose(1, 0, 2).reshape(a.shape[1], -1), check=False)
+        return cls(side_by_side(w), Tensor(np.zeros((1, 3 * h)), check=False),
+                   side_by_side(u_zr), _uniform(rng, h, (h, h)))
 
 
 @dataclass
@@ -215,13 +205,49 @@ class SelfAttentionParams(Module):
         )
 
 
-def _check_sequence(cell: GruCell, seq: Tensor) -> None:
-    if seq.ndim != 2 or seq.rows < 1:
-        raise ShapeError(f"recurrent input must be a non-empty n*in matrix, got {seq.shape}")
-    if seq.cols != cell.input_width:
-        raise ShapeError(
-            f"sequence width {seq.cols} does not match cell input width {cell.input_width}"
-        )
+def _update(s, xw_zr, xw_h, u_zr, u_h, zr, rs, c, new) -> None:
+    """One GRU update from the state `s`, each stage written in place: the
+    gates z | r into `zr`, r * s into `rs`, the candidate into `c` and the
+    new state into `new`, which may be `c`:
+        z = sigmoid(xw_z + s U_z),  r = sigmoid(xw_r + s U_r)
+        c = tanh(xw_h + (r * s) U_h),  new = s + z * (c - s)
+    The operands are 1-D, or K runs stacked as K*1*width rows with K*h*2h
+    and K*h*h weights."""
+    h = s.shape[-1]
+    np.matmul(s, u_zr, out=zr)
+    zr += xw_zr
+    logistic(zr, out=zr)
+    np.multiply(zr[..., h:], s, out=rs)
+    np.matmul(rs, u_h, out=c)
+    c += xw_h
+    np.tanh(c, out=c)
+    np.subtract(c, s, out=new)
+    new *= zr[..., :h]
+    new += s
+
+
+def _back_factors(gates, cand, prev):
+    """The per-step factors of `_back_step` from a run's z | r gates, its
+    candidates and the states before each step: (1 - z, z * (1 - cand^2),
+    (cand - prev) * z * (1 - z), prev * r * (1 - r), r)."""
+    h = cand.shape[-1]
+    z, r = gates[..., :h], gates[..., h:]
+    keep = 1.0 - z
+    return keep, z * (1.0 - cand * cand), (cand - prev) * z * keep, prev * r * (1.0 - r), r
+
+
+def _back_step(d, da, keep, to_cand, to_z, to_r, r, u_zr_t, u_h_t) -> np.ndarray:
+    """One step of backpropagation through time: writes the gates'
+    pre-activation gradients (z | r | cand) for the state gradient `d` into
+    `da` and returns the previous state's gradient. The factors are one
+    step's rows of `_back_factors`; `u_zr_t` and `u_h_t` are U_z | U_r and
+    U_h transposed. The operands are 1-D, or K-row with K stacked weights."""
+    h = d.shape[-1]
+    np.multiply(d, to_z, out=da[..., :h])
+    dac = np.multiply(d, to_cand, out=da[..., 2 * h:])
+    drh = np.matmul(dac[..., None, :], u_h_t)[..., 0, :]
+    np.multiply(drh, to_r, out=da[..., h:2 * h])
+    return d * keep + drh * r + np.matmul(da[..., None, :2 * h], u_zr_t)[..., 0, :]
 
 
 def gru_step(xw: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray) -> np.ndarray:
@@ -229,21 +255,13 @@ def gru_step(xw: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray) -
 
     `xw` holds the input terms of the update, reset and candidate gates with
     their biases (3h), `h` the previous state (h), `u_zr` is U_z | U_r
-    (h*2h) and `u_h` is U_h:
-        z = sigmoid(xw_z + h Uz),  r = sigmoid(xw_r + h Ur)
-        cand = tanh(xw_h + (r * h) Uh),  h' = h + z * (cand - h)
-    Each stage is written in place into the array the step allocated for it.
+    (h*2h) and `u_h` is U_h (`_update` gives the formulas). The stages are
+    written into one array the step allocates.
     """
     n = h.shape[0]
-    zr = h @ u_zr
-    zr += xw[:2 * n]
-    logistic(zr, out=zr)
-    new = (zr[n:] * h) @ u_h
-    new += xw[2 * n:]
-    np.tanh(new, out=new)
-    new -= h
-    new *= zr[:n]
-    new += h
+    buf = np.empty(4 * n)  # z | r, r * h, then the candidate, which becomes the new state
+    new = buf[3 * n:]
+    _update(h, xw[:2 * n], xw[2 * n:], u_zr, u_h, buf[:2 * n], buf[2 * n:3 * n], new, new)
     return new
 
 
@@ -262,44 +280,32 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
     rh = np.empty((steps, h))  # r * the previous state
     states = np.empty((steps + 1, h))  # h0, then the state after each step
     states[0] = h0
+    xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]
     for t in range(steps):
-        state, zr, c, new = states[t], gates[t], cand[t], states[t + 1]
-        np.matmul(state, u_zr, out=zr)
-        zr += xw[t, :2 * h]
-        logistic(zr, out=zr)
-        np.multiply(zr[h:], state, out=rh[t])
-        np.matmul(rh[t], u_h, out=c)
-        c += xw[t, 2 * h:]
-        np.tanh(c, out=c)
-        np.subtract(c, state, out=new)
-        new *= zr[:h]
-        new += state
+        _update(states[t], xw_zr[t], xw_h[t], u_zr, u_h, gates[t], rh[t], cand[t], states[t + 1])
 
     def back(g):
         prev = states[:-1]
-        z, r = gates[:, :h], gates[:, h:]
-        keep = 1.0 - z
-        to_cand = z * (1.0 - cand * cand)
-        to_z = (cand - prev) * z * keep
-        to_r = prev * r * (1.0 - r)
+        keep, to_cand, to_z, to_r, r = _back_factors(gates, cand, prev)
         u_zr_t, u_h_t = u_zr.T, u_h.T
         da = np.empty((steps, 3 * h))
         dh = np.zeros(h)
         for t in range(steps - 1, -1, -1):
-            dh = dh + g[t]
-            np.multiply(dh, to_z[t], out=da[t, :h])
-            dac = np.multiply(dh, to_cand[t], out=da[t, 2 * h:])
-            drh = dac @ u_h_t
-            np.multiply(drh, to_r[t], out=da[t, h:2 * h])
-            dh = dh * keep[t] + drh * r[t] + da[t, :2 * h] @ u_zr_t
+            dh = _back_step(dh + g[t], da[t], keep[t], to_cand[t], to_z[t], to_r[t], r[t],
+                            u_zr_t, u_h_t)
         return da, dh, prev.T @ da[:, :2 * h], rh.T @ da[:, 2 * h:]
 
     return states[1:], back
 
 
 def _check_item(layer: RecurrentLayer, seq: Tensor, hidden: int) -> None:
+    if seq.ndim != 2 or seq.rows < 1:
+        raise ShapeError(f"recurrent input must be a non-empty n*in matrix, got {seq.shape}")
     for cell in (layer.fwd, layer.bwd):
-        _check_sequence(cell, seq)
+        if seq.cols != cell.input_width:
+            raise ShapeError(
+                f"sequence width {seq.cols} does not match cell input width {cell.input_width}"
+            )
         if cell.hidden_width != hidden:
             raise ShapeError(
                 f"stacked layers must share one hidden width: {cell.hidden_width} vs {hidden}"
@@ -325,10 +331,10 @@ def rnn_stack(items) -> Tensor:
     loop over a K*h state, longest run first, so the runs still going at
     step t are the first rows of the state and a run stops at its length.
     Each run's U weights are stacked into K*h*2h and K*h*h arrays and
-    applied through `np.matmul`, one vector-matrix product per run, and the
-    BPTT loop is stacked the same way. Each step writes its gates, candidate
-    and state in place into per-run buffers; the state update is
-    h' = h + z * (cand - h). Each run keeps its own three GEMMs, each over
+    applied through `np.matmul`, one vector-matrix product per run: each
+    step is one `_update` of the live runs' rows, written in place into
+    per-run buffers, and each BPTT step one `_back_step` of the same rows.
+    Each run keeps its own three GEMMs, each over
     its cell's W = W_z | W_r | W_h side by side: x W for the input terms,
     then da W^T for the input gradient and x^T da for the weight gradients.
     The BLAS behind numpy can round a row of a product differently when the
@@ -384,19 +390,9 @@ def rnn_stack(items) -> Tensor:
     rh = np.zeros((steps, k_runs, 1, h))  # r * the previous state
     states = np.zeros((steps + 1, k_runs, 1, h))  # zero, then the state after each step
     xw_zr, xw_h = xw[..., :2 * h], xw[..., 2 * h:]
-    z_all, r_all = gates[..., :h], gates[..., h:]
     for t, b in enumerate(live):
-        s, zr, c, rs, new = states[t, :b], gates[t, :b], cand[t, :b], rh[t, :b], states[t + 1, :b]
-        np.matmul(s, u_zr[:b], out=zr)
-        zr += xw_zr[t, :b]
-        logistic(zr, out=zr)
-        np.multiply(r_all[t, :b], s, out=rs)
-        np.matmul(rs, u_h[:b], out=c)
-        c += xw_h[t, :b]
-        np.tanh(c, out=c)
-        np.subtract(c, s, out=new)
-        new *= z_all[t, :b]
-        new += s
+        _update(states[t, :b], xw_zr[t, :b], xw_h[t, :b], u_zr[:b], u_h[:b],
+                gates[t, :b], rh[t, :b], cand[t, :b], states[t + 1, :b])
     gates, cand, rh = gates[:, :, 0], cand[:, :, 0], rh[:, :, 0]
     prev, out = states[:-1, :, 0], states[1:, :, 0]
     packed = np.empty((start, 2 * h))
@@ -409,24 +405,14 @@ def rnn_stack(items) -> Tensor:
         for k, (_, _, rows, cols, reverse) in enumerate(runs):
             g_k = g[rows, cols]
             dout[:lengths[k], slot[k]] = g_k[::-1] if reverse else g_k
-        z, r = gates[..., :h], gates[..., h:]
-        keep = 1.0 - z
-        to_cand = z * (1.0 - cand * cand)
-        to_z = (cand - prev) * z * keep
-        to_r = prev * r * (1.0 - r)
+        keep, to_cand, to_z, to_r, r = _back_factors(gates, cand, prev)
         u_zr_t, u_h_t = u_zr.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
         da = np.zeros((steps, k_runs, 3 * h))  # pre-activation gradients, z | r | cand
         dh = np.zeros((k_runs, h))
         for t in range(steps - 1, -1, -1):
             b = live[t]
-            d = dh[:b] + dout[t, :b]
-            da_t = da[t, :b]
-            np.multiply(d, to_z[t, :b], out=da_t[:, :h])
-            dac = np.multiply(d, to_cand[t, :b], out=da_t[:, 2 * h:])
-            drh = np.matmul(dac[:, None], u_h_t[:b])[:, 0]
-            np.multiply(drh, to_r[t, :b], out=da_t[:, h:2 * h])
-            dh[:b] = (d * keep[t, :b] + drh * r[t, :b]
-                      + np.matmul(da_t[:, None, :2 * h], u_zr_t[:b])[:, 0])
+            dh[:b] = _back_step(dh[:b] + dout[t, :b], da[t, :b], keep[t, :b], to_cand[t, :b],
+                                to_z[t, :b], to_r[t, :b], r[t, :b], u_zr_t[:b], u_h_t[:b])
         grads = []
         for k in range(k_runs - 1, -1, -1):
             cell, x, _, _, reverse = runs[k]

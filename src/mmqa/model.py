@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .augment import DialogExample
-from .config import FEATURES, LOSS_MODES, ModelConfig
+from .config import DEFAULT_GENERATE_LEN, FEATURES, LOSS_MODES, ModelConfig
 from .encoders import (
     AttentionParams,
     GruCell,
@@ -194,12 +194,14 @@ def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
     kept in the state, so a step multiplies only the embedding by layer 1's
     input weights.
     """
+    embed_width = decoder.l1.input_width - context.shape[-1]
+    if w_prev.shape != (1, embed_width):
+        raise ShapeError(f"previous token vector {w_prev.shape} does not match (1, {embed_width}), "
+                         f"the decoder's input width {decoder.l1.input_width} less the "
+                         f"context width {context.shape[-1]}")
     terms = state.terms
     if terms is None or terms.decoder is not decoder or terms.context is not context:
-        terms = _step_terms(decoder, context, w_prev.cols)
-    if w_prev.shape != (1, terms.w1.shape[0]):
-        raise ShapeError(f"previous token vector {w_prev.shape} does not match "
-                         f"(1, {terms.w1.shape[0]})")
+        terms = _step_terms(decoder, context, embed_width)
     h1 = gru_step(w_prev.data[0] @ terms.w1 + terms.xw1, state.h1, *terms.u1)
     h2 = gru_step(h1 @ terms.w2 + terms.b2, state.h2, *terms.u2)
     logits = h2 @ decoder.proj.w.data + decoder.proj.b.data
@@ -462,7 +464,7 @@ class Model:
         return scheduled_sample_loss(self.decoder, self.embedding, context, q_vec, gold,
                                      p_model if mode == "ss" else 1.0, rng)
 
-    def generate(self, example: DialogExample, max_len: int = 20) -> list[str]:
+    def generate(self, example: DialogExample, max_len: int = DEFAULT_GENERATE_LEN) -> list[str]:
         """Greedy answer tokens (as strings) for one example."""
         with untaped():
             context, q_vec = self.encode(example)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TrainingConfig
+from .config import DEFAULT_GENERATE_LEN, TrainingConfig
 from .errors import NumericalError, ShapeError, ValidationError
 from .metrics import bleu, cider, rouge_l_corpus
 from .tensor import ColumnView, Tape
@@ -271,7 +271,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                        epochs_to_target=epochs_to_target, optimizer=adam)
 
 
-def evaluate(model, examples, max_len: int = 20):
+def evaluate(model, examples, max_len: int = DEFAULT_GENERATE_LEN):
     """Greedy generation plus the full metric table.
 
     Returns (scores dict in canonical order, generated token lists).

@@ -34,11 +34,8 @@ def T(data):
 
 def zero_gru(width, hidden):
     z = lambda shape: Tensor(np.zeros(shape), check=False)
-    return GruCell(
-        z((width, hidden)), z((width, hidden)), z((width, hidden)),
-        z((hidden, hidden)), z((hidden, hidden)), z((hidden, hidden)),
-        z((1, hidden)), z((1, hidden)), z((1, hidden)),
-    )
+    return GruCell(z((width, 3 * hidden)), z((1, 3 * hidden)), z((hidden, 2 * hidden)),
+                   z((hidden, hidden)))
 
 
 def step(cell, x, h_prev):
@@ -76,6 +73,20 @@ class TestGruStep:
         np.testing.assert_array_equal(cell.bz.data, np.zeros((1, 4)))
         assert np.all(np.abs(cell.wz.data) <= 1.0 / 3.0)
         assert np.all(np.abs(cell.uz.data) <= 0.5)
+
+    def test_cell_is_its_four_owners(self):
+        rng = np.random.default_rng(8)
+        w, b, u, uh = (T(rng.normal(size=shape)) for shape in ((3, 6), (1, 6), (2, 4), (2, 2)))
+        cell = GruCell(w, b, u, uh)
+        assert all(got is want for got, want in zip(cell.owners(), (w, b, u, uh)))
+        named = cell.parameters()
+        assert list(named) == ["wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh"]
+        assert named["uh"] is uh
+        for name, owner, k in (("wz", w, 0), ("wr", w, 1), ("wh", w, 2), ("uz", u, 0),
+                               ("ur", u, 1), ("bz", b, 0), ("br", b, 1), ("bh", b, 2)):
+            assert np.shares_memory(named[name].data, owner.data), name
+            np.testing.assert_array_equal(named[name].data, owner.data[:, 2 * k:2 * k + 2])
+        assert (cell.input_width, cell.hidden_width) == (3, 2)
 
     def test_gradients_flow_through_step(self):
         # `gru_run`'s BPTT over one row against central differences of
@@ -296,14 +307,27 @@ class TestRnnStack:
             start += seq.rows
 
     def test_one_item_forward_half_is_gru_run(self):
-        # the stacked kernel and the decoder's run share one step formula
+        # the stacked kernel and the decoder's run share one update and one
+        # BPTT step: with a gradient on the forward half only, the forward
+        # cell's weight gradients are those of `gru_run`'s backward
         rng = np.random.default_rng(44)
         for width, hidden, n in ((3, 2, 5), (16, 4, 7), (64, 32, 24)):
             layer = RecurrentLayer.create(rng, width, hidden)
             seq = T(rng.normal(size=(n, width)))
             w, b, u_zr = layer.fwd.joined()
-            states, _ = gru_run(seq.data @ w + b, np.zeros(hidden), u_zr, layer.fwd.uh.data)
-            np.testing.assert_array_equal(rnn_stack([(layer, seq)]).data[:, :hidden], states)
+            states, back = gru_run(seq.data @ w + b, np.zeros(hidden), u_zr, layer.fwd.uh.data)
+            g = rng.normal(size=(n, hidden))
+            weights = T(np.concatenate([g, np.zeros((n, hidden))], axis=1))
+            owners = (layer.fwd.w, layer.fwd.u, layer.fwd.uh)
+            with Tape() as tape:
+                for p in owners:
+                    tape.watch(p)
+                out = rnn_stack([(layer, seq)])
+                tape.backward(sum_all(mul(out, weights)))
+            np.testing.assert_array_equal(out.data[:, :hidden], states)
+            da, _, du_zr, du_h = back(g)
+            for p, want in zip(owners, (seq.data.T @ da, du_zr, du_h)):
+                np.testing.assert_array_equal(tape.wrt(p), want)
 
     def test_one_record_for_all_items(self):
         rng = np.random.default_rng(42)

@@ -46,11 +46,8 @@ def T(data):
 
 def zero_cell(width, hidden):
     z = lambda shape: Tensor(np.zeros(shape), check=False)
-    return GruCell(
-        z((width, hidden)), z((width, hidden)), z((width, hidden)),
-        z((hidden, hidden)), z((hidden, hidden)), z((hidden, hidden)),
-        z((1, hidden)), z((1, hidden)), z((1, hidden)),
-    )
+    return GruCell(z((width, 3 * hidden)), z((1, 3 * hidden)), z((hidden, 2 * hidden)),
+                   z((hidden, hidden)))
 
 
 def biased_decoder(bias, context_width=2, embed_width=2, hidden=2):
@@ -332,6 +329,16 @@ class TestDecoderLoss:
             decoder_loss(decoder, embedding, T([[1.0, 2.0]]), question, [1], [4])
         with pytest.raises(ShapeError):
             decode_step(decoder, init_decoder(decoder, question), context, T([[1.0, 2.0]]))
+
+    def test_malformed_previous_token_vector_is_named(self):
+        # the context is (1, 4) and the embedding width 3: a rank-1 vector
+        # and a one-too-wide one are both blamed on the token vector
+        decoder, embedding, context, question = random_decoder()
+        state = init_decoder(decoder, question)
+        for w_prev in (T([1.0, 2.0, 3.0]), T([[1.0, 2.0, 3.0, 4.0]])):
+            with pytest.raises(ShapeError, match=r"previous token vector .* \(1, 3\), the "
+                                                 r"decoder's input width 7 less the context"):
+                decode_step(decoder, state, context, w_prev)
 
 
 def self_embedding():

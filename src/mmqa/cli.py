@@ -37,6 +37,7 @@ from .formats import (
 )
 from .gradcheck import TOLERANCE, composed_checks, primitive_checks
 from .model import Model
+from .tensor import DEFAULT_EPS
 from .text import build_vocabulary
 from .training import evaluate, train
 
@@ -208,7 +209,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

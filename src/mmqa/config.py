@@ -23,6 +23,7 @@ __all__ = [
     "LOSS_MODES",
     "MAX_GENERATE_LEN",
     "DEFAULT_GENERATE_LEN",
+    "DEFAULT_SS_PROBABILITY",
     "MAX_FACTOR",
     "DataConfig",
     "ModelConfig",
@@ -41,6 +42,8 @@ LOSS_MODES = ("tf", "ss", "free")
 MAX_GENERATE_LEN = 1000
 # the tokens a greedy answer may take unless a run asks for another bound
 DEFAULT_GENERATE_LEN = 20
+# the chance that a scheduled-sampling step feeds the model's own pick
+DEFAULT_SS_PROBABILITY = 0.2
 # the most shuffled copies per example: a dialog with n history pairs has
 # n! - 1 of them, so without a bound a long dialog expands factorially
 MAX_FACTOR = 1000
@@ -113,7 +116,7 @@ class TrainingConfig:
     augmentation: str = "basic"
     factor: int = 2
     loss_mode: str = "tf"
-    ss_probability: float = 0.2
+    ss_probability: float = DEFAULT_SS_PROBABILITY
     max_generate_len: int = DEFAULT_GENERATE_LEN
 
     def validate(self):

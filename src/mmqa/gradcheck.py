@@ -25,7 +25,7 @@ from .encoders import (
     self_attend,
 )
 from .model import Decoder, Model, decoder_loss, fuse
-from .tensor import Tensor, _emit, grad_checks, take_rows
+from .tensor import DEFAULT_EPS, Tensor, _emit, grad_checks, take_rows
 from .text import EmbeddingTable, build_vocabulary
 
 __all__ = ["primitive_checks", "composed_checks", "TOLERANCE"]
@@ -62,7 +62,7 @@ def _primitive_cases() -> list:
     return cases
 
 
-def primitive_checks(eps: float = 1e-5) -> list:
+def primitive_checks(eps: float = DEFAULT_EPS) -> list:
     """(name, max relative error) for every differentiable primitive; the
     consecutive cases of one loss share its reverse pass."""
     out = []
@@ -187,7 +187,7 @@ def _toy_setup():
     return model, example
 
 
-def composed_checks(eps: float = 1e-5) -> list:
+def composed_checks(eps: float = DEFAULT_EPS) -> list:
     """(parameter name, max relative error) of one end-to-end loss, in
     `Model.parameters()` order; one reverse pass gives every analytic
     gradient."""

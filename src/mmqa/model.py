@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .augment import DialogExample
-from .config import DEFAULT_GENERATE_LEN, FEATURES, LOSS_MODES, ModelConfig
+from .config import DEFAULT_GENERATE_LEN, DEFAULT_SS_PROBABILITY, FEATURES, LOSS_MODES, ModelConfig
 from .encoders import (
     AttentionParams,
     GruCell,
@@ -125,28 +125,17 @@ class Decoder(Module):
         )
 
 
-class StepTerms(NamedTuple):
-    """What every step of one (decoder, context) pair shares."""
-
-    decoder: Decoder
-    context: Tensor
-    xw1: np.ndarray  # layer 1's context input terms plus its biases, 3h
-    wc1: np.ndarray  # layer 1's context rows of W_z | W_r | W_h, 5D*3h
-    w1: np.ndarray   # layer 1's embedding rows of W_z | W_r | W_h, d_w*3h
-    u1: tuple        # layer 1's U_z | U_r and U_h
-    w2: np.ndarray   # layer 2's W_z | W_r | W_h, h*3h
-    b2: np.ndarray   # layer 2's biases, 3h
-    u2: tuple        # layer 2's U_z | U_r and U_h
-
-
 @dataclass
 class DecoderState:
-    """Both decoder layers' states as 1-D arrays, plus the terms that the
-    steps share; the first step makes them."""
+    """Both decoder layers' states as 1-D arrays, plus layer 1's context
+    term (`_context_term`) and the decoder and context it belongs to; the
+    first step computes it."""
 
     h1: np.ndarray
     h2: np.ndarray
-    terms: Optional[StepTerms] = None
+    decoder: Optional[Decoder] = None
+    context: Optional[Tensor] = None
+    xw1: Optional[np.ndarray] = None
 
 
 def init_decoder(decoder: Decoder, question: Tensor) -> DecoderState:
@@ -166,23 +155,16 @@ def _first_state(decoder: Decoder, question: Tensor) -> np.ndarray:
     return h1
 
 
-def _context_width(decoder: Decoder, context: Tensor, embed_width: int) -> int:
-    """Layer 1's context rows: its input width less the embedding width."""
+def _context_term(decoder: Decoder, context: Tensor, embed_width: int) -> np.ndarray:
+    """Layer 1's input term of the context plus its biases, 3h: the context
+    rows of its input weights are those left by the embedding's."""
     width = decoder.l1.input_width - embed_width
     if context.shape != (1, width):
         raise ShapeError(f"decoder context {context.shape} does not match (1, {width}), "
                          f"its input width {decoder.l1.input_width} less the "
                          f"embedding width {embed_width}")
-    return width
-
-
-def _step_terms(decoder: Decoder, context: Tensor, embed_width: int) -> StepTerms:
-    cw = _context_width(decoder, context, embed_width)
-    w1, b1, u_zr1 = decoder.l1.joined()
-    w2, b2, u_zr2 = decoder.l2.joined()
-    return StepTerms(decoder, context, xw1=context.data[0] @ w1[:cw] + b1, wc1=w1[:cw],
-                     w1=w1[cw:], u1=(u_zr1, decoder.l1.uh.data),
-                     w2=w2, b2=b2, u2=(u_zr2, decoder.l2.uh.data))
+    w1, b1, _ = decoder.l1.joined()
+    return context.data[0] @ w1[:width] + b1
 
 
 def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
@@ -192,20 +174,23 @@ def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
 
     Layer 1's context term is computed once per (decoder, context) pair and
     kept in the state, so a step multiplies only the embedding by layer 1's
-    input weights.
+    input weights, the rows past the context's.
     """
-    embed_width = decoder.l1.input_width - context.shape[-1]
+    l1, l2, cw = decoder.l1, decoder.l2, context.shape[-1]
+    embed_width = l1.input_width - cw
     if w_prev.shape != (1, embed_width):
         raise ShapeError(f"previous token vector {w_prev.shape} does not match (1, {embed_width}), "
-                         f"the decoder's input width {decoder.l1.input_width} less the "
-                         f"context width {context.shape[-1]}")
-    terms = state.terms
-    if terms is None or terms.decoder is not decoder or terms.context is not context:
-        terms = _step_terms(decoder, context, embed_width)
-    h1 = gru_step(w_prev.data[0] @ terms.w1 + terms.xw1, state.h1, *terms.u1)
-    h2 = gru_step(h1 @ terms.w2 + terms.b2, state.h2, *terms.u2)
+                         f"the decoder's input width {l1.input_width} less the "
+                         f"context width {cw}")
+    xw1 = state.xw1
+    if state.decoder is not decoder or state.context is not context:
+        xw1 = _context_term(decoder, context, embed_width)
+    w1, _, u_zr1 = l1.joined()
+    w2, b2, u_zr2 = l2.joined()
+    h1 = gru_step(w_prev.data[0] @ w1[cw:] + xw1, state.h1, u_zr1, l1.uh.data)
+    h2 = gru_step(h1 @ w2 + b2, state.h2, u_zr2, l2.uh.data)
     logits = h2 @ decoder.proj.w.data + decoder.proj.b.data
-    return Tensor(logits, check=False), DecoderState(h1, h2, terms)
+    return Tensor(logits, check=False), DecoderState(h1, h2, decoder, context, xw1)
 
 
 def _greedy_pick(logits: Tensor) -> int:
@@ -266,7 +251,7 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     l1, l2, proj = decoder.l1, decoder.l2, decoder.proj
     table = embedding.matrix
     h0 = _first_state(decoder, question)
-    terms = _step_terms(decoder, context, table.cols)
+    xw1 = _context_term(decoder, context, table.cols)
     steps, vocab = len(inputs), proj.w.cols
     if steps < 1 or len(gold) != steps:
         raise ValidationError(f"decoder_loss needs one gold token per input: "
@@ -276,9 +261,11 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     if min(gold) < 0 or max(gold) >= vocab:
         raise ValidationError(f"target id out of range for vocab {vocab}: {gold}")
     idx, targets, rows = np.asarray(inputs, dtype=np.intp), np.asarray(gold), np.arange(steps)
-    c, emb = context.data[0], table.data[idx]
-    h1, back1 = gru_run(emb @ terms.w1 + terms.xw1, h0, *terms.u1)
-    h2, back2 = gru_run(h1 @ terms.w2 + terms.b2, np.zeros(h0.shape[0]), *terms.u2)
+    c, emb, cw = context.data[0], table.data[idx], context.cols
+    w1, _, u_zr1 = l1.joined()
+    w2, b2, u_zr2 = l2.joined()
+    h1, back1 = gru_run(emb @ w1[cw:] + xw1, h0, u_zr1, l1.uh.data)
+    h2, back2 = gru_run(h1 @ w2 + b2, np.zeros(h0.shape[0]), u_zr2, l2.uh.data)
     logits = h2 @ proj.w.data + proj.b.data
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -290,12 +277,12 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         d_logits[rows, targets] -= 1.0
         d_logits *= g[0] / steps
         da2, _, du_zr2, du_h2 = back2(d_logits @ proj.w.data.T)
-        da1, dh0, du_zr1, du_h1 = back1(da2 @ terms.w2.T)
-        col, cw = da1.sum(axis=0), c.shape[0]
+        da1, dh0, du_zr1, du_h1 = back1(da2 @ w2.T)
+        col = da1.sum(axis=0)
         dw1 = np.empty((cw + emb.shape[1], col.shape[0]))
         np.outer(c, col, out=dw1[:cw])
         np.matmul(emb.T, da1, out=dw1[cw:])
-        return (_RowSparse(table.shape, idx, da1 @ terms.w1.T), (col @ terms.wc1.T)[None, :],
+        return (_RowSparse(table.shape, idx, da1 @ w1[cw:].T), (col @ w1[:cw].T)[None, :],
                 dh0[None, :question.cols], dw1, col[None, :], du_zr1, du_h1,
                 h1.T @ da2, da2.sum(axis=0, keepdims=True), du_zr2, du_h2,
                 h2.T @ d_logits, d_logits.sum(axis=0, keepdims=True))
@@ -450,7 +437,8 @@ class Model:
         return [resolve_token(self.vocab, t) for t in example.answer]
 
     def loss(self, example: DialogExample, mode: str = "tf",
-             p_model: float = 0.2, rng: Optional[np.random.Generator] = None) -> Tensor:
+             p_model: float = DEFAULT_SS_PROBABILITY,
+             rng: Optional[np.random.Generator] = None) -> Tensor:
         """Scalar training loss for one example under one of the LOSS_MODES:
         teacher forcing, scheduled sampling with `p_model`, or free running."""
         if mode not in LOSS_MODES:

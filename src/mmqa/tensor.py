@@ -8,8 +8,9 @@ tape live in `encoders` and `model`; the only primitive here is the
 embedding lookup `take_rows`, beside the plain-array `logistic` and the
 finite-difference checker. A `ColumnView` is a tensor whose data is columns
 of another tensor's array; the GRU cells' named weights are such views, and
-the tape records their owners, so a view's gradient is read as its columns
-of its owner's sink.
+the tape records their owners. Every tensor has an `owner` (a plain tensor
+is its own) and a `part` of any array shaped like it, so a tensor's
+gradient is read as its part of its owner's sink.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "untaped",
     "logistic",
     "take_rows",
+    "DEFAULT_EPS",
     "grad_check",
     "grad_checks",
 ]
@@ -73,6 +75,15 @@ class Tensor:
         # rank-2 only
         return self.data.shape[1]
 
+    @property
+    def owner(self) -> "Tensor":
+        """The tensor whose array holds this one's data: itself."""
+        return self
+
+    def part(self, array: np.ndarray) -> np.ndarray:
+        """Its part of `array`, shaped like its owner's data: all of it."""
+        return array
+
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -87,20 +98,23 @@ class ColumnView(Tensor):
 
     `data` reads the owner's array on every use, so a write through either
     is seen by the other and rebinding the owner's `data` (as `Adam` does)
-    moves the view with it; a view's own `data` cannot be rebound. A tape
-    holds a view's gradient as its columns of its owner's sink, whether a
-    record lists the view or the owner.
+    moves the view with it; a view's own `data` cannot be rebound. `owner`
+    is the owner tensor and `part` takes the view's columns of an array
+    shaped like the owner's, such as its gradient.
     """
 
-    __slots__ = ("owner", "cols")
+    __slots__ = ("owner", "columns")
 
     def __init__(self, owner: Tensor, lo: int, hi: int):
         self.owner = owner
-        self.cols = slice(lo, hi)
+        self.columns = slice(lo, hi)
 
     @property
     def data(self) -> np.ndarray:
-        return self.owner.data[:, self.cols]
+        return self.owner.data[:, self.columns]
+
+    def part(self, array: np.ndarray) -> np.ndarray:
+        return array[:, self.columns]
 
 
 class Module:
@@ -187,16 +201,15 @@ class Tape:
     their shape, and backward() adds such a leaf's gradient straight into
     its array (which it never zeroes), row by row for an embedding lookup.
     The records list a GRU cell's owner arrays, not its named views, so
-    sinks are keyed by owner; a `ColumnView` cannot be given a sink of its
-    own. `watch` gives a leaf a zero sink; watching a view gives its owner
-    one (if it has none) and the view its columns of it, and `wrt` of a
-    view reads those columns.
+    sinks are keyed by owner. A tensor's sink is its `part` of its `owner`'s
+    sink: `watch` gives the owner a zero sink (if it has none) and the
+    tensor its part of it, and `wrt` reads that part.
     """
 
     def __init__(self, sinks: dict | None = None):
         self.records: list = []
         self.sinks = dict(sinks) if sinks else {}
-        if any(type(t) is ColumnView for t in self.sinks):
+        if any(t.owner is not t for t in self.sinks):
             raise ValidationError("a view's gradient lands in its owner's sink; "
                                   "key the sink by the owner")
 
@@ -212,29 +225,27 @@ class Tape:
         return len(self.records)
 
     def watch(self, tensor: Tensor) -> None:
-        """Give the leaf `tensor` a zero sink, unless it has one already; a
-        view's sink is its columns of its owner's."""
+        """Give the leaf `tensor` a zero sink, unless it has one already: its
+        part of its owner's sink, which is made if it is missing."""
         # a sink ends the backward sweep at its tensor, so an output of this
         # tape would pass no gradient on to its own parents
-        if any(out is tensor for out, _, _ in self.records):
+        owner = tensor.owner
+        if any(out is owner for out, _, _ in self.records):
             raise ValidationError("only a leaf can be watched, not an output of this tape")
         if tensor in self.sinks:
             return
-        if type(tensor) is ColumnView:
-            self.watch(tensor.owner)
-            self.sinks[tensor] = self.sinks[tensor.owner][:, tensor.cols]
-        else:
-            self.sinks[tensor] = np.zeros_like(tensor.data)
+        if owner not in self.sinks:
+            self.sinks[owner] = np.zeros_like(owner.data)
+        self.sinks[tensor] = tensor.part(self.sinks[owner])
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
-        """The sink that holds `tensor`'s gradient: for a view, its columns
-        of its owner's sink."""
-        sink = self.sinks.get(tensor)
-        if sink is None and type(tensor) is ColumnView and tensor.owner in self.sinks:
-            sink = self.sinks[tensor.owner][:, tensor.cols]
-        if sink is None:
-            raise ValidationError("tensor has no sink on this tape; watch it first")
-        return sink
+        """The sink that holds `tensor`'s gradient: its own, or else its part
+        of its owner's."""
+        if tensor in self.sinks:
+            return self.sinks[tensor]
+        if tensor.owner in self.sinks:
+            return tensor.part(self.sinks[tensor.owner])
+        raise ValidationError("tensor has no sink on this tape; watch it first")
 
     def backward(self, loss: Tensor) -> "Tape":
         """Reverse-accumulate gradients of a scalar `loss` into the sinks.
@@ -329,12 +340,11 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # Gradient checking
 
+# the finite-difference step of a gradient check unless a run asks for another
+DEFAULT_EPS = 1e-5
 
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-5,
-) -> float:
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = DEFAULT_EPS) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `f` must be scalar-valued and is re-evaluated at coordinate-wise +/- eps
@@ -346,7 +356,7 @@ def grad_check(
     return grad_checks(lambda: f(x), [x], eps)[0]
 
 
-def grad_checks(f: Callable[[], Tensor], xs: Sequence[Tensor], eps: float = 1e-5) -> list:
+def grad_checks(f: Callable[[], Tensor], xs: Sequence[Tensor], eps: float = DEFAULT_EPS) -> list:
     """`grad_check` of the scalar `f()` with respect to each leaf in `xs`.
 
     One reverse pass that watches every leaf gives all the analytic

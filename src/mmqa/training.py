@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_GENERATE_LEN, TrainingConfig
 from .errors import NumericalError, ShapeError, ValidationError
 from .metrics import bleu, cider, rouge_l_corpus
-from .tensor import ColumnView, Tape
+from .tensor import Tape
 
 __all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate"]
 
@@ -28,15 +28,15 @@ class Adam(object):
     """Standard Adam with bias correction over a named parameter dict.
 
     On construction the parameters are copied into one contiguous vector,
-    `theta`, owner by owner in the dict's order: a plain tensor is its own
-    owner, and a `ColumnView` (a GRU cell's gate columns) brings its whole
-    owner the first time one of its views comes up. Each owner's `data` is
-    rebound to its block of `theta`, reshaped, so a view reads its columns
-    of that block and every parameter's `data` is a view of `theta`. The
-    moments `m` and `v` are two vectors of the same layout. `views` maps
-    each name to its part of any of them, and `owner_blocks` each owner to
-    its block, a contiguous array: the sinks of a tape, which lists owners.
-    A step updates all three in place.
+    `theta`, owner by owner in the dict's order: each parameter brings its
+    `owner` (itself, or for a GRU cell's gate columns the cell's joined
+    array) the first time that owner comes up. Each owner's `data` is
+    rebound to its block of `theta`, reshaped, so every parameter's `data`
+    is its `part` of that block, a view of `theta`. The moments `m` and `v`
+    are two vectors of the same layout. `views` maps each name to its part
+    of any of them, and `owner_blocks` each owner to its block, a contiguous
+    array: the sinks of a tape, which lists owners. A step updates all
+    three in place.
 
     A zero gradient leaves its parameter bitwise untouched as long as the
     moments are still zero, which keeps unused modules exactly frozen.
@@ -55,13 +55,11 @@ class Adam(object):
         self.epsilon = epsilon
         self.t = 0
         blocks, size = {}, 0  # owner -> its slice of theta
-        self._names = {}  # name -> (its owner, the name's columns or None)
-        for name, p in params.items():
-            owner, cols = (p.owner, p.cols) if isinstance(p, ColumnView) else (p, None)
+        for owner in (p.owner for p in params.values()):
             if owner not in blocks:
                 blocks[owner] = slice(size, size + owner.data.size)
                 size += owner.data.size
-            self._names[name] = owner, cols
+        self._params = dict(params)
         self.theta = np.concatenate([o.data.reshape(-1) for o in blocks])
         for owner, block in blocks.items():
             owner.data = self.theta[block].reshape(owner.data.shape)
@@ -73,8 +71,7 @@ class Adam(object):
     def views(self, vector: np.ndarray) -> dict:
         """Name -> view of `vector`, a vector in `theta`'s layout."""
         blocks = self.owner_blocks(vector)
-        return {name: blocks[owner] if cols is None else blocks[owner][:, cols]
-                for name, (owner, cols) in self._names.items()}
+        return {name: p.part(blocks[p.owner]) for name, p in self._params.items()}
 
     def owner_blocks(self, vector: np.ndarray) -> dict:
         """Owner tensor -> its block of `vector` (in `theta`'s layout),

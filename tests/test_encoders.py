@@ -362,7 +362,7 @@ class TestRnnStack:
             for p in named.values():
                 if isinstance(p, ColumnView):
                     assert np.shares_memory(tape.wrt(p), tape.wrt(p.owner))
-                    np.testing.assert_array_equal(tape.wrt(p), tape.wrt(p.owner)[:, p.cols])
+                    np.testing.assert_array_equal(tape.wrt(p), tape.wrt(p.owner)[:, p.columns])
             if len(grads) == 1:
                 # the stacked record lists the owners; the reference lists the views
                 parents = tape.records[0][1]

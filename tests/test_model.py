@@ -98,6 +98,18 @@ class TestFuse:
         with pytest.raises(ValidationError):
             fuse(None, None, None, None, None)
 
+    def test_a_gru_weight_row_fuses_like_its_data(self):
+        # a cell's named weights are column views of its joined arrays, and
+        # `cols` is their width like any tensor's
+        model, _ = gradcheck._toy_setup()
+        for name, t in model.parameters().items():
+            assert (t.rows, t.cols) == t.data.shape, name
+        cell = model.decoder.l1
+        out = fuse((cell.wz, 0), None, None, None, None)
+        d = cell.hidden_width
+        np.testing.assert_array_equal(out.data[0, :d], cell.wz.data[0])
+        assert not out.data[0, d:].any()
+
 
 class TestInitDecoder:
     def test_matching_width_uses_question_directly(self):
@@ -143,6 +155,13 @@ class TestDecodeStep:
         logits2, _ = decode_step(decoder, state, context, embedding.row(4))
         assert logits1.shape == (1, decoder.proj.w.cols)
         assert not np.array_equal(logits1.data, logits2.data)
+
+    def test_context_term_is_computed_once_per_context(self):
+        decoder, embedding, context, question = random_decoder()
+        _, first = decode_step(decoder, init_decoder(decoder, question), context,
+                               embedding.row(SOS))
+        _, second = decode_step(decoder, first, context, embedding.row(4))
+        assert first.xw1 is not None and second.xw1 is first.xw1
 
 
 class TestGenerate:
@@ -311,7 +330,7 @@ class TestDecoderLoss:
                                embedding.row(SOS))
         other = T(context.data + 1.0)
         got, _ = decode_step(decoder, state, other, embedding.row(4))
-        fresh = replace(state, terms=None)
+        fresh = replace(state, context=None)
         want, _ = decode_step(decoder, fresh, other, embedding.row(4))
         np.testing.assert_array_equal(got.data, want.data)
         same, _ = decode_step(decoder, state, context, embedding.row(4))

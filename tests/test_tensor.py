@@ -16,6 +16,7 @@ from mmqa.encoders import GruCell
 from mmqa.errors import ShapeError, ValidationError
 from mmqa.gradcheck import TOLERANCE, _weighted
 from mmqa.tensor import (
+    ColumnView,
     Tape,
     Tensor,
     grad_check,
@@ -412,6 +413,27 @@ class TestTape:
             g = tape.backward(sum_all(mul(x, x))).wrt(x)
         assert g is sink
         np.testing.assert_array_equal(sink, [[12.0, 14.0]])
+
+    def test_watch_keeps_a_given_sink(self):
+        x = T([[1.0, 2.0]])
+        sink = np.full((1, 2), 10.0)
+        tape = Tape({x: sink})
+        tape.watch(x)
+        assert tape.sinks[x] is sink and tape.wrt(x) is sink
+
+    def test_wrt_of_a_view_reads_its_columns_of_the_owners_sink(self):
+        # the training layout: only the owner has a sink, the view none
+        owner = T(np.arange(8.0).reshape(2, 4))
+        view = ColumnView(owner, 1, 3)
+        sink = np.zeros((2, 4))
+        with Tape({owner: sink}) as tape:
+            tape.backward(sum_all(mul(owner, T([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))))
+        assert view not in tape.sinks
+        got = tape.wrt(view)
+        assert got.__array_interface__ == sink[:, 1:3].__array_interface__
+        np.testing.assert_array_equal(got, [[2, 3], [6, 7]])
+        tape.watch(view)
+        assert tape.sinks[owner] is sink and np.shares_memory(tape.wrt(view), sink)
 
     def test_untaped_block_records_nothing(self):
         x = T([[1.0, 2.0]])

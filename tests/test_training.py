@@ -108,6 +108,18 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam.step(np.zeros(adam.theta.size + 1))
 
+    def test_each_view_is_its_part_of_its_owners_block(self):
+        model, _ = gradcheck._toy_setup()
+        params = model.parameters()
+        adam = Adam(params)
+        views = [(name, p) for name, p in params.items() if isinstance(p, ColumnView)]
+        assert views
+        for vector in (adam.theta, adam.m, adam.v, np.zeros_like(adam.theta)):
+            blocks, named = adam.owner_blocks(vector), adam.views(vector)
+            for name, p in views:
+                assert np.shares_memory(named[name], blocks[p.owner]), name
+                assert named[name].shape == p.shape, name
+
 
 class TestGradientBuffer:
     def test_sinks_receive_the_tape_gradients(self):

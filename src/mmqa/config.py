@@ -25,12 +25,10 @@ __all__ = [
     "DEFAULT_GENERATE_LEN",
     "DEFAULT_SS_PROBABILITY",
     "MAX_FACTOR",
-    "DataConfig",
     "ModelConfig",
     "TrainingConfig",
     "Config",
     "check_text",
-    "config_from_dict",
     "load_config",
 ]
 

@@ -32,18 +32,15 @@ from .text import tokenize
 __all__ = [
     "read_text",
     "atomic_write_text",
-    "atomic_write_bytes",
     "save_dataset",
     "load_dataset",
     "save_features",
     "load_features",
     "feature_path",
     "save_checkpoint",
-    "load_checkpoint",
     "checkpoint_from_model",
     "model_from_checkpoint",
     "save_scores",
-    "load_scores",
     "save_answers",
 ]
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 from .errors import ValidationError
 
-__all__ = ["bleu", "rouge_l", "rouge_l_corpus", "cider", "validate_corpus"]
+__all__ = ["bleu", "rouge_l", "rouge_l_corpus", "cider"]
 
 ROUGE_BETA_SQ = 1.2
 
@@ -54,13 +54,10 @@ def bleu(candidates, references, n: int = 4) -> float:
         ref_len += _closest_ref_length(len(cand), refs)
         for k in range(1, n + 1):
             counts = _ngrams(cand, k)
-            if not counts:
-                continue
             ceiling = Counter()
             for ref in refs:
-                for gram, c in _ngrams(ref, k).items():
-                    ceiling[gram] = max(ceiling[gram], c)
-            matched[k - 1] += sum(min(c, ceiling[gram]) for gram, c in counts.items())
+                ceiling |= _ngrams(ref, k)
+            matched[k - 1] += sum((counts & ceiling).values())
             total[k - 1] += sum(counts.values())
     if cand_len == 0 or any(t == 0 for t in total):
         return 0.0

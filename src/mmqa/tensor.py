@@ -9,8 +9,9 @@ embedding lookup `take_rows`, beside the plain-array `logistic` and the
 finite-difference checker. A `ColumnView` is a tensor whose data is columns
 of another tensor's array; the GRU cells' named weights are such views, and
 the tape records their owners. Every tensor has an `owner` (a plain tensor
-is its own) and a `part` of any array shaped like it, so a tensor's
-gradient is read as its part of its owner's sink.
+is its own) and a `part` of any array shaped like it. A tape keys its
+gradient sinks by owner only, and every gradient of a tensor, recorded or
+read, is its part of its owner's sink.
 """
 
 from __future__ import annotations
@@ -197,13 +198,12 @@ class Tape:
     the tape, so any number of tapes, nested or on other threads, may share
     a tensor, and a finished tape is freed as soon as it is dropped.
 
-    Gradients go only into sinks: `sinks` maps leaf tensors to arrays of
-    their shape, and backward() adds such a leaf's gradient straight into
-    its array (which it never zeroes), row by row for an embedding lookup.
-    The records list a GRU cell's owner arrays, not its named views, so
-    sinks are keyed by owner. A tensor's sink is its `part` of its `owner`'s
-    sink: `watch` gives the owner a zero sink (if it has none) and the
-    tensor its part of it, and `wrt` reads that part.
+    Gradients go only into sinks, by one rule: `sinks` maps owner tensors
+    to arrays of their shape, and a leaf's gradient lands in its `part` of
+    its `owner`'s sink. backward() adds it there (it never zeroes a sink),
+    row by row for an embedding lookup; `watch` gives the owner a zero sink
+    if it has none, and `wrt` reads the part. The records list a GRU cell's
+    owner arrays, not its named views, so training adds whole owners.
     """
 
     def __init__(self, sinks: dict | None = None):
@@ -225,27 +225,21 @@ class Tape:
         return len(self.records)
 
     def watch(self, tensor: Tensor) -> None:
-        """Give the leaf `tensor` a zero sink, unless it has one already: its
-        part of its owner's sink, which is made if it is missing."""
+        """Give the leaf `tensor`'s owner a zero sink, unless it has one."""
         # a sink ends the backward sweep at its tensor, so an output of this
         # tape would pass no gradient on to its own parents
         owner = tensor.owner
         if any(out is owner for out, _, _ in self.records):
             raise ValidationError("only a leaf can be watched, not an output of this tape")
-        if tensor in self.sinks:
-            return
         if owner not in self.sinks:
             self.sinks[owner] = np.zeros_like(owner.data)
-        self.sinks[tensor] = tensor.part(self.sinks[owner])
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
-        """The sink that holds `tensor`'s gradient: its own, or else its part
-        of its owner's."""
-        if tensor in self.sinks:
-            return self.sinks[tensor]
-        if tensor.owner in self.sinks:
-            return tensor.part(self.sinks[tensor.owner])
-        raise ValidationError("tensor has no sink on this tape; watch it first")
+        """The sink that holds `tensor`'s gradient: its part of its owner's."""
+        sink = self.sinks.get(tensor.owner)
+        if sink is None:
+            raise ValidationError("tensor has no sink on this tape; watch it first")
+        return tensor.part(sink)
 
     def backward(self, loss: Tensor) -> "Tape":
         """Reverse-accumulate gradients of a scalar `loss` into the sinks.
@@ -269,24 +263,27 @@ class Tape:
                 if contribution is None:
                     continue
                 sink = sinks.get(parent)
-                if sink is not None:
-                    if type(contribution) is _RowSparse:
-                        contribution.add_to(sink)
-                    else:
-                        np.add(sink, contribution, out=sink)
-                    continue
-                key = id(parent)
-                if key not in grads:
-                    continue  # a leaf without a sink
+                if sink is None:
+                    key = id(parent)
+                    if key in grads:
+                        if type(contribution) is _RowSparse:
+                            contribution = contribution.dense()
+                        # backward functions may return shared arrays and
+                        # views, so the first contribution is stored as is
+                        # and later ones are summed out of place, never into it
+                        if grads[key] is None:
+                            grads[key] = contribution
+                        else:
+                            grads[key] = grads[key] + contribution
+                        continue
+                    sink = sinks.get(parent.owner)
+                    if sink is None:
+                        continue  # a leaf without a sink
+                    sink = parent.part(sink)
                 if type(contribution) is _RowSparse:
-                    contribution = contribution.dense()
-                # backward functions may return shared arrays and views, so
-                # the first contribution is stored as is and later ones are
-                # summed out of place, never into it
-                if grads[key] is None:
-                    grads[key] = contribution
+                    contribution.add_to(sink)
                 else:
-                    grads[key] = grads[key] + contribution
+                    np.add(sink, contribution, out=sink)
         return self
 
 

@@ -23,8 +23,6 @@ __all__ = [
     "PAD",
     "SOS",
     "EOS",
-    "UNK",
-    "RESERVED_TOKENS",
     "tokenize",
     "Vocabulary",
     "build_vocabulary",
@@ -68,15 +66,17 @@ class Vocabulary:
 
     Non-reserved entries are also indexed by character trigram for the OOV
     fallback: `_postings` maps a trigram to the ascending ids that contain
-    it and `_gram_counts[id]` is the size of that id's trigram set.
+    it and `_gram_counts[id]` is the size of that id's trigram set. The
+    index is built on first use, so a run whose tokens are all known never
+    pays for it.
     """
 
     def __init__(self, tokens=()):
         self._tokens: list[str] = list(RESERVED_TOKENS)
         self._ids: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
-        self._postings: dict[str, list[int]] = {}
-        self._gram_counts: list[int] = [0] * len(RESERVED_TOKENS)
-        self._extend(tokens)
+        self._index = None
+        for token in tokens:
+            self.add(token)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -86,29 +86,37 @@ class Vocabulary:
 
     def add(self, token: str) -> int:
         """Insert a token if new; returns its id either way."""
-        existing = self._ids.get(token)
-        if existing is not None:
-            return existing
-        self._extend((token,))
-        return len(self._tokens) - 1
-
-    def _extend(self, tokens) -> None:
-        """Give each new token the next id and index its trigrams, in one pass."""
-        ids, postings, gram_counts = self._ids, self._postings, self._gram_counts
-        get = postings.get
-        for token in tokens:
-            if token in ids:
-                continue
-            idx = ids[token] = len(ids)
+        idx = self._ids.get(token)
+        if idx is None:
+            idx = self._ids[token] = len(self._tokens)
             self._tokens.append(token)
-            grams = _trigrams(token)
-            gram_counts.append(len(grams))
-            for gram in grams:
-                posting = get(gram)
-                if posting is None:
-                    postings[gram] = [idx]
-                else:
-                    posting.append(idx)
+            self._index = None  # rebuilt on its next use
+        return idx
+
+    @property
+    def _postings(self) -> dict:
+        return self._trigram_index()[0]
+
+    @property
+    def _gram_counts(self) -> list:
+        return self._trigram_index()[1]
+
+    def _trigram_index(self) -> tuple:
+        if self._index is None:
+            postings: dict[str, list[int]] = {}
+            gram_counts = [0] * len(RESERVED_TOKENS)
+            get = postings.get
+            for idx in range(len(RESERVED_TOKENS), len(self._tokens)):
+                grams = _trigrams(self._tokens[idx])
+                gram_counts.append(len(grams))
+                for gram in grams:
+                    posting = get(gram)
+                    if posting is None:
+                        postings[gram] = [idx]
+                    else:
+                        posting.append(idx)
+            self._index = postings, gram_counts
+        return self._index
 
     def id(self, token: str):
         return self._ids.get(token)
@@ -170,11 +178,12 @@ def resolve_token(vocab: Vocabulary, token: str) -> int:
     query = _trigrams(token)
     if not query:
         return UNK
-    overlaps = Counter(chain.from_iterable(vocab._postings.get(gram, ()) for gram in query))
+    postings, gram_counts = vocab._trigram_index()
+    overlaps = Counter(chain.from_iterable(postings.get(gram, ()) for gram in query))
     best_id = UNK
     best_score = 0.0
     for idx in sorted(overlaps):
-        score = 2.0 * overlaps[idx] / (len(query) + vocab._gram_counts[idx])
+        score = 2.0 * overlaps[idx] / (len(query) + gram_counts[idx])
         if score > best_score:
             best_score = score
             best_id = idx

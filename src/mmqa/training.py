@@ -237,6 +237,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
 
         val_f1 = _mean_f1(model, val_set, cfg.max_generate_len)
         entry = {"epoch": epoch, "loss": epoch_loss, "val_f1": val_f1}
+        log.append(entry)
 
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -249,15 +250,12 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         if stop_at_train_f1 is not None:
             train_f1 = _mean_f1(model, train_set, cfg.max_generate_len)
             entry["train_f1"] = train_f1
-            log.append(entry)
             if train_f1 >= stop_at_train_f1:
                 epochs_to_target = epoch
                 best = adam.theta.copy()
                 best_f1 = val_f1
                 best_epoch = epoch
                 break
-        else:
-            log.append(entry)
 
         if stale >= cfg.patience:
             break

@@ -1,7 +1,8 @@
 """Nothing exported goes unused by the pipeline: every name in the
-`__all__` of `mmqa.tensor`, `mmqa.encoders` and `mmqa.model` is imported by
-another module of the package. The benchmark's modules count as users of
-`mmqa.model`, whose decoding steps they drive directly."""
+`__all__` of `mmqa.tensor`, `mmqa.encoders`, `mmqa.model`, `mmqa.formats`,
+`mmqa.metrics`, `mmqa.text` and `mmqa.config` is imported by another module
+of the package. The benchmark's modules, which call the program's functions
+directly, count as users of all but the first two."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mmqa
-from mmqa import encoders, model, tensor
+from mmqa import config, encoders, formats, metrics, model, tensor, text
 
 PACKAGE = Path(mmqa.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,7 +31,9 @@ def imported_names(exporter: str, paths) -> set:
 
 
 @pytest.mark.parametrize("module, other_dirs", [
-    (tensor, []), (encoders, []), (model, [BENCH])], ids=["tensor", "encoders", "model"])
+    (tensor, []), (encoders, []), (model, [BENCH]), (formats, [BENCH]), (metrics, [BENCH]),
+    (text, [BENCH]), (config, [BENCH])],
+    ids=["tensor", "encoders", "model", "formats", "metrics", "text", "config"])
 def test_every_export_is_imported_by_another_module(module, other_dirs):
     exporter = module.__name__.rsplit(".", 1)[1]
     paths = [p for d in (PACKAGE, *other_dirs) for p in d.glob("*.py")]

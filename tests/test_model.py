@@ -555,6 +555,18 @@ class TestModelAssembly:
             counts[mode] = len(tape)
         assert counts["ss"] == counts["free"] == counts["tf"]
 
+    def test_records_list_the_cells_owners_not_their_views(self):
+        # a record that listed a GRU cell's named views would still train
+        # right, but every gradient would go into strided column adds
+        model, example = gradcheck._toy_setup()
+        owners = {id(p.owner) for p in model.parameters().values() if p.owner is not p}
+        for mode in ("tf", "ss"):
+            with Tape() as tape:
+                model.loss(example, mode=mode, rng=np.random.default_rng(0))
+            parents = [p for _, listed, _ in tape.records for p in listed]
+            assert not any(isinstance(p, ColumnView) for p in parents), mode
+            assert owners <= {id(p) for p in parents}, mode
+
     def test_generate_records_nothing(self):
         model, example = gradcheck._toy_setup()
         with Tape() as tape:

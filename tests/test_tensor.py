@@ -435,6 +435,30 @@ class TestTape:
         tape.watch(view)
         assert tape.sinks[owner] is sink and np.shares_memory(tape.wrt(view), sink)
 
+    @pytest.mark.parametrize("kind", ["dense", "row-sparse"])
+    def test_a_view_parent_adds_into_its_columns_of_the_owners_sink(self, kind):
+        # a record that lists a view, under the training layout (only the
+        # owner keyed) and after watching the view: both give its columns
+        weights = np.arange(1.0, 7.0).reshape(3, 2)
+        record = {"dense": lambda view: _weighted(view, weights),
+                  "row-sparse": lambda view: _weighted(take_rows(view, [2, 0, 2]), weights)}
+        sinks = []
+        for watched in (False, True):
+            owner = T(np.arange(12.0).reshape(3, 4))
+            view = ColumnView(owner, 1, 3)
+            sink = np.full((3, 4), 0.5)
+            with Tape({owner: sink}) as tape:
+                if watched:
+                    tape.watch(view)
+                tape.backward(record[kind](view))
+            assert list(tape.sinks) == [owner] and tape.sinks[owner] is sink
+            sinks.append(sink)
+        grad = weights if kind == "dense" else [weights[1], [0.0, 0.0], weights[0] + weights[2]]
+        expected = np.full((3, 4), 0.5)
+        expected[:, 1:3] += grad
+        np.testing.assert_array_equal(sinks[0], expected)
+        assert sinks[0].tobytes() == sinks[1].tobytes()
+
     def test_untaped_block_records_nothing(self):
         x = T([[1.0, 2.0]])
         with Tape() as tape:

@@ -143,6 +143,8 @@ class TestVocabulary:
             return postings, counts
 
         vocab = Vocabulary(first)
+        # an index built before the adds must not go stale
+        assert (vocab._postings, vocab._gram_counts) == reference(vocab)
         for w in later:
             vocab.add(w)
         path = tmp_path_factory.mktemp("vocab") / "words.vocab"
@@ -150,6 +152,21 @@ class TestVocabulary:
         for built in (vocab, Vocabulary.load(path)):
             assert built.tokens() == vocab.tokens()
             assert (built._postings, built._gram_counts) == reference(vocab)
+
+    def test_known_tokens_build_no_trigram_index(self, monkeypatch, tmp_path):
+        # the index serves only the OOV fallback, so building or loading a
+        # vocabulary and resolving known tokens computes no trigram
+        calls = []
+        trigrams = text._trigrams
+        monkeypatch.setattr(text, "_trigrams",
+                            lambda token: calls.append(token) or trigrams(token))
+        words = ["beard", "bread", "board"]
+        built = build_vocabulary([words])
+        built.save(tmp_path / "words.vocab")
+        for vocab in (built, Vocabulary.load(tmp_path / "words.vocab")):
+            assert [resolve_token(vocab, w) for w in words] == [vocab.id(w) for w in words]
+        assert calls == []
+        assert resolve_token(built, "boardd") == built.id("board") and calls
 
 
 class TestTrigramDice:
@@ -239,6 +256,7 @@ class TestResolveToken:
         assert len(vocab) == 10_000 + len(RESERVED_TOKENS)
         query = "abdcx"
         assert query not in vocab
+        resolve_token(vocab, "zzzzq")  # the first miss builds the index
         calls = []
         trigrams = text._trigrams
         monkeypatch.setattr(text, "_trigrams",

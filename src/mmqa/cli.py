@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad values,
 malformed content), 2 numerical failure, 3 I/O failure (missing or
-undecodable files).
+undecodable files, or an answering worker process that died).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .gradcheck import TOLERANCE, composed_checks, primitive_checks
 from .model import Model
 from .tensor import DEFAULT_EPS
 from .text import build_vocabulary
-from .training import evaluate, train
+from .training import evaluate, greedy_answers, train
 
 __all__ = ["main"]
 
@@ -151,7 +151,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_generate(args) -> int:
     model, examples = _load_eval_examples(args)
-    answers = [model.generate(ex, args.max_len) for ex in examples]
+    answers = greedy_answers(model, examples, args.max_len)
     save_answers(args.out, answers)
     print(f"wrote {len(answers)} answers: {args.out}")
     return 0

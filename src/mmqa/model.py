@@ -270,7 +270,7 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    loss = -(shifted - np.log(total))[rows, targets].sum() / steps
+    loss = -(shifted[rows, targets] - np.log(total)[:, 0]).sum() / steps
 
     def back(g):
         d_logits = e / total

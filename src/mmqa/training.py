@@ -6,10 +6,20 @@ parameter vector that Adam updates in place. After every epoch the model
 greedily answers the validation set; the best mean token-F1 parameters are
 kept and training stops once that score fails to improve for `patience`
 epochs in a row.
+
+Greedy answers for a list of examples (`greedy_answers`, which serves
+`evaluate`, the per-epoch validation pass and `mmqa generate`) are split
+into contiguous shards, one per usable core, with at least MIN_SHARD
+examples each: the calling process answers the first shard and a forked
+worker each other one. Each answer is still one `Model.generate` call, and
+the answers come back in input order, so the outputs are the same for any
+number of processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,7 +31,20 @@ from .errors import NumericalError, ShapeError, ValidationError
 from .metrics import bleu, cider, rouge_l_corpus
 from .tensor import Tape
 
-__all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate"]
+__all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate", "greedy_answers"]
+
+# The fewest examples `greedy_answers` gives a process of its own. On the
+# benchmark's `eval` model, two processes lost to one at 8 examples, tied or
+# lost at 16 and won from 32 on (shards of 16), so a shard of 32 leaves a
+# margin over the cost of a fork.
+MIN_SHARD = 32
+
+# Where a cgroup's CPU quota and period are read: cgroup v2's `cpu.max` holds
+# both ("max" for no quota), v1 splits them over two files (-1 for none).
+# Inside a container these are the container's own cgroup's files.
+CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                   ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                    "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
 class Adam(object):
@@ -139,11 +162,94 @@ class TrainResult:
     optimizer: Optional[Adam] = None
 
 
+def _usable_cores() -> int:
+    """The cores this process may use: its affinity mask (which `taskset`
+    and cpusets bound), capped by its cgroup's CPU quota (which `docker
+    --cpus` sets) rounded up; 1 where the affinity mask cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    for paths in CPU_QUOTA_FILES:
+        try:
+            fields = []
+            for path in paths:
+                with open(path) as f:
+                    fields += f.read().split()
+            quota, period = fields
+            if quota in ("max", "-1"):
+                return cores
+            return max(1, min(cores, -(-int(quota) // int(period))))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return cores
+
+
+def greedy_answers(model, examples, max_len: int) -> list:
+    """`model.generate(example, max_len)` for each of `examples`, in order.
+
+    The examples are split into contiguous shards, as many as the cores
+    this process may use (`_usable_cores`) but no more than leave MIN_SHARD
+    examples in each, and at least one. The calling process starts a forked
+    worker for each shard after the first, answers the first itself, then
+    reads each worker's reply, in shard order, over a one-way pipe: its
+    answers, or the exception it raised, which is raised here. A worker that dies without
+    replying raises ChildProcessError (an OSError) naming its shard.
+    Workers are always joined, and terminated first if this call raises.
+    Where the fork start method or `os.sched_getaffinity` is missing, this
+    process answers everything. The program starts no threads of its own,
+    and OpenBLAS stops its pool before a fork, so forking is safe here.
+    """
+    if max_len < 1:
+        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+    processes = _usable_cores() if "fork" in multiprocessing.get_all_start_methods() else 1
+    shards = max(1, min(processes, len(examples) // MIN_SHARD))
+    bounds = [len(examples) * k // shards for k in range(shards + 1)]
+    workers = []
+    try:
+        for k in range(1, shards):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(
+                target=_answer_shard,
+                args=(model, examples[bounds[k]:bounds[k + 1]], max_len, writer))
+            worker.start()
+            workers.append((worker, reader))
+            writer.close()  # so the reader sees EOF if the worker dies
+        answers = [model.generate(example, max_len) for example in examples[:bounds[1]]]
+        for k, (worker, reader) in enumerate(workers, 1):
+            try:
+                reply = reader.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"the worker answering shard {k} (examples {bounds[k]} to "
+                    f"{bounds[k + 1] - 1}) exited with code {worker.exitcode} "
+                    f"without replying") from None
+            if isinstance(reply, Exception):
+                raise reply
+            answers += reply
+        return answers
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            worker.join()
+            reader.close()
+
+
+def _answer_shard(model, examples, max_len: int, writer) -> None:
+    """A worker's body: reply with the shard's answers or the exception."""
+    try:
+        reply = [model.generate(example, max_len) for example in examples]
+    except Exception as exc:  # raised again in the calling process
+        reply = exc
+    writer.send(reply)
+
+
 def _mean_f1(model, examples, max_len: int) -> float:
-    total = 0.0
-    for example in examples:
-        total += token_f1(model.generate(example, max_len), example.answer)
-    return total / len(examples)
+    answers = greedy_answers(model, examples, max_len)
+    return sum(token_f1(a, ex.answer) for a, ex in zip(answers, examples)) / len(examples)
 
 
 def _non_finite_example(model, examples, cfg: TrainingConfig, rng_state: dict, adam: Adam,
@@ -273,7 +379,7 @@ def evaluate(model, examples, max_len: int = DEFAULT_GENERATE_LEN):
     """
     if not examples:
         raise ValidationError("evaluation set must be non-empty")
-    candidates = [model.generate(ex, max_len) for ex in examples]
+    candidates = greedy_answers(model, examples, max_len)
     references = [[ex.answer] for ex in examples]
     scores = {f"bleu{k}": bleu(candidates, references, k) for k in (1, 2, 3, 4)}
     scores["rouge_l"] = rouge_l_corpus(candidates, references)

@@ -1,10 +1,15 @@
-"""Shared builders: template corpora, tiny models, feature attachment."""
+"""Shared builders: template corpora, tiny models, feature attachment,
+and the process fixtures of the sharded greedy answers."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from mmqa import training
 from mmqa.augment import Dialog, expand_basic
 from mmqa.model import Model
 from mmqa.text import build_vocabulary
@@ -93,3 +98,42 @@ def text_model():
 def toy_examples():
     dialogs = overfit_dialogs()
     return [expand_basic(d)[0] for d in dialogs]
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """`cores(n)` makes `training.greedy_answers` see n usable cores: an
+    affinity mask of n CPUs and no cgroup CPU quota."""
+    monkeypatch.setattr(training, "CPU_QUOTA_FILES", ())
+
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cores
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the worker processes started, in a one-item list."""
+    count, start = [0], multiprocessing.context.ForkProcess.start
+
+    def counted(self):
+        count[0] += 1
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    return count
+
+
+def dying_generate(video_id):
+    """`Model.generate`, except that a worker process exits with code 9 at
+    `video_id`; in the calling process that example fails the test."""
+    parent, original = os.getpid(), Model.generate
+
+    def generate(self, example, max_len):
+        if example.video_id == video_id:
+            assert os.getpid() != parent, "the calling process reached the fatal example"
+            os._exit(9)
+        return original(self, example, max_len)
+
+    return generate

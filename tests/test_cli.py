@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import multiprocessing
 import struct
 import time
 
@@ -11,8 +12,8 @@ import yaml
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_vocab, overfit_dialogs, template_dialog
-from mmqa import cli, model as model_module, tensor
+from conftest import corpus_vocab, dying_generate, overfit_dialogs, template_dialog
+from mmqa import cli, model as model_module, tensor, training
 from mmqa.augment import Dialog, expand_shuffle
 from mmqa.config import Config
 from mmqa.formats import (
@@ -377,6 +378,38 @@ class TestFailureModes:
                               features_dir=str(features))
         assert cli.main(["train", "--config", config,
                          "--out", str(tmp_path / "m.ckpt")]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    def test_outputs_are_the_same_on_one_core_and_two(self, tmp_path, monkeypatch, cores,
+                                                      forks, command):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        outputs = []
+        for n in (1, 2):
+            cores(n)
+            out = tmp_path / f"out-{n}.txt"
+            assert cli.main([command, "--ckpt", ckpt, "--data", str(data),
+                             "--out", str(out), "--max-len", "6"]) == 0
+            assert forks[0] == n - 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    def test_a_dead_worker_is_io_failure(self, tmp_path, capsys, monkeypatch, cores, forks,
+                                         command):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        cores(2)
+        monkeypatch.setattr(Model, "generate", dying_generate("vid3#1"))
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(out), "--max-len", "6"]) == 3
+        assert "i/o error: the worker answering shard 1 (examples 2 to 3) exited with " \
+               "code 9" in capsys.readouterr().err
+        assert not out.exists()
+        assert forks[0] == 1
+        assert multiprocessing.active_children() == []
 
     def test_missing_checkpoint_is_io_failure(self, tmp_path):
         data = tmp_path / "data.json"

@@ -323,6 +323,34 @@ class TestDecoderLoss:
             np.testing.assert_allclose(state.h1, h1.data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(state.h2, h2.data[0], rtol=0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(1, 14), vocab_size=st.integers(3, 2999),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+    def test_loss_keeps_the_bits_of_the_full_log_softmax(self, steps, vocab_size, scale, seed):
+        # the loss reads log(total) only at the T targets; the former
+        # expression subtracted it from all T x |V| entries first
+        def former(logits, targets):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            total = np.exp(shifted).sum(axis=1, keepdims=True)
+            rows = np.arange(len(targets))
+            return -(shifted - np.log(total))[rows, targets].sum() / len(targets)
+
+        rng = np.random.default_rng(seed)
+        bias = rng.normal(scale=scale, size=vocab_size)
+        targets = rng.integers(0, vocab_size, size=steps)
+        decoder = biased_decoder(bias)
+        embedding = EmbeddingTable.create(vocab_size, 2, rng)
+        got = decoder_loss(decoder, embedding, T([[0.5, -0.5]]), T([[0.25, 0.75]]),
+                           [SOS] * steps, list(targets)).item()
+        assert got == former(np.tile(bias, (steps, 1)), targets)
+        # and on rows that differ, the rewritten expression itself
+        logits = rng.normal(scale=scale, size=(steps, vocab_size))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        total = np.exp(shifted).sum(axis=1, keepdims=True)
+        rewritten = -(shifted[np.arange(steps), targets]
+                      - np.log(total)[:, 0]).sum() / steps
+        assert rewritten == former(logits, targets)
+
     def test_step_terms_follow_the_context(self):
         # a state made with one context recomputes the shared terms for another
         decoder, embedding, context, question = random_decoder(seed=41)

@@ -1,18 +1,22 @@
 """Adam updates, token F1, the training loop, and corpus evaluation."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from conftest import corpus_vocab, overfit_dialogs
+from conftest import (attach_random_features, corpus_vocab, dying_generate, overfit_dialogs,
+                      overfit_model)
 from mmqa import gradcheck, training
-from mmqa.augment import DialogExample
+from mmqa.augment import DialogExample, expand_per_turn
 from mmqa.config import TrainingConfig
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
 from mmqa.tensor import ColumnView, Tape, Tensor
 from mmqa.text import SOS, resolve_token
-from mmqa.training import Adam, evaluate, token_f1, train
+from mmqa.training import Adam, evaluate, greedy_answers, token_f1, train
 
 
 def quick_config(**overrides):
@@ -359,3 +363,135 @@ class TestEvaluate:
                                "rouge_l", "cider", "token_f1"}
         for value in scores.values():
             assert np.isfinite(value) and value >= 0.0
+
+
+def sharded_setup():
+    """A multimodal model and eleven examples with zero or one history
+    turns, where every third example lacks its audio features."""
+    dialogs = overfit_dialogs()
+    examples = [ex for d in dialogs for ex in expand_per_turn(d)][:11]
+    attach_random_features(examples, seed=5)
+    for example in examples[::3]:
+        example.audio = None
+    return overfit_model(corpus_vocab(dialogs)), examples
+
+
+class TestGreedyAnswers:
+    """Answers split over forked workers against one process's."""
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_any_process_count_gives_the_same_answers(self, monkeypatch, cores, forks,
+                                                      processes):
+        model, examples = sharded_setup()
+        assert {len(ex.history) for ex in examples} == {0, 1}
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        want = [model.generate(ex, 8) for ex in examples]
+        cores(1)
+        assert greedy_answers(model, examples, 8) == want
+        assert forks[0] == 0
+        cores(processes)
+        assert greedy_answers(model, examples, 8) == want
+        assert forks[0] == processes - 1
+        assert multiprocessing.active_children() == []
+
+    def test_evaluate_scores_the_same_on_one_core_and_two(self, monkeypatch, cores, forks):
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        runs = []
+        for n in (1, 2):
+            cores(n)
+            runs.append(evaluate(model, examples, max_len=8))
+        assert forks[0] == 1
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_set_smaller_than_two_shards_starts_no_process(self, cores, forks):
+        examples = [DialogExample(video_id=f"v{i}", question=["q"], answer=[f"a{i}"],
+                                  history=[], summary=["s"])
+                    for i in range(2 * training.MIN_SHARD)]
+        stub = _FixedAnswers({ex.video_id: ex.answer for ex in examples})
+        cores(2)
+        assert greedy_answers(stub, examples[:-1], 4) == [ex.answer for ex in examples[:-1]]
+        assert forks[0] == 0
+        assert greedy_answers(stub, examples, 4) == [ex.answer for ex in examples]
+        assert forks[0] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_max_len_is_checked_before_any_worker_starts(self, monkeypatch, cores, forks):
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        cores(2)
+        with pytest.raises(ValidationError, match="max_len must be >= 1, got 0"):
+            greedy_answers(model, examples, 0)
+        assert forks[0] == 0
+
+    def test_a_worker_exception_is_raised_in_the_caller(self, monkeypatch, cores, forks):
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        target, original = examples[8].video_id, Model.generate
+
+        def generate(self, example, max_len):
+            if example.video_id == target:
+                raise ShapeError(f"rigged fault in {example.video_id}")
+            return original(self, example, max_len)
+
+        monkeypatch.setattr(Model, "generate", generate)
+        cores(2)
+        with pytest.raises(ShapeError) as caught:
+            greedy_answers(model, examples, 8)
+        assert type(caught.value) is ShapeError
+        assert str(caught.value) == f"rigged fault in {target}"
+        assert forks[0] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_named_by_its_shard(self, monkeypatch, cores, forks):
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        monkeypatch.setattr(Model, "generate", dying_generate(examples[8].video_id))
+        cores(2)
+        with pytest.raises(ChildProcessError,
+                           match=r"shard 1 \(examples 5 to 10\) exited with code 9"):
+            greedy_answers(model, examples, 8)
+        assert forks[0] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_stopped_when_the_caller_fails(self, monkeypatch, cores, forks):
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        target, original = examples[1].video_id, Model.generate
+
+        def generate(self, example, max_len):
+            if example.video_id == target:
+                raise NumericalError("rigged fault in the first shard")
+            return original(self, example, max_len)
+
+        monkeypatch.setattr(Model, "generate", generate)
+        cores(3)
+        with pytest.raises(NumericalError, match="rigged fault in the first shard"):
+            greedy_answers(model, examples, 8)
+        assert forks[0] == 2
+        assert multiprocessing.active_children() == []
+
+
+class TestUsableCores:
+    """The affinity mask, capped by a cgroup CPU quota."""
+
+    @pytest.mark.parametrize("files, want", [
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "800000 100000\n"}, 4),
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"quota": "250000\n", "period": "100000\n"}, 3),
+        ({"quota": "-1\n", "period": "100000\n"}, 4),
+        ({"cpu.max": "garbled\n", "quota": "100000\n", "period": "100000\n"}, 1),
+        ({"cpu.max": "100000 0\n"}, 4),
+        ({}, 4),
+    ])
+    def test_a_quota_caps_the_affinity_mask(self, tmp_path, monkeypatch, cores, files, want):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        cores(4)
+        monkeypatch.setattr(training, "CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),),
+            (str(tmp_path / "quota"), str(tmp_path / "period"))))
+        assert training._usable_cores() == want

@@ -80,7 +80,7 @@ def _draw(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
-    return Tensor(_draw(rng, fan_in, shape), check=False)
+    return Tensor(_draw(rng, fan_in, shape))
 
 
 @dataclass
@@ -141,8 +141,8 @@ class GruCell(Module):
         h = hidden_width
         w = _draw(rng, input_width, (3, input_width, h))
         u_zr = _draw(rng, h, (2, h, h))
-        side_by_side = lambda a: Tensor(a.transpose(1, 0, 2).reshape(a.shape[1], -1), check=False)
-        return cls(side_by_side(w), Tensor(np.zeros((1, 3 * h)), check=False),
+        side_by_side = lambda a: Tensor(a.transpose(1, 0, 2).reshape(a.shape[1], -1))
+        return cls(side_by_side(w), Tensor(np.zeros((1, 3 * h))),
                    side_by_side(u_zr), _uniform(rng, h, (h, h)))
 
 
@@ -198,7 +198,7 @@ class SelfAttentionParams(Module):
 
     @classmethod
     def create(cls, rng, width: int):
-        zero_row = lambda: Tensor(np.zeros((1, width)), check=False)
+        zero_row = lambda: Tensor(np.zeros((1, width)))
         return cls(
             _uniform(rng, width, (width, width)), zero_row(),
             _uniform(rng, width, (width, width)), zero_row(),

@@ -34,7 +34,7 @@ TOLERANCE = 1e-4
 
 
 def _smooth(rng, *shape) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0, size=shape), check=False)
+    return Tensor(rng.normal(0.0, 1.0, size=shape))
 
 
 def _weighted(out: Tensor, weights: np.ndarray) -> Tensor:
@@ -112,7 +112,7 @@ def _attention_cases(rng) -> list:
     case per input and weight, guided attention under both poolings. The
     weights are drawn from N(0, 0.5^2), as with the recurrences, so that the
     ReLUs are not all dead and each case's gradient is non-zero."""
-    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape))
     seq, question = _smooth(rng, 4, 3), _smooth(rng, 2, 3)
     self_params = SelfAttentionParams(draw(3, 3), draw(1, 3), draw(3, 3), draw(1, 3))
     guide_params = AttentionParams(draw(3, 3), draw(6, 3))
@@ -134,7 +134,7 @@ def _stacked_attention_cases(rng) -> list:
     2-3 and rows 4-5; row 0 is in no span), where the first two spans share
     weights, under both poolings; then the fusion of rows of two matrices
     with two zero slots. One case per input and weight."""
-    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+    draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape))
     seq, question = _smooth(rng, 6, 2), _smooth(rng, 2, 2)
     shared, other = AttentionParams(draw(2, 2), draw(4, 2)), AttentionParams(draw(2, 2), draw(4, 2))
     spans = [(shared, 1, 2), (shared, 2, 4), (other, 4, 6)]

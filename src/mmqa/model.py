@@ -119,8 +119,8 @@ class Decoder(Module):
             l1=GruCell.create(rng, context_width + embed_width, hidden_width),
             l2=GruCell.create(rng, hidden_width, hidden_width),
             proj=Affine(
-                w=Tensor(rng.uniform(-k, k, size=(hidden_width, vocab_size)), check=False),
-                b=Tensor(np.zeros((1, vocab_size)), check=False),
+                w=Tensor(rng.uniform(-k, k, size=(hidden_width, vocab_size))),
+                b=Tensor(np.zeros((1, vocab_size))),
             ),
         )
 
@@ -190,7 +190,7 @@ def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
     h1 = gru_step(w_prev.data[0] @ w1[cw:] + xw1, state.h1, u_zr1, l1.uh.data)
     h2 = gru_step(h1 @ w2 + b2, state.h2, u_zr2, l2.uh.data)
     logits = h2 @ decoder.proj.w.data + decoder.proj.b.data
-    return Tensor(logits, check=False), DecoderState(h1, h2, decoder, context, xw1)
+    return Tensor(logits), DecoderState(h1, h2, decoder, context, xw1)
 
 
 def _greedy_pick(logits: Tensor) -> int:
@@ -220,7 +220,7 @@ def generate(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
 
 def _row(embedding: EmbeddingTable, token: int) -> Tensor:
     """A token's embedding as a 1*d_w tensor that no tape records."""
-    return Tensor(embedding.matrix.data[token:token + 1], check=False)
+    return Tensor(embedding.matrix.data[token:token + 1])
 
 
 def _normalize_gold(gold) -> list[int]:
@@ -413,11 +413,15 @@ class Model:
         # their gradients in the reverse order, which fixes its rounding
         question, summary = embed(example.question), embed(example.summary)
         sentences = [embed(tokens) for pair in example.history for tokens in pair]
-        present = [m for m in FEATURES
-                   if m in self.streams and getattr(example, m) is not None]
+        present = {m: Tensor(getattr(example, m)) for m in FEATURES
+                   if m in self.streams and getattr(example, m) is not None}
+        for m, seq in present.items():
+            if not np.isfinite(seq.data).all():
+                raise ValidationError(f"example {example.video_id!r}: {m} feature "
+                                      f"matrix contains non-finite values")
         items = [(self.question_rnn, question), (summary_rnn, summary),
                  *((summary_rnn, seq) for seq in sentences),
-                 *((self.streams[m][0], Tensor(getattr(example, m))) for m in present)]
+                 *((self.streams[m][0], seq) for m, seq in present.items())]
         packed = rnn_stack(items)
         q_tilde = take_rows(packed, range(question.rows))
         q_vec = self_attend(self.question_attn, q_tilde)

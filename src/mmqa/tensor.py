@@ -1,10 +1,12 @@
 """Dense rank-1/2 tensors with tape-based reverse-mode differentiation.
 
-All arithmetic is float64. Operations run eagerly on numpy arrays; when a
-Tape is active they are also recorded so that Tape.backward can replay the
-chain rule in reverse execution order. With no tape active the same
-functions work as plain forward math. The fused kernels that record on a
-tape live in `encoders` and `model`; the only primitive here is the
+All arithmetic is float64. A tensor only wraps its array and checks nothing:
+data from outside is checked where it enters, a file by its loader and an
+example's features by `Model.encode`. Operations run eagerly on numpy
+arrays; when a Tape is active they are also recorded so that Tape.backward
+can replay the chain rule in reverse execution order. With no tape active
+the same functions work as plain forward math. The fused kernels that record
+on a tape live in `encoders` and `model`; the only primitive here is the
 embedding lookup `take_rows`, beside the plain-array `logistic` and the
 finite-difference checker. A `ColumnView` is a tensor whose data is columns
 of another tensor's array; the GRU cells' named weights are such views, and
@@ -42,22 +44,14 @@ __all__ = [
 class Tensor:
     """A dense real array of rank 1 or 2.
 
-    `data` is a float64 ndarray. A tensor carries no tape state: a tape
-    refers to the tensors it recorded, never the other way round.
+    `data` is a float64 ndarray, unchecked. A tensor carries no tape state:
+    a tape refers to the tensors it recorded, never the other way round.
     """
 
     __slots__ = ("data",)
 
-    def __init__(self, data, check: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
-        if check:
-            if arr.ndim not in (1, 2):
-                raise ShapeError(f"tensors must have rank 1 or 2, got rank {arr.ndim}")
-            if arr.size == 0:
-                raise ShapeError(f"tensor extents must be positive, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("tensor values must be finite")
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
 
     @property
     def shape(self) -> tuple:
@@ -293,7 +287,7 @@ def _emit(value: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     `backward_fn(g)` maps the output gradient to one gradient (or None) per
     parent, in order. Every primitive, fused ones included, goes through here.
     """
-    out = Tensor(value, check=False)
+    out = Tensor(value)
     tape = _active_tape()
     if tape is not None:
         tape.records.append((out, parents, backward_fn))

@@ -65,10 +65,9 @@ class Vocabulary:
     """Token/id bijection with fixed reserved ids PAD=0, SOS=1, EOS=2, UNK=3.
 
     Non-reserved entries are also indexed by character trigram for the OOV
-    fallback: `_postings` maps a trigram to the ascending ids that contain
-    it and `_gram_counts[id]` is the size of that id's trigram set. The
-    index is built on first use, so a run whose tokens are all known never
-    pays for it.
+    fallback: `_trigram_index()` maps each trigram to the ascending ids that
+    contain it and gives each id the size of its trigram set. The index is
+    built on first use, so a run whose tokens are all known never pays for it.
     """
 
     def __init__(self, tokens=()):
@@ -92,14 +91,6 @@ class Vocabulary:
             self._tokens.append(token)
             self._index = None  # rebuilt on its next use
         return idx
-
-    @property
-    def _postings(self) -> dict:
-        return self._trigram_index()[0]
-
-    @property
-    def _gram_counts(self) -> list:
-        return self._trigram_index()[1]
 
     def _trigram_index(self) -> tuple:
         if self._index is None:
@@ -202,7 +193,7 @@ class EmbeddingTable(Module):
     def create(cls, vocab_size: int, width: int, rng: np.random.Generator) -> "EmbeddingTable":
         # uniform [-0.1, 0.1] init
         data = rng.uniform(-0.1, 0.1, size=(vocab_size, width))
-        return cls(Tensor(data, check=False))
+        return cls(Tensor(data))
 
     def row(self, idx: int) -> Tensor:
         return take_rows(self.matrix, [idx])

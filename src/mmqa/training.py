@@ -252,25 +252,24 @@ def _mean_f1(model, examples, max_len: int) -> float:
     return sum(token_f1(a, ex.answer) for a, ex in zip(answers, examples)) / len(examples)
 
 
-def _non_finite_example(model, examples, cfg: TrainingConfig, rng_state: dict, adam: Adam,
-                        name: str) -> Optional[str]:
+def _non_finite_example(model, examples, cfg: TrainingConfig, rng_state: dict,
+                        param) -> Optional[str]:
     """The video id of the first of a batch's `examples` whose own gradient
-    of the parameter `name` is not finite, or None if none is.
+    of the parameter tensor `param` is not finite, or None if none is.
 
     The batch is replayed one example per tape, from `rng_state`, the
-    sampling generator's state at the batch's start, into a fresh zero
-    vector with the owner sinks that training uses.
+    sampling generator's state at the batch's start, into one zero sink:
+    that of `param`'s owner, the only gradient the replay needs.
     """
     rng = np.random.default_rng(0)
     rng.bit_generator.state = rng_state
-    grad = np.zeros_like(adam.theta)
-    part, sinks = adam.views(grad)[name], adam.owner_blocks(grad)
+    sink = np.zeros_like(param.owner.data)
     for example in examples:
-        grad.fill(0.0)
-        with Tape(sinks) as tape:
+        sink.fill(0.0)
+        with Tape({param.owner: sink}) as tape:
             tape.backward(model.loss(example, mode=cfg.loss_mode,
                                      p_model=cfg.ss_probability, rng=rng))
-        if not np.isfinite(part).all():
+        if not np.isfinite(param.part(sink)).all():
             return example.video_id
     return None
 
@@ -297,6 +296,10 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     grad = np.zeros_like(adam.theta)
     grads = adam.views(grad)
     sinks = adam.owner_blocks(grad)
+    if model.cfg.freeze_embeddings:
+        # a leaf without a sink takes no gradient: the table's part stays
+        # zero, and Adam leaves it bitwise as it is
+        del sinks[params["embedding.matrix"]]
     best = adam.theta.copy()
     best_f1 = -1.0
     best_epoch = 0
@@ -325,12 +328,11 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                         )
                     tape.backward(loss)
                 epoch_loss += value
-            if model.cfg.freeze_embeddings:
-                grads["embedding.matrix"][...] = 0.0
             if not np.isfinite(grad).all():
                 name = next(n for n, g in grads.items() if not np.isfinite(g).all())
                 examples = [train_set[i] for i in batch]
-                culprit = _non_finite_example(model, examples, cfg, batch_rng_state, adam, name)
+                culprit = _non_finite_example(model, examples, cfg, batch_rng_state,
+                                              params[name])
                 found = (f"example {culprit!r}" if culprit is not None
                          else "no one example's gradient is, their sum overflowed")
                 raise NumericalError(

@@ -24,7 +24,7 @@ from mmqa.text import SOS
 
 
 def ones(*shape):
-    return Tensor(np.ones(shape), check=False)
+    return Tensor(np.ones(shape))
 
 
 def matmul(a, b):
@@ -231,7 +231,7 @@ def first_state(decoder, question):
     """The zero-padded question as layer 1's 1*h initial state."""
     if decoder.hidden_width == question.cols:
         return question
-    pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)), check=False)
+    pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)))
     return concat_cols(question, pad)
 
 
@@ -242,7 +242,7 @@ def forced_loss(decoder, embedding, context, question, inputs, gold):
     steps = len(inputs)
     x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
     h1 = gru_sequence(decoder.l1, x, first_state(decoder, question))
-    h2 = gru_sequence(decoder.l2, h1, Tensor(np.zeros((1, decoder.hidden_width)), check=False))
+    h2 = gru_sequence(decoder.l2, h1, Tensor(np.zeros((1, decoder.hidden_width))))
     return cross_entropy(add_row(matmul(h2, decoder.proj.w), decoder.proj.b), gold)
 
 
@@ -257,7 +257,7 @@ def decode_step(decoder, h1, h2, context, w_prev):
 def teacher_forced_loss(decoder, embedding, context, question, gold):
     """Step-by-step teacher-forced decode; `gold` already ends in EOS."""
     h1 = first_state(decoder, question)
-    h2 = Tensor(np.zeros((1, decoder.hidden_width)), check=False)
+    h2 = Tensor(np.zeros((1, decoder.hidden_width)))
     rows = []
     for token in [SOS] + list(gold[:-1]):
         x = concat_cols(context, embedding.row(token))

@@ -33,7 +33,7 @@ def T(data):
 
 
 def zero_gru(width, hidden):
-    z = lambda shape: Tensor(np.zeros(shape), check=False)
+    z = lambda shape: Tensor(np.zeros(shape))
     return GruCell(z((width, 3 * hidden)), z((1, 3 * hidden)), z((hidden, 2 * hidden)),
                    z((hidden, hidden)))
 
@@ -175,7 +175,7 @@ class TestRnnForward:
         layer = RecurrentLayer.create(rng, 3, 4)
         x = T(rng.normal(size=(1, 3)))
         out = rnn_forward(layer, x)
-        zero = Tensor(np.zeros((1, 4)), check=False)
+        zero = Tensor(np.zeros((1, 4)))
         np.testing.assert_array_equal(out.data[:, :4], step(layer.fwd, x, zero))
         np.testing.assert_array_equal(out.data[:, 4:], step(layer.bwd, x, zero))
 
@@ -211,7 +211,7 @@ class TestRnnForward:
         with pytest.raises(ShapeError):
             rnn_forward(layer, T(np.zeros((2, 4))))  # wrong width
         with pytest.raises(ShapeError):
-            rnn_forward(layer, Tensor(np.zeros((0, 3)), check=False))  # no rows
+            rnn_forward(layer, Tensor(np.zeros((0, 3))))  # no rows
         # directions of different input widths: the layer builds, and no
         # input can match both of them
         mixed = RecurrentLayer(GruCell.create(rng, 3, 2), GruCell.create(rng, 4, 2))
@@ -239,7 +239,7 @@ def sequence_rnn_forward(layer, seq):
     """A bidirectional layer as two `gru_sequence` records from zero states,
     the backward one over flipped rows: the reference that the stacked
     recurrence is compared against."""
-    zero = lambda: Tensor(np.zeros((1, layer.fwd.hidden_width)), check=False)
+    zero = lambda: Tensor(np.zeros((1, layer.fwd.hidden_width)))
     forward = gru_sequence(layer.fwd, seq, zero())
     backward = flip_rows(gru_sequence(layer.bwd, flip_rows(seq), zero()))
     return concat_cols(forward, backward)
@@ -388,7 +388,7 @@ class TestRnnStack:
 class TestSelfAttend:
     def test_zero_params_zero_output(self):
         width = 3
-        z = lambda shape: Tensor(np.zeros(shape), check=False)
+        z = lambda shape: Tensor(np.zeros(shape))
         params = SelfAttentionParams(z((width, width)), z((1, width)),
                                      z((width, width)), z((1, width)))
         out = self_attend(params, T(np.random.default_rng(0).normal(size=(4, 3))))
@@ -397,8 +397,8 @@ class TestSelfAttend:
     def test_identity_convs_hand_case(self):
         # identity maps on a nonnegative sequence square it under the mask:
         # mean of seq*seq over rows
-        eye = Tensor(np.eye(2), check=False)
-        zero = Tensor(np.zeros((1, 2)), check=False)
+        eye = Tensor(np.eye(2))
+        zero = Tensor(np.zeros((1, 2)))
         params = SelfAttentionParams(eye, zero, eye, zero)
         out = self_attend(params, T([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[5.0, 10.0]])
@@ -423,7 +423,7 @@ class TestGuidedAttend:
         # zero bilinear scores make every softmax row uniform, so each
         # question position sees the plain average of the sequence
         params = AttentionParams(
-            Tensor(np.zeros((2, 2)), check=False),
+            Tensor(np.zeros((2, 2))),
             Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])),
         )
         seq = T([[1.0, 0.0], [0.0, 1.0]])
@@ -483,7 +483,7 @@ class TestFusedAttention:
            width=st.integers(1, 5), pooling=st.sampled_from(["max", "average"]))
     def test_matches_composed_chains_bitwise(self, seed, n_s, n_q, width, pooling):
         rng = np.random.default_rng(seed)
-        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape))
         self_params = SelfAttentionParams(draw(width, width), draw(1, width),
                                           draw(width, width), draw(1, width))
         guide_params = AttentionParams(draw(width, width), draw(2 * width, width))
@@ -584,7 +584,7 @@ class TestGuidedStack:
     def test_matches_one_span_calls_bitwise(self, seed, lead, lengths, picks, n_q, width,
                                             pooling):
         rng = np.random.default_rng(seed)
-        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape), check=False)
+        draw = lambda *shape: Tensor(rng.normal(0.0, 0.5, size=shape))
         pool = [AttentionParams(draw(width, width), draw(2 * width, width)) for _ in range(3)]
         ends = np.cumsum([lead, *lengths]).tolist()
         spans = [(pool[k], start, end) for k, start, end in zip(picks, ends, ends[1:])]
@@ -694,7 +694,7 @@ class TestHistoryAndFeatures:
         and one attention record per stream: the summary, each sentence, the
         present modalities, then the history."""
         embed = lambda tokens: embed_sentence(model.vocab, model.embedding, tokens)
-        zero = lambda: Tensor(np.zeros((1, model.width)), check=False)
+        zero = lambda: Tensor(np.zeros((1, model.width)))
 
         def stream(name, seq):
             rnn, attn = model.streams[name]

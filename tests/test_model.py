@@ -45,7 +45,7 @@ def T(data):
 
 
 def zero_cell(width, hidden):
-    z = lambda shape: Tensor(np.zeros(shape), check=False)
+    z = lambda shape: Tensor(np.zeros(shape))
     return GruCell(z((width, 3 * hidden)), z((1, 3 * hidden)), z((hidden, 2 * hidden)),
                    z((hidden, hidden)))
 
@@ -56,7 +56,7 @@ def biased_decoder(bias, context_width=2, embed_width=2, hidden=2):
     return Decoder(
         l1=zero_cell(context_width + embed_width, hidden),
         l2=zero_cell(hidden, hidden),
-        proj=Affine(w=Tensor(np.zeros((hidden, vocab_size)), check=False),
+        proj=Affine(w=Tensor(np.zeros((hidden, vocab_size))),
                     b=T([list(map(float, bias))])),
     )
 
@@ -314,7 +314,7 @@ class TestDecoderLoss:
             seed, context_width, embed_width, question_width, question_width + pad, vocab_size)
         state = init_decoder(decoder, question)
         h1 = oracle.first_state(decoder, question)
-        h2 = Tensor(np.zeros((1, decoder.hidden_width)), check=False)
+        h2 = Tensor(np.zeros((1, decoder.hidden_width)))
         for token in data.draw(st.lists(st.integers(0, vocab_size - 1),
                                         min_size=steps, max_size=steps)):
             logits, state = decode_step(decoder, state, context, embedding.row(token))
@@ -561,6 +561,20 @@ class TestModelAssembly:
         vocab = corpus_vocab(overfit_dialogs())
         with pytest.raises(ValidationError, match=fault):
             Model.create(np.random.default_rng(3), vocab, **arch)
+
+    @pytest.mark.parametrize("flow, error, match", [
+        (np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]), ValidationError, "'toy': flow"),
+        (np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), ValidationError, "'toy': flow"),
+        (np.zeros(3), ShapeError, r"non-empty n\*in matrix"),
+        (np.zeros((0, 3)), ShapeError, r"non-empty n\*in matrix"),
+        (np.zeros((2, 3, 1)), ShapeError, r"non-empty n\*in matrix"),
+    ], ids=["nan", "inf", "rank-1", "empty", "rank-3"])
+    def test_encode_checks_the_features_it_is_given(self, flow, error, match):
+        # features handed in through the API, not read from a file, are
+        # checked where they enter: a non-finite one is named
+        model, example = gradcheck._toy_setup()
+        with pytest.raises(error, match=match):
+            model.encode(replace(example, flow=flow))
 
     def test_toy_loss_records_few_tape_nodes(self):
         # A guard that does not depend on host speed: with the stacked

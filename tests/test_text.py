@@ -144,14 +144,14 @@ class TestVocabulary:
 
         vocab = Vocabulary(first)
         # an index built before the adds must not go stale
-        assert (vocab._postings, vocab._gram_counts) == reference(vocab)
+        assert vocab._trigram_index() == reference(vocab)
         for w in later:
             vocab.add(w)
         path = tmp_path_factory.mktemp("vocab") / "words.vocab"
         vocab.save(path)
         for built in (vocab, Vocabulary.load(path)):
             assert built.tokens() == vocab.tokens()
-            assert (built._postings, built._gram_counts) == reference(vocab)
+            assert built._trigram_index() == reference(vocab)
 
     def test_known_tokens_build_no_trigram_index(self, monkeypatch, tmp_path):
         # the index serves only the OOV fallback, so building or loading a

@@ -15,8 +15,8 @@ update, `_update`, on 1-D or stacked operands; it updates the state as
 h' = h + z * (cand - h) with the four-call `tensor.logistic`. Both
 backward passes call one BPTT step, `_back_step`, the same way. The input
 terms of a run, and in the backward its input and weight gradients, take
-one GEMM each with the cell's W_z | W_r | W_h side by side
-(`GruCell.joined`).
+one GEMM each with the cell's owner `w`, W_z | W_r | W_h side by side;
+every caller reads a cell's owner arrays in place.
 
 A `GruCell` is its four owner tensors, which its one constructor takes:
 W_z | W_r | W_h (in*3h), the three biases (1*3h), U_z | U_r (h*2h) and
@@ -122,16 +122,9 @@ class GruCell(Module):
         return self.uh.rows
 
     def owners(self) -> tuple:
-        """The four tensors that hold the cell: `w`, `b`, `u` and `uh`, the
-        parents a tape record lists for it, in the order of `joined()`."""
+        """The four tensors that hold the cell, the parents a tape record
+        lists for it, in this order: `w`, `b`, `u` and `uh`."""
         return self.w, self.b, self.u, self.uh
-
-    def joined(self):
-        """W_z | W_r | W_h as one in*3h matrix, the biases as one 3h vector
-        (update | reset | candidate) and U_z | U_r as one h*2h matrix: the
-        forms in which `rnn_stack` and the decoder use them. These are the
-        owners' arrays; nothing is copied."""
-        return self.w.data, self.b.data[0], self.u.data
 
     @classmethod
     def create(cls, rng, input_width: int, hidden_width: int):

@@ -148,11 +148,8 @@ def load_dataset(path: str) -> list:
                 raise ValidationError(
                     f"{where} turn {j} must be an object with question and answer"
                 )
-            q = tokenize(_require(turn, "question", str, f"{where} turn {j}"))
-            a = tokenize(_require(turn, "answer", str, f"{where} turn {j}"))
-            if not q or not a:
-                raise ValidationError(f"{where} turn {j} has an empty question or answer")
-            turns.append((q, a))
+            turns.append((tokenize(_require(turn, "question", str, f"{where} turn {j}")),
+                          tokenize(_require(turn, "answer", str, f"{where} turn {j}"))))
         dialogs.append(Dialog(video_id=vid, summary=summary, turns=turns))
     return dialogs
 

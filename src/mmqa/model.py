@@ -8,9 +8,12 @@ initializes the decoder's first hidden layer.
 
 The context is the same at every step, so layer 1's input weights split
 into context rows and embedding rows, and the context's input term is
-computed once per sequence. `decoder_loss` takes a whole teacher-forced or
-scheduled-sampling loss as one tape record with a hand-written backward;
-`decode_step` decodes greedily on plain arrays and records nothing.
+computed once per sequence. `decoder_loss` takes the loss of a whole
+answer, given each step's input token, as one tape record with a
+hand-written backward; `decode_step` decodes on plain arrays and records
+nothing. `Model.loss` chooses each step's input under the loss mode, and
+`_greedy_step` is the one greedy pick that it and `generate` share. Every
+product reads a GRU cell's owner arrays in place (`w`, `b`, `u`, `uh`).
 """
 
 from __future__ import annotations
@@ -163,8 +166,7 @@ def _context_term(decoder: Decoder, context: Tensor, embed_width: int) -> np.nda
         raise ShapeError(f"decoder context {context.shape} does not match (1, {width}), "
                          f"its input width {decoder.l1.input_width} less the "
                          f"embedding width {embed_width}")
-    w1, b1, _ = decoder.l1.joined()
-    return context.data[0] @ w1[:width] + b1
+    return context.data[0] @ decoder.l1.w.data[:width] + decoder.l1.b.data[0]
 
 
 def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
@@ -185,20 +187,22 @@ def decode_step(decoder: Decoder, state: DecoderState, context: Tensor,
     xw1 = state.xw1
     if state.decoder is not decoder or state.context is not context:
         xw1 = _context_term(decoder, context, embed_width)
-    w1, _, u_zr1 = l1.joined()
-    w2, b2, u_zr2 = l2.joined()
-    h1 = gru_step(w_prev.data[0] @ w1[cw:] + xw1, state.h1, u_zr1, l1.uh.data)
-    h2 = gru_step(h1 @ w2 + b2, state.h2, u_zr2, l2.uh.data)
+    h1 = gru_step(w_prev.data[0] @ l1.w.data[cw:] + xw1, state.h1, l1.u.data, l1.uh.data)
+    h2 = gru_step(h1 @ l2.w.data + l2.b.data[0], state.h2, l2.u.data, l2.uh.data)
     logits = h2 @ decoder.proj.w.data + decoder.proj.b.data
     return Tensor(logits), DecoderState(h1, h2, decoder, context, xw1)
 
 
-def _greedy_pick(logits: Tensor) -> int:
-    # PAD and SOS are never produced; first maximum wins ties (lowest id)
-    row = logits.data[0].copy()
-    row[PAD] = -np.inf
-    row[SOS] = -np.inf
-    return int(np.argmax(row))
+def _greedy_step(decoder: Decoder, embedding: EmbeddingTable, state: DecoderState,
+                 context: Tensor, token: int) -> tuple[int, DecoderState]:
+    """One decoding step fed `token`; returns the greedy pick and the next
+    state. PAD and SOS are never picked, and the first maximum wins ties
+    (the lowest id). Nothing is recorded."""
+    logits, state = decode_step(decoder, state, context,
+                                Tensor(embedding.matrix.data[token:token + 1]))
+    row = logits.data[0]
+    row[PAD] = row[SOS] = -np.inf
+    return int(np.argmax(row)), state
 
 
 def generate(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
@@ -210,26 +214,11 @@ def generate(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     token = SOS
     out: list[int] = []
     for _ in range(max_len):
-        logits, state = decode_step(decoder, state, context, _row(embedding, token))
-        token = _greedy_pick(logits)
+        token, state = _greedy_step(decoder, embedding, state, context, token)
         if token == EOS:
             break
         out.append(token)
     return out
-
-
-def _row(embedding: EmbeddingTable, token: int) -> Tensor:
-    """A token's embedding as a 1*d_w tensor that no tape records."""
-    return Tensor(embedding.matrix.data[token:token + 1])
-
-
-def _normalize_gold(gold) -> list[int]:
-    if not gold:
-        raise ValidationError("gold token sequence must be non-empty")
-    gold = [int(t) for t in gold]
-    if gold[-1] != EOS:
-        gold = gold + [EOS]
-    return gold
 
 
 def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
@@ -262,10 +251,9 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         raise ValidationError(f"target id out of range for vocab {vocab}: {gold}")
     idx, targets, rows = np.asarray(inputs, dtype=np.intp), np.asarray(gold), np.arange(steps)
     c, emb, cw = context.data[0], table.data[idx], context.cols
-    w1, _, u_zr1 = l1.joined()
-    w2, b2, u_zr2 = l2.joined()
-    h1, back1 = gru_run(emb @ w1[cw:] + xw1, h0, u_zr1, l1.uh.data)
-    h2, back2 = gru_run(h1 @ w2 + b2, np.zeros(h0.shape[0]), u_zr2, l2.uh.data)
+    w1, w2 = l1.w.data, l2.w.data
+    h1, back1 = gru_run(emb @ w1[cw:] + xw1, h0, l1.u.data, l1.uh.data)
+    h2, back2 = gru_run(h1 @ w2 + l2.b.data[0], np.zeros(h0.shape[0]), l2.u.data, l2.uh.data)
     logits = h2 @ proj.w.data + proj.b.data
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -289,37 +277,6 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
 
     return _emit(np.array([loss]), (table, context, question, *l1.owners(), *l2.owners(),
                                     proj.w, proj.b), back)
-
-
-def teacher_forced_loss(decoder: Decoder, embedding: EmbeddingTable,
-                        context: Tensor, question: Tensor, gold) -> Tensor:
-    """Mean cross-entropy with every step fed the previous gold token."""
-    gold = _normalize_gold(gold)
-    return decoder_loss(decoder, embedding, context, question, [SOS] + gold[:-1], gold)
-
-
-def scheduled_sample_loss(decoder: Decoder, embedding: EmbeddingTable,
-                          context: Tensor, question: Tensor, gold,
-                          p_model: float, rng: np.random.Generator) -> Tensor:
-    """Cross-entropy where each step past the first may feed the model's own
-    previous greedy pick instead of the gold token, with probability p_model.
-
-    The picks come from a step-by-step decode on plain arrays (they are
-    argmaxes, so no gradient flows through them, and nothing is recorded);
-    the loss is then the teacher-forced loss over the chosen inputs.
-    p_model=0 consumes the same random draws but always picks gold, so it is
-    bit-identical to the teacher-forced loss; p_model=1 runs free.
-    """
-    if not (0.0 <= p_model <= 1.0):
-        raise ValidationError(f"p_model must lie in [0, 1], got {p_model}")
-    gold = _normalize_gold(gold)
-    inputs = [SOS]
-    state = init_decoder(decoder, question)
-    for t in range(1, len(gold)):
-        logits, state = decode_step(decoder, state, context, _row(embedding, inputs[-1]))
-        use_model = rng.random() < p_model
-        inputs.append(_greedy_pick(logits) if use_model else gold[t - 1])
-    return decoder_loss(decoder, embedding, context, question, inputs, gold)
 
 
 @dataclass
@@ -444,17 +401,33 @@ class Model:
              p_model: float = DEFAULT_SS_PROBABILITY,
              rng: Optional[np.random.Generator] = None) -> Tensor:
         """Scalar training loss for one example under one of the LOSS_MODES:
-        teacher forcing, scheduled sampling with `p_model`, or free running."""
+        teacher forcing, scheduled sampling with `p_model`, or free running.
+
+        The gold tokens are the answer's ids and EOS; step t is fed the gold
+        token before it (SOS first). Under `ss` and `free` a greedy decode
+        over the chosen inputs, which records nothing, draws from `rng` after
+        each step but the last, and with probability `p_model` (1 for `free`)
+        feeds the next step that step's pick. The draws are taken at
+        `p_model=0` too, so it equals teacher forcing bitwise.
+        """
         if mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
         if mode != "tf" and rng is None:
             raise ValidationError(f"loss mode {mode!r} requires a random generator")
+        if mode == "ss" and not 0.0 <= p_model <= 1.0:
+            raise ValidationError(f"p_model must lie in [0, 1], got {p_model}")
         context, q_vec = self.encode(example)
-        gold = self.answer_ids(example)
-        if mode == "tf":
-            return teacher_forced_loss(self.decoder, self.embedding, context, q_vec, gold)
-        return scheduled_sample_loss(self.decoder, self.embedding, context, q_vec, gold,
-                                     p_model if mode == "ss" else 1.0, rng)
+        gold = self.answer_ids(example) + [EOS]
+        inputs = [SOS] + gold[:-1]
+        if mode != "tf":
+            p_model = p_model if mode == "ss" else 1.0
+            state = init_decoder(self.decoder, q_vec)
+            for t in range(1, len(gold)):
+                pick, state = _greedy_step(self.decoder, self.embedding, state, context,
+                                           inputs[t - 1])
+                if rng.random() < p_model:
+                    inputs[t] = pick
+        return decoder_loss(self.decoder, self.embedding, context, q_vec, inputs, gold)
 
     def generate(self, example: DialogExample, max_len: int = DEFAULT_GENERATE_LEN) -> list[str]:
         """Greedy answer tokens (as strings) for one example."""

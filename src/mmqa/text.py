@@ -10,6 +10,7 @@ entries that share a trigram with the unknown word.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -34,7 +35,8 @@ __all__ = [
 PAD, SOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<sos>", "<eos>", "<unk>")
 
-_DETACHED = set(".,?!'\"")
+# a detached mark, or a run of anything else that is not whitespace
+_TOKEN = re.compile(r"""[.,?!'"]|[^\s.,?!'"]+""")
 
 # OOV matches below this trigram-Dice similarity fall back to UNK.
 OOV_SIMILARITY_FLOOR = 0.3
@@ -42,23 +44,7 @@ OOV_SIMILARITY_FLOOR = 0.3
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace, detaching .,?!'\" as own tokens."""
-    out: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if word:
-                out.append("".join(word))
-                word = []
-        elif ch in _DETACHED:
-            if word:
-                out.append("".join(word))
-                word = []
-            out.append(ch)
-        else:
-            word.append(ch)
-    if word:
-        out.append("".join(word))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 class Vocabulary:

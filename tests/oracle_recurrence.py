@@ -167,7 +167,7 @@ def gru_sequence(cell, seq, h0):
         )
     n, h = seq.rows, cell.hidden_width
     x = seq.data
-    w, b, u_zr = cell.joined()
+    w, b, u_zr = cell.w.data, cell.b.data[0], cell.u.data
     u_h = cell.uh.data
     xw = x @ w + b
     xw_zr, xw_h = xw[:, :2 * h], xw[:, 2 * h:]

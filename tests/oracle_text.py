@@ -1,9 +1,34 @@
-"""Brute-force trigram-Dice OOV fallback: the reference that the indexed
-`text.resolve_token` is tested against. Every lookup recomputes the trigram
-set of every vocabulary entry; nothing here is used by the package itself.
+"""References for `mmqa.text`: a character-by-character tokenizer that
+`text.tokenize`'s one pattern is tested against, and a brute-force
+trigram-Dice OOV fallback that the indexed `text.resolve_token` is tested
+against. Every lookup recomputes the trigram set of every vocabulary entry;
+nothing here is used by the package itself.
 """
 
 from mmqa.text import OOV_SIMILARITY_FLOOR, RESERVED_TOKENS, UNK
+
+DETACHED = set(".,?!'\"")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on whitespace, detaching .,?!'\" as own tokens."""
+    out: list[str] = []
+    word: list[str] = []
+    for ch in text.lower():
+        if ch.isspace():
+            if word:
+                out.append("".join(word))
+                word = []
+        elif ch in DETACHED:
+            if word:
+                out.append("".join(word))
+                word = []
+            out.append(ch)
+        else:
+            word.append(ch)
+    if word:
+        out.append("".join(word))
+    return out
 
 
 def trigrams(token: str) -> frozenset:

@@ -40,8 +40,8 @@ def zero_gru(width, hidden):
 
 def step(cell, x, h_prev):
     """`gru_step` of a cell on a 1*in input and a 1*h state, as 1*h."""
-    w, b, u_zr = cell.joined()
-    return gru_step((x.data @ w + b)[0], h_prev.data[0], u_zr, cell.uh.data)[None, :]
+    return gru_step((x.data @ cell.w.data + cell.b.data[0])[0], h_prev.data[0], cell.u.data,
+                    cell.uh.data)[None, :]
 
 
 class TestGruStep:
@@ -146,8 +146,8 @@ class TestFusedSequences:
         # one record for the fused sequence, then mul and sum_all of the loss
         assert nodes == 3
         # `gru_run` on the same input terms gives the same states and BPTT
-        w, b, u_zr = cell.joined()
-        states, back = gru_run(seq.data @ w + b, h0.data[0], u_zr, cell.uh.data)
+        states, back = gru_run(seq.data @ cell.w.data + cell.b.data[0], h0.data[0],
+                               cell.u.data, cell.uh.data)
         np.testing.assert_array_equal(states, out)
         da, dh0, du_zr, du_h = back(weights.data)
         np.testing.assert_array_equal(dh0, grads[-1][0])
@@ -314,8 +314,9 @@ class TestRnnStack:
         for width, hidden, n in ((3, 2, 5), (16, 4, 7), (64, 32, 24)):
             layer = RecurrentLayer.create(rng, width, hidden)
             seq = T(rng.normal(size=(n, width)))
-            w, b, u_zr = layer.fwd.joined()
-            states, back = gru_run(seq.data @ w + b, np.zeros(hidden), u_zr, layer.fwd.uh.data)
+            cell = layer.fwd
+            states, back = gru_run(seq.data @ cell.w.data + cell.b.data[0], np.zeros(hidden),
+                                   cell.u.data, cell.uh.data)
             g = rng.normal(size=(n, hidden))
             weights = T(np.concatenate([g, np.zeros((n, hidden))], axis=1))
             owners = (layer.fwd.w, layer.fwd.u, layer.fwd.uh)

@@ -30,8 +30,6 @@ from mmqa.model import (
     fuse,
     generate,
     init_decoder,
-    scheduled_sample_loss,
-    teacher_forced_loss,
 )
 from mmqa.formats import checkpoint_from_model, model_from_checkpoint, save_checkpoint
 from mmqa.tensor import ColumnView, Tape, Tensor, grad_check
@@ -208,27 +206,31 @@ class TestGenerate:
 
 class TestTeacherForcedLoss:
     def test_missing_eos_is_appended(self):
-        decoder, embedding, context, question = random_decoder()
-        bare = teacher_forced_loss(decoder, embedding, context, question, [4, 5])
-        closed = teacher_forced_loss(decoder, embedding, context, question, [4, 5, EOS])
-        assert bare.item() == closed.item()
+        # `Model.loss` takes the answer's ids and EOS as gold, fed from SOS
+        model, example = gradcheck._toy_setup()
+        context, question = model.encode(example)
+        gold = model.answer_ids(example) + [EOS]
+        want = decoder_loss(model.decoder, model.embedding, context, question,
+                            [SOS] + gold[:-1], gold)
+        assert model.loss(example).item() == want.item()
 
     def test_rigged_model_reaches_near_zero(self):
         bias = [0.0] * 8
         bias[EOS] = 50.0
         decoder = biased_decoder(bias)
-        loss = teacher_forced_loss(decoder, self_embedding(), T([[0.0, 0.0]]),
-                                   T([[0.0, 0.0]]), [EOS])
+        loss = decoder_loss(decoder, self_embedding(), T([[0.0, 0.0]]), T([[0.0, 0.0]]),
+                            [SOS], [EOS])
         assert loss.item() < 1e-6
 
     def test_empty_gold_rejected(self):
         decoder, embedding, context, question = random_decoder()
         with pytest.raises(ValidationError):
-            teacher_forced_loss(decoder, embedding, context, question, [])
+            decoder_loss(decoder, embedding, context, question, [], [])
 
     def test_loss_is_positive_scalar(self):
         decoder, embedding, context, question = random_decoder()
-        loss = teacher_forced_loss(decoder, embedding, context, question, [4, 6, 5])
+        loss = decoder_loss(decoder, embedding, context, question, [SOS, 4, 6, 5],
+                            [4, 6, 5, EOS])
         assert loss.shape == (1,)
         assert loss.item() > 0.0
 
@@ -251,7 +253,8 @@ class TestTeacherForcedLoss:
                 grads = tape.backward(loss)
             return loss.item(), [grads.wrt(x) for x in inputs]
 
-        loss, grads = run(teacher_forced_loss)
+        forced = lambda d, e, c, q, gold: decoder_loss(d, e, c, q, [SOS] + gold[:-1], gold)
+        loss, grads = run(forced)
         want, want_grads = run(oracle.teacher_forced_loss)
         assert abs(loss - want) <= 1e-12
         for got, expected in zip(grads, want_grads):
@@ -392,45 +395,60 @@ def self_embedding():
     return EmbeddingTable.create(8, 2, np.random.default_rng(0))
 
 
+def toy_loss(mode, p_model=0.5, rng=None):
+    """`Model.loss` of the `gradcheck` toy example under one mode: the loss
+    and the gradient of every named parameter."""
+    model, example = gradcheck._toy_setup()
+    params = model.parameters()
+    with Tape() as tape:
+        for p in params.values():
+            tape.watch(p)
+        loss = model.loss(example, mode=mode, p_model=p_model, rng=rng)
+        tape.backward(loss)
+    return loss.item(), {name: tape.wrt(p) for name, p in params.items()}
+
+
+def assert_same_bits(a, b):
+    assert a[0] == b[0]
+    assert a[1].keys() == b[1].keys()
+    for name in a[1]:
+        np.testing.assert_array_equal(a[1][name], b[1][name], err_msg=name)
+
+
 class TestScheduledSampleLoss:
+    """The modes of `Model.loss` on the `gradcheck` toy example."""
+
     def test_zero_probability_equals_teacher_forcing_and_consumes_draws(self):
-        decoder, embedding, context, question = random_decoder()
-        gold = [4, 5, 6]
-        tf = teacher_forced_loss(decoder, embedding, context, question, gold)
         rng = np.random.default_rng(123)
-        ss = scheduled_sample_loss(decoder, embedding, context, question, gold,
-                                   0.0, rng)
-        assert ss.item() == tf.item()
-        # the draw happens on every step past the first even at p = 0
+        assert_same_bits(toy_loss("ss", 0.0, rng), toy_loss("tf"))
+        # the draw happens on every step past the first even at p = 0:
+        # three answer tokens and EOS make 4 steps, 3 draws
         witness = np.random.default_rng(123)
-        for _ in range(len(gold)):  # gold gets EOS appended: 4 steps, 3 draws
+        for _ in range(3):
             witness.random()
         assert rng.random() == witness.random()
 
+    def test_free_running_equals_full_probability(self):
+        free = toy_loss("free", rng=np.random.default_rng(5))
+        assert_same_bits(free, toy_loss("ss", 1.0, np.random.default_rng(5)))
+        assert free[0] != toy_loss("tf")[0]  # the picks are not the gold tokens
+
     def test_full_probability_ignores_generator_state(self):
-        decoder, embedding, context, question = random_decoder()
-        gold = [4, 5, 6]
-        a = scheduled_sample_loss(decoder, embedding, context, question, gold,
-                                  1.0, np.random.default_rng(1))
-        b = scheduled_sample_loss(decoder, embedding, context, question, gold,
-                                  1.0, np.random.default_rng(999))
-        assert a.item() == b.item()
+        assert_same_bits(toy_loss("free", rng=np.random.default_rng(1)),
+                         toy_loss("free", rng=np.random.default_rng(999)))
 
     def test_same_seed_reproducible(self):
-        decoder, embedding, context, question = random_decoder()
-        gold = [4, 5, 6, 7]
-        a = scheduled_sample_loss(decoder, embedding, context, question, gold,
-                                  0.5, np.random.default_rng(42))
-        b = scheduled_sample_loss(decoder, embedding, context, question, gold,
-                                  0.5, np.random.default_rng(42))
-        assert a.item() == b.item()
+        assert_same_bits(toy_loss("ss", 0.5, np.random.default_rng(42)),
+                         toy_loss("ss", 0.5, np.random.default_rng(42)))
 
     def test_probability_bounds(self):
-        decoder, embedding, context, question = random_decoder()
+        model, example = gradcheck._toy_setup()
         for bad in (-0.1, 1.0001):
-            with pytest.raises(ValidationError):
-                scheduled_sample_loss(decoder, embedding, context, question, [4],
-                                      bad, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match="p_model"):
+                model.loss(example, mode="ss", p_model=bad, rng=np.random.default_rng(0))
+        for mode in ("ss", "free"):
+            with pytest.raises(ValidationError, match="random generator"):
+                model.loss(example, mode=mode)
 
 
 class TestModelAssembly:
@@ -730,17 +748,16 @@ def gru_cells(model):
 
 
 class TestCellsAtRest:
-    """Each cell's joined arrays are the storage of its named tensors: no
+    """Each cell's owner arrays are the storage of its named tensors: no
     call joins them, so no stale copy can be read."""
 
     @staticmethod
     def assert_at_rest(model):
         for cell in gru_cells(model):
-            w, b, u = cell.joined()
+            w, b, u = cell.w.data, cell.b.data, cell.u.data
             h = cell.hidden_width
-            blocks = [(cell.wz, w, 0), (cell.wr, w, 1), (cell.wh, w, 2),
-                      (cell.bz, b[None, :], 0), (cell.br, b[None, :], 1),
-                      (cell.bh, b[None, :], 2), (cell.uz, u, 0), (cell.ur, u, 1)]
+            blocks = [(cell.wz, w, 0), (cell.wr, w, 1), (cell.wh, w, 2), (cell.bz, b, 0),
+                      (cell.br, b, 1), (cell.bh, b, 2), (cell.uz, u, 0), (cell.ur, u, 1)]
             for named, joined, k in blocks:
                 # the same memory, shape and strides: a view, not a copy
                 block = joined[:, k * h:(k + 1) * h]

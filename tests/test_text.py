@@ -84,6 +84,12 @@ class TestTokenize:
     def test_punctuation_runs(self):
         assert tokenize("what?!") == ["what", "?", "!"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("\u0130\u00df\x1c\x85 a.b")
+    def test_pattern_matches_the_character_loop(self, text):
+        assert tokenize(text) == oracle.tokenize(text)
+
     @settings(max_examples=60, deadline=None)
     @given(ascii_text)
     def test_idempotent_on_own_output(self, text):

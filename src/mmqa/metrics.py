@@ -1,8 +1,15 @@
 """Corpus-level generation metrics: BLEU-1..4, ROUGE-L, CIDEr.
 
-All three work on pre-tokenized sequences and are pure functions. BLEU is
-the original corpus-level definition with no smoothing: a single zero
-k-gram precision zeroes the whole score.
+All three work on pre-tokenized sequences and are pure functions.
+`corpus_scores` scores the whole table from one n-gram count per sentence:
+for each order 1..4 in turn, every candidate's and every reference's
+n-grams are counted once, and both BLEU and CIDEr read those counts. BLEU
+keeps each order's clipped matched and total counts, and BLEU-n reads the
+first n orders; CIDEr takes its document frequencies from the same
+reference counts. `bleu` and `cider` score one metric through the same
+helpers, so every score equals its table entry bitwise. BLEU is the
+original corpus-level definition with no smoothing: a single zero k-gram
+precision zeroes the whole score.
 """
 
 from __future__ import annotations
@@ -10,16 +17,28 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from itertools import chain
 
 from .errors import ValidationError
 
-__all__ = ["bleu", "rouge_l", "rouge_l_corpus", "cider"]
+__all__ = ["bleu", "rouge_l", "rouge_l_corpus", "cider", "corpus_scores"]
 
 ROUGE_BETA_SQ = 1.2
+MAX_ORDER = 4
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens, n: int) -> dict:
+    """Counts of `tokens`' n-grams, keyed in order of first occurrence."""
+    counts = {}
+    for gram in zip(*(tokens[i:] for i in range(n))):
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def _count_order(candidates, references, n: int) -> tuple:
+    """Every candidate's and every reference's n-gram counts."""
+    return ([_ngram_counts(cand, n) for cand in candidates],
+            [[_ngram_counts(ref, n) for ref in refs] for refs in references])
 
 
 def validate_corpus(candidates, references) -> None:
@@ -38,30 +57,36 @@ def _closest_ref_length(cand_len: int, refs) -> int:
     return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
 
 
-def bleu(candidates, references, n: int = 4) -> float:
-    """Corpus BLEU-n: geometric mean of clipped k-gram precisions k<=n,
-    times a length penalty exp(1 - longer/shorter) comparing the total
-    candidate length with the total closest-reference length."""
-    if n not in (1, 2, 3, 4):
-        raise ValidationError(f"bleu order must be 1..4, got {n}")
-    validate_corpus(candidates, references)
-    matched = [0] * n
-    total = [0] * n
+def _clipped_counts(cand_grams, ref_grams) -> tuple:
+    """The corpus's clipped matched and total n-gram counts for one order."""
+    matched = 0
+    total = 0
+    for counts, refs in zip(cand_grams, ref_grams):
+        # each n-gram's largest count in any one reference
+        ceiling = refs[0]
+        for ref in refs[1:]:
+            ceiling = {**ceiling, **{g: c for g, c in ref.items() if c > ceiling.get(g, 0)}}
+        matched += sum(min(c, ceiling.get(gram, 0)) for gram, c in counts.items())
+        total += sum(counts.values())
+    return matched, total
+
+
+def _lengths(candidates, references) -> tuple:
+    """The total candidate length and the total closest-reference length."""
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
         cand_len += len(cand)
         ref_len += _closest_ref_length(len(cand), refs)
-        for k in range(1, n + 1):
-            counts = _ngrams(cand, k)
-            ceiling = Counter()
-            for ref in refs:
-                ceiling |= _ngrams(ref, k)
-            matched[k - 1] += sum((counts & ceiling).values())
-            total[k - 1] += sum(counts.values())
-    if cand_len == 0 or any(t == 0 for t in total):
+    return cand_len, ref_len
+
+
+def _bleu_score(clipped, cand_len: int, ref_len: int) -> float:
+    """BLEU-n from the clipped counts of orders 1..n."""
+    n = len(clipped)
+    if cand_len == 0 or any(t == 0 for _, t in clipped):
         return 0.0
-    precisions = [m / t for m, t in zip(matched, total)]
+    precisions = [m / t for m, t in clipped]
     if any(p == 0.0 for p in precisions):
         return 0.0
     if cand_len == ref_len:
@@ -71,6 +96,17 @@ def bleu(candidates, references, n: int = 4) -> float:
     else:
         penalty = math.exp(1.0 - cand_len / ref_len)
     return penalty * math.exp(sum(math.log(p) for p in precisions) / n)
+
+
+def bleu(candidates, references, n: int = 4) -> float:
+    """Corpus BLEU-n: geometric mean of clipped k-gram precisions k<=n,
+    times a length penalty exp(1 - longer/shorter) comparing the total
+    candidate length with the total closest-reference length."""
+    if n not in (1, 2, 3, 4):
+        raise ValidationError(f"bleu order must be 1..4, got {n}")
+    validate_corpus(candidates, references)
+    clipped = [_clipped_counts(*_count_order(candidates, references, k)) for k in range(1, n + 1)]
+    return _bleu_score(clipped, *_lengths(candidates, references))
 
 
 def _lcs_length(a, b) -> int:
@@ -103,28 +139,61 @@ def rouge_l(candidate, references) -> float:
     return best
 
 
-def rouge_l_corpus(candidates, references) -> float:
-    validate_corpus(candidates, references)
+def _mean_rouge_l(candidates, references) -> float:
     if not candidates:
         return 0.0
     return sum(rouge_l(c, r) for c, r in zip(candidates, references)) / len(candidates)
 
 
-def _tfidf_vector(tokens, n: int, doc_freq: Counter, corpus_size: int) -> dict:
-    log_n = math.log(corpus_size)
-    return {
-        gram: count * (log_n - math.log(max(1.0, doc_freq[gram])))
-        for gram, count in _ngrams(tokens, n).items()
-    }
+def rouge_l_corpus(candidates, references) -> float:
+    validate_corpus(candidates, references)
+    return _mean_rouge_l(candidates, references)
 
 
-def _cosine(u: dict, v: dict) -> float:
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
+def _tfidf(counts: dict, doc_freq: Counter, idf: list) -> tuple:
+    """A sentence's TF-IDF vector for one order and its Euclidean norm."""
+    vec = {gram: count * idf[doc_freq.get(gram, 0)] for gram, count in counts.items()}
+    return vec, math.sqrt(sum(x * x for x in vec.values()))
+
+
+def _cosine(a: tuple, b: tuple) -> float:
+    """Cosine of two `_tfidf` results."""
+    (u, nu), (v, nv) = a, b
     if nu == 0.0 or nv == 0.0:
         return 0.0
     dot = sum(x * v[g] for g, x in u.items() if g in v)
     return dot / (nu * nv)
+
+
+def _cider_sims(cand_grams, ref_grams) -> list:
+    """Each example's mean TF-IDF cosine to its references, for one order."""
+    size = len(cand_grams)
+    if size == 0:
+        return []
+    log_n = math.log(size)
+    # the IDF of an n-gram that df of the examples mention
+    idf = [log_n - math.log(max(1.0, df)) for df in range(size + 1)]
+    doc_freq = Counter(chain.from_iterable(set().union(*refs) for refs in ref_grams))
+    sims = []
+    for cand, refs in zip(cand_grams, ref_grams):
+        cand_vec = _tfidf(cand, doc_freq, idf)
+        sims.append(sum(_cosine(cand_vec, _tfidf(ref, doc_freq, idf)) for ref in refs)
+                    / len(refs))
+    return sims
+
+
+def _cider_score(sims, size: int) -> float:
+    """CIDEr from every order's `_cider_sims`, orders 1..4 in turn."""
+    if size == 0:
+        return 0.0
+    if size == 1:
+        # level 3: the caller of `cider` or `corpus_scores`
+        warnings.warn("CIDEr needs >= 2 examples for meaningful IDF; scoring 0",
+                      stacklevel=3)
+    total = 0.0
+    for sim in sims:  # one running sum, in this order
+        total += sim
+    return 10.0 * total / (MAX_ORDER * size)
 
 
 def cider(candidates, references) -> float:
@@ -135,25 +204,28 @@ def cider(candidates, references) -> float:
     scores 0; that degenerate case raises a warning.
     """
     validate_corpus(candidates, references)
-    size = len(candidates)
-    if size == 0:
-        return 0.0
-    if size == 1:
-        warnings.warn("CIDEr needs >= 2 examples for meaningful IDF; scoring 0",
-                      stacklevel=2)
-    total = 0.0
-    for n in range(1, 5):
-        doc_freq = Counter()
-        for refs in references:
-            grams = set()
-            for ref in refs:
-                grams.update(_ngrams(ref, n))
-            for gram in grams:
-                doc_freq[gram] += 1
-        for cand, refs in zip(candidates, references):
-            cand_vec = _tfidf_vector(cand, n, doc_freq, size)
-            sim = sum(
-                _cosine(cand_vec, _tfidf_vector(ref, n, doc_freq, size)) for ref in refs
-            ) / len(refs)
-            total += sim
-    return 10.0 * total / (4 * size)
+    sims = []
+    for n in range(1, MAX_ORDER + 1):
+        sims += _cider_sims(*_count_order(candidates, references, n))
+    return _cider_score(sims, len(candidates))
+
+
+def _score_order(candidates, references, n: int) -> tuple:
+    """One order's clipped BLEU counts and CIDEr similarities, from one
+    count of its n-grams; the counts are dropped on return."""
+    cand_grams, ref_grams = _count_order(candidates, references, n)
+    return _clipped_counts(cand_grams, ref_grams), _cider_sims(cand_grams, ref_grams)
+
+
+def corpus_scores(candidates, references) -> dict:
+    """The score table: bleu1..4, rouge_l and cider, in that order, each
+    bitwise equal to its own function's score. Each order's n-grams are
+    counted once, for BLEU and CIDEr both."""
+    validate_corpus(candidates, references)
+    orders = [_score_order(candidates, references, n) for n in range(1, MAX_ORDER + 1)]
+    clipped = [counts for counts, _ in orders]
+    lengths = _lengths(candidates, references)
+    scores = {f"bleu{n}": _bleu_score(clipped[:n], *lengths) for n in range(1, MAX_ORDER + 1)}
+    scores["rouge_l"] = _mean_rouge_l(candidates, references)
+    scores["cider"] = _cider_score([sim for _, sims in orders for sim in sims], len(candidates))
+    return scores

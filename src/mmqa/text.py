@@ -148,10 +148,12 @@ def resolve_token(vocab: Vocabulary, token: str) -> int:
     The fallback scores the non-reserved entries that share a trigram with
     `token` by Dice coefficient over boundary-padded trigram sets and keeps
     the best, ties broken by lower id; matches below the floor resolve to UNK.
+    A word that spells a control token (`<pad>`, `<sos>`, `<eos>`) is data,
+    not control, and resolves to UNK.
     """
     exact = vocab.id(token)
     if exact is not None:
-        return exact
+        return max(exact, UNK)  # the ids below UNK are control ids
     query = _trigrams(token)
     if not query:
         return UNK

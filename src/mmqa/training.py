@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_GENERATE_LEN, TrainingConfig
 from .errors import NumericalError, ShapeError, ValidationError
-from .metrics import bleu, cider, rouge_l_corpus
+from .metrics import corpus_scores
 from .tensor import Tape
 
 __all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate", "greedy_answers"]
@@ -383,9 +383,7 @@ def evaluate(model, examples, max_len: int = DEFAULT_GENERATE_LEN):
         raise ValidationError("evaluation set must be non-empty")
     candidates = greedy_answers(model, examples, max_len)
     references = [[ex.answer] for ex in examples]
-    scores = {f"bleu{k}": bleu(candidates, references, k) for k in (1, 2, 3, 4)}
-    scores["rouge_l"] = rouge_l_corpus(candidates, references)
-    scores["cider"] = cider(candidates, references)
+    scores = corpus_scores(candidates, references)
     scores["token_f1"] = sum(
         token_f1(c, ex.answer) for c, ex in zip(candidates, examples)
     ) / len(examples)

@@ -45,8 +45,11 @@ def trigram_dice(a: str, b: str) -> float:
 
 
 def resolve_token(vocab, token: str) -> int:
-    """Exact id, else the best-scoring non-reserved entry in id order (ties
-    to the lower id), else UNK below the similarity floor."""
+    """Exact id (UNK for a control token's spelling), else the best-scoring
+    non-reserved entry in id order (ties to the lower id), else UNK below
+    the similarity floor."""
+    if token in RESERVED_TOKENS:
+        return UNK
     exact = vocab.id(token)
     if exact is not None:
         return exact

@@ -22,7 +22,7 @@ from conftest import (
     overfit_setup,
 )
 from oracle_metrics import oracle_bleu, oracle_cider, oracle_rouge_l_corpus
-from test_metrics import random_corpus
+from test_metrics import per_metric_table, random_corpus
 from mmqa import cli
 from mmqa.augment import (
     Dialog,
@@ -41,7 +41,7 @@ from mmqa.formats import (
     save_features,
 )
 from mmqa.gradcheck import composed_checks, primitive_checks
-from mmqa.metrics import bleu, cider, rouge_l, rouge_l_corpus
+from mmqa.metrics import bleu, corpus_scores, rouge_l
 from mmqa.training import train
 
 
@@ -77,21 +77,23 @@ def test_c1_gradients_match_finite_differences():
 
 def test_c2_metrics_match_independent_oracle():
     with verdict(2, "BLEU-1..4, ROUGE-L and CIDEr within 1e-9 of a "
-                    "brute-force oracle on 25 random corpora, hand "
-                    "cases exact"):
+                    "brute-force oracle on 25 random corpora, each metric "
+                    "alone and in one score table, hand cases exact"):
         rng = np.random.default_rng(2024)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(25):
                 candidates, references = random_corpus(rng)
-                for k in (1, 2, 3, 4):
-                    ours = bleu(candidates, references, k)
-                    theirs = oracle_bleu(candidates, references, k)
-                    assert abs(ours - theirs) <= 1e-9
-                assert abs(rouge_l_corpus(candidates, references)
-                           - oracle_rouge_l_corpus(candidates, references)) <= 1e-9
-                assert abs(cider(candidates, references)
-                           - oracle_cider(candidates, references)) <= 1e-9
+                theirs = {f"bleu{k}": oracle_bleu(candidates, references, k)
+                          for k in (1, 2, 3, 4)}
+                theirs["rouge_l"] = oracle_rouge_l_corpus(candidates, references)
+                theirs["cider"] = oracle_cider(candidates, references)
+                ours = per_metric_table(candidates, references)
+                table = corpus_scores(candidates, references)
+                assert list(table) == list(theirs)
+                for name, value in theirs.items():
+                    assert abs(ours[name] - value) <= 1e-9, name
+                    assert abs(table[name] - value) <= 1e-9, name
         repeated = bleu([["the", "the", "the", "the"]], [[["the", "cat"]]], 1)
         assert repeated == 0.25 * math.exp(-1.0)
         assert rouge_l(["a", "c"], [["a", "b", "c"]]) == pytest.approx(

@@ -160,6 +160,19 @@ class TestPipeline:
                          "--out", str(answers_path), "--max-len", "6"]) == 0
         assert len(answers_path.read_text().splitlines()) == 4
 
+    def test_eval_of_one_example_warns_once_and_scores_cider_zero(self, tmp_path, capsys):
+        ckpt, _data = TestFailureModes.write_checkpoint(tmp_path)
+        data = tmp_path / "one.json"
+        write_dataset(data, overfit_dialogs()[:1])
+        scores_path = tmp_path / "scores.tsv"
+        with pytest.warns(UserWarning, match="CIDEr") as record:
+            code = cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                             "--out", str(scores_path)])
+        assert code == 0
+        assert len(record) == 1
+        assert "cider\t0.0\n" in scores_path.read_text()
+        assert "cider\t0.000000\n" in capsys.readouterr().out
+
     def test_nonfinite_gradient_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the loss stays finite; only the bias row of the vocabulary
         # projection gets an infinite gradient

@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mmqa import metrics
 from mmqa.errors import ValidationError
-from mmqa.metrics import bleu, cider, rouge_l, rouge_l_corpus, validate_corpus
+from mmqa.metrics import bleu, cider, corpus_scores, rouge_l, rouge_l_corpus, validate_corpus
 from oracle_metrics import oracle_bleu, oracle_cider, oracle_rouge_l_corpus
 
 VOCAB = ("a", "b", "c", "d", "e")
@@ -26,6 +29,21 @@ def random_corpus(rng):
             refs.append([VOCAB[i] for i in rng.integers(0, len(VOCAB), ref_len)])
         references.append(refs)
     return candidates, references
+
+
+# Three words, so that tokens and n-grams repeat within and across sentences.
+sentence = st.lists(st.sampled_from(VOCAB[:3]), max_size=8)
+corpora = st.lists(
+    st.tuples(sentence, st.lists(sentence.filter(bool), min_size=1, max_size=3)),
+    min_size=1, max_size=6,
+).map(lambda pairs: ([c for c, _ in pairs], [r for _, r in pairs]))
+
+
+def per_metric_table(candidates, references) -> dict:
+    table = {f"bleu{k}": bleu(candidates, references, k) for k in (1, 2, 3, 4)}
+    table["rouge_l"] = rouge_l_corpus(candidates, references)
+    table["cider"] = cider(candidates, references)
+    return table
 
 
 class TestBleu:
@@ -148,6 +166,43 @@ class TestCider:
     def test_alignment_validation(self):
         with pytest.raises(ValidationError):
             cider([["a"]], [])
+
+
+class TestCorpusScores:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora)
+    @example(([[], ["a", "a"]], [[["a"]], [["a", "a", "a"], ["b", "a"]]]))
+    @example(([["a", "b", "a", "b", "a"]], [[["a", "b", "a", "b", "a"]]]))
+    def test_equals_the_per_metric_functions(self, corpus):
+        candidates, references = corpus
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = per_metric_table(candidates, references)
+            got = corpus_scores(candidates, references)
+        assert list(got) == list(want)
+        assert got == want
+
+    def test_single_example_warns_once_and_scores_cider_zero(self):
+        with pytest.warns(UserWarning, match="CIDEr") as record:
+            scores = corpus_scores([["a"]], [[["a"]]])
+        assert len(record) == 1
+        assert scores["cider"] == 0.0 and scores["bleu1"] == 1.0
+
+    def test_empty_corpus_scores_zero(self):
+        assert corpus_scores([], []) == dict.fromkeys(
+            ["bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider"], 0.0)
+
+    def test_validates_the_corpus_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "validate_corpus", lambda c, r: calls.append(len(c)))
+        corpus_scores([["a"], ["b"]], [[["a"]], [["b"]]])
+        assert calls == [2]
+
+    def test_alignment_validation(self):
+        with pytest.raises(ValidationError):
+            corpus_scores([["a"], ["b"]], [[["a"]]])
+        with pytest.raises(ValidationError):
+            corpus_scores([["a"]], [[]])
 
 
 class TestOracleAgreement:

@@ -33,7 +33,7 @@ from mmqa.model import (
 )
 from mmqa.formats import checkpoint_from_model, model_from_checkpoint, save_checkpoint
 from mmqa.tensor import ColumnView, Tape, Tensor, grad_check
-from mmqa.text import EOS, PAD, SOS, EmbeddingTable
+from mmqa.text import EOS, PAD, SOS, UNK, EmbeddingTable, build_vocabulary, tokenize
 from mmqa.training import train
 from oracle_recurrence import mul, sum_all
 
@@ -698,6 +698,16 @@ class TestModelAssembly:
         ids = text_model.answer_ids(toy_examples[0])
         answer = toy_examples[0].answer
         assert ids == [text_model.vocab.id(t) for t in answer]
+
+    def test_answer_ids_hold_no_control_id_but_unk(self, toy_examples):
+        # words that spell control tokens are data: gold never holds PAD or
+        # SOS, which greedy decoding cannot produce, nor an EOS mid-answer
+        answer = tokenize("yes <sos> it is <eos> <pad> <unk>")
+        vocab = build_vocabulary([answer])
+        model = Model.create(np.random.default_rng(0), vocab, embed_width=8, hidden_width=4)
+        ids = model.answer_ids(replace(toy_examples[0], answer=answer))
+        assert not {PAD, SOS, EOS} & set(ids)
+        assert ids == [vocab.id("yes"), UNK, vocab.id("it"), vocab.id("is"), UNK, UNK, UNK]
 
 
 class TestEncodeWaves:

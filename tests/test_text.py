@@ -212,6 +212,16 @@ class TestResolveToken:
     def test_reserved_never_matched(self):
         assert resolve_token(Vocabulary(), "pad") == UNK
 
+    def test_control_token_spellings_resolve_to_unk(self):
+        words = tokenize("yes <sos> it is <eos> <pad> <unk>")
+        vocab = build_vocabulary([words])
+        assert [resolve_token(vocab, w) for w in words] == [
+            vocab.id("yes"), UNK, vocab.id("it"), vocab.id("is"), UNK, UNK, UNK]
+        # no trigram fallback either, although "<sos>" is close to "sos"
+        near = Vocabulary(["sos", "eos", "pad"])
+        assert trigram_dice("<sos>", "sos") >= text.OOV_SIMILARITY_FLOOR
+        assert [resolve_token(near, w) for w in RESERVED_TOKENS] == [UNK] * 4
+
     def test_tie_breaks_to_lower_id(self):
         vocab = Vocabulary(["abcd", "abce"])
         assert trigram_dice("abcf", "abcd") == trigram_dice("abcf", "abce")

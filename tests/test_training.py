@@ -17,6 +17,7 @@ from mmqa.model import Model
 from mmqa.tensor import ColumnView, Tape, Tensor, _RowSparse
 from mmqa.text import SOS, resolve_token
 from mmqa.training import Adam, evaluate, greedy_answers, token_f1, train
+from test_metrics import per_metric_table
 
 
 def quick_config(**overrides):
@@ -376,10 +377,15 @@ class TestEvaluate:
             evaluate(_FixedAnswers({}), [])
 
     def test_real_model_end_to_end(self, text_model, toy_examples):
+        # the table is the per-metric functions' scores plus token F1
         scores, candidates = evaluate(text_model, toy_examples, max_len=6)
         assert len(candidates) == len(toy_examples)
-        assert set(scores) == {"bleu1", "bleu2", "bleu3", "bleu4",
-                               "rouge_l", "cider", "token_f1"}
+        want = per_metric_table(candidates, [[ex.answer] for ex in toy_examples])
+        want["token_f1"] = sum(token_f1(c, ex.answer)
+                               for c, ex in zip(candidates, toy_examples)) / len(toy_examples)
+        assert list(scores) == list(want)
+        assert scores == want
+        assert scores["bleu2"] > 0.0 and scores["cider"] > 0.0
         for value in scores.values():
             assert np.isfinite(value) and value >= 0.0
 

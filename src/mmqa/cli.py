@@ -133,7 +133,7 @@ def _load_eval_examples(args):
     if not 1 <= args.max_len <= MAX_GENERATE_LEN:
         raise ValidationError(f"--max-len must lie in [1, {MAX_GENERATE_LEN}], "
                               f"got {args.max_len}")
-    model, _tensors, _hash = model_from_checkpoint(args.ckpt)
+    model, _hash = model_from_checkpoint(args.ckpt)
     dialogs = load_dataset(args.data)
     examples = [expand_basic(d)[0] for d in dialogs]
     _attach_features(examples, args.features, model.cfg)

@@ -11,6 +11,16 @@ Checkpoint:      magic "MMCK", version u8, 32-byte config hash, u32 tensor
 Optimizer state lives under the reserved "__opt__/" name prefix and the
 architecture scalars under "__cfg__/", so a checkpoint plus its ".vocab"
 sidecar is enough to rebuild the model with no config file at hand.
+
+Checkpoints are read header-first by one parser (`_checkpoint_index`): it
+walks every tensor's name, rank and extents, checking each payload's extent
+against the file size and seeking past it, so no field can make it
+allocate more than a header's bytes. Only then are payloads read, each straight
+into its own float64 array with `readinto`: every one for
+`load_checkpoint`, and for `model_from_checkpoint` the architecture
+scalars and the parameters, the latter into the rebuilt model's arrays.
+An optimizer payload is never read to rebuild a model, so reading one
+holds about one copy of the parameters at its peak.
 """
 
 from __future__ import annotations
@@ -221,43 +231,80 @@ def save_checkpoint(path: str, tensors: dict, config_hash: bytes) -> None:
     atomic_write_bytes(path, parts)
 
 
-def load_checkpoint(path: str):
-    """Returns (tensors dict in file order, 32-byte config hash)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
+def _checkpoint_index(fh, path: str):
+    """Walk every tensor header of the open checkpoint `fh`, seeking past
+    each payload. Returns (32-byte config hash, {name: (shape, payload
+    offset)} in file order). Each payload's extent is checked against the
+    file size before it is skipped, so no field can make this allocate more
+    than a header's bytes."""
+    size = os.fstat(fh.fileno()).st_size
     pos = 0
 
-    def take(count: int, what: str):
+    def take(count: int, what: str) -> bytes:
         nonlocal pos
-        if pos + count > len(blob):
+        chunk = fh.read(count)  # a header field: at most a 65,535-byte name
+        if len(chunk) != count:
             raise FormatError(f"{path}: truncated while reading {what}")
-        chunk = view[pos:pos + count]
         pos += count
         return chunk
 
-    if bytes(take(4, "magic")) != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
+    magic = take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
     version = take(1, "version")[0]
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    config_hash = bytes(take(32, "config hash"))
+    config_hash = take(32, "config hash")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors = {}
+    index = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = _decode(bytes(take(name_len, "name")), path, pos - name_len)
+        name = _decode(take(name_len, "name"), path, pos - name_len)
         rank = take(1, "rank")[0]
         if rank not in (1, 2):
             raise FormatError(f"{path}: tensor {name!r} has unsupported rank {rank}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
-        size = math.prod(shape)  # Python ints: huge extents cannot wrap around
-        data = np.frombuffer(take(8 * size, f"payload of {name!r}"), dtype="<f8")
-        if name in tensors:
+        nbytes = 8 * math.prod(shape)  # Python ints: huge extents cannot wrap around
+        if pos + nbytes > size:
+            raise FormatError(f"{path}: truncated while reading payload of {name!r}")
+        if name in index:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        tensors[name] = data.reshape(shape).astype(np.float64)
-    if pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes")
+        index[name] = (shape, pos)
+        pos += nbytes
+        fh.seek(pos)
+    if pos != size:
+        raise FormatError(f"{path}: {size - pos} trailing bytes")
+    return config_hash, index
+
+
+_PAYLOAD_DTYPE = np.dtype("<f8")
+
+
+def _read_payload(fh, path: str, name: str, offset: int, out: np.ndarray) -> None:
+    """Fill `out`, a float64 array of the tensor's shape, with the payload
+    at `offset`: read straight into it where it is a C-contiguous
+    little-endian array, as on every little-endian host."""
+    direct = out.dtype == _PAYLOAD_DTYPE and out.flags.c_contiguous
+    target = out if direct else np.empty(out.shape, _PAYLOAD_DTYPE)
+    fh.seek(offset)
+    got = fh.readinto(target)
+    if got != target.nbytes:
+        raise FormatError(f"{path}: truncated while reading payload of {name!r} "
+                          f"(read {got} of {target.nbytes} bytes)")
+    if not direct:
+        out[...] = target
+
+
+def load_checkpoint(path: str):
+    """Returns (tensors dict in file order, 32-byte config hash). Every
+    header is checked before any payload is read; each payload is then read
+    into an array of its own."""
+    with open(path, "rb") as fh:
+        config_hash, index = _checkpoint_index(fh, path)
+        tensors = {}
+        for name, (shape, offset) in index.items():
+            tensors[name] = np.empty(shape, _PAYLOAD_DTYPE)
+            _read_payload(fh, path, name, offset, tensors[name])
     return tensors, config_hash
 
 
@@ -317,58 +364,66 @@ def _cfg_int(tensors: dict, key: str, path: str, low: int, high: int) -> int:
 def model_from_checkpoint(path: str):
     """Rebuild a model from a checkpoint and its '<path>.vocab' sidecar.
 
-    Returns (model, tensors, config_hash); `tensors` still holds the raw
-    optimizer and architecture entries for callers that need them. Every
-    architecture field is range-checked before anything is allocated.
+    Returns (model, config_hash). Every tensor header is checked first;
+    then only the architecture scalars are read and range-checked, before
+    anything is allocated, and each parameter's payload is read straight
+    into the rebuilt model's array. Optimizer state is never read.
     """
     from .model import Model
     from .text import Vocabulary
 
-    tensors, config_hash = load_checkpoint(path)
-    vocab_path = path + ".vocab"
-    if not os.path.exists(vocab_path):
-        raise FormatError(f"missing vocabulary sidecar {vocab_path}")
-    vocab = Vocabulary.load(vocab_path)
-    # Every width is an extent of some stored tensor that is not
-    # vocabulary-sized, so a corrupt width can reach neither the vocabulary
-    # size nor beyond and make Model.create allocate a huge model.
-    widest = max((max(a.shape) for name, a in tensors.items()
-                  if not name.endswith(_VOCABULARY_SIZED)), default=0)
-    arch = {}
-    for key, low, choices in _CFG_FIELDS:
-        high = widest if choices is None else len(choices) - 1
-        value = _cfg_int(tensors, key, path, low, high)
-        arch[key] = value if choices is None else choices[value]
-    for key, accepted in _RETIRED_CFG_FIELDS.items():
-        stored = tensors.get(CFG_PREFIX + key)
-        if stored is not None and stored.reshape(-1).tolist() != [accepted]:
-            raise ValidationError(
-                f"{path}: architecture field {key!r} selects a variant that no "
-                f"longer exists; only {accepted:g} is accepted"
-            )
-    model = Model.create(np.random.default_rng(0), vocab, **arch)
-    params = model.parameters()
-    for name, tensor in params.items():
-        if name not in tensors:
-            raise ValidationError(f"{path}: checkpoint lacks parameter {name!r}")
-        value = tensors[name]
-        if value.shape != tensor.data.shape:
-            if name == "embedding.matrix":
+    with open(path, "rb") as fh:
+        config_hash, index = _checkpoint_index(fh, path)
+        vocab_path = path + ".vocab"
+        if not os.path.exists(vocab_path):
+            raise FormatError(f"missing vocabulary sidecar {vocab_path}")
+        vocab = Vocabulary.load(vocab_path)
+        # Every width is an extent of some stored tensor that is not
+        # vocabulary-sized, so a corrupt width can reach neither the
+        # vocabulary size nor beyond and make Model.create allocate a huge
+        # model.
+        widest = max((max(shape) for name, (shape, _) in index.items()
+                      if not name.endswith(_VOCABULARY_SIZED)), default=0)
+        stored = {}
+        for name, (shape, offset) in index.items():
+            if name.startswith(CFG_PREFIX):
+                stored[name] = np.empty(shape)
+                _read_payload(fh, path, name, offset, stored[name])
+        arch = {}
+        for key, low, choices in _CFG_FIELDS:
+            high = widest if choices is None else len(choices) - 1
+            value = _cfg_int(stored, key, path, low, high)
+            arch[key] = value if choices is None else choices[value]
+        for key, accepted in _RETIRED_CFG_FIELDS.items():
+            value = stored.get(CFG_PREFIX + key)
+            if value is not None and value.reshape(-1).tolist() != [accepted]:
                 raise ValidationError(
-                    f"vocabulary mismatch: checkpoint embedding is {value.shape}, "
-                    f"sidecar vocabulary implies {tensor.data.shape}"
+                    f"{path}: architecture field {key!r} selects a variant that no "
+                    f"longer exists; only {accepted:g} is accepted"
                 )
-            raise ValidationError(
-                f"{path}: parameter {name!r} is {value.shape}, expected {tensor.data.shape}"
-            )
-        if not np.isfinite(value).all():
-            raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
-        tensor.data[...] = value
-    extras = [n for n in tensors
+        model = Model.create(np.random.default_rng(0), vocab, **arch)
+        params = model.parameters()
+        for name, tensor in params.items():
+            if name not in index:
+                raise ValidationError(f"{path}: checkpoint lacks parameter {name!r}")
+            shape, offset = index[name]
+            if shape != tensor.data.shape:
+                if name == "embedding.matrix":
+                    raise ValidationError(
+                        f"vocabulary mismatch: checkpoint embedding is {shape}, "
+                        f"sidecar vocabulary implies {tensor.data.shape}"
+                    )
+                raise ValidationError(
+                    f"{path}: parameter {name!r} is {shape}, expected {tensor.data.shape}"
+                )
+            _read_payload(fh, path, name, offset, tensor.data)
+            if not np.isfinite(tensor.data).all():
+                raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
+    extras = [n for n in index
               if n not in params and not n.startswith((OPT_PREFIX, CFG_PREFIX))]
     if extras:
         raise ValidationError(f"{path}: unknown tensors {sorted(extras)[:5]}")
-    return model, tensors, config_hash
+    return model, config_hash
 
 
 # ------------------------------------------------------------ small outputs

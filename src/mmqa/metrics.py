@@ -93,6 +93,8 @@ def _bleu_score(clipped, cand_len: int, ref_len: int) -> float:
         penalty = 1.0
     elif cand_len < ref_len:
         penalty = math.exp(1.0 - ref_len / cand_len)
+    elif ref_len == 0:
+        return 0.0  # the limit of exp(1 - cand_len / ref_len) as ref_len falls to 0
     else:
         penalty = math.exp(1.0 - cand_len / ref_len)
     return penalty * math.exp(sum(math.log(p) for p in precisions) / n)
@@ -101,7 +103,8 @@ def _bleu_score(clipped, cand_len: int, ref_len: int) -> float:
 def bleu(candidates, references, n: int = 4) -> float:
     """Corpus BLEU-n: geometric mean of clipped k-gram precisions k<=n,
     times a length penalty exp(1 - longer/shorter) comparing the total
-    candidate length with the total closest-reference length."""
+    candidate length with the total closest-reference length; 0 when that
+    reference length is 0, the penalty's limit."""
     if n not in (1, 2, 3, 4):
         raise ValidationError(f"bleu order must be 1..4, got {n}")
     validate_corpus(candidates, references)

@@ -11,9 +11,9 @@ Greedy answers for a list of examples (`greedy_answers`, which serves
 `evaluate`, the per-epoch validation pass and `mmqa generate`) are split
 into contiguous shards, one per usable core, with at least MIN_SHARD
 examples each: the calling process answers the first shard and a forked
-worker each other one. Each answer is still one `Model.generate` call, and
-the answers come back in input order, so the outputs are the same for any
-number of processes.
+worker each other one, or the calling process itself where a fork fails.
+Each answer is still one `Model.generate` call, and the answers come back
+in input order, so the outputs are the same for any number of processes.
 """
 
 from __future__ import annotations
@@ -190,11 +190,13 @@ def greedy_answers(model, examples, max_len: int) -> list:
     The examples are split into contiguous shards, as many as the cores
     this process may use (`_usable_cores`) but no more than leave MIN_SHARD
     examples in each, and at least one. The calling process starts a forked
-    worker for each shard after the first, answers the first itself, then
-    reads each worker's reply, in shard order, over a one-way pipe: its
-    answers, or the exception it raised, which is raised here. A worker that dies without
-    replying raises ChildProcessError (an OSError) naming its shard.
-    Workers are always joined, and terminated first if this call raises.
+    worker for each shard after the first, then goes through the shards in
+    order: it answers the first itself, and each shard whose worker could
+    not be started (`Process.start` raised OSError); for the others it reads
+    the worker's reply over a one-way pipe: its answers, or the exception it
+    raised, which is raised here. A worker that dies without replying raises
+    ChildProcessError (an OSError) naming its shard. The workers started are
+    always joined, and terminated first if this call raises.
     Where the fork start method or `os.sched_getaffinity` is missing, this
     process answers everything. The program starts no threads of its own,
     and OpenBLAS stops its pool before a fork, so forking is safe here.
@@ -204,18 +206,28 @@ def greedy_answers(model, examples, max_len: int) -> list:
     processes = _usable_cores() if "fork" in multiprocessing.get_all_start_methods() else 1
     shards = max(1, min(processes, len(examples) // MIN_SHARD))
     bounds = [len(examples) * k // shards for k in range(shards + 1)]
-    workers = []
+    workers = {}  # shard -> (its worker, the reader of its reply)
     try:
         for k in range(1, shards):
             reader, writer = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.get_context("fork").Process(
                 target=_answer_shard,
                 args=(model, examples[bounds[k]:bounds[k + 1]], max_len, writer))
-            worker.start()
-            workers.append((worker, reader))
-            writer.close()  # so the reader sees EOF if the worker dies
-        answers = [model.generate(example, max_len) for example in examples[:bounds[1]]]
-        for k, (worker, reader) in enumerate(workers, 1):
+            try:
+                worker.start()
+            except OSError:  # no process to spare: this one answers shard k
+                reader.close()
+                continue
+            finally:
+                writer.close()  # so the reader sees EOF if the worker dies
+            workers[k] = (worker, reader)
+        answers = []
+        for k in range(shards):
+            if k not in workers:
+                answers += [model.generate(example, max_len)
+                            for example in examples[bounds[k]:bounds[k + 1]]]
+                continue
+            worker, reader = workers[k]
             try:
                 reply = reader.recv()
             except EOFError:
@@ -229,11 +241,11 @@ def greedy_answers(model, examples, max_len: int) -> list:
             answers += reply
         return answers
     except BaseException:
-        for worker, _ in workers:
+        for worker, _ in workers.values():
             worker.terminate()
         raise
     finally:
-        for worker, reader in workers:
+        for worker, reader in workers.values():
             worker.join()
             reader.close()
 
@@ -281,6 +293,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     With `stop_at_train_f1` set, training additionally measures greedy
     token-F1 on the training set each epoch and stops the moment it reaches
     the target, keeping the current parameters (used by overfitting probes).
+    When `val_set is train_set`, that is the validation F1 itself.
     """
     if not train_set or not val_set:
         raise ValidationError("training and validation sets must be non-empty")
@@ -300,7 +313,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         # a leaf without a sink takes no gradient: the table's part stays
         # zero, and Adam leaves it bitwise as it is
         del sinks[params["embedding.matrix"]]
-    best = adam.theta.copy()
+    best = adam.theta.copy()  # the best epoch's parameters, updated in place
     best_f1 = -1.0
     best_epoch = 0
     stale = 0
@@ -350,17 +363,19 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         if val_f1 > best_f1:
             best_f1 = val_f1
             best_epoch = epoch
-            best = adam.theta.copy()
+            np.copyto(best, adam.theta)
             stale = 0
         else:
             stale += 1
 
         if stop_at_train_f1 is not None:
-            train_f1 = _mean_f1(model, train_set, cfg.max_generate_len)
+            # one greedy pass serves both scores when they are of one set
+            train_f1 = (val_f1 if val_set is train_set
+                        else _mean_f1(model, train_set, cfg.max_generate_len))
             entry["train_f1"] = train_f1
             if train_f1 >= stop_at_train_f1:
                 epochs_to_target = epoch
-                best = adam.theta.copy()
+                np.copyto(best, adam.theta)
                 best_f1 = val_f1
                 best_epoch = epoch
                 break

@@ -57,6 +57,8 @@ def oracle_bleu(candidates, references, n):
         penalty = 1.0
     elif cand_len < ref_len:
         penalty = math.exp(1.0 - ref_len / cand_len)
+    elif ref_len == 0:
+        return 0.0  # the limit of exp(1 - cand_len / ref_len) as ref_len falls to 0
     else:
         penalty = math.exp(1.0 - cand_len / ref_len)
     return penalty * math.exp(log_sum / n)

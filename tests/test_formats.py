@@ -1,7 +1,10 @@
 """Dataset JSON, binary feature/checkpoint files, score tables, configs."""
 
+import os
 import struct
+import tracemalloc
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_vocab, overfit_dialogs
+from mmqa import formats
 from mmqa.augment import Dialog, expand_basic
 from mmqa.config import (
     Config,
@@ -36,7 +40,7 @@ from mmqa.formats import (
     save_scores,
 )
 from mmqa.model import Model
-from mmqa.text import tokenize
+from mmqa.text import build_vocabulary, tokenize
 from mmqa.training import Adam
 
 
@@ -288,6 +292,22 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="bad magic"):
             load_checkpoint(str(magic))
 
+    def test_duplicate_name_detected(self, tmp_path):
+        entry = struct.pack("<H", 1) + b"w" + b"\x01" + struct.pack("<I", 1) + bytes(8)
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01" + b"\x00" * 32
+                         + struct.pack("<I", 2) + entry + entry)
+        with pytest.raises(FormatError, match="duplicate tensor name 'w'"):
+            load_checkpoint(str(path))
+
+    def test_tensors_are_writable_arrays_of_their_own(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, self.tensors(), b"\x00" * 32)
+        loaded, _ = load_checkpoint(path)
+        arrays = list(loaded.values())
+        assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+        assert all(a.dtype == np.float64 for a in arrays)
+
     def test_unsupported_rank_detected(self, tmp_path):
         path = tmp_path / "rank.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + b"\x01" + b"\x00" * 32
@@ -314,7 +334,7 @@ class TestModelCheckpoint:
     def test_rebuilt_model_generates_identically(self, tmp_path, toy_examples):
         vocab, model = self.build()
         path = self.save(tmp_path, model, vocab)
-        rebuilt, _, digest = model_from_checkpoint(path)
+        rebuilt, digest = model_from_checkpoint(path)
         assert digest == Config().hash()
         live, restored = model.parameters(), rebuilt.parameters()
         assert set(live) == set(restored)
@@ -328,7 +348,7 @@ class TestModelCheckpoint:
         optimizer = Adam(model.parameters(), learning_rate=0.01)
         optimizer.step(np.ones_like(optimizer.theta))
         path = self.save(tmp_path, model, vocab, optimizer)
-        _, tensors, _ = model_from_checkpoint(path)
+        tensors, _ = load_checkpoint(path)
         assert tensors["__opt__/t"][0] == 1.0
         assert np.array_equal(tensors["__opt__/m/decoder.proj.b"],
                               optimizer.views(optimizer.m)["decoder.proj.b"])
@@ -339,7 +359,7 @@ class TestModelCheckpoint:
                              embed_width=6, hidden_width=3,
                              pooling="average", flow_width=5)
         path = self.save(tmp_path, model, vocab)
-        rebuilt, _, _ = model_from_checkpoint(path)
+        rebuilt, _ = model_from_checkpoint(path)
         assert rebuilt.question_rnn.fwd.hidden_width == 3
         assert rebuilt.cfg.pooling == "average"
         assert list(rebuilt.streams) == ["summary", "history", "flow"]
@@ -354,7 +374,7 @@ class TestModelCheckpoint:
         vocab = corpus_vocab(overfit_dialogs())
         model = Model.create(np.random.default_rng(4), vocab, **asdict(cfg))
         assert model.cfg == cfg
-        rebuilt, _, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
+        rebuilt, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
         assert rebuilt.cfg == cfg
 
     def test_stored_architecture_is_exactly_the_model_config(self):
@@ -367,7 +387,7 @@ class TestModelCheckpoint:
         vocab, model = self.build()
         assert model.cfg.decoder_hidden == 8  # 2 * hidden_width
         assert checkpoint_from_model(model)["__cfg__/decoder_hidden"][0] == 8.0
-        rebuilt, _, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
+        rebuilt, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
         assert rebuilt.cfg == model.cfg
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -427,7 +447,7 @@ class TestModelCheckpoint:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, tensors, Config().hash())
         vocab.save(path + ".vocab")
-        rebuilt, _, _ = model_from_checkpoint(path)
+        rebuilt, _ = model_from_checkpoint(path)
         assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
         tensors["__cfg__/literal_decoder"] = np.ones(1)
         save_checkpoint(path, tensors, Config().hash())
@@ -445,7 +465,7 @@ class TestModelCheckpoint:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, tensors, Config().hash())
         vocab.save(path + ".vocab")
-        rebuilt, _, _ = model_from_checkpoint(path)
+        rebuilt, _ = model_from_checkpoint(path)
         assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
 
     def test_width_is_bounded_below_the_vocabulary_size(self, tmp_path):
@@ -474,6 +494,87 @@ class TestModelCheckpoint:
         vocab.save(path + ".vocab")
         with pytest.raises(ValidationError, match="decoder.proj.b"):
             model_from_checkpoint(path)
+
+
+def traced_peak(read, path):
+    """(peak bytes that `read(path)` allocated, its result), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = read(path)
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointReaders:
+    """Both readers walk every header first, then read only kept payloads."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        """(path, parameter bytes) of a checkpoint with Adam state at a
+        1,500-word vocabulary, large enough that the parameters outweigh
+        the sidecar's Python objects."""
+        vocab = build_vocabulary([[f"w{i}" for i in range(1500)]])
+        model = Model.create(np.random.default_rng(4), vocab, embed_width=32,
+                             hidden_width=16, flow_width=6)
+        optimizer = Adam(model.parameters(), learning_rate=0.01)
+        optimizer.step(np.ones_like(optimizer.theta))
+        path = str(tmp_path_factory.mktemp("readers") / "m.ckpt")
+        save_checkpoint(path, checkpoint_from_model(model, optimizer), Config().hash())
+        vocab.save(path + ".vocab")
+        return path, optimizer.theta.nbytes
+
+    def test_a_model_is_read_without_its_optimizer_payloads(self, checkpoint, monkeypatch):
+        path, _ = checkpoint
+        cfg = {n for n in load_checkpoint(path)[0] if n.startswith("__cfg__/")}
+        read, original = [], formats._read_payload
+        monkeypatch.setattr(formats, "_read_payload",
+                            lambda fh, p, name, *rest: read.append(name)
+                            or original(fh, p, name, *rest))
+        model, _ = model_from_checkpoint(path)
+        assert sorted(read) == sorted(cfg | set(model.parameters()))
+
+    def test_model_reader_peak_is_within_twice_the_parameters(self, checkpoint):
+        path, param_bytes = checkpoint
+        peak, _ = traced_peak(model_from_checkpoint, path)
+        assert peak <= 2.0 * param_bytes
+
+    def test_tensor_reader_peak_is_within_a_quarter_over_the_payloads(self, checkpoint):
+        path, _ = checkpoint
+        peak, (tensors, _) = traced_peak(load_checkpoint, path)
+        assert peak <= 1.25 * sum(a.nbytes for a in tensors.values())
+
+    def test_a_cut_inside_an_optimizer_payload_is_truncation(self, checkpoint, tmp_path):
+        path, _ = checkpoint
+        with open(path, "rb") as fh:
+            _, index = formats._checkpoint_index(fh, path)
+        offset = index["__opt__/v/decoder.proj.w"][1]
+        cut = tmp_path / "m.ckpt"
+        cut.write_bytes(Path(path).read_bytes()[:offset + 12])
+        cut.with_name("m.ckpt.vocab").write_bytes(Path(path + ".vocab").read_bytes())
+        for read in (load_checkpoint, model_from_checkpoint):
+            with pytest.raises(FormatError, match="truncated while reading payload of "
+                                                  "'__opt__/v/decoder.proj.w'"):
+                read(str(cut))
+
+    @pytest.mark.parametrize("read", [load_checkpoint, model_from_checkpoint])
+    def test_a_short_read_is_a_format_error(self, checkpoint, tmp_path, monkeypatch, read):
+        # the file shrinks to half its size after its headers were checked
+        path = str(tmp_path / "m.ckpt")
+        for suffix in ("", ".vocab"):
+            Path(path + suffix).write_bytes(Path(checkpoint[0] + suffix).read_bytes())
+        index = formats._checkpoint_index
+
+        def then_shrink(fh, where):
+            out = index(fh, where)
+            os.truncate(where, os.path.getsize(where) // 2)
+            return out
+
+        monkeypatch.setattr(formats, "_checkpoint_index", then_shrink)
+        with pytest.raises(FormatError, match=r"truncated while reading payload of "
+                                              r"'.+' \(read \d+ of \d+ bytes\)"):
+            read(path)
 
 
 class TestSmallOutputs:

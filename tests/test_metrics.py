@@ -32,9 +32,10 @@ def random_corpus(rng):
 
 
 # Three words, so that tokens and n-grams repeat within and across sentences.
+# Candidates and references may be empty.
 sentence = st.lists(st.sampled_from(VOCAB[:3]), max_size=8)
 corpora = st.lists(
-    st.tuples(sentence, st.lists(sentence.filter(bool), min_size=1, max_size=3)),
+    st.tuples(sentence, st.lists(sentence, min_size=1, max_size=3)),
     min_size=1, max_size=6,
 ).map(lambda pairs: ([c for c, _ in pairs], [r for _, r in pairs]))
 
@@ -85,6 +86,17 @@ class TestBleu:
         # candidate length 2; refs of length 1 and 3 tie on distance
         got = bleu([["a", "b"]], [[["a"], ["a", "b", "c"]]], n=1)
         assert got == pytest.approx(math.exp(1.0 - 2.0 / 1.0))
+
+    def test_empty_closest_reference_scores_zero(self):
+        # the unigram matches the longer reference, but the empty one is
+        # closest, so the penalty exp(1 - 1/0) takes its limit 0
+        cands, refs = [["a"]], [[[], ["a", "a", "a"]]]
+        assert bleu(cands, refs, n=1) == 0.0
+        assert oracle_bleu(cands, refs, 1) == 0.0
+        with pytest.warns(UserWarning, match="CIDEr"):
+            assert corpus_scores(cands, refs)["bleu1"] == 0.0
+        # a non-empty closest reference keeps its penalty
+        assert bleu([["a", "a"]], [[["a"], ["a", "a", "a", "a"]]], n=1) == math.exp(-1.0)
 
     def test_order_validation(self):
         with pytest.raises(ValidationError):
@@ -173,6 +185,7 @@ class TestCorpusScores:
     @given(corpora)
     @example(([[], ["a", "a"]], [[["a"]], [["a", "a", "a"], ["b", "a"]]]))
     @example(([["a", "b", "a", "b", "a"]], [[["a", "b", "a", "b", "a"]]]))
+    @example(([["a"]], [[[], ["a", "a", "a"]]]))
     def test_equals_the_per_metric_functions(self, corpus):
         candidates, references = corpus
         with warnings.catch_warnings():

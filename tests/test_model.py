@@ -782,7 +782,7 @@ class TestCellsAtRest:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, checkpoint_from_model(model), Config().hash())
         model.vocab.save(path + ".vocab")
-        rebuilt, _, _ = model_from_checkpoint(path)
+        rebuilt, _ = model_from_checkpoint(path)
         self.assert_at_rest(rebuilt)
         for name, p in rebuilt.parameters().items():
             assert np.array_equal(p.data, model.parameters()[name].data), name

@@ -305,6 +305,44 @@ class TestTrain:
         assert result.epochs_run == 1
         assert "train_f1" in result.log[0]
 
+    def test_one_greedy_pass_scores_a_set_that_is_both_splits(self, toy_examples,
+                                                               monkeypatch):
+        passes, original = [], training.greedy_answers
+        monkeypatch.setattr(training, "greedy_answers",
+                            lambda model, examples, max_len: passes.append(len(examples))
+                            or original(model, examples, max_len))
+        runs = []
+        for val_set in (None, list(toy_examples[:4])):
+            passes.clear()
+            model = fresh_model()
+            examples = toy_examples[:4]
+            result = train(model, examples, examples if val_set is None else val_set,
+                           quick_config(max_epochs=4, batch_size=2, learning_rate=0.05),
+                           stop_at_train_f1=0.4)
+            runs.append((result, model.parameters(), list(passes)))
+        (one, params_one, passes_one), (two, params_two, passes_two) = runs
+        assert one.epochs_to_target == one.epochs_run == 3
+        assert passes_one == [4] * 3
+        assert passes_two == [4] * 6
+        assert one.log == two.log and "train_f1" in one.log[0]
+        for name in params_one:
+            assert np.array_equal(params_one[name].data, params_two[name].data), name
+
+    def test_best_parameters_are_snapshot_in_one_array(self, toy_examples, monkeypatch):
+        # both improving epochs and the target epoch copy into the same
+        # snapshot, which the result's views read
+        copies = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto",
+                            lambda dst, src: copies.append(dst) or copyto(dst, src))
+        model = fresh_model()
+        result = train(model, toy_examples[:4], toy_examples[:4],
+                       quick_config(max_epochs=4, batch_size=2, learning_rate=0.05),
+                       stop_at_train_f1=0.4)
+        assert [e["val_f1"] > 0.4 for e in result.log] == [False, False, True]
+        assert len(copies) == 3 and all(dst is copies[0] for dst in copies)
+        assert all(np.shares_memory(view, copies[0]) for view in result.params.values())
+
     def test_scheduled_sampling_diverges_from_teacher_forcing(self, toy_examples):
         runs = {}
         for mode in ("tf", "ss"):
@@ -495,6 +533,39 @@ class TestGreedyAnswers:
         with pytest.raises(NumericalError, match="rigged fault in the first shard"):
             greedy_answers(model, examples, 8)
         assert forks[0] == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("refused", [{1}, {2}, {1, 2}])
+    def test_a_refused_fork_is_answered_by_the_caller(self, monkeypatch, cores, refused):
+        # 11 examples over 3 cores: shards [0, 3), [3, 7) and [7, 11); the
+        # starts of the workers for the shards in `refused` raise OSError
+        model, examples = sharded_setup()
+        monkeypatch.setattr(training, "MIN_SHARD", 2)
+        want = [model.generate(ex, 8) for ex in examples]
+        parent, starts = os.getpid(), []
+        start, generate = multiprocessing.context.ForkProcess.start, Model.generate
+
+        def start_or_refuse(self):
+            starts.append(len(starts) + 1)
+            if starts[-1] in refused:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            start(self)
+
+        answered_here = []
+
+        def recording_generate(self, example, max_len):
+            if os.getpid() == parent:
+                answered_here.append(example.video_id)
+            return generate(self, example, max_len)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_or_refuse)
+        monkeypatch.setattr(Model, "generate", recording_generate)
+        cores(3)
+        assert greedy_answers(model, examples, 8) == want
+        assert starts == [1, 2]
+        bounds = {0: (0, 3), 1: (3, 7), 2: (7, 11)}
+        assert answered_here == [ex.video_id for k in sorted({0} | refused)
+                                 for ex in examples[slice(*bounds[k])]]
         assert multiprocessing.active_children() == []
 
 

@@ -92,6 +92,11 @@ class ModelConfig:
                          *((f"{modality}_width", 0) for modality in FEATURES)):
             if not low <= getattr(self, key) < 2 ** 63:
                 raise ValidationError(f"{key} must lie in [{low}, 2**63)")
+        # layer 1 of the decoder starts at the question vector, 2 * hidden_width wide
+        if 0 < self.decoder_hidden < 2 * self.hidden_width:
+            raise ValidationError(
+                f"decoder_hidden {self.decoder_hidden} cannot hold the question vector: "
+                f"it must be 0 or at least 2 * hidden_width = {2 * self.hidden_width}")
         if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
 

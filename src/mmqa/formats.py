@@ -361,13 +361,25 @@ def _cfg_int(tensors: dict, key: str, path: str, low: int, high: int) -> int:
     return int(value)
 
 
+class _NoDraws(object):
+    """Stands in for the generator `Model.create` draws initial values
+    from when a checkpoint is read: every parameter is then read from the
+    file, or the load fails, so a draw would only be overwritten."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def model_from_checkpoint(path: str):
     """Rebuild a model from a checkpoint and its '<path>.vocab' sidecar.
 
     Returns (model, config_hash). Every tensor header is checked first;
     then only the architecture scalars are read and range-checked, before
-    anything is allocated, and each parameter's payload is read straight
-    into the rebuilt model's array. Optimizer state is never read.
+    anything is allocated. The model is built with no initial values drawn,
+    and each parameter's payload is read straight into its array; a tensor
+    that is neither a parameter, an architecture field nor optimizer state
+    is rejected. Optimizer state is never read.
     """
     from .model import Model
     from .text import Vocabulary
@@ -401,14 +413,17 @@ def model_from_checkpoint(path: str):
                     f"{path}: architecture field {key!r} selects a variant that no "
                     f"longer exists; only {accepted:g} is accepted"
                 )
-        model = Model.create(np.random.default_rng(0), vocab, **arch)
+        try:
+            model = Model.create(_NoDraws(), vocab, **arch)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         params = model.parameters()
         for name, tensor in params.items():
             if name not in index:
                 raise ValidationError(f"{path}: checkpoint lacks parameter {name!r}")
             shape, offset = index[name]
             if shape != tensor.data.shape:
-                if name == "embedding.matrix":
+                if name == "embedding.matrix" and shape[0] != tensor.data.shape[0]:
                     raise ValidationError(
                         f"vocabulary mismatch: checkpoint embedding is {shape}, "
                         f"sidecar vocabulary implies {tensor.data.shape}"
@@ -419,8 +434,8 @@ def model_from_checkpoint(path: str):
             _read_payload(fh, path, name, offset, tensor.data)
             if not np.isfinite(tensor.data).all():
                 raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
-    extras = [n for n in index
-              if n not in params and not n.startswith((OPT_PREFIX, CFG_PREFIX))]
+    known = {*params, *(CFG_PREFIX + key for key in (*arch, *_RETIRED_CFG_FIELDS))}
+    extras = [n for n in index if n not in known and not n.startswith(OPT_PREFIX)]
     if extras:
         raise ValidationError(f"{path}: unknown tensors {sorted(extras)[:5]}")
     return model, config_hash

@@ -151,9 +151,11 @@ def token_f1(pred, gold) -> float:
 
 @dataclass
 class TrainResult:
-    """Best parameters plus the per-epoch log of a training run."""
+    """The outcome of a training run: the best epoch and its validation F1,
+    the epochs run, the per-epoch log, the epoch that reached
+    `stop_at_train_f1` (None if none did) and the optimizer. The best
+    epoch's parameters are the model's own on return."""
 
-    params: dict
     best_f1: float
     best_epoch: int
     epochs_run: int
@@ -259,8 +261,8 @@ def _answer_shard(model, examples, max_len: int, writer) -> None:
     writer.send(reply)
 
 
-def _mean_f1(model, examples, max_len: int) -> float:
-    answers = greedy_answers(model, examples, max_len)
+def _mean_token_f1(answers, examples) -> float:
+    """Mean `token_f1` of `answers` against the examples' gold answers."""
     return sum(token_f1(a, ex.answer) for a, ex in zip(answers, examples)) / len(examples)
 
 
@@ -307,7 +309,6 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     # adds straight into the blocks of the owners it reached, so an unused
     # parameter's part stays zero
     grad = np.zeros_like(adam.theta)
-    grads = adam.views(grad)
     sinks = adam.owner_blocks(grad)
     if model.cfg.freeze_embeddings:
         # a leaf without a sink takes no gradient: the table's part stays
@@ -342,7 +343,8 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                     tape.backward(loss)
                 epoch_loss += value
             if not np.isfinite(grad).all():
-                name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+                name = next(n for n, g in adam.views(grad).items()
+                            if not np.isfinite(g).all())
                 examples = [train_set[i] for i in batch]
                 culprit = _non_finite_example(model, examples, cfg, batch_rng_state,
                                               params[name])
@@ -356,37 +358,30 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
             adam.step(grad)
         epoch_loss /= len(train_set)
 
-        val_f1 = _mean_f1(model, val_set, cfg.max_generate_len)
+        val_f1 = _mean_token_f1(greedy_answers(model, val_set, cfg.max_generate_len), val_set)
         entry = {"epoch": epoch, "loss": epoch_loss, "val_f1": val_f1}
         log.append(entry)
-
-        if val_f1 > best_f1:
-            best_f1 = val_f1
-            best_epoch = epoch
-            np.copyto(best, adam.theta)
-            stale = 0
-        else:
-            stale += 1
-
+        reached = False
         if stop_at_train_f1 is not None:
             # one greedy pass serves both scores when they are of one set
-            train_f1 = (val_f1 if val_set is train_set
-                        else _mean_f1(model, train_set, cfg.max_generate_len))
+            train_f1 = (val_f1 if val_set is train_set else _mean_token_f1(
+                greedy_answers(model, train_set, cfg.max_generate_len), train_set))
             entry["train_f1"] = train_f1
-            if train_f1 >= stop_at_train_f1:
-                epochs_to_target = epoch
-                np.copyto(best, adam.theta)
-                best_f1 = val_f1
-                best_epoch = epoch
-                break
-
+            reached = train_f1 >= stop_at_train_f1
+        if reached or val_f1 > best_f1:
+            np.copyto(best, adam.theta)
+            best_f1, best_epoch, stale = val_f1, epoch, 0
+        else:
+            stale += 1
+        if reached:
+            epochs_to_target = epoch
+            break
         if stale >= cfg.patience:
             break
 
     adam.theta[...] = best
-    return TrainResult(params=adam.views(best), best_f1=best_f1, best_epoch=best_epoch,
-                       epochs_run=epochs_run, log=log,
-                       epochs_to_target=epochs_to_target, optimizer=adam)
+    return TrainResult(best_f1=best_f1, best_epoch=best_epoch, epochs_run=epochs_run,
+                       log=log, epochs_to_target=epochs_to_target, optimizer=adam)
 
 
 def evaluate(model, examples, max_len: int = DEFAULT_GENERATE_LEN):
@@ -399,7 +394,5 @@ def evaluate(model, examples, max_len: int = DEFAULT_GENERATE_LEN):
     candidates = greedy_answers(model, examples, max_len)
     references = [[ex.answer] for ex in examples]
     scores = corpus_scores(candidates, references)
-    scores["token_f1"] = sum(
-        token_f1(c, ex.answer) for c, ex in zip(candidates, examples)
-    ) / len(examples)
+    scores["token_f1"] = _mean_token_f1(candidates, examples)
     return scores, candidates

@@ -490,6 +490,39 @@ class TestFailureModes:
                          "--out", str(tmp_path / "s.tsv")]) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda tensors: tensors.update({"__cfg__/bogus": np.zeros(1)}),
+         "unknown tensors ['__cfg__/bogus']"),
+        # the vocabulary still gives the embedding's row count; its width is wrong
+        (lambda tensors: tensors.update(
+            {"embedding.matrix": tensors["embedding.matrix"][:, :7]}),
+         "parameter 'embedding.matrix' is (36, 7), expected (36, 8)"),
+        # layer 1 of a 7-wide decoder cannot start at the 8-wide question vector
+        (lambda tensors: tensors.update({"__cfg__/decoder_hidden": np.array([7.0])}),
+         "decoder_hidden 7 cannot hold the question vector"),
+    ], ids=["unknown-architecture-field", "embedding-width", "narrow-decoder"])
+    def test_inconsistent_checkpoint_is_validation_failure(self, tmp_path, capsys,
+                                                           edit, fault):
+        ckpt, data = self.write_checkpoint(tmp_path)
+        tensors, digest = load_checkpoint(ckpt)
+        edit(tensors)
+        save_checkpoint(ckpt, tensors, digest)
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: {fault}" in err
+        assert "Traceback" not in err and "vocabulary mismatch" not in err
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_narrow_decoder_config_fails_before_any_dataset_is_read(self, tmp_path, capsys):
+        config = write_config(tmp_path / "run.yaml", tmp_path / "missing.json",
+                              model={"hidden_width": 4, "decoder_hidden": 7})
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
+        assert "error: decoder_hidden 7 cannot hold the question vector: it must be 0 " \
+               "or at least 2 * hidden_width = 8" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_nonfinite_checkpoint_parameter_is_validation_failure(self, tmp_path, capsys):
         ckpt, data = self.write_checkpoint(tmp_path)
         tensors, digest = load_checkpoint(ckpt)

@@ -485,6 +485,22 @@ class TestModelCheckpoint:
                                                   "number in \\[1, 48\\]"):
             model_from_checkpoint(path)
 
+    def test_a_model_is_read_without_drawing_initial_values(self, tmp_path, monkeypatch):
+        # every parameter is read from the file, so a drawn initial value
+        # would only be overwritten
+        vocab, model = self.build()
+        path = self.save(tmp_path, model, vocab)
+
+        class Undrawable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the reader drew initial values ({name})")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: Undrawable())
+        rebuilt, _ = model_from_checkpoint(path)
+        restored = rebuilt.parameters()
+        for name, tensor in model.parameters().items():
+            assert np.array_equal(restored[name].data, tensor.data), name
+
     def test_missing_parameter_rejected(self, tmp_path):
         vocab, model = self.build()
         tensors = checkpoint_from_model(model)

@@ -555,13 +555,6 @@ class TestModelAssembly:
             assert t in text_model.vocab
             assert t not in ("<pad>", "<sos>", "<eos>")
 
-    def test_narrow_decoder_fails_at_use(self, toy_examples):
-        vocab = corpus_vocab(overfit_dialogs())
-        model = Model.create(np.random.default_rng(3), vocab,
-                             embed_width=8, hidden_width=4, decoder_hidden=6)
-        with pytest.raises(ValidationError):
-            model.loss(toy_examples[0])
-
     def test_wide_decoder_works(self, toy_examples):
         vocab = corpus_vocab(overfit_dialogs())
         model = Model.create(np.random.default_rng(3), vocab,
@@ -574,6 +567,9 @@ class TestModelAssembly:
         ({"hidden_width": 0}, "hidden_width"),
         ({"pooling": "sum"}, "pooling"),
         ({"audio_width": -2}, "audio_width"),
+        # layer 1 of the decoder cannot start at the 8-wide question vector
+        pytest.param({"hidden_width": 4, "decoder_hidden": 7}, "decoder_hidden 7 cannot hold",
+                     id="arch5-narrow-decoder"),
     ])
     def test_create_validates_the_architecture(self, arch, fault):
         vocab = corpus_vocab(overfit_dialogs())

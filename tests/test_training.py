@@ -2,14 +2,17 @@
 
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (attach_random_features, corpus_vocab, dying_generate, overfit_dialogs,
                       overfit_model)
 from mmqa import gradcheck, training
-from mmqa.augment import DialogExample, expand_per_turn
+from mmqa.augment import DialogExample, expand_basic, expand_per_turn
 from mmqa.config import TrainingConfig
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
@@ -33,11 +36,44 @@ def fresh_model(seed=7):
                         embed_width=8, hidden_width=4)
 
 
+def flat_parameters(model):
+    """Every named parameter's values, in one new vector."""
+    return np.concatenate([p.data.ravel() for p in model.parameters().values()])
+
+
 def unfamiliar_example(i=0):
     """Validation example whose answer shares no word with the vocabulary."""
     return DialogExample(video_id=f"val#{i}", question=["who", "is", "there"],
                          answer=[f"qqqzzz{i}"], history=[],
                          summary=["walking", "around"])
+
+
+def two_branch_epochs(val_f1s, train_f1s, max_epochs, patience, stop_at_train_f1,
+                      same_set):
+    """The end-of-epoch decisions of a run whose epoch e scores `val_f1s[e - 1]`
+    on validation and `train_f1s[e - 1]` on the training set, made by the
+    older rule's two branches: an epoch that improves validation F1 becomes
+    the best, and then an epoch that reaches the target becomes it again.
+    Returns (best_f1, best_epoch, epochs_run, epochs_to_target, the log
+    without its losses)."""
+    best_f1, best_epoch, stale, epochs_to_target, log = -1.0, 0, 0, None, []
+    for epoch in range(1, max_epochs + 1):
+        val_f1 = val_f1s[epoch - 1]
+        entry = {"epoch": epoch, "val_f1": val_f1}
+        log.append(entry)
+        if val_f1 > best_f1:
+            best_f1, best_epoch, stale = val_f1, epoch, 0
+        else:
+            stale += 1
+        if stop_at_train_f1 is not None:
+            entry["train_f1"] = train_f1 = val_f1 if same_set else train_f1s[epoch - 1]
+            if train_f1 >= stop_at_train_f1:
+                epochs_to_target = epoch
+                best_f1, best_epoch = val_f1, epoch
+                break
+        if stale >= patience:
+            break
+    return best_f1, best_epoch, epoch, epochs_to_target, log
 
 
 class TestAdam:
@@ -248,13 +284,19 @@ class TestTrain:
             assert np.array_equal(params_a[name].data, params_b[name].data), name
         assert res_a.log == res_b.log
 
-    def test_model_holds_best_parameters_on_return(self, toy_examples):
+    def test_model_holds_best_parameters_on_return(self, toy_examples, monkeypatch):
+        # the validation answer is unreachable, so epoch 1 stays the best
+        # while epochs 2 and 3 move the parameters on
+        seen, original = [], training.greedy_answers
+        monkeypatch.setattr(training, "greedy_answers",
+                            lambda model, examples, max_len: seen.append(flat_parameters(model))
+                            or original(model, examples, max_len))
         model = fresh_model()
         result = train(model, toy_examples[:4], [unfamiliar_example()],
                        quick_config(max_epochs=3, patience=5))
-        live = model.parameters()
-        for name, snapshot in result.params.items():
-            assert np.array_equal(live[name].data, snapshot), name
+        assert result.best_epoch == 1 and len(seen) == 3
+        assert not np.array_equal(seen[2], seen[0])
+        assert np.array_equal(flat_parameters(model), seen[0])
         assert result.optimizer.t == result.epochs_run  # one 4-example batch per epoch
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -329,8 +371,9 @@ class TestTrain:
             assert np.array_equal(params_one[name].data, params_two[name].data), name
 
     def test_best_parameters_are_snapshot_in_one_array(self, toy_examples, monkeypatch):
-        # both improving epochs and the target epoch copy into the same
-        # snapshot, which the result's views read
+        # epoch 1 improves and epoch 3 both improves and reaches the target:
+        # one copy each, into the same snapshot, which the model holds on
+        # return
         copies = []
         copyto = np.copyto
         monkeypatch.setattr(np, "copyto",
@@ -340,8 +383,49 @@ class TestTrain:
                        quick_config(max_epochs=4, batch_size=2, learning_rate=0.05),
                        stop_at_train_f1=0.4)
         assert [e["val_f1"] > 0.4 for e in result.log] == [False, False, True]
-        assert len(copies) == 3 and all(dst is copies[0] for dst in copies)
-        assert all(np.shares_memory(view, copies[0]) for view in result.params.values())
+        assert len(copies) == 2 and copies[1] is copies[0]
+        assert np.array_equal(result.optimizer.theta, copies[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(max_epochs=st.integers(1, 6), patience=st.integers(1, 3),
+           stop_at_train_f1=st.sampled_from([None, 0.3, 0.7]), same_set=st.booleans(),
+           val_f1s=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=6, max_size=6),
+           train_f1s=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=6, max_size=6))
+    # the target epoch scores below the best on validation, and becomes the best
+    @example(max_epochs=3, patience=2, stop_at_train_f1=0.3, same_set=False,
+             val_f1s=[0.5, 0.0, 0.0, 0.0, 0.0, 0.0], train_f1s=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    # an improving epoch that also reaches the target
+    @example(max_epochs=4, patience=1, stop_at_train_f1=0.7, same_set=True,
+             val_f1s=[0.25, 0.5, 1.0, 0.0, 0.0, 0.0], train_f1s=[0.0] * 6)
+    def test_epoch_rule_matches_the_two_branch_rule(self, max_epochs, patience,
+                                                    stop_at_train_f1, same_set,
+                                                    val_f1s, train_f1s):
+        # each epoch's F1 scores are scripted; the parameters each epoch
+        # ends with are recorded as its validation set is scored
+        train_set = [expand_basic(d)[0] for d in overfit_dialogs()[:2]]
+        val_set = train_set if same_set else list(train_set)
+        model, seen = fresh_model(), []
+
+        def scripted_f1(answers, examples):
+            if examples is val_set:
+                seen.append(flat_parameters(model))
+                return val_f1s[len(seen) - 1]
+            assert examples is train_set
+            return train_f1s[len(seen) - 1]
+
+        with mock.patch.object(training, "_mean_token_f1", scripted_f1):
+            result = train(model, train_set, val_set,
+                           quick_config(max_epochs=max_epochs, patience=patience,
+                                        batch_size=2, max_generate_len=1),
+                           stop_at_train_f1=stop_at_train_f1)
+        best_f1, best_epoch, epochs_run, epochs_to_target, log = two_branch_epochs(
+            val_f1s, train_f1s, max_epochs, patience, stop_at_train_f1, same_set)
+        assert (result.best_f1, result.best_epoch, result.epochs_run,
+                result.epochs_to_target) == (best_f1, best_epoch, epochs_run, epochs_to_target)
+        assert [{k: v for k, v in e.items() if k != "loss"} for e in result.log] == log
+        assert all(np.isfinite(e["loss"]) for e in result.log)
+        assert len(seen) == epochs_run
+        assert np.array_equal(flat_parameters(model), seen[best_epoch - 1])
 
     def test_scheduled_sampling_diverges_from_teacher_forcing(self, toy_examples):
         runs = {}

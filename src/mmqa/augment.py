@@ -22,9 +22,7 @@ __all__ = [
     "Dialog",
     "DialogExample",
     "derive_seed",
-    "shuffle_capacity",
     "expand_basic",
-    "expand_per_turn",
     "expand_shuffle",
     "AUGMENTATIONS",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "MAX_FACTOR",
     "ModelConfig",
     "TrainingConfig",
-    "Config",
     "check_text",
     "load_config",
 ]
@@ -164,12 +163,9 @@ class Config:
         self.training.validate()
         return self
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def hash(self) -> bytes:
         """32-byte digest of the canonical serialized form."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).digest()
 
 

@@ -313,15 +313,8 @@ def _cfg_scalar(value: float) -> np.ndarray:
 
 
 # Each ModelConfig field is stored as one scalar: a choice by its index, a
-# flag as 0 or 1 and a width as is. The stored decoder_hidden is the resolved
-# width, so like the encoder widths it is at least 1; the other fields'
-# smallest value is 0.
+# flag as 0 or 1 and a width as is.
 _CFG_CHOICES = {"pooling": POOLINGS, "freeze_embeddings": (False, True)}
-_CFG_POSITIVE = ("embed_width", "hidden_width", "decoder_hidden")
-_CFG_FIELDS = tuple(
-    (f.name, 1 if f.name in _CFG_POSITIVE else 0, _CFG_CHOICES.get(f.name))
-    for f in fields(ModelConfig)
-)
 
 
 def checkpoint_from_model(model, optimizer=None) -> dict:
@@ -339,24 +332,20 @@ def checkpoint_from_model(model, optimizer=None) -> dict:
     return out
 
 
-# Fields that older versions wrote for retired off-paper variants, each with
-# the one stored value still accepted: the literal decoder's off value, and
-# the GRU's index among the cells ("gru", "lstm").
-_RETIRED_CFG_FIELDS = {"literal_decoder": 0.0, "cell": 0.0}
 _VOCABULARY_SIZED = ("embedding.matrix", "decoder.proj.w", "decoder.proj.b")
 
 
-def _cfg_int(tensors: dict, key: str, path: str, low: int, high: int) -> int:
+def _cfg_int(tensors: dict, key: str, path: str, high: int) -> int:
     full = CFG_PREFIX + key
     if full not in tensors:
         raise FormatError(f"{path}: checkpoint lacks architecture field {key!r}")
     raw = tensors[full].reshape(-1)
     value = float(raw[0]) if raw.size == 1 else float("nan")
-    if not (np.isfinite(value) and value == np.floor(value) and low <= value <= high):
+    if not (np.isfinite(value) and value == np.floor(value) and 0 <= value <= high):
         shown = repr(value) if raw.size == 1 else f"{raw.size} values"
         raise ValidationError(
             f"{path}: architecture field {key!r} is {shown}; "
-            f"expected a whole number in [{low}, {high}]"
+            f"expected a whole number in [0, {high}]"
         )
     return int(value)
 
@@ -376,10 +365,11 @@ def model_from_checkpoint(path: str):
 
     Returns (model, config_hash). Every tensor header is checked first;
     then only the architecture scalars are read and range-checked, before
-    anything is allocated. The model is built with no initial values drawn,
-    and each parameter's payload is read straight into its array; a tensor
-    that is neither a parameter, an architecture field nor optimizer state
-    is rejected. Optimizer state is never read.
+    anything is allocated, and `Model.create` validates the architecture
+    they give. The model is built with no initial values drawn, and each
+    parameter's payload is read straight into its array; a tensor that is
+    neither a parameter, an architecture field nor optimizer state is
+    rejected. Optimizer state is never read.
     """
     from .model import Model
     from .text import Vocabulary
@@ -402,17 +392,11 @@ def model_from_checkpoint(path: str):
                 stored[name] = np.empty(shape)
                 _read_payload(fh, path, name, offset, stored[name])
         arch = {}
-        for key, low, choices in _CFG_FIELDS:
-            high = widest if choices is None else len(choices) - 1
-            value = _cfg_int(stored, key, path, low, high)
-            arch[key] = value if choices is None else choices[value]
-        for key, accepted in _RETIRED_CFG_FIELDS.items():
-            value = stored.get(CFG_PREFIX + key)
-            if value is not None and value.reshape(-1).tolist() != [accepted]:
-                raise ValidationError(
-                    f"{path}: architecture field {key!r} selects a variant that no "
-                    f"longer exists; only {accepted:g} is accepted"
-                )
+        for f in fields(ModelConfig):
+            choices = _CFG_CHOICES.get(f.name)
+            value = _cfg_int(stored, f.name, path,
+                             widest if choices is None else len(choices) - 1)
+            arch[f.name] = value if choices is None else choices[value]
         try:
             model = Model.create(_NoDraws(), vocab, **arch)
         except ValidationError as exc:
@@ -434,7 +418,7 @@ def model_from_checkpoint(path: str):
             _read_payload(fh, path, name, offset, tensor.data)
             if not np.isfinite(tensor.data).all():
                 raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
-    known = {*params, *(CFG_PREFIX + key for key in (*arch, *_RETIRED_CFG_FIELDS))}
+    known = {*params, *(CFG_PREFIX + key for key in arch)}
     extras = [n for n in index if n not in known and not n.startswith(OPT_PREFIX)]
     if extras:
         raise ValidationError(f"{path}: unknown tensors {sorted(extras)[:5]}")

@@ -21,7 +21,7 @@ from itertools import chain
 
 from .errors import ValidationError
 
-__all__ = ["bleu", "rouge_l", "rouge_l_corpus", "cider", "corpus_scores"]
+__all__ = ["bleu", "rouge_l_corpus", "cider", "corpus_scores"]
 
 ROUGE_BETA_SQ = 1.2
 MAX_ORDER = 4

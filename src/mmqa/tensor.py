@@ -36,7 +36,6 @@ __all__ = [
     "logistic",
     "take_rows",
     "DEFAULT_EPS",
-    "grad_check",
     "grad_checks",
 ]
 

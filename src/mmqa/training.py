@@ -31,7 +31,7 @@ from .errors import NumericalError, ShapeError, ValidationError
 from .metrics import corpus_scores
 from .tensor import Tape
 
-__all__ = ["Adam", "token_f1", "TrainResult", "train", "evaluate", "greedy_answers"]
+__all__ = ["token_f1", "train", "evaluate", "greedy_answers"]
 
 # The fewest examples `greedy_answers` gives a process of its own. On the
 # benchmark's `eval` model, two processes lost to one at 8 examples, tied or

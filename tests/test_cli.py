@@ -470,15 +470,9 @@ class TestFailureModes:
         assert f"{sidecar}{fault} vocabulary token" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("cell", 5.0),
-        ("cell", -1.0),
-        ("cell", 1.0),
-        ("cell", float("nan")),
         ("pooling", float("nan")),
-        ("embed_width", 0.0),
         ("hidden_width", 2.5),
         ("flow_width", 1e12),
-        ("literal_decoder", 1.0),
     ])
     def test_corrupt_architecture_field_is_validation_failure(self, tmp_path, capsys,
                                                               field, value):
@@ -493,6 +487,11 @@ class TestFailureModes:
     @pytest.mark.parametrize("edit, fault", [
         (lambda tensors: tensors.update({"__cfg__/bogus": np.zeros(1)}),
          "unknown tensors ['__cfg__/bogus']"),
+        # a field of a retired variant, which no writer emits any more
+        (lambda tensors: tensors.update({"__cfg__/cell": np.zeros(1)}),
+         "unknown tensors ['__cfg__/cell']"),
+        (lambda tensors: tensors.update({"__cfg__/embed_width": np.zeros(1)}),
+         "embed_width must lie in [1, 2**63)"),
         # the vocabulary still gives the embedding's row count; its width is wrong
         (lambda tensors: tensors.update(
             {"embedding.matrix": tensors["embedding.matrix"][:, :7]}),
@@ -500,7 +499,8 @@ class TestFailureModes:
         # layer 1 of a 7-wide decoder cannot start at the 8-wide question vector
         (lambda tensors: tensors.update({"__cfg__/decoder_hidden": np.array([7.0])}),
          "decoder_hidden 7 cannot hold the question vector"),
-    ], ids=["unknown-architecture-field", "embedding-width", "narrow-decoder"])
+    ], ids=["unknown-architecture-field", "retired-architecture-field", "zero-embed",
+         "embedding-width", "narrow-decoder"])
     def test_inconsistent_checkpoint_is_validation_failure(self, tmp_path, capsys,
                                                            edit, fault):
         ckpt, data = self.write_checkpoint(tmp_path)

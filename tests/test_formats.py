@@ -438,35 +438,19 @@ class TestModelCheckpoint:
         with pytest.raises(ValidationError, match="mystery.weight"):
             model_from_checkpoint(path)
 
-    def test_retired_literal_decoder_field_loads_when_off(self, tmp_path, toy_examples):
-        # checkpoints written before the literal GRU variant was removed
-        # carry __cfg__/literal_decoder = 0
+    def test_matched_decoder_width_loads(self, tmp_path, toy_examples):
+        # a stored decoder_hidden of 0 means "match the encoder output
+        # width", as it does in the YAML
         vocab, model = self.build()
         tensors = checkpoint_from_model(model)
-        tensors["__cfg__/literal_decoder"] = np.zeros(1)
+        tensors["__cfg__/decoder_hidden"] = np.zeros(1)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, tensors, Config().hash())
         vocab.save(path + ".vocab")
         rebuilt, _ = model_from_checkpoint(path)
-        assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
-        tensors["__cfg__/literal_decoder"] = np.ones(1)
-        save_checkpoint(path, tensors, Config().hash())
-        with pytest.raises(ValidationError, match="literal_decoder"):
-            model_from_checkpoint(path)
-
-    def test_retired_cell_field_loads_as_gru(self, tmp_path, toy_examples):
-        # checkpoints written while an LSTM cell was still an option carry
-        # __cfg__/cell, with 0 for the GRU; other values are rejected in
-        # test_cli's corrupt architecture cases
-        vocab, model = self.build()
-        tensors = checkpoint_from_model(model)
-        assert "__cfg__/cell" not in tensors
-        tensors["__cfg__/cell"] = np.zeros(1)
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, tensors, Config().hash())
-        vocab.save(path + ".vocab")
-        rebuilt, _ = model_from_checkpoint(path)
-        assert rebuilt.generate(toy_examples[0], 6) == model.generate(toy_examples[0], 6)
+        assert rebuilt.cfg == model.cfg
+        for example in toy_examples[:3]:
+            assert rebuilt.generate(example, 8) == model.generate(example, 8)
 
     def test_width_is_bounded_below_the_vocabulary_size(self, tmp_path):
         # the widest non-vocabulary extent is 5 * 8 + 8 = 48 (the decoder's
@@ -482,7 +466,7 @@ class TestModelCheckpoint:
         save_checkpoint(path, tensors, Config().hash())
         vocab.save(path + ".vocab")
         with pytest.raises(ValidationError, match="'hidden_width' is 60.0; expected a whole "
-                                                  "number in \\[1, 48\\]"):
+                                                  "number in \\[0, 48\\]"):
             model_from_checkpoint(path)
 
     def test_a_model_is_read_without_drawing_initial_values(self, tmp_path, monkeypatch):

@@ -192,21 +192,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="score table to write")
-    p.add_argument("--features", default="", help="feature file directory")
-    p.add_argument("--max-len", type=int, default=DEFAULT_GENERATE_LEN, dest="max_len")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("generate", help="write one generated answer per example")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="answers file to write")
-    p.add_argument("--features", default="", help="feature file directory")
-    p.add_argument("--max-len", type=int, default=DEFAULT_GENERATE_LEN, dest="max_len")
-    p.set_defaults(func=_cmd_generate)
+    for command, summary, out_help, func in (
+            ("eval", "score a checkpoint on a dataset", "score table to write", _cmd_eval),
+            ("generate", "write one generated answer per example", "answers file to write",
+             _cmd_generate)):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--features", default="", help="feature file directory")
+        p.add_argument("--max-len", type=int, default=DEFAULT_GENERATE_LEN, dest="max_len")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)

@@ -77,9 +77,7 @@ class ModelConfig:
 
     embed_width: int = 64
     hidden_width: int = 32
-    decoder_hidden: int = 0  # 0 means "match the encoder output width"
     pooling: str = "max"
-    freeze_embeddings: bool = False
     flow_width: int = 0
     rgb_width: int = 0
     audio_width: int = 0
@@ -87,15 +85,10 @@ class ModelConfig:
     def validate(self):
         # a width past 2**63 - 1, numpy's largest array extent, cannot even be
         # handed to numpy
-        for key, low in (("embed_width", 1), ("hidden_width", 1), ("decoder_hidden", 0),
+        for key, low in (("embed_width", 1), ("hidden_width", 1),
                          *((f"{modality}_width", 0) for modality in FEATURES)):
             if not low <= getattr(self, key) < 2 ** 63:
                 raise ValidationError(f"{key} must lie in [{low}, 2**63)")
-        # layer 1 of the decoder starts at the question vector, 2 * hidden_width wide
-        if 0 < self.decoder_hidden < 2 * self.hidden_width:
-            raise ValidationError(
-                f"decoder_hidden {self.decoder_hidden} cannot hold the question vector: "
-                f"it must be 0 or at least 2 * hidden_width = {2 * self.hidden_width}")
         if self.pooling not in POOLINGS:
             raise ValidationError(f"pooling must be 'max' or 'average', got {self.pooling!r}")
 

@@ -312,9 +312,12 @@ def _cfg_scalar(value: float) -> np.ndarray:
     return np.asarray([float(value)], dtype=np.float64)
 
 
-# Each ModelConfig field is stored as one scalar: a choice by its index, a
-# flag as 0 or 1 and a width as is.
-_CFG_CHOICES = {"pooling": POOLINGS, "freeze_embeddings": (False, True)}
+# Each ModelConfig field is stored as one scalar: a choice by its index and
+# a width as is.
+_CFG_CHOICES = {"pooling": POOLINGS}
+# fields of retired options that older checkpoints still hold; a loader
+# reads past them
+_RETIRED_CFG_FIELDS = ("decoder_hidden", "freeze_embeddings")
 
 
 def checkpoint_from_model(model, optimizer=None) -> dict:
@@ -338,7 +341,7 @@ _VOCABULARY_SIZED = ("embedding.matrix", "decoder.proj.w", "decoder.proj.b")
 def _cfg_int(tensors: dict, key: str, path: str, high: int) -> int:
     full = CFG_PREFIX + key
     if full not in tensors:
-        raise FormatError(f"{path}: checkpoint lacks architecture field {key!r}")
+        raise ValidationError(f"{path}: checkpoint lacks architecture field {key!r}")
     raw = tensors[full].reshape(-1)
     value = float(raw[0]) if raw.size == 1 else float("nan")
     if not (np.isfinite(value) and value == np.floor(value) and 0 <= value <= high):
@@ -368,8 +371,8 @@ def model_from_checkpoint(path: str):
     anything is allocated, and `Model.create` validates the architecture
     they give. The model is built with no initial values drawn, and each
     parameter's payload is read straight into its array; a tensor that is
-    neither a parameter, an architecture field nor optimizer state is
-    rejected. Optimizer state is never read.
+    neither a parameter, an architecture field (current or retired) nor
+    optimizer state is rejected. Optimizer state is never read.
     """
     from .model import Model
     from .text import Vocabulary
@@ -418,7 +421,7 @@ def model_from_checkpoint(path: str):
             _read_payload(fh, path, name, offset, tensor.data)
             if not np.isfinite(tensor.data).all():
                 raise ValidationError(f"{path}: parameter {name!r} contains non-finite values")
-    known = {*params, *(CFG_PREFIX + key for key in arch)}
+    known = {*params, *(CFG_PREFIX + key for key in (*arch, *_RETIRED_CFG_FIELDS))}
     extras = [n for n in index if n not in known and not n.startswith(OPT_PREFIX)]
     if extras:
         raise ValidationError(f"{path}: unknown tensors {sorted(extras)[:5]}")

@@ -18,7 +18,7 @@ product reads a GRU cell's owner arrays in place (`w`, `b`, `u`, `uh`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
@@ -308,15 +308,14 @@ class Model:
         fixed so a given (seed, architecture) pair always yields the same
         parameters.
 
-        `decoder_hidden=0` matches the decoder to the encoder output width,
-        and `cfg` holds the resolved width. A feature width of 0 disables
+        The decoder is D = 2 * hidden_width wide, the width of the question
+        vector its first layer starts at. A feature width of 0 disables
         that modality: no parameters are created and its fused slot is
         pinned to the zero vector.
         """
         cfg = ModelConfig(**arch)
         cfg.validate()
         d = 2 * cfg.hidden_width
-        cfg = replace(cfg, decoder_hidden=cfg.decoder_hidden or d)
         make_rnn = lambda width: RecurrentLayer.create(rng, width, cfg.hidden_width)
         stream = lambda width: (make_rnn(width), AttentionParams.create(rng, d))
         try:
@@ -326,8 +325,7 @@ class Model:
                 question_rnn=make_rnn(cfg.embed_width),
                 question_attn=SelfAttentionParams.create(rng, d),
                 streams={"summary": stream(cfg.embed_width), "history": stream(d)},
-                decoder=Decoder.create(rng, 5 * d, cfg.embed_width, cfg.decoder_hidden,
-                                       len(vocab)),
+                decoder=Decoder.create(rng, 5 * d, cfg.embed_width, d, len(vocab)),
                 cfg=cfg,
             )
             # drawn after the decoder: the other parameters' initial values

@@ -310,10 +310,6 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     # parameter's part stays zero
     grad = np.zeros_like(adam.theta)
     sinks = adam.owner_blocks(grad)
-    if model.cfg.freeze_embeddings:
-        # a leaf without a sink takes no gradient: the table's part stays
-        # zero, and Adam leaves it bitwise as it is
-        del sinks[params["embedding.matrix"]]
     best = adam.theta.copy()  # the best epoch's parameters, updated in place
     best_f1 = -1.0
     best_epoch = 0

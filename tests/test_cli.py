@@ -26,7 +26,7 @@ from mmqa.formats import (
     save_dataset,
     save_features,
 )
-from mmqa.model import Model
+from mmqa.model import Decoder, Model
 
 
 def write_dataset(path, dialogs=None):
@@ -71,6 +71,14 @@ def write_config(path, data_path, **overrides):
         doc[section].update(key_values)
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+def _widen_decoder(tensors):
+    # the layout of a checkpoint written while decoder_hidden was an option
+    # and set to twice the 8-wide question vector
+    wide = Decoder.create(np.random.default_rng(0), 5 * 8, 8, 16, 36)
+    tensors.update({f"decoder.{name}": t.data for name, t in wide.parameters().items()})
+    tensors["__cfg__/decoder_hidden"] = np.array([16.0])
 
 
 class TestAugmentCommand:
@@ -496,11 +504,14 @@ class TestFailureModes:
         (lambda tensors: tensors.update(
             {"embedding.matrix": tensors["embedding.matrix"][:, :7]}),
          "parameter 'embedding.matrix' is (36, 7), expected (36, 8)"),
-        # layer 1 of a 7-wide decoder cannot start at the 8-wide question vector
-        (lambda tensors: tensors.update({"__cfg__/decoder_hidden": np.array([7.0])}),
-         "decoder_hidden 7 cannot hold the question vector"),
+        (lambda tensors: tensors.pop("__cfg__/pooling"),
+         "checkpoint lacks architecture field 'pooling'"),
+        (lambda tensors: tensors.pop("decoder.proj.b"),
+         "checkpoint lacks parameter 'decoder.proj.b'"),
+        (_widen_decoder, "parameter 'decoder.l1.wz' is (48, 16), expected (48, 8)"),
     ], ids=["unknown-architecture-field", "retired-architecture-field", "zero-embed",
-         "embedding-width", "narrow-decoder"])
+         "embedding-width", "missing-architecture-field", "missing-parameter",
+         "wide-decoder"])
     def test_inconsistent_checkpoint_is_validation_failure(self, tmp_path, capsys,
                                                            edit, fault):
         ckpt, data = self.write_checkpoint(tmp_path)
@@ -514,13 +525,15 @@ class TestFailureModes:
         assert "Traceback" not in err and "vocabulary mismatch" not in err
         assert not (tmp_path / "s.tsv").exists()
 
-    def test_narrow_decoder_config_fails_before_any_dataset_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("decoder_hidden", 0), ("freeze_embeddings", False)],
+                             ids=["decoder_hidden", "freeze_embeddings"])
+    def test_retired_model_key_fails_before_any_dataset_is_read(self, tmp_path, capsys,
+                                                                key, value):
         config = write_config(tmp_path / "run.yaml", tmp_path / "missing.json",
-                              model={"hidden_width": 4, "decoder_hidden": 7})
+                              model={key: value})
         ckpt = tmp_path / "m.ckpt"
         assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
-        assert "error: decoder_hidden 7 cannot hold the question vector: it must be 0 " \
-               "or at least 2 * hidden_width = 8" in capsys.readouterr().err
+        assert f"error: unknown model config keys: ['{key}']" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_nonfinite_checkpoint_parameter_is_validation_failure(self, tmp_path, capsys):

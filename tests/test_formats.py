@@ -366,8 +366,7 @@ class TestModelCheckpoint:
         assert rebuilt.streams["flow"][0].fwd.input_width == 5
 
     def test_every_architecture_field_round_trips(self, tmp_path):
-        cfg = ModelConfig(embed_width=6, hidden_width=3, decoder_hidden=10,
-                          pooling="average", freeze_embeddings=True, flow_width=5,
+        cfg = ModelConfig(embed_width=6, hidden_width=3, pooling="average", flow_width=5,
                           rgb_width=4, audio_width=2)
         defaults = ModelConfig()
         assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
@@ -382,13 +381,6 @@ class TestModelCheckpoint:
         stored = {name[len("__cfg__/"):] for name in checkpoint_from_model(model)
                   if name.startswith("__cfg__/")}
         assert stored == {f.name for f in fields(ModelConfig)}
-
-    def test_automatic_decoder_width_is_stored_resolved(self, tmp_path):
-        vocab, model = self.build()
-        assert model.cfg.decoder_hidden == 8  # 2 * hidden_width
-        assert checkpoint_from_model(model)["__cfg__/decoder_hidden"][0] == 8.0
-        rebuilt, _ = model_from_checkpoint(self.save(tmp_path, model, vocab))
-        assert rebuilt.cfg == model.cfg
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_parameter_rejected(self, tmp_path, value):
@@ -439,18 +431,21 @@ class TestModelCheckpoint:
             model_from_checkpoint(path)
 
     def test_matched_decoder_width_loads(self, tmp_path, toy_examples):
-        # a stored decoder_hidden of 0 means "match the encoder output
-        # width", as it does in the YAML
+        # a checkpoint written while decoder_hidden and freeze_embeddings
+        # were options stores both; with the decoder as wide as the question
+        # vector it loads, frozen table or not, and answers as before
         vocab, model = self.build()
-        tensors = checkpoint_from_model(model)
-        tensors["__cfg__/decoder_hidden"] = np.zeros(1)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, tensors, Config().hash())
         vocab.save(path + ".vocab")
-        rebuilt, _ = model_from_checkpoint(path)
-        assert rebuilt.cfg == model.cfg
-        for example in toy_examples[:3]:
-            assert rebuilt.generate(example, 8) == model.generate(example, 8)
+        for frozen in (0.0, 1.0):
+            tensors = checkpoint_from_model(model)
+            tensors["__cfg__/decoder_hidden"] = np.array([8.0])  # 2 * hidden_width
+            tensors["__cfg__/freeze_embeddings"] = np.array([frozen])
+            save_checkpoint(path, tensors, Config().hash())
+            rebuilt, _ = model_from_checkpoint(path)
+            assert rebuilt.cfg == model.cfg
+            for example in toy_examples[:3]:
+                assert rebuilt.generate(example, 8) == model.generate(example, 8)
 
     def test_width_is_bounded_below_the_vocabulary_size(self, tmp_path):
         # the widest non-vocabulary extent is 5 * 8 + 8 = 48 (the decoder's
@@ -639,9 +634,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="literal_decoder"):
             config_from_dict({"model": {"literal_decoder": False}})
 
-    def test_retired_cell_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown model config keys: \\['cell'\\]"):
-            config_from_dict({"model": {"cell": "gru"}})
+    @pytest.mark.parametrize("key, value", [
+        ("cell", "gru"), ("decoder_hidden", 0), ("freeze_embeddings", False),
+    ], ids=["cell", "decoder_hidden", "freeze_embeddings"])
+    def test_retired_model_key_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"unknown model config keys: \\['{key}'\\]"):
+            config_from_dict({"model": {key: value}})
 
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "c.yaml"

@@ -555,22 +555,12 @@ class TestModelAssembly:
             assert t in text_model.vocab
             assert t not in ("<pad>", "<sos>", "<eos>")
 
-    def test_wide_decoder_works(self, toy_examples):
-        vocab = corpus_vocab(overfit_dialogs())
-        model = Model.create(np.random.default_rng(3), vocab,
-                             embed_width=8, hidden_width=4, decoder_hidden=12)
-        assert model.loss(toy_examples[0]).item() > 0.0
-
     @pytest.mark.parametrize("arch, fault", [
         ({"embed_width": 0}, "embed_width"),
-        ({"decoder_hidden": -1}, "decoder_hidden"),
         ({"hidden_width": 0}, "hidden_width"),
         ({"pooling": "sum"}, "pooling"),
         ({"audio_width": -2}, "audio_width"),
-        # layer 1 of the decoder cannot start at the 8-wide question vector
-        pytest.param({"hidden_width": 4, "decoder_hidden": 7}, "decoder_hidden 7 cannot hold",
-                     id="arch5-narrow-decoder"),
-    ])
+    ], ids=["arch0-embed_width", "arch2-hidden_width", "arch3-pooling", "arch4-audio_width"])
     def test_create_validates_the_architecture(self, arch, fault):
         vocab = corpus_vocab(overfit_dialogs())
         with pytest.raises(ValidationError, match=fault):

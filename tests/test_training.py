@@ -17,7 +17,7 @@ from mmqa.config import TrainingConfig
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
-from mmqa.tensor import ColumnView, Tape, Tensor, _RowSparse
+from mmqa.tensor import ColumnView, Tape, Tensor
 from mmqa.text import SOS, resolve_token
 from mmqa.training import Adam, evaluate, greedy_answers, token_f1, train
 from test_metrics import per_metric_table
@@ -306,37 +306,6 @@ class TestTrain:
         with pytest.raises(NumericalError, match="diverged"):
             train(model, toy_examples[:2], toy_examples[2:3],
                   quick_config(max_epochs=1, batch_size=2))
-
-    def test_frozen_embeddings_never_move(self, toy_examples):
-        vocab = corpus_vocab(overfit_dialogs())
-        model = Model.create(np.random.default_rng(7), vocab,
-                             embed_width=8, hidden_width=4,
-                             freeze_embeddings=True)
-        before = model.embedding.matrix.data.copy()
-        proj_before = model.decoder.proj.w.data.copy()
-        train(model, toy_examples[:4], toy_examples[4:5],
-              quick_config(max_epochs=1, patience=5))
-        assert np.array_equal(model.embedding.matrix.data, before)
-        assert not np.array_equal(model.decoder.proj.w.data, proj_before)
-
-    def test_frozen_table_takes_no_gradient(self, toy_examples, monkeypatch):
-        # the frozen table has no sink: no backward pass scatters a row of
-        # its gradient into its block of the gradient vector
-        written, steps = [], []
-        add_to, step = _RowSparse.add_to, Adam.step
-        monkeypatch.setattr(_RowSparse, "add_to",
-                            lambda self, acc: written.append(acc) or add_to(self, acc))
-        monkeypatch.setattr(Adam, "step",
-                            lambda self, grad: steps.append(grad) or step(self, grad))
-        vocab = corpus_vocab(overfit_dialogs())
-        model = Model.create(np.random.default_rng(7), vocab,
-                             embed_width=8, hidden_width=4,
-                             freeze_embeddings=True)
-        result = train(model, toy_examples[:4], toy_examples[4:5],
-                       quick_config(max_epochs=1, patience=5))
-        table = result.optimizer.owner_blocks(steps[0])[model.embedding.matrix]
-        assert written
-        assert not any(np.shares_memory(acc, table) for acc in written)
 
     def test_train_f1_target_short_circuits(self, toy_examples):
         model = fresh_model()

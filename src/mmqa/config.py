@@ -23,7 +23,6 @@ __all__ = [
     "LOSS_MODES",
     "MAX_GENERATE_LEN",
     "DEFAULT_GENERATE_LEN",
-    "DEFAULT_SS_PROBABILITY",
     "MAX_FACTOR",
     "ModelConfig",
     "TrainingConfig",
@@ -33,14 +32,12 @@ __all__ = [
 
 POOLINGS = ("max", "average")
 FEATURES = ("flow", "rgb", "audio")  # each has a `<modality>_width` in ModelConfig
-LOSS_MODES = ("tf", "ss", "free")
+LOSS_MODES = ("tf", "free")
 # the most tokens a greedy answer may take: an undertrained model may never
 # emit EOS, and then decoding runs for the whole bound
 MAX_GENERATE_LEN = 1000
 # the tokens a greedy answer may take unless a run asks for another bound
 DEFAULT_GENERATE_LEN = 20
-# the chance that a scheduled-sampling step feeds the model's own pick
-DEFAULT_SS_PROBABILITY = 0.2
 # the most shuffled copies per example: a dialog with n history pairs has
 # n! - 1 of them, so without a bound a long dialog expands factorially
 MAX_FACTOR = 1000
@@ -111,7 +108,6 @@ class TrainingConfig:
     augmentation: str = "basic"
     factor: int = 2
     loss_mode: str = "tf"
-    ss_probability: float = DEFAULT_SS_PROBABILITY
     max_generate_len: int = DEFAULT_GENERATE_LEN
 
     def validate(self):
@@ -137,8 +133,6 @@ class TrainingConfig:
             raise ValidationError(
                 f"loss_mode must be one of {list(LOSS_MODES)}, got {self.loss_mode!r}"
             )
-        if not (0.0 <= self.ss_probability <= 1.0):
-            raise ValidationError("ss_probability must lie in [0, 1]")
         if not 1 <= self.max_generate_len <= MAX_GENERATE_LEN:
             raise ValidationError(f"max_generate_len must lie in [1, {MAX_GENERATE_LEN}], "
                                   f"got {self.max_generate_len}")

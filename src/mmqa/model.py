@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .augment import DialogExample
-from .config import DEFAULT_GENERATE_LEN, DEFAULT_SS_PROBABILITY, FEATURES, LOSS_MODES, ModelConfig
+from .config import DEFAULT_GENERATE_LEN, FEATURES, LOSS_MODES, ModelConfig
 from .encoders import (
     AttentionParams,
     GruCell,
@@ -395,36 +395,25 @@ class Model:
     def answer_ids(self, example: DialogExample) -> list[int]:
         return [resolve_token(self.vocab, t) for t in example.answer]
 
-    def loss(self, example: DialogExample, mode: str = "tf",
-             p_model: float = DEFAULT_SS_PROBABILITY,
-             rng: Optional[np.random.Generator] = None) -> Tensor:
+    def loss(self, example: DialogExample, mode: str = "tf") -> Tensor:
         """Scalar training loss for one example under one of the LOSS_MODES:
-        teacher forcing, scheduled sampling with `p_model`, or free running.
+        teacher forcing or free running.
 
-        The gold tokens are the answer's ids and EOS; step t is fed the gold
-        token before it (SOS first). Under `ss` and `free` a greedy decode
-        over the chosen inputs, which records nothing, draws from `rng` after
-        each step but the last, and with probability `p_model` (1 for `free`)
-        feeds the next step that step's pick. The draws are taken at
-        `p_model=0` too, so it equals teacher forcing bitwise.
+        The gold tokens are the answer's ids and EOS. Under `tf` step t is
+        fed the gold token before it (SOS first). Under `free` a greedy
+        decode, which records nothing, feeds each step after the first the
+        previous step's pick.
         """
         if mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
-        if mode != "tf" and rng is None:
-            raise ValidationError(f"loss mode {mode!r} requires a random generator")
-        if mode == "ss" and not 0.0 <= p_model <= 1.0:
-            raise ValidationError(f"p_model must lie in [0, 1], got {p_model}")
         context, q_vec = self.encode(example)
         gold = self.answer_ids(example) + [EOS]
         inputs = [SOS] + gold[:-1]
-        if mode != "tf":
-            p_model = p_model if mode == "ss" else 1.0
+        if mode == "free":
             state = init_decoder(self.decoder, q_vec)
             for t in range(1, len(gold)):
-                pick, state = _greedy_step(self.decoder, self.embedding, state, context,
-                                           inputs[t - 1])
-                if rng.random() < p_model:
-                    inputs[t] = pick
+                inputs[t], state = _greedy_step(self.decoder, self.embedding, state, context,
+                                                inputs[t - 1])
         return decoder_loss(self.decoder, self.embedding, context, q_vec, inputs, gold)
 
     def generate(self, example: DialogExample, max_len: int = DEFAULT_GENERATE_LEN) -> list[str]:

@@ -266,23 +266,18 @@ def _mean_token_f1(answers, examples) -> float:
     return sum(token_f1(a, ex.answer) for a, ex in zip(answers, examples)) / len(examples)
 
 
-def _non_finite_example(model, examples, cfg: TrainingConfig, rng_state: dict,
-                        param) -> Optional[str]:
+def _non_finite_example(model, examples, cfg: TrainingConfig, param) -> Optional[str]:
     """The video id of the first of a batch's `examples` whose own gradient
     of the parameter tensor `param` is not finite, or None if none is.
 
-    The batch is replayed one example per tape, from `rng_state`, the
-    sampling generator's state at the batch's start, into one zero sink:
-    that of `param`'s owner, the only gradient the replay needs.
+    The batch is replayed one example per tape into one zero sink: that
+    of `param`'s owner, the only gradient the replay needs.
     """
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = rng_state
     sink = np.zeros_like(param.owner.data)
     for example in examples:
         sink.fill(0.0)
         with Tape({param.owner: sink}) as tape:
-            tape.backward(model.loss(example, mode=cfg.loss_mode,
-                                     p_model=cfg.ss_probability, rng=rng))
+            tape.backward(model.loss(example, mode=cfg.loss_mode))
         if not np.isfinite(param.part(sink)).all():
             return example.video_id
     return None
@@ -299,9 +294,9 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     """
     if not train_set or not val_set:
         raise ValidationError("training and validation sets must be non-empty")
-    shuffle_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    sample_rng = np.random.default_rng(sample_seed)
+    # the seed's first child, not the seed itself: every run so far has
+    # shuffled its batches from it
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
@@ -324,12 +319,10 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            batch_rng_state = sample_rng.bit_generator.state
             grad.fill(0.0)
             for idx in batch:
                 with Tape(sinks) as tape:
-                    loss = model.loss(train_set[idx], mode=cfg.loss_mode,
-                                      p_model=cfg.ss_probability, rng=sample_rng)
+                    loss = model.loss(train_set[idx], mode=cfg.loss_mode)
                     value = loss.item()
                     if not np.isfinite(value):
                         raise NumericalError(
@@ -342,8 +335,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                 name = next(n for n, g in adam.views(grad).items()
                             if not np.isfinite(g).all())
                 examples = [train_set[i] for i in batch]
-                culprit = _non_finite_example(model, examples, cfg, batch_rng_state,
-                                              params[name])
+                culprit = _non_finite_example(model, examples, cfg, params[name])
                 found = (f"example {culprit!r}" if culprit is not None
                          else "no one example's gradient is, their sum overflowed")
                 raise NumericalError(

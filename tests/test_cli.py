@@ -199,10 +199,13 @@ class TestPipeline:
         assert "vid" in err
         assert not ckpt.exists()
 
-    def test_nonfinite_gradient_names_its_example(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("loss_mode", ["tf", "free"])
+    def test_nonfinite_gradient_names_its_example(self, tmp_path, capsys, monkeypatch,
+                                                  loss_mode):
         # one run learns the order of the one four-example batch; the next
         # gives the third example of that batch, alone, an infinite gradient
-        # of the projection bias
+        # of the projection bias, which the replay of the batch finds again
+        section = {"loss_mode": loss_mode}
         order, original_loss = [], Model.loss
 
         def loss(self, example, *args, **kwargs):
@@ -211,7 +214,7 @@ class TestPipeline:
 
         monkeypatch.setattr(Model, "loss", loss)
         (tmp_path / "a").mkdir()
-        assert self.run_train(tmp_path / "a")[0] == 0
+        assert self.run_train(tmp_path / "a", training=section)[0] == 0
         batch, original = order[:4], model_module.decoder_loss
         chosen = batch[2]
 
@@ -225,7 +228,7 @@ class TestPipeline:
         monkeypatch.setattr(model_module, "decoder_loss", decoder_loss)
         (tmp_path / "b").mkdir()
         capsys.readouterr()
-        code, _data, ckpt = self.run_train(tmp_path / "b")
+        code, _data, ckpt = self.run_train(tmp_path / "b", training=section)
         assert code == 2
         err = capsys.readouterr().err
         assert "gradient of decoder.proj.b is not finite at epoch 1" in err
@@ -534,6 +537,19 @@ class TestFailureModes:
         ckpt = tmp_path / "m.ckpt"
         assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
         assert f"error: unknown model config keys: ['{key}']" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("ss_probability", 0.2, "unknown training config keys: ['ss_probability']"),
+        ("loss_mode", "ss", "loss_mode must be one of ['tf', 'free'], got 'ss'"),
+    ], ids=["ss_probability", "loss_mode-ss"])
+    def test_retired_training_key_fails_before_any_dataset_is_read(self, tmp_path, capsys,
+                                                                   key, value, message):
+        config = write_config(tmp_path / "run.yaml", tmp_path / "missing.json",
+                              training={key: value})
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--config", config, "--out", str(ckpt)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_nonfinite_checkpoint_parameter_is_validation_failure(self, tmp_path, capsys):

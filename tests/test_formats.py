@@ -641,14 +641,23 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"unknown model config keys: \\['{key}'\\]"):
             config_from_dict({"model": {key: value}})
 
+    def test_retired_training_key_rejected(self):
+        # scheduled sampling is gone: its probability is an unknown key and
+        # its loss mode an invalid choice
+        with pytest.raises(ValidationError,
+                           match=r"unknown training config keys: \['ss_probability'\]"):
+            config_from_dict({"training": {"ss_probability": 0.2}})
+        with pytest.raises(ValidationError,
+                           match=r"loss_mode must be one of \['tf', 'free'\], got 'ss'"):
+            config_from_dict({"training": {"loss_mode": "ss"}})
+
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("model: [unclosed\n")
         with pytest.raises(ValidationError, match="cannot parse"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon",
-                                     "ss_probability"])
+    @pytest.mark.parametrize("key", ["learning_rate", "beta1", "beta2", "epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_float_rejected(self, key, value):
         with pytest.raises(ValidationError, match=f"training.{key} must be finite"):

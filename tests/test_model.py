@@ -395,7 +395,7 @@ def self_embedding():
     return EmbeddingTable.create(8, 2, np.random.default_rng(0))
 
 
-def toy_loss(mode, p_model=0.5, rng=None):
+def toy_loss(mode):
     """`Model.loss` of the `gradcheck` toy example under one mode: the loss
     and the gradient of every named parameter."""
     model, example = gradcheck._toy_setup()
@@ -403,52 +403,18 @@ def toy_loss(mode, p_model=0.5, rng=None):
     with Tape() as tape:
         for p in params.values():
             tape.watch(p)
-        loss = model.loss(example, mode=mode, p_model=p_model, rng=rng)
+        loss = model.loss(example, mode=mode)
         tape.backward(loss)
     return loss.item(), {name: tape.wrt(p) for name, p in params.items()}
 
 
-def assert_same_bits(a, b):
-    assert a[0] == b[0]
-    assert a[1].keys() == b[1].keys()
-    for name in a[1]:
-        np.testing.assert_array_equal(a[1][name], b[1][name], err_msg=name)
-
-
-class TestScheduledSampleLoss:
+class TestLossModes:
     """The modes of `Model.loss` on the `gradcheck` toy example."""
 
-    def test_zero_probability_equals_teacher_forcing_and_consumes_draws(self):
-        rng = np.random.default_rng(123)
-        assert_same_bits(toy_loss("ss", 0.0, rng), toy_loss("tf"))
-        # the draw happens on every step past the first even at p = 0:
-        # three answer tokens and EOS make 4 steps, 3 draws
-        witness = np.random.default_rng(123)
-        for _ in range(3):
-            witness.random()
-        assert rng.random() == witness.random()
-
-    def test_free_running_equals_full_probability(self):
-        free = toy_loss("free", rng=np.random.default_rng(5))
-        assert_same_bits(free, toy_loss("ss", 1.0, np.random.default_rng(5)))
-        assert free[0] != toy_loss("tf")[0]  # the picks are not the gold tokens
-
-    def test_full_probability_ignores_generator_state(self):
-        assert_same_bits(toy_loss("free", rng=np.random.default_rng(1)),
-                         toy_loss("free", rng=np.random.default_rng(999)))
-
-    def test_same_seed_reproducible(self):
-        assert_same_bits(toy_loss("ss", 0.5, np.random.default_rng(42)),
-                         toy_loss("ss", 0.5, np.random.default_rng(42)))
-
-    def test_probability_bounds(self):
-        model, example = gradcheck._toy_setup()
-        for bad in (-0.1, 1.0001):
-            with pytest.raises(ValidationError, match="p_model"):
-                model.loss(example, mode="ss", p_model=bad, rng=np.random.default_rng(0))
-        for mode in ("ss", "free"):
-            with pytest.raises(ValidationError, match="random generator"):
-                model.loss(example, mode=mode)
+    def test_free_running_differs_from_teacher_forcing(self):
+        free, tf = toy_loss("free"), toy_loss("tf")
+        assert free[0] != tf[0]  # the picks are not the gold tokens
+        assert all(np.isfinite(g).all() for g in free[1].values())
 
 
 class TestModelAssembly:
@@ -538,15 +504,10 @@ class TestModelAssembly:
         tf = text_model.loss(example, mode="tf")
         assert tf.shape == (1,) and tf.item() > 0.0
         assert text_model.loss(example, mode="tf").item() == tf.item()
-        ss = text_model.loss(example, mode="ss", p_model=0.0,
-                             rng=np.random.default_rng(0))
-        assert ss.item() == tf.item()
-        with pytest.raises(ValidationError):
-            text_model.loss(example, mode="ss")
-        with pytest.raises(ValidationError):
-            text_model.loss(example, mode="free")
-        with pytest.raises(ValidationError):
-            text_model.loss(example, mode="argmax")
+        assert np.isfinite(text_model.loss(example, mode="free").item())
+        for mode in ("ss", "argmax"):
+            with pytest.raises(ValidationError, match="unknown loss mode"):
+                text_model.loss(example, mode=mode)
 
     def test_generate_emits_vocabulary_words(self, text_model, toy_examples):
         tokens = text_model.generate(toy_examples[0], max_len=6)
@@ -591,24 +552,24 @@ class TestModelAssembly:
         assert len(tape) <= 13
 
     def test_pick_pass_records_nothing(self):
-        # scheduled sampling and free running pick their inputs on plain
-        # arrays, so they record what teacher forcing records
+        # free running picks its inputs on plain arrays, so it records what
+        # teacher forcing records
         model, example = gradcheck._toy_setup()
         counts = {}
-        for mode in ("tf", "ss", "free"):
+        for mode in ("tf", "free"):
             with Tape() as tape:
-                model.loss(example, mode=mode, p_model=0.5, rng=np.random.default_rng(0))
+                model.loss(example, mode=mode)
             counts[mode] = len(tape)
-        assert counts["ss"] == counts["free"] == counts["tf"]
+        assert counts["free"] == counts["tf"]
 
     def test_records_list_the_cells_owners_not_their_views(self):
         # a record that listed a GRU cell's named views would still train
         # right, but every gradient would go into strided column adds
         model, example = gradcheck._toy_setup()
         owners = {id(p.owner) for p in model.parameters().values() if p.owner is not p}
-        for mode in ("tf", "ss"):
+        for mode in ("tf", "free"):
             with Tape() as tape:
-                model.loss(example, mode=mode, rng=np.random.default_rng(0))
+                model.loss(example, mode=mode)
             parents = [p for _, listed, _ in tape.records for p in listed]
             assert not any(isinstance(p, ColumnView) for p in parents), mode
             assert owners <= {id(p) for p in parents}, mode
@@ -640,7 +601,7 @@ class TestModelAssembly:
         recorded = set()
         for mode in ("tf", "free"):
             with Tape() as tape:
-                model.loss(example, mode=mode, rng=np.random.default_rng(0))
+                model.loss(example, mode=mode)
             recorded |= {fn.__qualname__.split(".")[0] for _, _, fn in tape.records}
         checked = {name.split("/")[0] for name, _ in gradcheck.primitive_checks()}
         assert recorded - checked == set()

@@ -2,10 +2,14 @@
 
 Training runs shuffled mini-batches with per-example backward passes and
 batch-averaged gradients, summed in one vector laid out like the flat
-parameter vector that Adam updates in place. After every epoch the model
-greedily answers the validation set; the best mean token-F1 parameters are
-kept and training stops once that score fails to improve for `patience`
-epochs in a row.
+parameter vector that Adam updates in place. Adam steps only the live rows,
+those some gradient has reached (see `Adam`), and a batch zeroes, checks
+and scales only the gradient's live rows: the first entry other than zero
+in a row, a NaN or an infinity included, makes it live before the check,
+so every other row of the gradient still holds zeros. After every epoch
+the model greedily answers the validation set; the best mean token-F1
+parameters are kept and training stops once that score fails to improve
+for `patience` epochs in a row.
 
 Greedy answers for a list of examples (`greedy_answers`, which serves
 `evaluate`, the per-epoch validation pass and `mmqa generate`) are split
@@ -61,8 +65,23 @@ class Adam(object):
     array: the sinks of a tape, which lists owners. A step updates all
     three in place.
 
-    A zero gradient leaves its parameter bitwise untouched as long as the
-    moments are still zero, which keeps unused modules exactly frozen.
+    A step updates only the live rows. A row is one row of an owner's 2-D
+    data (a 1-D owner is one row); it turns live the first time its
+    gradient holds an entry other than zero (a NaN or an infinity counts,
+    -0.0 does not), and an owner with at least half its rows live is live
+    whole. Skipping the other rows is exact. Where g = m = v = 0 (either
+    zero for g), the textbook update gives m = b1 * 0 + (1 - b1) * g = 0,
+    v = 0 and p - lr * 0 / (sqrt(0) + epsilon) = p bitwise, -0.0 included,
+    for any positive epsilon; and a row that has never had a nonzero
+    gradient has had g = m = v = 0 at every step. So the result is that
+    of updating every element, and unused modules stay exactly frozen.
+    The plan of a step: the live owners, as contiguous spans of `theta`
+    (adjacent owners merged into one), each stepped chunk by chunk; then the
+    live rows of the other owners, gathered into one copy, stepped and
+    scattered back. `mark_live` reads only the rows not live yet and
+    rebuilds the plan only when one turns live; once every owner is live, a
+    step is one chunked pass over `theta`. The moments come from
+    `np.zeros`, so the pages of rows that never turn live are never written.
     """
 
     # elements per pass of `step`: small enough that a pass's six arrays
@@ -87,9 +106,17 @@ class Adam(object):
         for owner, block in blocks.items():
             owner.data = self.theta[block].reshape(owner.data.shape)
         self._blocks = blocks
-        self.m = np.zeros_like(self.theta)
-        self.v = np.zeros_like(self.theta)
+        self.m = np.zeros(self.theta.shape)
+        self.v = np.zeros(self.theta.shape)
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
+        # per owner, in theta's order: its block's start, its row width and
+        # which of its rows are live
+        self._rows = []
+        for owner, block in blocks.items():
+            rows, width = (owner.data.shape if owner.data.ndim == 2
+                           else (1, owner.data.size))
+            self._rows.append((block.start, width, np.zeros(rows, dtype=bool)))
+        self._plan()
 
     def views(self, vector: np.ndarray) -> dict:
         """Name -> view of `vector`, a vector in `theta`'s layout."""
@@ -103,38 +130,101 @@ class Adam(object):
         return {owner: vector[block].reshape(owner.data.shape)
                 for owner, block in self._blocks.items()}
 
-    def step(self, grad) -> None:
-        """One update from `grad`, a vector in `theta`'s layout.
+    def live_parts(self, vector: np.ndarray) -> list:
+        """The live rows of `vector` (in `theta`'s layout), as contiguous
+        views that together cover them once."""
+        return [vector[lo:hi] for lo, hi in self._spans + self._runs]
 
-        Each element goes through the textbook expression, operation by
-        operation, so the result is bitwise that of the unfused formula.
-        """
+    def mark_live(self, grad) -> bool:
+        """Make live each row that is not yet and whose part of `grad` (a
+        vector in `theta`'s layout) holds an entry other than zero; True if
+        any row turned live. Only the rows not live yet are read."""
         if grad.shape != self.theta.shape:
             raise ShapeError(f"gradient is {grad.shape}, parameters are {self.theta.shape}")
+        turned = False
+        for lo, hi, runs in self._dead:
+            if (grad[lo:hi] != 0).any():
+                turned = True
+                for run_lo, run_hi, width, live in runs:
+                    rows = grad[run_lo:run_hi].reshape(live.size, width)
+                    live |= (rows != 0).any(axis=1)
+        if turned:
+            self._plan()
+        return turned
+
+    def _plan(self) -> None:
+        """Rebuild the step's plan from the live rows: `_spans` (the live
+        owners' blocks, adjacent ones merged), `_runs` (the runs of live
+        rows in the other owners) with `_gather` (their elements) and
+        `_dead`: the runs of rows not live yet, each with its row width and
+        its part of the owner's live flags, grouped into spans of `theta`
+        where they are adjacent, so that one read finds a span all zero."""
+        self._spans, self._runs, self._dead = [], [], []
+        for start, width, live in self._rows:
+            if 2 * np.count_nonzero(live) >= live.size:
+                live[...] = True
+                end = start + live.size * width
+                if self._spans and self._spans[-1][1] == start:
+                    start = self._spans.pop()[0]
+                self._spans.append((start, end))
+                continue
+            edges = [0, *(np.flatnonzero(live[1:] != live[:-1]) + 1).tolist(), live.size]
+            for r0, r1 in zip(edges, edges[1:]):
+                lo, hi = start + r0 * width, start + r1 * width
+                if live[r0]:
+                    self._runs.append((lo, hi))
+                elif self._dead and self._dead[-1][1] == lo:
+                    first, _, runs = self._dead.pop()
+                    self._dead.append((first, hi, runs + [(lo, hi, width, live[r0:r1])]))
+                else:
+                    self._dead.append((lo, hi, [(lo, hi, width, live[r0:r1])]))
+        self._gather = np.concatenate(
+            [np.arange(lo, hi) for lo, hi in self._runs] or [np.arange(0)])
+
+    def step(self, grad) -> None:
+        """One update from `grad`, a vector in `theta`'s layout: its rows
+        that hold a nonzero turn live first (`mark_live`), then each live
+        row is updated.
+
+        Each element goes through the textbook expression, operation by
+        operation, so the result is bitwise that of the unfused formula
+        applied to every element.
+        """
+        self.mark_live(grad)
         self.t += 1
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        for lo, hi in self._spans:
+            for start in range(lo, hi, self.CHUNK):
+                part = slice(start, min(start + self.CHUNK, hi))
+                self._update(self.theta[part], self.m[part], self.v[part], grad[part], c1, c2)
+        for start in range(0, self._gather.size, self.CHUNK):
+            part = self._gather[start:start + self.CHUNK]
+            p, m, v = self.theta[part], self.m[part], self.v[part]
+            self._update(p, m, v, grad[part], c1, c2)
+            self.theta[part], self.m[part], self.v[part] = p, m, v
+
+    def _update(self, p, m, v, g, c1, c2) -> None:
+        """The update of `p`, `m` and `v` in place from `g`, given the bias
+        corrections `c1` and `c2`; at most CHUNK elements."""
         b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for lo in range(0, self.theta.size, self.CHUNK):
-            part = slice(lo, lo + self.CHUNK)
-            p, m, v, g = self.theta[part], self.m[part], self.v[part], grad[part]
-            a, b = self._scratch[:, :p.size]
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=a)
-            np.add(m, a, out=m)
-            # v = b2 * v + (1 - b2) * (g * g)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, g, out=a)
-            np.multiply(a, 1.0 - b2, out=a)
-            np.add(v, a, out=v)
-            # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, self.epsilon, out=b)
-            np.divide(m, c1, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(a, b, out=a)
-            np.subtract(p, a, out=p)
+        a, b = self._scratch[:, :p.size]
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=a)
+        np.add(m, a, out=m)
+        # v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - b2, out=a)
+        np.add(v, a, out=v)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.epsilon, out=b)
+        np.divide(m, c1, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
 
 
 def token_f1(pred, gold) -> float:
@@ -301,10 +391,13 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     params = model.parameters()
     adam = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     # one gradient vector in the parameters' layout: every backward pass
-    # adds straight into the blocks of the owners it reached, so an unused
-    # parameter's part stays zero
-    grad = np.zeros_like(adam.theta)
+    # adds straight into the blocks of the owners it reached. Only its live
+    # rows are zeroed, checked and scaled: every other row still holds
+    # zeros (of either sign), because a row turns live at its first other
+    # entry, before the check
+    grad = np.zeros(adam.theta.shape)
     sinks = adam.owner_blocks(grad)
+    live = adam.live_parts(grad)
     best = adam.theta.copy()  # the best epoch's parameters, updated in place
     best_f1 = -1.0
     best_epoch = 0
@@ -319,7 +412,8 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grad.fill(0.0)
+            for part in live:
+                part.fill(0.0)
             for idx in batch:
                 with Tape(sinks) as tape:
                     loss = model.loss(train_set[idx], mode=cfg.loss_mode)
@@ -331,7 +425,9 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                         )
                     tape.backward(loss)
                 epoch_loss += value
-            if not np.isfinite(grad).all():
+            if adam.mark_live(grad):
+                live = adam.live_parts(grad)
+            if not all(np.isfinite(part).all() for part in live):
                 name = next(n for n, g in adam.views(grad).items()
                             if not np.isfinite(g).all())
                 examples = [train_set[i] for i in batch]
@@ -342,7 +438,8 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                     f"gradient of {name} is not finite at epoch {epoch} "
                     f"({found}; batch {[ex.video_id for ex in examples]})"
                 )
-            grad *= 1.0 / len(batch)
+            for part in live:
+                part *= 1.0 / len(batch)
             adam.step(grad)
         epoch_loss /= len(train_set)
 

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from conftest import (attach_random_features, corpus_vocab, dying_generate, overfit_dialogs,
                       overfit_model)
-from mmqa import gradcheck, training
+from mmqa import gradcheck, model as model_module, tensor, training
 from mmqa.augment import DialogExample, expand_basic, expand_per_turn
 from mmqa.config import TrainingConfig
+from mmqa.encoders import GruCell
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
 from mmqa.tensor import ColumnView, Tape, Tensor
-from mmqa.text import SOS, resolve_token
+from mmqa.text import PAD, SOS, build_vocabulary, resolve_token
 from mmqa.training import Adam, evaluate, greedy_answers, token_f1, train
 from test_metrics import per_metric_table
 
@@ -39,6 +41,47 @@ def fresh_model(seed=7):
 def flat_parameters(model):
     """Every named parameter's values, in one new vector."""
     return np.concatenate([p.data.ravel() for p in model.parameters().values()])
+
+
+def bits(array):
+    """The bit patterns of a float array, in which -0.0 differs from 0.0."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def live_mask(adam):
+    """Which elements of `adam.theta` lie in rows the optimizer treats as live."""
+    live = np.zeros(adam.theta.size, dtype=bool)
+    for part in adam.live_parts(np.arange(adam.theta.size)):
+        live[part] = True
+    return live
+
+
+class EveryRowLive(Adam):
+    """Adam with every row live from the start: each step is one pass over
+    the whole parameter vector, as a dense optimizer's."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.mark_live(np.ones(self.theta.shape))
+
+
+def sparse_fit(count):
+    """A model whose training reaches few of its rows, and `count` examples:
+    a vocabulary of over 1,000 words, of which the examples use a few dozen,
+    and feature streams, but examples with no features and no history."""
+    dialogs = overfit_dialogs()[:count]
+    words = [d.summary for d in dialogs] + [s for d in dialogs for t in d.turns for s in t]
+    vocab = build_vocabulary(words + [[f"filler{i:04d}" for i in range(1000)]])
+    examples = [expand_per_turn(d)[0] for d in dialogs]
+    assert all(ex.history == [] and ex.flow is None for ex in examples)
+    return overfit_model(vocab, seed=3), examples
+
+
+def sparse_fit_config(**overrides):
+    base = dict(learning_rate=3e-2, batch_size=1, max_epochs=40, patience=40,
+                max_generate_len=8, seed=1)
+    base.update(overrides)
+    return TrainingConfig(**base)
 
 
 def unfamiliar_example(i=0):
@@ -148,6 +191,67 @@ class TestAdam:
         assert np.array_equal(params["still"].data, initial["still"])
         with pytest.raises(ShapeError):
             adam.step(np.zeros(adam.theta.size + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           chunk=st.sampled_from([1, 3, 8, Adam.CHUNK]),
+           cell_widths=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                           min_size=1, max_size=3),
+           vector_size=st.integers(1, 5), steps=st.integers(1, 6))
+    def test_live_row_step_is_bitwise_the_per_name_formula(
+            self, data, seed, chunk, cell_widths, shapes, vector_size, steps):
+        # each step gives each row a zero gradient, a -0.0 one or values
+        # (some of them exact zeros or -0.0), so rows turn live late and
+        # gradients return to zero; the reference updates every element.
+        # A small CHUNK splits the spans and the gathered rows into passes
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(Adam, "CHUNK", chunk):
+            cell = GruCell.create(rng, *cell_widths)
+            params = {f"cell.{name}": p for name, p in cell.parameters().items()}
+            params.update((f"m{i}", Tensor(rng.normal(size=shape)))
+                          for i, shape in enumerate(shapes))
+            params["vec"] = Tensor(rng.normal(size=vector_size))
+            for owner in {p.owner for p in params.values()}:
+                owner.data[rng.random(owner.shape) < 0.2] = -0.0
+            ref = {name: p.data.copy() for name, p in params.items()}
+            adam = Adam(params, learning_rate=0.01, beta1=0.8, beta2=0.99, epsilon=1e-7)
+        initial = adam.theta.copy()
+        m = {name: np.zeros(value.shape) for name, value in ref.items()}
+        v = {name: np.zeros(value.shape) for name, value in ref.items()}
+        reached = np.zeros(adam.theta.size, dtype=bool)  # rows ever given a nonzero
+        rows_of = lambda block: block.reshape(len(block) if block.ndim == 2 else 1, -1)
+        for t in range(1, steps + 1):
+            grad = np.zeros(adam.theta.size)
+            blocks, flags = adam.owner_blocks(grad), adam.owner_blocks(reached)
+            for owner, block in blocks.items():
+                rows = rows_of(block)
+                kinds = data.draw(st.lists(st.sampled_from(["zero", "zero", "-0.0", "values"]),
+                                           min_size=len(rows), max_size=len(rows)))
+                for row, kind in zip(rows, kinds):
+                    if kind == "-0.0":
+                        row[...] = -0.0
+                    elif kind == "values":
+                        row[...] = rng.normal(size=row.size) * 10.0 ** rng.integers(-6, 3)
+                        row[rng.random(row.size) < 0.3] = rng.choice([0.0, -0.0])
+                rows_of(flags[owner])[...] |= (rows != 0).any(axis=1, keepdims=True)
+            with mock.patch.object(Adam, "CHUNK", chunk):
+                adam.step(grad)
+            for name, g in adam.views(grad).items():
+                m[name] = 0.8 * m[name] + (1.0 - 0.8) * g
+                v[name] = 0.99 * v[name] + (1.0 - 0.99) * (g * g)
+                m_hat = m[name] / (1.0 - 0.8 ** t)
+                v_hat = v[name] / (1.0 - 0.99 ** t)
+                ref[name] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-7)
+            moments = adam.views(adam.m), adam.views(adam.v)
+            for name, p in params.items():
+                assert_array_equal(bits(p.data), bits(ref[name]), err_msg=f"{t} {name}")
+                assert_array_equal(bits(moments[0][name]), bits(m[name]), err_msg=f"{t} {name}")
+                assert_array_equal(bits(moments[1][name]), bits(v[name]), err_msg=f"{t} {name}")
+        assert not (reached & ~live_mask(adam)).any()
+        never = ~reached
+        assert_array_equal(bits(adam.theta[never]), bits(initial[never]))
+        assert not bits(adam.m[never]).any() and not bits(adam.v[never]).any()
 
     def test_each_view_is_its_part_of_its_owners_block(self):
         model, _ = gradcheck._toy_setup()
@@ -353,6 +457,73 @@ class TestTrain:
         assert [e["val_f1"] > 0.4 for e in result.log] == [False, False, True]
         assert len(copies) == 2 and copies[1] is copies[0]
         assert np.array_equal(result.optimizer.theta, copies[0])
+
+    def test_a_sparse_fit_is_bitwise_the_fit_with_every_row_live(self, monkeypatch):
+        # criterion 6 holds too: the history stream stays bitwise frozen
+        runs = []
+        for optimizer in (Adam, EveryRowLive):
+            monkeypatch.setattr(training, "Adam", optimizer)
+            model, examples = sparse_fit(2)
+            before = {name: p.data.copy() for name, p in model.parameters().items()}
+            result = train(model, examples, examples, sparse_fit_config(),
+                           stop_at_train_f1=0.75)
+            runs.append((model, before, result))
+        (model, before, sparse), (_, _, dense) = runs
+        assert len(model.vocab) >= 1000 and sparse.epochs_to_target is not None
+        assert (sparse.best_f1, sparse.best_epoch, sparse.epochs_run, sparse.epochs_to_target,
+                sparse.log) == (dense.best_f1, dense.best_epoch, dense.epochs_run,
+                                dense.epochs_to_target, dense.log)
+        for vector in ("theta", "m", "v"):
+            assert_array_equal(bits(getattr(sparse.optimizer, vector)),
+                               bits(getattr(dense.optimizer, vector)), err_msg=vector)
+        adam = sparse.optimizer
+        embedding = adam.owner_blocks(live_mask(adam))[model.embedding.matrix]
+        assert embedding.any(axis=1).sum() < len(embedding) // 10
+        history = [name for name in before if name.startswith("history_")]
+        assert len(history) == 20
+        moments = adam.views(adam.m), adam.views(adam.v)
+        for name in history:
+            assert_array_equal(bits(model.parameters()[name].data), bits(before[name]))
+            assert not bits(moments[0][name]).any() and not bits(moments[1][name]).any()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_gradient_of_a_never_live_row_names_its_example(
+            self, monkeypatch, value):
+        # the fourth loss, of the second example of the second batch, gives
+        # the <pad> row of the embedding, which no example reaches, a
+        # non-finite gradient while the embedding has few rows live
+        model, examples = sparse_fit(4)
+        matrix, calls, made = model.embedding.matrix, [], []
+        original_loss, original_decoder_loss = Model.loss, model_module.decoder_loss
+
+        class Kept(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def loss(self, example, *args, **kwargs):
+            calls.append(example.video_id)
+            return original_loss(self, example, *args, **kwargs)
+
+        def decoder_loss(decoder, *args):
+            out = original_decoder_loss(decoder, *args)
+            if len(calls) < 4 or calls[-1] != calls[3]:
+                return out
+            bad = np.zeros(matrix.shape)
+            bad[PAD, -1] = value
+            return tensor._emit(out.data, (out, matrix), lambda g: (g, bad))
+
+        monkeypatch.setattr(training, "Adam", Kept)
+        monkeypatch.setattr(Model, "loss", loss)
+        monkeypatch.setattr(model_module, "decoder_loss", decoder_loss)
+        with pytest.raises(NumericalError) as raised:
+            train(model, examples, examples, sparse_fit_config(batch_size=2))
+        assert str(raised.value) == (
+            f"gradient of embedding.matrix is not finite at epoch 1 "
+            f"(example {calls[3]!r}; batch {calls[2:4]})")
+        assert made[0].t == 1
+        rows = made[0].owner_blocks(live_mask(made[0]))[matrix]
+        assert rows[PAD].all() and rows.any(axis=1).sum() < len(rows) // 10
 
     @settings(max_examples=100, deadline=None)
     @given(max_epochs=st.integers(1, 6), patience=st.integers(1, 3),

@@ -98,9 +98,6 @@ class ModelConfig:
 @dataclass
 class TrainingConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 8
     max_epochs: int = 100
     patience: int = 5
@@ -113,10 +110,6 @@ class TrainingConfig:
     def validate(self):
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError("Adam betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValidationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:

@@ -74,15 +74,15 @@ def primitive_checks(eps: float = DEFAULT_EPS) -> list:
 
 def _decoder_cases(rng) -> list:
     """The decoder loss on a toy decoder (context width 1, embedding width 1,
-    hidden width 2, vocabulary 2), whose question of width 1 is zero-padded:
-    one case per input and weight over three steps that feed one token
-    twice, and a one-step case for the question, which enters through the
-    initial state."""
+    hidden width 2, vocabulary 2), whose question is as wide as its hidden
+    layer: one case per input and weight over three steps that feed one
+    token twice, and a one-step case for the question, which enters through
+    the initial state."""
     decoder = Decoder.create(rng, 1, 1, 2, 2)
     embedding = EmbeddingTable.create(2, 1, rng)
     for p in (embedding.matrix, *decoder.parameters().values()):
         p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
-    context, question = _smooth(rng, 1, 1), _smooth(rng, 1, 1)
+    context, question = _smooth(rng, 1, 1), _smooth(rng, 1, 2)
     inputs = {"context": context, "question": question, "embedding": embedding.matrix,
               **decoder.parameters()}
     loss = lambda: decoder_loss(decoder, embedding, context, question, [1, 0, 0], [0, 1, 1])

@@ -142,20 +142,8 @@ class DecoderState:
 
 
 def init_decoder(decoder: Decoder, question: Tensor) -> DecoderState:
-    """Start layer 1 at the question vector (zero-padded); layer 2 at zero."""
-    return DecoderState(h1=_first_state(decoder, question), h2=np.zeros(decoder.hidden_width))
-
-
-def _first_state(decoder: Decoder, question: Tensor) -> np.ndarray:
-    h = decoder.hidden_width
-    d = question.cols
-    if h < d:
-        raise ValidationError(
-            f"decoder hidden width {h} cannot hold the question vector of width {d}"
-        )
-    h1 = np.zeros(h)
-    h1[:d] = question.data[0]
-    return h1
+    """Start layer 1 at the question vector; layer 2 at zero."""
+    return DecoderState(h1=question.data[0], h2=np.zeros(decoder.hidden_width))
 
 
 def _context_term(decoder: Decoder, context: Tensor, embed_width: int) -> np.ndarray:
@@ -226,20 +214,20 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     """Mean cross-entropy of `gold` when step t is fed token `inputs[t]`, as
     one tape record.
 
-    Layer 1 starts at the zero-padded question and layer 2 at zero. Layer
-    1's input weights split into context rows and embedding rows, so the
-    context, the same at every step, takes one 1*3h product per sequence,
-    and the embeddings one T-row GEMM (Appleyard et al.'s precomputed
-    inputs). Both layers run with `gru_run`, and the vocabulary projection
-    is one T*h by h*|V| product. The hand-written backward feeds the softmax
-    cross-entropy gradient straight into the projection's, runs each
-    layer's BPTT, and takes the gradients of the context and of the context
-    rows from the column sums of layer 1's gate gradients. The embedding
-    gradient is row-sparse.
+    Layer 1 starts at the question and layer 2 at zero. Layer 1's input
+    weights split into context rows and embedding rows, so the context, the
+    same at every step, takes one 1*3h product per sequence, and the
+    embeddings one T-row GEMM (Appleyard et al.'s precomputed inputs). Both
+    layers run with `gru_run`, and the vocabulary projection is one T*h by
+    h*|V| product. The hand-written backward feeds the softmax cross-entropy
+    gradient straight into the projection's, runs each layer's BPTT, and
+    takes the gradients of the context and of the context rows from the
+    column sums of layer 1's gate gradients. The embedding gradient is
+    row-sparse.
     """
     l1, l2, proj = decoder.l1, decoder.l2, decoder.proj
     table = embedding.matrix
-    h0 = _first_state(decoder, question)
+    h0 = question.data[0]
     xw1 = _context_term(decoder, context, table.cols)
     steps, vocab = len(inputs), proj.w.cols
     if steps < 1 or len(gold) != steps:
@@ -271,7 +259,7 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         np.outer(c, col, out=dw1[:cw])
         np.matmul(emb.T, da1, out=dw1[cw:])
         return (_RowSparse(table.shape, idx, da1 @ w1[cw:].T), (col @ w1[:cw].T)[None, :],
-                dh0[None, :question.cols], dw1, col[None, :], du_zr1, du_h1,
+                dh0[None, :], dw1, col[None, :], du_zr1, du_h1,
                 h1.T @ da2, da2.sum(axis=0, keepdims=True), du_zr2, du_h2,
                 h2.T @ d_logits, d_logits.sum(axis=0, keepdims=True))
 

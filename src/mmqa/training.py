@@ -1,15 +1,11 @@
 """Adam optimization, the training loop, and corpus evaluation.
 
 Training runs shuffled mini-batches with per-example backward passes and
-batch-averaged gradients, summed in one vector laid out like the flat
-parameter vector that Adam updates in place. Adam steps only the live rows,
-those some gradient has reached (see `Adam`), and a batch zeroes, checks
-and scales only the gradient's live rows: the first entry other than zero
-in a row, a NaN or an infinity included, makes it live before the check,
-so every other row of the gradient still holds zeros. After every epoch
-the model greedily answers the validation set; the best mean token-F1
-parameters are kept and training stops once that score fails to improve
-for `patience` epochs in a row.
+batch-averaged gradients, summed in Adam's gradient vector, laid out like
+the flat parameter vector that Adam updates in place (see `Adam`). After
+every epoch the model greedily answers the validation set; the best mean
+token-F1 parameters are kept and training stops once that score fails to
+improve for `patience` epochs in a row.
 
 Greedy answers for a list of examples (`greedy_answers`, which serves
 `evaluate`, the per-epoch validation pass and `mmqa generate`) are split
@@ -31,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_GENERATE_LEN, TrainingConfig
-from .errors import NumericalError, ShapeError, ValidationError
+from .errors import NumericalError, ValidationError
 from .metrics import corpus_scores
 from .tensor import Tape
 
@@ -51,8 +47,18 @@ CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
                     "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
+class NonFiniteGradient(NumericalError):
+    """A step's gradient of the parameter `name` holds a NaN or an infinity;
+    the step updated nothing."""
+
+    def __init__(self, name: str):
+        super().__init__(f"gradient of {name} is not finite")
+        self.name = name
+
+
 class Adam(object):
-    """Standard Adam with bias correction over a named parameter dict.
+    """Standard Adam with bias correction over a named parameter dict, with
+    Kingma and Ba's recommended BETA1, BETA2 and EPSILON.
 
     On construction the parameters are copied into one contiguous vector,
     `theta`, owner by owner in the dict's order: each parameter brings its
@@ -60,10 +66,11 @@ class Adam(object):
     array) the first time that owner comes up. Each owner's `data` is
     rebound to its block of `theta`, reshaped, so every parameter's `data`
     is its `part` of that block, a view of `theta`. The moments `m` and `v`
-    are two vectors of the same layout. `views` maps each name to its part
-    of any of them, and `owner_blocks` each owner to its block, a contiguous
-    array: the sinks of a tape, which lists owners. A step updates all
-    three in place.
+    and the gradient `grad` are vectors of the same layout. `views` maps
+    each name to its part of any of them, and `owner_blocks` each owner to
+    its block, a contiguous array. `sinks`, the blocks of `grad`, are the
+    sinks of a tape, which lists owners: a batch's backward passes add into
+    them between `zero_grad` and `step`.
 
     A step updates only the live rows. A row is one row of an owner's 2-D
     data (a 1-D owner is one row); it turns live the first time its
@@ -75,12 +82,14 @@ class Adam(object):
     for any positive epsilon; and a row that has never had a nonzero
     gradient has had g = m = v = 0 at every step. So the result is that
     of updating every element, and unused modules stay exactly frozen.
+    Only the live rows of `grad` are zeroed, checked and scaled: a step
+    makes live every row its gradient reached, so the others hold zeros.
     The plan of a step: the live owners, as contiguous spans of `theta`
     (adjacent owners merged into one), each stepped chunk by chunk; then the
     live rows of the other owners, gathered into one copy, stepped and
     scattered back. `mark_live` reads only the rows not live yet and
     rebuilds the plan only when one turns live; once every owner is live, a
-    step is one chunked pass over `theta`. The moments come from
+    step is one chunked pass over `theta`. The moments and `grad` come from
     `np.zeros`, so the pages of rows that never turn live are never written.
     """
 
@@ -88,13 +97,10 @@ class Adam(object):
     # (parameters, gradient, moments, two scratch rows) stay in cache, large
     # enough that ufunc dispatch is negligible
     CHUNK = 1 << 14
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         blocks, size = {}, 0  # owner -> its slice of theta
         for owner in (p.owner for p in params.values()):
@@ -108,6 +114,8 @@ class Adam(object):
         self._blocks = blocks
         self.m = np.zeros(self.theta.shape)
         self.v = np.zeros(self.theta.shape)
+        self.grad = np.zeros(self.theta.shape)
+        self.sinks = self.owner_blocks(self.grad)
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
         # per owner, in theta's order: its block's start, its row width and
         # which of its rows are live
@@ -135,30 +143,34 @@ class Adam(object):
         views that together cover them once."""
         return [vector[lo:hi] for lo, hi in self._spans + self._runs]
 
-    def mark_live(self, grad) -> bool:
-        """Make live each row that is not yet and whose part of `grad` (a
-        vector in `theta`'s layout) holds an entry other than zero; True if
-        any row turned live. Only the rows not live yet are read."""
-        if grad.shape != self.theta.shape:
-            raise ShapeError(f"gradient is {grad.shape}, parameters are {self.theta.shape}")
+    def zero_grad(self) -> None:
+        """Zero `grad` for the next batch: its live rows, the only ones
+        that can hold anything other than zero after a step."""
+        for part in self._live_grad:
+            part.fill(0.0)
+
+    def mark_live(self) -> None:
+        """Make live each row that is not yet and whose part of `grad` holds
+        an entry other than zero. Only the rows not live yet are read, and
+        the plan is rebuilt only if one turns live."""
         turned = False
         for lo, hi, runs in self._dead:
-            if (grad[lo:hi] != 0).any():
+            if (self.grad[lo:hi] != 0).any():
                 turned = True
                 for run_lo, run_hi, width, live in runs:
-                    rows = grad[run_lo:run_hi].reshape(live.size, width)
+                    rows = self.grad[run_lo:run_hi].reshape(live.size, width)
                     live |= (rows != 0).any(axis=1)
         if turned:
             self._plan()
-        return turned
 
     def _plan(self) -> None:
         """Rebuild the step's plan from the live rows: `_spans` (the live
         owners' blocks, adjacent ones merged), `_runs` (the runs of live
-        rows in the other owners) with `_gather` (their elements) and
-        `_dead`: the runs of rows not live yet, each with its row width and
-        its part of the owner's live flags, grouped into spans of `theta`
-        where they are adjacent, so that one read finds a span all zero."""
+        rows in the other owners) with `_gather` (their elements),
+        `_live_grad` (the live rows of `grad`) and `_dead`: the runs of rows
+        not live yet, each with its row width and its part of the owner's
+        live flags, grouped into spans of `theta` where they are adjacent,
+        so that one read finds a span all zero."""
         self._spans, self._runs, self._dead = [], [], []
         for start, width, live in self._rows:
             if 2 * np.count_nonzero(live) >= live.size:
@@ -180,19 +192,29 @@ class Adam(object):
                     self._dead.append((lo, hi, [(lo, hi, width, live[r0:r1])]))
         self._gather = np.concatenate(
             [np.arange(lo, hi) for lo, hi in self._runs] or [np.arange(0)])
+        self._live_grad = self.live_parts(self.grad)
 
-    def step(self, grad) -> None:
-        """One update from `grad`, a vector in `theta`'s layout: its rows
-        that hold a nonzero turn live first (`mark_live`), then each live
-        row is updated.
+    def step(self, scale: float) -> None:
+        """One update from `grad` times `scale`: the rows of `grad` that
+        hold a nonzero turn live first (`mark_live`); then, if a live row
+        holds a NaN or an infinity, NonFiniteGradient names the first
+        parameter whose gradient does, and nothing is updated (`theta`, `m`,
+        `v` and `t` stay as they were); otherwise the live rows of `grad`
+        are multiplied by `scale` and each live row is updated.
 
         Each element goes through the textbook expression, operation by
         operation, so the result is bitwise that of the unfused formula
         applied to every element.
         """
-        self.mark_live(grad)
+        self.mark_live()
+        if not all(np.isfinite(part).all() for part in self._live_grad):
+            raise NonFiniteGradient(next(name for name, g in self.views(self.grad).items()
+                                         if not np.isfinite(g).all()))
+        for part in self._live_grad:
+            part *= scale
         self.t += 1
-        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        c1, c2 = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
+        grad = self.grad
         for lo, hi in self._spans:
             for start in range(lo, hi, self.CHUNK):
                 part = slice(start, min(start + self.CHUNK, hi))
@@ -206,7 +228,7 @@ class Adam(object):
     def _update(self, p, m, v, g, c1, c2) -> None:
         """The update of `p`, `m` and `v` in place from `g`, given the bias
         corrections `c1` and `c2`; at most CHUNK elements."""
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         a, b = self._scratch[:, :p.size]
         # m = b1 * m + (1 - b1) * g
         np.multiply(m, b1, out=m)
@@ -220,7 +242,7 @@ class Adam(object):
         # p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.epsilon, out=b)
+        np.add(b, self.EPSILON, out=b)
         np.divide(m, c1, out=a)
         np.multiply(a, self.lr, out=a)
         np.divide(a, b, out=a)
@@ -389,15 +411,7 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     params = model.parameters()
-    adam = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
-    # one gradient vector in the parameters' layout: every backward pass
-    # adds straight into the blocks of the owners it reached. Only its live
-    # rows are zeroed, checked and scaled: every other row still holds
-    # zeros (of either sign), because a row turns live at its first other
-    # entry, before the check
-    grad = np.zeros(adam.theta.shape)
-    sinks = adam.owner_blocks(grad)
-    live = adam.live_parts(grad)
+    adam = Adam(params, cfg.learning_rate)
     best = adam.theta.copy()  # the best epoch's parameters, updated in place
     best_f1 = -1.0
     best_epoch = 0
@@ -412,10 +426,10 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            for part in live:
-                part.fill(0.0)
+            adam.zero_grad()
             for idx in batch:
-                with Tape(sinks) as tape:
+                # every backward pass adds straight into Adam's gradient
+                with Tape(adam.sinks) as tape:
                     loss = model.loss(train_set[idx], mode=cfg.loss_mode)
                     value = loss.item()
                     if not np.isfinite(value):
@@ -425,22 +439,17 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
                         )
                     tape.backward(loss)
                 epoch_loss += value
-            if adam.mark_live(grad):
-                live = adam.live_parts(grad)
-            if not all(np.isfinite(part).all() for part in live):
-                name = next(n for n, g in adam.views(grad).items()
-                            if not np.isfinite(g).all())
+            try:
+                adam.step(1.0 / len(batch))
+            except NonFiniteGradient as exc:
                 examples = [train_set[i] for i in batch]
-                culprit = _non_finite_example(model, examples, cfg, params[name])
+                culprit = _non_finite_example(model, examples, cfg, params[exc.name])
                 found = (f"example {culprit!r}" if culprit is not None
                          else "no one example's gradient is, their sum overflowed")
                 raise NumericalError(
-                    f"gradient of {name} is not finite at epoch {epoch} "
+                    f"{exc} at epoch {epoch} "
                     f"({found}; batch {[ex.video_id for ex in examples]})"
-                )
-            for part in live:
-                part *= 1.0 / len(batch)
-            adam.step(grad)
+                ) from None
         epoch_loss /= len(train_set)
 
         val_f1 = _mean_token_f1(greedy_answers(model, val_set, cfg.max_generate_len), val_set)

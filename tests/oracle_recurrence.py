@@ -227,21 +227,13 @@ def step_sequence(cell, seq, h0):
     return concat_rows(*out)
 
 
-def first_state(decoder, question):
-    """The zero-padded question as layer 1's 1*h initial state."""
-    if decoder.hidden_width == question.cols:
-        return question
-    pad = Tensor(np.zeros((1, decoder.hidden_width - question.cols)))
-    return concat_cols(question, pad)
-
-
 def forced_loss(decoder, embedding, context, question, inputs, gold):
     """The decoder loss as the chain of records it replaced: the context
     copied to every step beside the step's embedding, two `gru_sequence`
     records, the projection and the cross-entropy."""
     steps = len(inputs)
     x = concat_cols(matmul(ones(steps, 1), context), take_rows(embedding.matrix, inputs))
-    h1 = gru_sequence(decoder.l1, x, first_state(decoder, question))
+    h1 = gru_sequence(decoder.l1, x, question)
     h2 = gru_sequence(decoder.l2, h1, Tensor(np.zeros((1, decoder.hidden_width))))
     return cross_entropy(add_row(matmul(h2, decoder.proj.w), decoder.proj.b), gold)
 
@@ -256,7 +248,7 @@ def decode_step(decoder, h1, h2, context, w_prev):
 
 def teacher_forced_loss(decoder, embedding, context, question, gold):
     """Step-by-step teacher-forced decode; `gold` already ends in EOS."""
-    h1 = first_state(decoder, question)
+    h1 = question
     h2 = Tensor(np.zeros((1, decoder.hidden_width)))
     rows = []
     for token in [SOS] + list(gold[:-1]):

@@ -542,7 +542,10 @@ class TestFailureModes:
     @pytest.mark.parametrize("key, value, message", [
         ("ss_probability", 0.2, "unknown training config keys: ['ss_probability']"),
         ("loss_mode", "ss", "loss_mode must be one of ['tf', 'free'], got 'ss'"),
-    ], ids=["ss_probability", "loss_mode-ss"])
+        ("beta1", 0.9, "unknown training config keys: ['beta1']"),
+        ("beta2", 0.999, "unknown training config keys: ['beta2']"),
+        ("epsilon", 1e-8, "unknown training config keys: ['epsilon']"),
+    ], ids=["ss_probability", "loss_mode-ss", "beta1", "beta2", "epsilon"])
     def test_retired_training_key_fails_before_any_dataset_is_read(self, tmp_path, capsys,
                                                                    key, value, message):
         config = write_config(tmp_path / "run.yaml", tmp_path / "missing.json",
@@ -563,8 +566,8 @@ class TestFailureModes:
         assert not (tmp_path / "s.tsv").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("epsilon", ".inf"),
-        ("epsilon", ".nan"),
+        ("learning_rate", "-.inf"),
+        ("learning_rate", ".NaN"),
         ("learning_rate", ".nan"),
         ("learning_rate", ".inf"),
     ])

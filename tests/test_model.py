@@ -117,16 +117,6 @@ class TestInitDecoder:
         np.testing.assert_array_equal(state.h1, q.data[0])
         np.testing.assert_array_equal(state.h2, np.zeros(4))
 
-    def test_wider_decoder_pads_with_zeros(self):
-        decoder, _, _, _ = random_decoder(hidden=6)
-        state = init_decoder(decoder, T([[1.0, 2.0, 3.0, 4.0]]))
-        np.testing.assert_array_equal(state.h1, [1, 2, 3, 4, 0, 0])
-
-    def test_narrower_decoder_rejected(self):
-        decoder, _, _, _ = random_decoder(hidden=3)
-        with pytest.raises(ValidationError):
-            init_decoder(decoder, T([[1.0, 2.0, 3.0, 4.0]]))
-
 
 class TestDecodeStep:
     def test_zero_projection_leaves_only_bias(self):
@@ -236,12 +226,11 @@ class TestTeacherForcedLoss:
 
     @pytest.mark.parametrize("hidden", [4, 6])
     def test_matches_per_step_decode(self, hidden):
-        # hidden 6 pads the width-4 question with zeros
         decoder, embedding, context, _ = random_decoder(seed=21, hidden=hidden)
         rng = np.random.default_rng(22)
         for p in decoder.parameters().values():
             p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
-        question = T(rng.normal(size=(1, 4)))
+        question = T(rng.normal(size=(1, hidden)))
         gold = [4, 6, 5, 5, 7, EOS]
         inputs = [embedding.matrix, context, question, *decoder.parameters().values()]
 
@@ -261,21 +250,21 @@ class TestTeacherForcedLoss:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
-def random_setup(seed, context_width, embed_width, question_width, hidden, vocab_size):
+def random_setup(seed, context_width, embed_width, hidden, vocab_size):
     """A decoder with N(0, 0.5^2) weights and biases, its embedding, a
-    context and a question."""
+    context and a question as wide as its hidden layer."""
     rng = np.random.default_rng(seed)
     decoder = Decoder.create(rng, context_width, embed_width, hidden, vocab_size)
     embedding = EmbeddingTable.create(vocab_size, embed_width, rng)
     for p in (embedding.matrix, *decoder.parameters().values()):
         p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
     return (decoder, embedding, T(rng.normal(size=(1, context_width))),
-            T(rng.normal(size=(1, question_width))))
+            T(rng.normal(size=(1, hidden))))
 
 
 shapes = dict(seed=st.integers(0, 2**32 - 1), context_width=st.integers(1, 5),
-              embed_width=st.integers(1, 4), question_width=st.integers(1, 4),
-              pad=st.integers(0, 2), vocab_size=st.integers(3, 7))
+              embed_width=st.integers(1, 4), hidden=st.integers(1, 4),
+              vocab_size=st.integers(3, 7))
 
 
 class TestDecoderLoss:
@@ -285,9 +274,9 @@ class TestDecoderLoss:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(1, 6), data=st.data(), **shapes)
     def test_matches_the_chain_it_replaced(self, steps, data, seed, context_width,
-                                           embed_width, question_width, pad, vocab_size):
+                                           embed_width, hidden, vocab_size):
         decoder, embedding, context, question = random_setup(
-            seed, context_width, embed_width, question_width, question_width + pad, vocab_size)
+            seed, context_width, embed_width, hidden, vocab_size)
         tokens = st.lists(st.integers(0, vocab_size - 1), min_size=steps, max_size=steps)
         inputs, gold = data.draw(tokens), data.draw(tokens)
         event(f"an input token repeats: {len(set(inputs)) < steps}")
@@ -311,12 +300,11 @@ class TestDecoderLoss:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(1, 4), data=st.data(), **shapes)
     def test_decode_step_matches_the_one_row_chain(self, steps, data, seed, context_width,
-                                                   embed_width, question_width, pad,
-                                                   vocab_size):
+                                                   embed_width, hidden, vocab_size):
         decoder, embedding, context, question = random_setup(
-            seed, context_width, embed_width, question_width, question_width + pad, vocab_size)
+            seed, context_width, embed_width, hidden, vocab_size)
         state = init_decoder(decoder, question)
-        h1 = oracle.first_state(decoder, question)
+        h1 = question
         h2 = Tensor(np.zeros((1, decoder.hidden_width)))
         for token in data.draw(st.lists(st.integers(0, vocab_size - 1),
                                         min_size=steps, max_size=steps)):

@@ -16,7 +16,11 @@ h' = h + z * (cand - h) with the four-call `tensor.logistic`. Both
 backward passes call one BPTT step, `_back_step`, the same way. The input
 terms of a run, and in the backward its input and weight gradients, take
 one GEMM each with the cell's owner `w`, W_z | W_r | W_h side by side;
-every caller reads a cell's owner arrays in place.
+every caller reads a cell's owner arrays in place. The backwards return
+every weight gradient, and `rnn_stack` each run's input gradient, as an
+unformed product of two factors (`tensor._Product`), which the tape forms
+only where it lands: training forms a mini-batch's weight gradients
+together at Adam's step, and no feature run's input gradient is formed.
 
 A `GruCell` is its four owner tensors, which its one constructor takes:
 W_z | W_r | W_h (in*3h), the three biases (1*3h), U_z | U_r (h*2h) and
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ColumnView, Module, Tensor, _emit, logistic
+from .tensor import ColumnView, Module, Tensor, _emit, _Product, logistic
 
 __all__ = [
     "GruCell",
@@ -265,7 +269,8 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
     Returns the T*h states (row t after input row t) and `back`, which maps
     their gradient to the pre-activation gradients of the gates (T*3h, update
     | reset | candidate, which are also the gradients of `xw`), the gradient
-    of `h0` and those of U_z | U_r and U_h.
+    of `h0` and those of U_z | U_r and U_h, the last two as unformed
+    products (`tensor._Product`).
     """
     steps, h = xw.shape[0], h0.shape[0]
     gates = np.empty((steps, 2 * h))  # z | r
@@ -286,7 +291,7 @@ def gru_run(xw: np.ndarray, h0: np.ndarray, u_zr: np.ndarray, u_h: np.ndarray):
         for t in range(steps - 1, -1, -1):
             dh = _back_step(dh + g[t], da[t], keep[t], to_cand[t], to_z[t], to_r[t], r[t],
                             u_zr_t, u_h_t)
-        return da, dh, prev.T @ da[:, :2 * h], rh.T @ da[:, 2 * h:]
+        return da, dh, _Product(prev, da[:, :2 * h]), _Product(rh, da[:, 2 * h:])
 
     return states[1:], back
 
@@ -339,7 +344,10 @@ def rnn_stack(items) -> Tensor:
     cell's sinks in the order that one record per direction did; each
     owner's gradient is one joined array (x^T da, the column sums of da,
     and the U_z | U_r and U_h products), which the tape adds into the
-    owner's sink whole. This is the dynamic batching
+    owner's sink whole. The input gradient and the three products are
+    returned unformed (`tensor._Product`): da W^T over the run's rows in
+    reverse for a backward run, so a run over a leaf without a sink, such
+    as a feature matrix, costs no GEMM. This is the dynamic batching
     of same-typed operations in one graph (Looks et al., 2017; Neubig,
     Goldberg and Dyer, 2017) on top of Appleyard et al.'s precomputed inputs.
     """
@@ -411,9 +419,9 @@ def rnn_stack(items) -> Tensor:
             cell, x, _, _, reverse = runs[k]
             n, s = lengths[k], slot[k]
             da_k = da[:n, s]
-            dx = da_k @ cell.w.data.T
-            grads += (dx[::-1] if reverse else dx, x.T @ da_k, da_k.sum(axis=0, keepdims=True),
-                      prev[:n, s].T @ da_k[:, :2 * h], rh[:n, s].T @ da_k[:, 2 * h:])
+            dx = _Product(da_k.T, cell.w.data.T, slice(None, None, -1) if reverse else None)
+            grads += (dx, _Product(x, da_k), da_k.sum(axis=0, keepdims=True),
+                      _Product(prev[:n, s], da_k[:, :2 * h]), _Product(rh[:n, s], da_k[:, 2 * h:]))
         return grads
 
     parents = []
@@ -451,8 +459,8 @@ def self_attend(params: SelfAttentionParams, seq: Tensor) -> Tensor:
         d_prod = np.repeat(g * (mean > 0.0), x.shape[0], axis=0) / x.shape[0]
         d_pre2 = d_prod * x * (pre2 > 0.0)
         d_pre1 = d_pre2 @ w2.T * (pre1 > 0.0)
-        return (d_prod * mask, d_pre2.sum(axis=0, keepdims=True), hidden.T @ d_pre2,
-                d_pre1.sum(axis=0, keepdims=True), x.T @ d_pre1, d_pre1 @ w1.T)
+        return (d_prod * mask, d_pre2.sum(axis=0, keepdims=True), _Product(hidden, d_pre2),
+                d_pre1.sum(axis=0, keepdims=True), _Product(x, d_pre1), d_pre1 @ w1.T)
 
     return _emit(np.maximum(mean, 0.0), (seq, params.conv2_b, params.conv2_w,
                                          params.conv1_b, params.conv1_w, seq), back)
@@ -530,7 +538,6 @@ def guided_stack(spans, seq: Tensor, question: Tensor, pooling: str = "max") -> 
             np.matmul(d_context[s], r.T, out=d_weights_t[:, cols])
         d_weights = d_weights_t.T
         d_scores = (d_weights - (d_weights * weights).sum(axis=1, keepdims=True)) * weights
-        d_w_out = np.matmul(joined.transpose(0, 2, 1), d_pre)
         d_seq_context, d_seq_guided = np.zeros(x.shape), np.zeros(x.shape)
         weight_grads, question_grads = [], []
         for s in range(n_spans - 1, -1, -1):
@@ -541,7 +548,7 @@ def guided_stack(spans, seq: Tensor, question: Tensor, pooling: str = "max") -> 
             span_weights_t = weights[at[s]].T.copy()
             d_seq_context[start:stop] += span_weights_t.T @ d_context[s]
             d_seq_guided[start:stop] += d_guided @ params.w_guide.data.T
-            weight_grads += (d_w_out[s], rows[s].T @ d_guided)
+            weight_grads += (_Product(joined[s], d_pre[s]), _Product(rows[s], d_guided))
             question_grads += (d_joined[s, :, d:], (guided[s].T @ d_sc).T)
         return (*weight_grads, *question_grads, d_seq_context, d_seq_guided)
 

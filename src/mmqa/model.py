@@ -40,7 +40,7 @@ from .encoders import (
     self_attend,
 )
 from .errors import ShapeError, ValidationError
-from .tensor import Module, Tensor, _emit, _RowSparse, take_rows, untaped
+from .tensor import Module, Tensor, _emit, _Product, _RowSparse, take_rows, untaped
 from .text import (
     EOS,
     PAD,
@@ -223,7 +223,10 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
     gradient straight into the projection's, runs each layer's BPTT, and
     takes the gradients of the context and of the context rows from the
     column sums of layer 1's gate gradients. The embedding gradient is
-    row-sparse.
+    row-sparse, and the weight gradients are unformed products
+    (`tensor._Product`): layer 1's input weights are a parent twice, one
+    product over their context rows (rank one) and one over their
+    embedding rows, so no product is padded to the other's rows.
     """
     l1, l2, proj = decoder.l1, decoder.l2, decoder.proj
     table = embedding.matrix
@@ -255,16 +258,15 @@ def decoder_loss(decoder: Decoder, embedding: EmbeddingTable, context: Tensor,
         da2, _, du_zr2, du_h2 = back2(d_logits @ proj.w.data.T)
         da1, dh0, du_zr1, du_h1 = back1(da2 @ w2.T)
         col = da1.sum(axis=0)
-        dw1 = np.empty((cw + emb.shape[1], col.shape[0]))
-        np.outer(c, col, out=dw1[:cw])
-        np.matmul(emb.T, da1, out=dw1[cw:])
         return (_RowSparse(table.shape, idx, da1 @ w1[cw:].T), (col @ w1[:cw].T)[None, :],
-                dh0[None, :], dw1, col[None, :], du_zr1, du_h1,
-                h1.T @ da2, da2.sum(axis=0, keepdims=True), du_zr2, du_h2,
-                h2.T @ d_logits, d_logits.sum(axis=0, keepdims=True))
+                dh0[None, :], _Product(c[None, :], col[None, :], slice(0, cw)),
+                _Product(emb, da1, slice(cw, None)), col[None, :], du_zr1, du_h1,
+                _Product(h1, da2), da2.sum(axis=0, keepdims=True), du_zr2, du_h2,
+                _Product(h2, d_logits), d_logits.sum(axis=0, keepdims=True))
 
-    return _emit(np.array([loss]), (table, context, question, *l1.owners(), *l2.owners(),
-                                    proj.w, proj.b), back)
+    l1_w, *l1_rest = l1.owners()
+    return _emit(np.array([loss]), (table, context, question, l1_w, l1_w, *l1_rest,
+                                    *l2.owners(), proj.w, proj.b), back)
 
 
 @dataclass

@@ -14,6 +14,13 @@ the tape records their owners. Every tensor has an `owner` (a plain tensor
 is its own) and a `part` of any array shaped like it. A tape keys its
 gradient sinks by owner only, and every gradient of a tensor, recorded or
 read, is its part of its owner's sink.
+
+A backward returns a weight gradient x^T dy as its two factors, a
+`_Product`, and the tape forms it only where it lands: at once, into an
+interior gradient or a sink, on a plain tape; never, where it lands on a
+leaf without a sink; and, on a tape given a `queue` (the training loop's),
+later, by whoever keeps the queue: `Adam.step` forms all of a mini-batch's
+products of one owner in one GEMM over their stacked factors.
 """
 
 from __future__ import annotations
@@ -153,6 +160,54 @@ class _RowSparse:
         return self.add_to(np.zeros(self.shape))
 
 
+class _Product:
+    """A gradient whose rows `rows` (a slice of its parent's rows; all of
+    them when None) are `a.T @ b` and whose other rows are zero.
+
+    After Goodfellow's per-example gradients (2015): a layer's weight
+    gradient is the product of two factors, one row per position, so the
+    gradients of many examples sum as one product of their stacked factors.
+    A backward returns its products unformed; the tape forms each one where
+    it lands (see `Tape`).
+    """
+
+    __slots__ = ("a", "b", "rows")
+
+    def __init__(self, a, b, rows=None):
+        self.a = a
+        self.b = b
+        self.rows = rows
+
+    def form(self) -> np.ndarray:
+        return self.a.T @ self.b
+
+    def add_to(self, acc: np.ndarray) -> np.ndarray:
+        part = acc if self.rows is None else acc[self.rows]
+        np.add(part, self.form(), out=part)
+        return acc
+
+    def dense(self, shape) -> np.ndarray:
+        formed = self.form()
+        if self.rows is None:
+            return formed
+        if formed.shape == tuple(shape):
+            # rows that are all of them, in order or reversed
+            return formed[self.rows]
+        out = np.zeros(shape)
+        out[self.rows] = formed
+        return out
+
+    @classmethod
+    def stacked(cls, products) -> "_Product":
+        """One product equal to the sum of `products`, which share their
+        rows: one GEMM over their factors stacked one after another, or the
+        one product itself."""
+        if len(products) == 1:
+            return products[0]
+        return cls(np.concatenate([p.a for p in products]),
+                   np.concatenate([p.b for p in products]), products[0].rows)
+
+
 _ACTIVE = threading.local()
 
 
@@ -197,11 +252,17 @@ class Tape:
     row by row for an embedding lookup; `watch` gives the owner a zero sink
     if it has none, and `wrt` reads the part. The records list a GRU cell's
     owner arrays, not its named views, so training adds whole owners.
+
+    A `_Product` is formed where it lands, in the order the sweep meets it,
+    and not at all on a leaf without a sink. With a `queue` list given, a
+    product that lands in the sink of its parent itself is not formed but
+    appended to it as `(parent, product)`, for its keeper to add later.
     """
 
-    def __init__(self, sinks: dict | None = None):
+    def __init__(self, sinks: dict | None = None, queue: list | None = None):
         self.records: list = []
         self.sinks = dict(sinks) if sinks else {}
+        self.queue = queue
         if any(t.owner is not t for t in self.sinks):
             raise ValidationError("a view's gradient lands in its owner's sink; "
                                   "key the sink by the owner")
@@ -247,7 +308,7 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         grads[id(loss)] = np.ones_like(loss.data)
-        sinks = self.sinks
+        sinks, queue = self.sinks, self.queue
         for out, parents, backward_fn in reversed(self.records):
             g = grads.pop(id(out))
             if g is None:
@@ -255,12 +316,15 @@ class Tape:
             for parent, contribution in zip(parents, backward_fn(g)):
                 if contribution is None:
                     continue
+                kind = type(contribution)
                 sink = sinks.get(parent)
                 if sink is None:
                     key = id(parent)
                     if key in grads:
-                        if type(contribution) is _RowSparse:
+                        if kind is _RowSparse:
                             contribution = contribution.dense()
+                        elif kind is _Product:
+                            contribution = contribution.dense(parent.shape)
                         # backward functions may return shared arrays and
                         # views, so the first contribution is stored as is
                         # and later ones are summed out of place, never into it
@@ -273,7 +337,10 @@ class Tape:
                     if sink is None:
                         continue  # a leaf without a sink
                     sink = parent.part(sink)
-                if type(contribution) is _RowSparse:
+                elif kind is _Product and queue is not None:
+                    queue.append((parent, contribution))
+                    continue
+                if kind is _RowSparse or kind is _Product:
                     contribution.add_to(sink)
                 else:
                     np.add(sink, contribution, out=sink)

@@ -2,7 +2,12 @@
 
 Training runs shuffled mini-batches with per-example backward passes and
 batch-averaged gradients, summed in Adam's gradient vector, laid out like
-the flat parameter vector that Adam updates in place (see `Adam`). After
+the flat parameter vector that Adam updates in place (see `Adam`). Each
+backward adds its bias, embedding and other elementwise gradients into that
+vector at once and queues its weight gradients as factor pairs; `Adam.step`
+forms each parameter's weight gradient for the whole mini-batch as one GEMM
+over the examples' stacked factors (Goodfellow, 2015), so the dense
+products are paid once per batch, not once per example. After
 every epoch the model greedily answers the validation set; the best mean
 token-F1 parameters are kept and training stops once that score fails to
 improve for `patience` epochs in a row.
@@ -29,7 +34,7 @@ import numpy as np
 from .config import DEFAULT_GENERATE_LEN, TrainingConfig
 from .errors import NumericalError, ValidationError
 from .metrics import corpus_scores
-from .tensor import Tape
+from .tensor import Tape, _Product
 
 __all__ = ["token_f1", "train", "evaluate", "greedy_answers"]
 
@@ -70,7 +75,13 @@ class Adam(object):
     each name to its part of any of them, and `owner_blocks` each owner to
     its block, a contiguous array. `sinks`, the blocks of `grad`, are the
     sinks of a tape, which lists owners: a batch's backward passes add into
-    them between `zero_grad` and `step`.
+    them between `zero_grad` and `step`, and leave their weight gradients,
+    unformed products (`tensor._Product`), in `queue`. `step` forms the
+    products queued for each owner and row range in one GEMM over their
+    stacked factors, the batch's sum, before anything reads `grad`. An owner
+    and range with one product forms it as a plain tape would, so a batch
+    that gives each owner and range one product, such as one history-free
+    example, steps bitwise as if each backward had formed its products.
 
     A step updates only the live rows. A row is one row of an owner's 2-D
     data (a 1-D owner is one row); it turns live the first time its
@@ -116,6 +127,7 @@ class Adam(object):
         self.v = np.zeros(self.theta.shape)
         self.grad = np.zeros(self.theta.shape)
         self.sinks = self.owner_blocks(self.grad)
+        self.queue = []  # (owner, product) pairs, as a batch's tapes leave them
         self._scratch = np.empty((2, min(self.CHUNK, self.theta.size)))
         # per owner, in theta's order: its block's start, its row width and
         # which of its rows are live
@@ -145,9 +157,22 @@ class Adam(object):
 
     def zero_grad(self) -> None:
         """Zero `grad` for the next batch: its live rows, the only ones
-        that can hold anything other than zero after a step."""
+        that can hold anything other than zero after a step; and drop any
+        queued product."""
+        self.queue.clear()
         for part in self._live_grad:
             part.fill(0.0)
+
+    def _form_queued(self) -> None:
+        """Empty `queue` into the sinks: the products of each owner and row
+        range, in arrival order, as one product (`_Product.stacked`)."""
+        groups = {}
+        for owner, product in self.queue:
+            rows = None if product.rows is None else product.rows.indices(owner.rows)
+            groups.setdefault((owner, rows), []).append(product)
+        self.queue.clear()
+        for (owner, _), products in groups.items():
+            _Product.stacked(products).add_to(self.sinks[owner])
 
     def mark_live(self) -> None:
         """Make live each row that is not yet and whose part of `grad` holds
@@ -195,23 +220,27 @@ class Adam(object):
         self._live_grad = self.live_parts(self.grad)
 
     def step(self, scale: float) -> None:
-        """One update from `grad` times `scale`: the rows of `grad` that
-        hold a nonzero turn live first (`mark_live`); then, if a live row
-        holds a NaN or an infinity, NonFiniteGradient names the first
-        parameter whose gradient does, and nothing is updated (`theta`, `m`,
-        `v` and `t` stay as they were); otherwise the live rows of `grad`
-        are multiplied by `scale` and each live row is updated.
+        """One update from `grad` times `scale`: the queued products are
+        added to `grad` first, and the rows of `grad` that hold a nonzero
+        turn live (`mark_live`); then, if a live row holds a NaN or an
+        infinity, NonFiniteGradient names the first parameter whose gradient
+        does, and nothing is updated (`theta`, `m`, `v` and `t` stay as
+        they were); otherwise the live rows of `grad` are multiplied by
+        `scale`, unless it is 1 (`x * 1.0` is `x` bitwise), and each live
+        row is updated.
 
         Each element goes through the textbook expression, operation by
         operation, so the result is bitwise that of the unfused formula
         applied to every element.
         """
+        self._form_queued()
         self.mark_live()
         if not all(np.isfinite(part).all() for part in self._live_grad):
             raise NonFiniteGradient(next(name for name, g in self.views(self.grad).items()
                                          if not np.isfinite(g).all()))
-        for part in self._live_grad:
-            part *= scale
+        if scale != 1.0:
+            for part in self._live_grad:
+                part *= scale
         self.t += 1
         c1, c2 = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
         grad = self.grad
@@ -428,8 +457,9 @@ def train(model, train_set, val_set, cfg: TrainingConfig,
             batch = order[start:start + cfg.batch_size]
             adam.zero_grad()
             for idx in batch:
-                # every backward pass adds straight into Adam's gradient
-                with Tape(adam.sinks) as tape:
+                # every backward pass adds straight into Adam's gradient,
+                # and queues its weight gradients for the step to form
+                with Tape(adam.sinks, adam.queue) as tape:
                     loss = model.loss(train_set[idx], mode=cfg.loss_mode)
                     value = loss.item()
                     if not np.isfinite(value):

@@ -19,6 +19,8 @@ from mmqa.tensor import (
     ColumnView,
     Tape,
     Tensor,
+    _emit,
+    _Product,
     grad_check,
     grad_checks,
     logistic,
@@ -485,6 +487,53 @@ class TestTape:
         np.testing.assert_array_equal(grads.wrt(a), [[6.0, 8.0]])
         np.testing.assert_array_equal(grads.wrt(b), [[1.0, 1.0]])
         np.testing.assert_array_equal(grads.wrt(w), [[1.0, 2.0]])
+
+    def products_record(self, monkeypatch, queue=None):
+        """A loss record whose parents are an interior 2*3 output (whose
+        own parent `x` is watched), rows 1:3 of the watched 4*3 `w` and the
+        unwatched leaf `u`, each given a product; returns the tape, the
+        leaves and their products, and the products the tape formed."""
+        formed, form = [], _Product.form
+        monkeypatch.setattr(_Product, "form", lambda p: formed.append(p) or form(p))
+        rng = np.random.default_rng(4)
+        x, w, u = T(rng.normal(size=(2, 3))), T(rng.normal(size=(4, 3))), T(np.zeros((2, 3)))
+        to_y, to_w, to_u = (_Product(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)), rows)
+                            for rows in (slice(None, None, -1), slice(1, 3), None))
+        with Tape(queue=queue) as tape:
+            tape.watch(x)
+            tape.watch(w)
+            y = mul(x, T(np.full((2, 3), 2.0)))
+            loss = _emit(np.zeros(1), (y, w, u), lambda g: (to_y, to_w, to_u))
+            tape.backward(loss)
+        return tape, (x, w), (to_y, to_w, to_u), formed
+
+    def test_a_product_is_formed_where_it_lands_and_nowhere_else(self, monkeypatch):
+        # rows reversed on the interior output, a row range of a sink, and
+        # no sink at all for `u`
+        tape, (x, w), (to_y, to_w, to_u), formed = self.products_record(monkeypatch)
+        assert formed == [to_y, to_w]
+        np.testing.assert_array_equal(tape.wrt(x), 2.0 * (to_y.a.T @ to_y.b)[::-1])
+        want = np.zeros((4, 3))
+        want[1:3] = to_w.a.T @ to_w.b
+        np.testing.assert_array_equal(tape.wrt(w), want)
+
+    def test_a_queue_takes_the_products_bound_for_a_sink(self, monkeypatch):
+        queued = []
+        tape, (x, w), (to_y, to_w, _), formed = self.products_record(
+            monkeypatch, queued)
+        assert formed == [to_y] and queued == [(w, to_w)]
+        np.testing.assert_array_equal(tape.wrt(x), 2.0 * (to_y.a.T @ to_y.b)[::-1])
+        assert not tape.wrt(w).any()
+
+    def test_stacked_products_sum_as_one_product(self):
+        rng = np.random.default_rng(6)
+        products = [_Product(rng.normal(size=(n, 4)), rng.normal(size=(n, 3)), slice(2, 6))
+                    for n in (1, 5, 2)]
+        stacked = _Product.stacked(products)
+        assert stacked.rows == slice(2, 6) and stacked.a.shape == (8, 4)
+        np.testing.assert_allclose(stacked.form(), sum(p.form() for p in products),
+                                   rtol=1e-13, atol=1e-13)
+        assert _Product.stacked(products[:1]) is products[0]
 
 
 class TestGradCheck:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -14,14 +15,14 @@ from conftest import (attach_random_features, corpus_vocab, dying_generate, over
                       overfit_model)
 from mmqa import gradcheck, model as model_module, tensor, training
 from mmqa.augment import DialogExample, expand_basic, expand_per_turn
-from mmqa.config import TrainingConfig
+from mmqa.config import FEATURES, TrainingConfig
 from mmqa.encoders import GruCell
 from mmqa.errors import NumericalError, ShapeError, ValidationError
 from mmqa.metrics import bleu, cider, rouge_l_corpus
 from mmqa.model import Model
 from mmqa.tensor import ColumnView, Tape, Tensor
 from mmqa.text import PAD, SOS, build_vocabulary, resolve_token
-from mmqa.training import Adam, evaluate, greedy_answers, token_f1, train
+from mmqa.training import Adam, NonFiniteGradient, evaluate, greedy_answers, token_f1, train
 from test_metrics import per_metric_table
 
 
@@ -273,6 +274,52 @@ class TestAdam:
         assert_array_equal(bits(adam.theta[never]), bits(initial[never]))
         assert not bits(adam.m[never]).any() and not bits(adam.v[never]).any()
 
+    def test_queued_products_are_formed_at_the_step(self):
+        # three products of all of "w"'s rows and one of rows 1:3, which
+        # the step forms as one product each; "b" gets an eager gradient
+        rng = np.random.default_rng(8)
+        params = self.params({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))})
+        adam = Adam(params, learning_rate=0.1)
+        whole = [tensor._Product(rng.normal(size=(n, 4)), rng.normal(size=(n, 3)))
+                 for n in (2, 1, 5)]
+        rows = tensor._Product(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)), slice(1, 3))
+        for product in (*whole, rows):
+            adam.queue.append((params["w"], product))
+        adam.grad[-3:] = [0.5, -1.0, 2.0]
+        assert not adam.views(adam.grad)["w"].any()
+        want = sum(p.form() for p in whole)
+        want[1:3] += rows.form()
+        adam.step(1.0)
+        assert not adam.queue
+        got = adam.views(adam.grad)["w"]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_array_equal(adam.views(adam.grad)["b"], [[0.5, -1.0, 2.0]])
+
+    def test_zero_grad_drops_the_queue(self):
+        params = self.params({"w": np.ones((2, 2))})
+        adam = Adam(params, learning_rate=0.1)
+        adam.queue.append((params["w"], tensor._Product(np.ones((1, 2)), np.ones((1, 2)))))
+        adam.zero_grad()
+        assert not adam.queue
+        adam.step(1.0)
+        assert_array_equal(params["w"].data, np.ones((2, 2)))
+
+    def test_a_non_finite_queued_product_updates_nothing(self):
+        params = self.params({"w": [[0.5, -1.5], [2.0, 0.25]], "b": np.ones((1, 2))})
+        adam = Adam(params, learning_rate=0.1)
+        adam.grad[...] = 1.0
+        adam.step(0.5)
+        adam.zero_grad()
+        adam.grad[-2:] = 1.0
+        adam.queue.append((params["w"],
+                           tensor._Product(np.array([[1.0, np.nan]]), np.ones((1, 2)))))
+        before = {vector: getattr(adam, vector).copy() for vector in ("theta", "m", "v")}
+        with pytest.raises(NonFiniteGradient, match="^gradient of w is not finite$"):
+            adam.step(0.5)
+        assert adam.t == 1 and not adam.queue
+        for vector, kept in before.items():
+            assert_array_equal(bits(getattr(adam, vector)), bits(kept), err_msg=vector)
+
     def test_each_view_is_its_part_of_its_owners_block(self):
         model, _ = gradcheck._toy_setup()
         params = model.parameters()
@@ -336,9 +383,9 @@ class TestGradientBuffer:
         seen = []
 
         class RecordingTape(Tape):
-            def __init__(self, sinks=None):
+            def __init__(self, sinks=None, queue=None):
                 seen.append(sinks)
-                super().__init__(sinks)
+                super().__init__(sinks, queue)
 
         monkeypatch.setattr(training, "Tape", RecordingTape)
         train(fresh_model(), toy_examples[:4], toy_examples[4:5], quick_config(max_epochs=1))
@@ -353,6 +400,144 @@ class TestGradientBuffer:
             offset = (sink.__array_interface__["data"][0] - start) // vector.itemsize
             covered[offset:offset + sink.size] += 1
         assert (covered == 1).all()
+
+
+BATCH_FEATURE_WIDTHS = {"flow": 3, "rgb": 2, "audio": 2}
+
+
+@st.composite
+def product_batches(draw):
+    """(seed, examples): 1-4 examples of the template dialogs with 0-2
+    history turns, each modality present or absent."""
+    dialogs = overfit_dialogs()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    examples = []
+    for i in range(draw(st.integers(1, 4))):
+        dialog = dialogs[draw(st.integers(0, len(dialogs) - 1))]
+        turns = draw(st.integers(0, 2))
+        features = {m: rng.normal(size=(draw(st.integers(1, 4)), width))
+                    for m, width in BATCH_FEATURE_WIDTHS.items() if draw(st.booleans())}
+        question, answer = dialog.turns[draw(st.integers(0, 1))]
+        examples.append(DialogExample(
+            video_id=f"ex{i}", question=question, answer=answer,
+            history=[dialog.turns[k % 2] for k in range(turns)], summary=dialog.summary,
+            **features))
+    return draw(st.integers(0, 100)), examples
+
+
+class TestBatchProducts:
+    """The weight gradients a batch's backward passes queue, formed by
+    `Adam.step` in one product per owner and row range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=product_batches())
+    # one history-free example: every owner gets one product, formed as alone
+    @example(batch=(0, [DialogExample(video_id="ex0", question=["who", "is", "there"],
+                                      answer=["a", "dog"], history=[],
+                                      summary=["a", "dog", "runs"], flow=np.ones((2, 3)))]))
+    def test_the_step_forms_the_sum_of_the_examples_gradients(self, batch):
+        seed, examples = batch
+        model = Model.create(np.random.default_rng(seed), corpus_vocab(overfit_dialogs()),
+                             embed_width=6, hidden_width=3,
+                             **{f"{m}_width": w for m, w in BATCH_FEATURE_WIDTHS.items()})
+        params = model.parameters()
+        want = {name: np.zeros(p.shape) for name, p in params.items()}
+        for ex in examples:
+            with Tape() as tape:
+                for p in params.values():
+                    tape.watch(p)
+                tape.backward(model.loss(ex))
+            for name, p in params.items():
+                want[name] += tape.wrt(p)
+        adam = Adam(params, learning_rate=1e-3)
+        adam.zero_grad()
+        for ex in examples:
+            with Tape(adam.sinks, adam.queue) as tape:
+                tape.backward(model.loss(ex))
+        # the owners given more than one product for one row range
+        counts = Counter((id(owner), repr(product.rows)) for owner, product in adam.queue)
+        shared = {owner for (owner, _), count in counts.items() if count > 1}
+        if len(examples) == 1 and not examples[0].history:
+            assert not shared
+        adam.step(1.0)
+        assert not adam.queue
+        for name, got in adam.views(adam.grad).items():
+            if len(examples) == 1 and id(params[name].owner) not in shared:
+                assert_array_equal(bits(got), bits(want[name]), err_msg=name)
+            else:
+                assert np.abs(got - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
+
+    def test_the_queue_is_empty_after_every_step_and_zero_grad(self, toy_examples,
+                                                                monkeypatch):
+        steps = []
+
+        class Checked(Adam):
+            def zero_grad(self):
+                super().zero_grad()
+                assert not self.queue
+
+            def step(self, scale):
+                assert self.queue
+                try:
+                    super().step(scale)
+                finally:
+                    assert not self.queue
+                steps.append(self.t)
+
+        monkeypatch.setattr(training, "Adam", Checked)
+        train(fresh_model(), toy_examples[:6], toy_examples[6:], quick_config(max_epochs=2))
+        assert steps == [1, 2, 3, 4]
+
+    def test_a_training_step_forms_no_feature_run_input_gradient(self, monkeypatch):
+        # the flow, rgb and audio runs read leaves without a sink; the
+        # question's runs read an embedding lookup, whose input gradient
+        # is formed
+        formed, form = [], tensor._Product.form
+        monkeypatch.setattr(tensor._Product, "form", lambda p: formed.append(p.b) or form(p))
+        dialogs = overfit_dialogs()
+        examples = [expand_basic(d)[0] for d in dialogs[:2]]
+        attach_random_features(examples, 5)
+        model = overfit_model(corpus_vocab(dialogs))
+        train(model, examples, examples, quick_config(max_epochs=1, batch_size=2))
+        reads = lambda layer: [any(np.may_share_memory(b, cell.w.data) for b in formed)
+                               for cell in (layer.fwd, layer.bwd)]
+        assert reads(model.question_rnn) == [True, True]
+        for modality in FEATURES:
+            assert reads(model.streams[modality][0]) == [False, False], modality
+
+    def test_a_non_finite_queued_product_names_its_example(self, monkeypatch):
+        # the fourth loss, of the second example of the second batch, queues
+        # a product with a NaN for the vocabulary projection
+        model, examples = sparse_fit(4)
+        calls, made = [], []
+        original_loss, original_decoder_loss = Model.loss, model_module.decoder_loss
+
+        class Kept(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def loss(self, example, *args, **kwargs):
+            calls.append(example.video_id)
+            return original_loss(self, example, *args, **kwargs)
+
+        def decoder_loss(decoder, *args):
+            out = original_decoder_loss(decoder, *args)
+            if len(calls) < 4 or calls[-1] != calls[3]:
+                return out
+            a, b = np.full((1, decoder.proj.w.rows), np.nan), np.ones((1, decoder.proj.w.cols))
+            return tensor._emit(out.data, (out, decoder.proj.w),
+                                lambda g: (g, tensor._Product(a, b)))
+
+        monkeypatch.setattr(training, "Adam", Kept)
+        monkeypatch.setattr(Model, "loss", loss)
+        monkeypatch.setattr(model_module, "decoder_loss", decoder_loss)
+        with pytest.raises(NumericalError) as raised:
+            train(model, examples, examples, sparse_fit_config(batch_size=2))
+        assert str(raised.value) == (
+            f"gradient of decoder.proj.w is not finite at epoch 1 "
+            f"(example {calls[3]!r}; batch {calls[2:4]})")
+        assert made[0].t == 1 and not made[0].queue
 
 
 class TestTokenF1:
